@@ -87,3 +87,53 @@ fn training_is_reproducible_under_fixed_seeds() {
     assert_eq!(r1, r2, "reward streams differ");
     assert_eq!(p1, p2, "trained parameters differ");
 }
+
+/// CRC-32 over the little-endian bytes of `params` followed by `rewards`.
+fn weights_crc(params: &[f64], rewards: &[f64]) -> u32 {
+    let bytes: Vec<u8> = params.iter().chain(rewards).flat_map(|v| v.to_le_bytes()).collect();
+    spikefolio_resilience::crc32(&bytes)
+}
+
+/// Pins the trained weights and reward streams of every learned agent to
+/// constants, so refactors of the kernels, the dense MLP body or the
+/// training loops must keep every bit of their outputs.
+#[test]
+fn trained_weights_are_pinned_bitwise() {
+    use spikefolio::ddpg::DdpgAgent;
+    use spikefolio::eiie::EiieAgent;
+    use spikefolio_telemetry::NoopRecorder;
+
+    let (train, _) = ExperimentPreset::experiment1().shrunk(120, 20).generate_split(7);
+    let n = train.num_assets();
+    let mut cfg = SdpConfig::smoke();
+    cfg.training.epochs = 3;
+    cfg.training.steps_per_epoch = 6;
+    cfg.training.batch_size = 8;
+    let trainer = Trainer::new(&cfg);
+    let seed = 11;
+
+    let mut sdp = SdpAgent::new(&cfg, n, seed);
+    let log = trainer.train_sdp_with(&mut sdp, &train, &mut NoopRecorder);
+    let sdp_crc = weights_crc(&spikefolio_snn::stbp::flat_params(&sdp.network), &log.epoch_rewards);
+
+    let mut drl = DrlAgent::new(&cfg, n, seed);
+    let log = trainer.train_drl_with(&mut drl, &train, &mut NoopRecorder);
+    let drl_crc = weights_crc(&drl.network.flat_params(), &log.epoch_rewards);
+
+    let mut eiie = EiieAgent::new(&cfg, n, seed);
+    let log = trainer.train_eiie_with(&mut eiie, &train, &mut NoopRecorder);
+    let eiie_crc = weights_crc(&eiie.network.flat_params(), &log.epoch_rewards);
+
+    let mut ddpg = DdpgAgent::new(&cfg, n, seed);
+    let log = trainer.train_ddpg_with(&mut ddpg, &train, &mut NoopRecorder);
+    let ddpg_crc = weights_crc(&ddpg.actor.flat_params(), &log.epoch_rewards);
+    let uniform = vec![1.0 / (n + 1) as f64; n + 1];
+    let s = ddpg.state(&train, 30, &uniform);
+    let q = ddpg.q_value(&s, &ddpg.act(&s));
+
+    assert_eq!(sdp_crc, 0xfc34_f3dc, "SDP");
+    assert_eq!(drl_crc, 0x9af6_77d7, "DRL");
+    assert_eq!(eiie_crc, 0x847e_7f7f, "EIIE");
+    assert_eq!(ddpg_crc, 0x9df1_6b33, "DDPG actor");
+    assert_eq!(q.to_bits(), 0x3fd3_38e4_3a45_2e7e, "DDPG critic");
+}
