@@ -3,8 +3,9 @@
 //! The paper compares SDP against the deep (non-spiking) deterministic
 //! policy of Jiang, Xu & Liang (2017). This crate provides the dense
 //! network that baseline needs: linear layers, pointwise activations, a
-//! softmax policy head, and manual backprop — validated by
-//! finite-difference gradient checks, exactly like the spiking substrate.
+//! softmax policy head (or a raw value head, the DDPG critic), and manual
+//! backprop — validated by finite-difference gradient checks, exactly
+//! like the spiking substrate.
 //!
 //! # Example
 //!

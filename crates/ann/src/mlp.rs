@@ -1,5 +1,5 @@
 //! Multi-layer perceptron with a softmax policy head — the DRL\[Jiang\]
-//! baseline's network.
+//! baseline's network — or a raw scalar value head (the DDPG critic).
 
 use crate::activation::Activation;
 use crate::linear::{Linear, LinearGradients};
@@ -8,14 +8,16 @@ use spikefolio_tensor::ops::{softmax, softmax_backward};
 use spikefolio_tensor::optim::{Optimizer, ParamSlot};
 use spikefolio_tensor::vector;
 
-/// A dense policy network: linear layers with a pointwise activation
-/// between them and a softmax on the final output, so the action always
-/// lies on the probability simplex (matching the SDP decoder's output
-/// space).
+/// A dense network: linear layers with a pointwise activation between
+/// them. A policy network ([`Mlp::new`]) puts a softmax on the final
+/// output, so the action always lies on the probability simplex (matching
+/// the SDP decoder's output space); a value network ([`Mlp::value`])
+/// keeps the final output raw. The head is fixed at construction.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Mlp {
     layers: Vec<Linear>,
     activation: Activation,
+    softmax_head: bool,
 }
 
 /// Forward trace for backprop: pre-activations and activations per layer.
@@ -26,12 +28,13 @@ pub struct MlpTrace {
     inputs: Vec<Vec<f64>>,
     /// Pre-activation outputs per layer.
     pre_activations: Vec<Vec<f64>>,
-    /// Softmax output.
+    /// Network output: the softmax action, or the raw value.
     action: Vec<f64>,
 }
 
 impl MlpTrace {
-    /// The action (softmax output) of the recorded forward pass.
+    /// The output of the recorded forward pass (the softmax action of a
+    /// policy network, the raw value of a value network).
     pub fn action(&self) -> &[f64] {
         &self.action
     }
@@ -93,10 +96,31 @@ impl Mlp {
     ///
     /// Panics if fewer than two dims are given or any is zero.
     pub fn new<R: Rng + ?Sized>(dims: &[usize], activation: Activation, rng: &mut R) -> Self {
+        Self::build(dims, activation, true, rng)
+    }
+
+    /// Builds a value network with the given layer `dims` whose last dim
+    /// is a raw (linear) scalar head, e.g. the DDPG critic `Q(s, a)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if fewer than two dims are given, any is zero, or the last
+    /// is not 1.
+    pub fn value<R: Rng + ?Sized>(dims: &[usize], activation: Activation, rng: &mut R) -> Self {
+        assert_eq!(dims.last(), Some(&1), "value head must be scalar");
+        Self::build(dims, activation, false, rng)
+    }
+
+    fn build<R: Rng + ?Sized>(
+        dims: &[usize],
+        activation: Activation,
+        softmax_head: bool,
+        rng: &mut R,
+    ) -> Self {
         assert!(dims.len() >= 2, "need at least input and output dims");
         assert!(dims.iter().all(|&d| d > 0), "dims must be positive");
         let layers = dims.windows(2).map(|w| Linear::new(w[0], w[1], rng)).collect();
-        Self { layers, activation }
+        Self { layers, activation, softmax_head }
     }
 
     /// Input dimension.
@@ -104,7 +128,7 @@ impl Mlp {
         self.layers[0].in_dim()
     }
 
-    /// Action dimension.
+    /// Output dimension (1 for a value network).
     pub fn action_dim(&self) -> usize {
         self.layers[self.layers.len() - 1].out_dim()
     }
@@ -140,11 +164,12 @@ impl Mlp {
             x = if i + 1 < self.layers.len() { self.activation.apply_vec(&z) } else { z };
             inputs.push(x.clone());
         }
-        let action = softmax(&x);
+        let action = if self.softmax_head { softmax(&x) } else { x };
         MlpTrace { inputs, pre_activations, action }
     }
 
-    /// Inference: the action vector (softmax output).
+    /// Inference: the output vector (the softmax action of a policy
+    /// network, `[value]` for a value network).
     pub fn act(&self, state: &[f64]) -> Vec<f64> {
         self.forward(state).action
     }
@@ -156,8 +181,19 @@ impl Mlp {
     /// Panics if `d_action.len() != action_dim()` or the trace shape is
     /// inconsistent.
     pub fn backward(&self, trace: &MlpTrace, d_action: &[f64]) -> MlpGradients {
-        assert_eq!(d_action.len(), self.action_dim(), "d_action length mismatch");
-        let mut dy = softmax_backward(&trace.action, d_action);
+        self.backward_input(trace, d_action).0
+    }
+
+    /// Backward pass from `∂L/∂output`; returns `(gradients, ∂L/∂input)`.
+    /// The input gradient of a DDPG critic is the actor's learning signal.
+    ///
+    /// # Panics
+    ///
+    /// As [`backward`](Self::backward).
+    pub fn backward_input(&self, trace: &MlpTrace, d_out: &[f64]) -> (MlpGradients, Vec<f64>) {
+        assert_eq!(d_out.len(), self.action_dim(), "d_action length mismatch");
+        let mut dy =
+            if self.softmax_head { softmax_backward(&trace.action, d_out) } else { d_out.to_vec() };
         let mut grads: Vec<Option<LinearGradients>> = vec![None; self.layers.len()];
         for (i, layer) in self.layers.iter().enumerate().rev() {
             // Through the activation (not applied after the last layer).
@@ -170,7 +206,8 @@ impl Mlp {
             grads[i] = Some(g);
             dy = dx;
         }
-        MlpGradients { layers: grads.into_iter().map(|g| g.expect("all layers visited")).collect() }
+        let layers = grads.into_iter().map(|g| g.expect("all layers visited")).collect();
+        (MlpGradients { layers }, dy)
     }
 
     /// Flattens all parameters (diagnostic/test helper).
@@ -365,6 +402,18 @@ mod tests {
                 assert!((x - y).abs() < 1e-12);
             }
         }
+    }
+
+    #[test]
+    fn value_head_is_raw_and_scalar() {
+        let n = Mlp::value(&[4, 6, 1], Activation::Tanh, &mut rng());
+        let state = [0.4, -0.2, 1.1, 0.7];
+        let q = n.act(&state);
+        // A softmax over one output would always be exactly 1.
+        assert_eq!(q.len(), 1);
+        assert_ne!(q[0], 1.0);
+        let (_, d_input) = n.backward_input(&n.forward(&state), &[1.0]);
+        assert_eq!(d_input.len(), n.in_dim());
     }
 
     #[test]

@@ -13,189 +13,9 @@
 use crate::config::SdpConfig;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use spikefolio_ann::linear::LinearGradients;
-use spikefolio_ann::{Activation, Linear, Mlp};
+use spikefolio_ann::{Activation, Mlp};
 use spikefolio_env::{DecisionContext, Policy, StateBuilder};
 use spikefolio_market::MarketData;
-use spikefolio_tensor::optim::{Optimizer, ParamSlot};
-use spikefolio_tensor::vector;
-
-/// A scalar-output value network `Q(s, a)` over the concatenated
-/// state-action vector: linear layers with a pointwise activation between
-/// them and a raw (linear) scalar head.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Critic {
-    layers: Vec<Linear>,
-    activation: Activation,
-}
-
-/// Forward trace of a [`Critic`] pass, consumed by
-/// [`Critic::backward`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct CriticTrace {
-    /// Input to each layer (first entry is the network input).
-    inputs: Vec<Vec<f64>>,
-    /// Pre-activation output of each layer.
-    pre_activations: Vec<Vec<f64>>,
-}
-
-/// Gradients for every layer of a [`Critic`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct CriticGradients {
-    /// Per-layer gradients, input-side first.
-    pub layers: Vec<LinearGradients>,
-}
-
-impl CriticGradients {
-    /// Accumulates `other` into `self`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on shape mismatch.
-    pub fn accumulate(&mut self, other: &CriticGradients) {
-        assert_eq!(self.layers.len(), other.layers.len(), "layer count mismatch");
-        for (a, b) in self.layers.iter_mut().zip(&other.layers) {
-            a.d_weights.add_scaled(1.0, &b.d_weights);
-            vector::axpy(&mut a.d_bias, 1.0, &b.d_bias);
-        }
-    }
-
-    /// Scales all gradients by `alpha`.
-    pub fn scale(&mut self, alpha: f64) {
-        for l in &mut self.layers {
-            l.d_weights.scale(alpha);
-            l.d_bias.iter_mut().for_each(|g| *g *= alpha);
-        }
-    }
-
-    /// Global L2 norm.
-    pub fn global_norm(&self) -> f64 {
-        let mut sq = 0.0;
-        for l in &self.layers {
-            sq += l.d_weights.as_slice().iter().map(|g| g * g).sum::<f64>();
-            sq += l.d_bias.iter().map(|g| g * g).sum::<f64>();
-        }
-        sq.sqrt()
-    }
-
-    /// Clips the global norm to `max_norm`.
-    pub fn clip_global_norm(&mut self, max_norm: f64) {
-        let n = self.global_norm();
-        if n > max_norm && n > 0.0 {
-            self.scale(max_norm / n);
-        }
-    }
-}
-
-impl Critic {
-    /// Builds a critic with the given layer `dims`; the last dim must
-    /// be 1 (scalar value head).
-    ///
-    /// # Panics
-    ///
-    /// Panics if fewer than two dims are given, any is zero, or the last
-    /// is not 1.
-    pub fn new<R: rand::Rng + ?Sized>(dims: &[usize], activation: Activation, rng: &mut R) -> Self {
-        assert!(dims.len() >= 2, "need at least input and output dims");
-        assert!(dims.iter().all(|&d| d > 0), "dims must be positive");
-        assert_eq!(dims[dims.len() - 1], 1, "critic head must be scalar");
-        let layers = dims.windows(2).map(|w| Linear::new(w[0], w[1], rng)).collect();
-        Self { layers, activation }
-    }
-
-    /// Input dimension (state dim + action dim).
-    pub fn in_dim(&self) -> usize {
-        self.layers[0].in_dim()
-    }
-
-    /// Total trainable parameters.
-    pub fn num_params(&self) -> usize {
-        self.layers.iter().map(Linear::num_params).sum()
-    }
-
-    /// Forward pass with trace; returns `(trace, Q(s, a))`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `input.len() != in_dim()`.
-    pub fn forward(&self, input: &[f64]) -> (CriticTrace, f64) {
-        let mut inputs = vec![input.to_vec()];
-        let mut pre_activations = Vec::with_capacity(self.layers.len());
-        let mut x = input.to_vec();
-        for (i, layer) in self.layers.iter().enumerate() {
-            let z = layer.forward(&x);
-            pre_activations.push(z.clone());
-            x = if i + 1 < self.layers.len() { self.activation.apply_vec(&z) } else { z };
-            inputs.push(x.clone());
-        }
-        let q = x[0];
-        (CriticTrace { inputs, pre_activations }, q)
-    }
-
-    /// Backward pass from the scalar upstream gradient `∂L/∂Q`; returns
-    /// `(gradients, ∂L/∂input)`. The tail of the input gradient (the
-    /// action slice) is the DDPG actor's learning signal.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the trace shape is inconsistent with the network.
-    pub fn backward(&self, trace: &CriticTrace, d_q: f64) -> (CriticGradients, Vec<f64>) {
-        let mut dy = vec![d_q];
-        let mut grads = Vec::with_capacity(self.layers.len());
-        for (i, layer) in self.layers.iter().enumerate().rev() {
-            if i + 1 < self.layers.len() {
-                for (d, &z) in dy.iter_mut().zip(&trace.pre_activations[i]) {
-                    *d *= self.activation.grad(z);
-                }
-            }
-            let (g, dx) = layer.backward(&trace.inputs[i], &dy);
-            grads.push(g);
-            dy = dx;
-        }
-        grads.reverse();
-        (CriticGradients { layers: grads }, dy)
-    }
-}
-
-/// Trainer pairing a [`Critic`] with an optimizer (mirrors
-/// `spikefolio_ann::MlpTrainer`).
-#[derive(Debug)]
-pub struct CriticTrainer<O: Optimizer> {
-    optimizer: O,
-    weight_slots: Vec<ParamSlot>,
-    bias_slots: Vec<ParamSlot>,
-    /// Optional global-norm gradient clip.
-    pub max_grad_norm: Option<f64>,
-}
-
-impl<O: Optimizer> CriticTrainer<O> {
-    /// Registers `net`'s parameters with `optimizer`.
-    pub fn new(net: &Critic, mut optimizer: O) -> Self {
-        let weight_slots = net.layers.iter().map(|l| optimizer.register(l.weights.len())).collect();
-        let bias_slots = net.layers.iter().map(|l| optimizer.register(l.bias.len())).collect();
-        Self { optimizer, weight_slots, bias_slots, max_grad_norm: Some(10.0) }
-    }
-
-    /// Applies one descent step.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `grads` doesn't match the network shape.
-    pub fn apply(&mut self, net: &mut Critic, grads: &CriticGradients) {
-        let mut grads = grads.clone();
-        if let Some(max) = self.max_grad_norm {
-            grads.clip_global_norm(max);
-        }
-        for (i, g) in grads.layers.iter().enumerate() {
-            self.optimizer.step(
-                self.weight_slots[i],
-                net.layers[i].weights.as_mut_slice(),
-                g.d_weights.as_slice(),
-            );
-            self.optimizer.step(self.bias_slots[i], &mut net.layers[i].bias, &g.d_bias);
-        }
-    }
-}
 
 /// The DDPG-style baseline agent: deterministic MLP-softmax actor plus a
 /// state-action critic, trained by
@@ -204,8 +24,9 @@ impl<O: Optimizer> CriticTrainer<O> {
 pub struct DdpgAgent {
     /// The policy network (same body as the DRL baseline).
     pub actor: Mlp,
-    /// The `Q(s, a)` value network.
-    pub critic: Critic,
+    /// The `Q(s, a)` value network over the concatenated state-action
+    /// vector (raw scalar head).
+    pub critic: Mlp,
     state_builder: StateBuilder,
 }
 
@@ -227,7 +48,7 @@ impl DdpgAgent {
         let mut critic_dims = vec![state_dim + action_dim];
         critic_dims.extend(&config.network.hidden);
         critic_dims.push(1);
-        let critic = Critic::new(&critic_dims, Activation::Relu, &mut rng);
+        let critic = Mlp::value(&critic_dims, Activation::Relu, &mut rng);
         Self { actor, critic, state_builder: sb }
     }
 
@@ -255,7 +76,7 @@ impl DdpgAgent {
         let mut sa = Vec::with_capacity(state.len() + action.len());
         sa.extend_from_slice(state);
         sa.extend_from_slice(action);
-        self.critic.forward(&sa).1
+        self.critic.act(&sa)[0]
     }
 }
 
@@ -278,6 +99,7 @@ impl Policy for DdpgAgent {
 mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used)]
     use super::*;
+    use spikefolio_ann::MlpTrainer;
     use spikefolio_env::Backtester;
     use spikefolio_market::experiments::ExperimentPreset;
     use spikefolio_tensor::simplex::is_on_simplex;
@@ -296,10 +118,10 @@ mod tests {
     #[test]
     fn critic_gradients_match_finite_differences() {
         let mut rng = StdRng::seed_from_u64(11);
-        let critic = Critic::new(&[5, 7, 1], Activation::Tanh, &mut rng);
+        let critic = Mlp::value(&[5, 7, 1], Activation::Tanh, &mut rng);
+        let q = |c: &Mlp, x: &[f64]| c.act(x)[0];
         let input = [0.4, -0.2, 1.1, 0.7, -0.9];
-        let (trace, q) = critic.forward(&input);
-        let (grads, d_input) = critic.backward(&trace, 1.0);
+        let (grads, d_input) = critic.backward_input(&critic.forward(&input), &[1.0]);
         let eps = 1e-6;
         // Input gradients (the slice the actor learns from).
         for i in 0..input.len() {
@@ -307,34 +129,40 @@ mod tests {
             xp[i] += eps;
             let mut xm = input;
             xm[i] -= eps;
-            let num = (critic.forward(&xp).1 - critic.forward(&xm).1) / (2.0 * eps);
+            let num = (q(&critic, &xp) - q(&critic, &xm)) / (2.0 * eps);
             assert!((d_input[i] - num).abs() < 1e-6, "input {i}: {} vs {num}", d_input[i]);
         }
-        // Spot-check first-layer weight gradients.
+        // Spot-check first-layer weight gradients (row 0 leads the flat
+        // parameter vector).
+        let params = critic.flat_params();
         for col in 0..input.len() {
             let mut cp = critic.clone();
-            cp.layers[0].weights[(0, col)] += eps;
+            let mut pp = params.clone();
+            pp[col] += eps;
+            cp.set_flat_params(&pp);
             let mut cm = critic.clone();
-            cm.layers[0].weights[(0, col)] -= eps;
-            let num = (cp.forward(&input).1 - cm.forward(&input).1) / (2.0 * eps);
+            let mut pm = params.clone();
+            pm[col] -= eps;
+            cm.set_flat_params(&pm);
+            let num = (q(&cp, &input) - q(&cm, &input)) / (2.0 * eps);
             assert!((grads.layers[0].d_weights[(0, col)] - num).abs() < 1e-6);
         }
-        assert!(q.is_finite());
+        assert!(q(&critic, &input).is_finite());
     }
 
     #[test]
     fn critic_training_fits_a_target() {
         let mut rng = StdRng::seed_from_u64(3);
-        let mut critic = Critic::new(&[3, 8, 1], Activation::Relu, &mut rng);
-        let mut trainer = CriticTrainer::new(&critic, spikefolio_tensor::optim::Adam::new(1e-2));
+        let mut critic = Mlp::value(&[3, 8, 1], Activation::Relu, &mut rng);
+        let mut trainer = MlpTrainer::new(&critic, spikefolio_tensor::optim::Adam::new(1e-2));
         let input = [0.5, -0.3, 0.8];
         let target = 0.042;
         for _ in 0..200 {
-            let (trace, q) = critic.forward(&input);
-            let (g, _) = critic.backward(&trace, q - target);
+            let trace = critic.forward(&input);
+            let g = critic.backward(&trace, &[trace.action()[0] - target]);
             trainer.apply(&mut critic, &g);
         }
-        let (_, q) = critic.forward(&input);
+        let q = critic.act(&input)[0];
         assert!((q - target).abs() < 1e-3, "critic converged to {q}, wanted {target}");
     }
 

@@ -17,8 +17,6 @@ pub struct DrlAgent {
     /// The dense policy network.
     pub network: Mlp,
     state_builder: StateBuilder,
-    #[allow(dead_code)]
-    rng: StdRng,
 }
 
 impl DrlAgent {
@@ -33,7 +31,7 @@ impl DrlAgent {
         dims.extend(&config.network.hidden);
         dims.push(num_assets + 1);
         let network = Mlp::new(&dims, Activation::Relu, &mut rng);
-        Self { network, state_builder: sb, rng }
+        Self { network, state_builder: sb }
     }
 
     /// The state feature builder in force.

@@ -23,8 +23,6 @@ pub struct EiieAgent {
     pub network: Eiie,
     window: usize,
     include_open: bool,
-    #[allow(dead_code)]
-    rng: StdRng,
 }
 
 impl EiieAgent {
@@ -34,7 +32,7 @@ impl EiieAgent {
         let mut rng = StdRng::seed_from_u64(seed);
         let channels = config.state.channels();
         let network = Eiie::new(EiieConfig::jiang(channels, config.state.window), &mut rng);
-        Self { network, window: config.state.window, include_open: config.state.include_open, rng }
+        Self { network, window: config.state.window, include_open: config.state.include_open }
     }
 
     /// Observation window length.

@@ -62,11 +62,9 @@ pub mod profiling;
 pub mod report;
 pub mod scenarios;
 pub mod serving;
-pub mod sweep;
 pub mod telemetry_report;
 pub mod training;
 pub mod triage;
-pub mod validation;
 
 pub use agent::SdpAgent;
 pub use config::SdpConfig;

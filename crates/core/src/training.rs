@@ -708,7 +708,7 @@ impl Trainer {
 
     /// Creates a persistent SDP training session (optimizer state, PVM,
     /// RNG streams) over `market`. Used directly for epoch-at-a-time
-    /// control (see [`crate::validation`]); [`Trainer::train_sdp`] is the
+    /// control (see [`crate::guarded`]); [`Trainer::train_sdp`] is the
     /// plain loop on top of it.
     ///
     /// # Panics
@@ -970,7 +970,7 @@ impl Trainer {
             spikefolio_ann::MlpTrainer::new(&agent.actor, Adam::new(tc.learning_rate));
         actor_trainer.max_grad_norm = Some(tc.max_grad_norm);
         let mut critic_trainer =
-            crate::ddpg::CriticTrainer::new(&agent.critic, Adam::new(tc.learning_rate));
+            spikefolio_ann::MlpTrainer::new(&agent.critic, Adam::new(tc.learning_rate));
         critic_trainer.max_grad_norm = Some(tc.max_grad_norm);
         let mut sample_rng = StdRng::seed_from_u64(self.config.seed ^ 0xddb6_u64);
 
@@ -982,7 +982,7 @@ impl Trainer {
             let mut grad_norm_sum = 0.0;
             for _step in 0..tc.steps_per_epoch {
                 let mut actor_grads: Option<spikefolio_ann::MlpGradients> = None;
-                let mut critic_grads: Option<crate::ddpg::CriticGradients> = None;
+                let mut critic_grads: Option<spikefolio_ann::MlpGradients> = None;
                 let mut batch_reward = 0.0;
                 for _ in 0..tc.batch_size {
                     let t = sample_period(&mut sample_rng, min_t, max_t, tc.recency_bias);
@@ -996,15 +996,16 @@ impl Trainer {
                     let mut sa = Vec::with_capacity(state.len() + action.len());
                     sa.extend_from_slice(&state);
                     sa.extend_from_slice(&action);
-                    let (ctrace, q) = agent.critic.forward(&sa);
+                    let ctrace = agent.critic.forward(&sa);
+                    let q = ctrace.action()[0];
                     // Critic: descend ½(Q − r)².
-                    let (cg, _) = agent.critic.backward(&ctrace, q - r);
+                    let cg = agent.critic.backward(&ctrace, &[q - r]);
                     match critic_grads.as_mut() {
                         Some(acc) => acc.accumulate(&cg),
                         None => critic_grads = Some(cg),
                     }
                     // Actor: ascend Q, i.e. descend −Q through ∂Q/∂a.
-                    let (_, d_input) = agent.critic.backward(&ctrace, 1.0);
+                    let (_, d_input) = agent.critic.backward_input(&ctrace, &[1.0]);
                     let d_action: Vec<f64> = d_input[state.len()..].iter().map(|g| -g).collect();
                     let ag = agent.actor.backward(&trace, &d_action);
                     match actor_grads.as_mut() {

@@ -8,8 +8,7 @@
 //! presynaptic columns. The dense GEMM path is retained as the bitwise
 //! reference ([`KernelPath::Dense`], selectable per call via
 //! [`SdpNetwork::forward_batch_with`] or process-wide via
-//! [`set_kernel_path`]); in the default [`SparseMode::Bitwise`] the two
-//! paths produce bit-identical traces.
+//! [`set_kernel_path`]); the two paths produce bit-identical traces.
 //!
 //! # Memory layout
 //!
@@ -48,79 +47,48 @@ use crate::network::{SdpNetwork, SpikeStats};
 use rand::Rng;
 use spikefolio_telemetry::labels::{SPAN_PROFILE_SNN_ENCODE, SPAN_PROFILE_SNN_LIF};
 use spikefolio_telemetry::{NoopRecorder, Recorder, Stopwatch};
-use spikefolio_tensor::sparse::{self, SparseMode, SpikeSet};
+use spikefolio_tensor::sparse::{self, SpikeSet};
 use spikefolio_tensor::{gemm, Matrix};
-use std::sync::atomic::{AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Which kernel implementation the batched passes route through.
 ///
 /// The event-driven sparse path is the production default; the dense GEMM
 /// path is kept as the bitwise reference the equivalence test battery
-/// compares against. In [`SparseMode::Bitwise`] the two produce
-/// bit-identical traces and gradients (see
-/// [`spikefolio_tensor::sparse`]), so which one runs is observable only
-/// in wall-clock time.
+/// compares against. The two produce bit-identical traces and gradients
+/// (see [`spikefolio_tensor::sparse`]), so which one runs is observable
+/// only in wall-clock time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KernelPath {
     /// Event-driven sparse kernels ([`sparse::spike_drive`] /
-    /// [`sparse::spike_outer_acc`]) in the given reduction mode.
-    Sparse(SparseMode),
+    /// [`sparse::spike_outer_acc`]).
+    Sparse,
     /// Dense GEMM reference kernels ([`gemm::gemm_nt`] /
     /// [`gemm::gemm_tn_acc`]).
     Dense,
 }
 
-/// Process-global kernel-path override, encoded for the atomic:
-/// 0 = default (sparse, mode from [`sparse::default_mode`]), 1 = dense,
-/// 2 = sparse bitwise, 3 = sparse fast-math.
-static KERNEL_PATH_OVERRIDE: AtomicU8 = AtomicU8::new(0);
+/// Process-global switch onto the dense reference path.
+static DENSE_OVERRIDE: AtomicBool = AtomicBool::new(false);
 
-/// Forces every [`SdpNetwork::forward_batch`] /
-/// [`crate::stbp::backward_batch`] call in this process onto `path`.
+/// Routes every [`SdpNetwork::forward_batch`] /
+/// [`crate::stbp::backward_batch`] call in this process through `path`
+/// ([`KernelPath::Sparse`] is the default).
 ///
 /// Intended for equivalence testing of code that only exposes the default
 /// entry points (e.g. driving a full training run down the dense reference
-/// path). Note the override is process-global: concurrent tests observe
-/// it too, which is safe precisely because `Dense` and
-/// `Sparse(SparseMode::Bitwise)` are bit-identical — avoid setting
-/// `Sparse(SparseMode::FastMath)` globally in multi-threaded test runs.
+/// path). The switch is process-global: concurrent tests observe it too,
+/// which is safe precisely because the two paths are bit-identical.
 pub fn set_kernel_path(path: KernelPath) {
-    let code = match path {
-        KernelPath::Dense => 1,
-        KernelPath::Sparse(SparseMode::Bitwise) => 2,
-        KernelPath::Sparse(SparseMode::FastMath) => 3,
-    };
-    KERNEL_PATH_OVERRIDE.store(code, Ordering::SeqCst);
-}
-
-/// Clears a [`set_kernel_path`] override, restoring the default (sparse,
-/// with the mode chosen by [`sparse::default_mode`]).
-pub fn reset_kernel_path() {
-    KERNEL_PATH_OVERRIDE.store(0, Ordering::SeqCst);
-}
-
-/// The process default when no [`set_kernel_path`] override is active:
-/// the `SPIKEFOLIO_KERNEL_PATH` environment variable (`dense`, `sparse`,
-/// `fastmath`) read once at first use, falling back to the sparse path
-/// with the mode chosen by [`sparse::default_mode`]. The env hook exists
-/// for A/B benchmarking (`bench run` under each path) without a rebuild.
-fn env_default_path() -> KernelPath {
-    static PATH: std::sync::OnceLock<KernelPath> = std::sync::OnceLock::new();
-    *PATH.get_or_init(|| match std::env::var("SPIKEFOLIO_KERNEL_PATH").as_deref() {
-        Ok("dense") => KernelPath::Dense,
-        Ok("fastmath") => KernelPath::Sparse(SparseMode::FastMath),
-        Ok("sparse") => KernelPath::Sparse(SparseMode::Bitwise),
-        _ => KernelPath::Sparse(sparse::default_mode()),
-    })
+    DENSE_OVERRIDE.store(path == KernelPath::Dense, Ordering::SeqCst);
 }
 
 /// The [`KernelPath`] the default entry points currently route through.
 pub fn kernel_path() -> KernelPath {
-    match KERNEL_PATH_OVERRIDE.load(Ordering::SeqCst) {
-        1 => KernelPath::Dense,
-        2 => KernelPath::Sparse(SparseMode::Bitwise),
-        3 => KernelPath::Sparse(SparseMode::FastMath),
-        _ => env_default_path(),
+    if DENSE_OVERRIDE.load(Ordering::SeqCst) {
+        KernelPath::Dense
+    } else {
+        KernelPath::Sparse
     }
 }
 
@@ -459,7 +427,7 @@ impl SdpNetwork {
         // The event-driven drive streams rows of Wᵀ; weights are constant
         // over the simulation, so transpose once per call into the
         // workspace (amortized over T·B drive rows).
-        if matches!(path, KernelPath::Sparse(_)) {
+        if path == KernelPath::Sparse {
             for (lb, layer) in ws.layers.iter_mut().zip(&self.layers) {
                 layer.weights.transpose_into(&mut lb.wt);
             }
@@ -486,11 +454,11 @@ impl SdpNetwork {
                 };
                 let lb = &mut ws.layers[k];
                 match path {
-                    KernelPath::Sparse(mode) => {
+                    KernelPath::Sparse => {
                         // Event-driven c-drive: touch only the active
                         // presynaptic columns, k-ascending — bitwise
-                        // identical to the dense reference in
-                        // `SparseMode::Bitwise` (see tensor::sparse).
+                        // identical to the dense reference (see
+                        // tensor::sparse).
                         kernel_events += sparse::spike_drive(
                             input_block,
                             input_set,
@@ -500,7 +468,6 @@ impl SdpNetwork {
                             bsz,
                             in_dim,
                             out_dim,
-                            mode,
                         );
                     }
                     KernelPath::Dense => {
@@ -750,13 +717,7 @@ mod tests {
         net.forward_batch_with(&st, &mut rngs, &mut ws, &mut dense, KernelPath::Dense);
         let mut sparse_t = BatchNetworkTrace::new(&net, batch);
         let mut rngs2: Vec<StdRng> = (0..batch).map(|b| rng(b as u64)).collect();
-        net.forward_batch_with(
-            &st,
-            &mut rngs2,
-            &mut ws,
-            &mut sparse_t,
-            KernelPath::Sparse(SparseMode::Bitwise),
-        );
+        net.forward_batch_with(&st, &mut rngs2, &mut ws, &mut sparse_t, KernelPath::Sparse);
         assert_eq!(sparse_t, dense, "bitwise sparse trace must equal the dense reference");
         assert!(sparse_t.kernel_events > 0, "workload should produce events");
     }
@@ -777,16 +738,13 @@ mod tests {
 
     #[test]
     fn kernel_path_override_round_trips() {
-        // Default with no env override is the bitwise sparse path.
-        if std::env::var("SPIKEFOLIO_FAST_MATH").is_err() {
-            assert_eq!(kernel_path(), KernelPath::Sparse(SparseMode::Bitwise));
-        }
-        // Dense and Sparse(Bitwise) are bit-identical, so flipping the
-        // global override mid-run is safe for concurrently running tests.
+        // Dense and Sparse are bit-identical, so flipping the global
+        // switch mid-run is safe for concurrently running tests.
+        assert_eq!(kernel_path(), KernelPath::Sparse);
         set_kernel_path(KernelPath::Dense);
         assert_eq!(kernel_path(), KernelPath::Dense);
-        reset_kernel_path();
-        assert_eq!(kernel_path(), KernelPath::Sparse(sparse::default_mode()));
+        set_kernel_path(KernelPath::Sparse);
+        assert_eq!(kernel_path(), KernelPath::Sparse);
     }
 
     #[test]

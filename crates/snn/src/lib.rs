@@ -43,11 +43,10 @@ pub mod stbp;
 pub mod surrogate;
 
 pub use batch::{
-    kernel_path, reset_kernel_path, set_kernel_path, BatchLayerTrace, BatchNetworkTrace,
-    BatchWorkspace, KernelPath,
+    kernel_path, set_kernel_path, BatchLayerTrace, BatchNetworkTrace, BatchWorkspace, KernelPath,
 };
 pub use encoder::{Encoding, PopulationEncoder, PopulationEncoderConfig};
 pub use network::{SdpNetwork, SdpNetworkConfig};
 pub use neuron::LifParams;
-pub use spikes::{SparseMode, SpikeSet};
+pub use spikes::SpikeSet;
 pub use surrogate::Surrogate;

@@ -8,7 +8,7 @@
 //! what the event-driven batched kernels ([`crate::batch`],
 //! [`crate::stbp`]) consume instead of scanning the dense matrix.
 
-pub use spikefolio_tensor::sparse::{SparseMode, SpikeSet};
+pub use spikefolio_tensor::sparse::SpikeSet;
 
 use spikefolio_tensor::Matrix;
 

@@ -411,15 +411,15 @@ fn backward_batch_inner(
         // ∇W += Σ_{t,b} δc ⊗ o_in, ∇b = column sums of the δc stack. The
         // event-driven path restricts each rank-1 update to the active
         // input-spike columns of that row — bitwise identical to the dense
-        // reference in both sparse modes (skipped zero addends cannot flip
-        // accumulator bits; see `spikefolio_tensor::sparse`).
+        // reference (skipped zero addends cannot flip accumulator bits;
+        // see `spikefolio_tensor::sparse`).
         let (inputs, input_set): (&[f64], &sparse::SpikeSet) = if k == 0 {
             (trace.encoder.as_slice(), &trace.encoder_set)
         } else {
             (trace.layers[k - 1].outputs.as_slice(), &trace.layers[k - 1].output_set)
         };
         match path {
-            KernelPath::Sparse(_) => {
+            KernelPath::Sparse => {
                 sparse::spike_outer_acc(
                     1.0,
                     lb.dc_stack.as_slice(),
@@ -863,7 +863,6 @@ mod tests {
     #[test]
     fn batched_backward_sparse_matches_dense_bitwise() {
         use crate::batch::{BatchNetworkTrace, BatchWorkspace, KernelPath};
-        use spikefolio_tensor::sparse::SparseMode;
         let mut cfg = SdpNetworkConfig::small(4, 3);
         cfg.timesteps = 5;
         let net = SdpNetwork::new(cfg, &mut rng());
@@ -876,20 +875,9 @@ mod tests {
         net.forward_batch(&states, &mut rngs, &mut ws, &mut trace);
         let d_actions = Matrix::from_fn(bsz, 3, |b, a| if a == b % 3 { -1.0 } else { 0.5 });
         let dense = backward_batch_with(&net, &trace, &d_actions, 0.3, &mut ws, KernelPath::Dense);
-        for mode in [SparseMode::Bitwise, SparseMode::FastMath] {
-            let sparse = backward_batch_with(
-                &net,
-                &trace,
-                &d_actions,
-                0.3,
-                &mut ws,
-                KernelPath::Sparse(mode),
-            );
-            // The event-driven weight gradient is bitwise identical in
-            // BOTH modes: per output element there is one contribution per
-            // stack row, so there is no reduction to reorder.
-            assert_eq!(flat_grads(&sparse), flat_grads(&dense), "{mode:?}");
-        }
+        let sparse =
+            backward_batch_with(&net, &trace, &d_actions, 0.3, &mut ws, KernelPath::Sparse);
+        assert_eq!(flat_grads(&sparse), flat_grads(&dense));
     }
 
     #[test]

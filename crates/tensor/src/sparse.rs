@@ -12,14 +12,13 @@
 //!
 //! # Determinism contract
 //!
-//! In [`SparseMode::Bitwise`] (the default) every kernel reproduces the
-//! dense reference **bitwise**:
+//! Every kernel reproduces the dense reference **bitwise**:
 //!
 //! * [`spike_drive`] accumulates `out[b][j] += x_k · wt[k][j]` with `k`
 //!   ascending over the active set — the same additions, in the same
 //!   order, as the k-ascending zero-skipping dot products of
 //!   [`crate::gemm::gemm_nt`]. Each output element is one accumulator
-//!   chain; the 4-wide inner lanes run *across* independent `j` chains and
+//!   chain; the 8-wide inner lanes run *across* independent `j` chains and
 //!   never reassociate within one.
 //! * [`spike_outer_acc`] applies rank-1 updates row-ascending with the
 //!   `(alpha · a) · b` evaluation order of
@@ -27,40 +26,8 @@
 //!   an accumulator bit: a `±0.0` addend only matters when the running sum
 //!   is `-0.0`, which a sum of non-`-0.0` addends never produces under
 //!   round-to-nearest.
-//!
-//! [`SparseMode::FastMath`] is the opt-in throughput mode: it may
-//! reassociate the per-element reductions (active events are consumed in
-//! pairs, halving the loop-carried dependence chain). Results then match
-//! the dense reference only to tolerance (`≤ 1e-6` relative — covered by
-//! the equivalence suite in `tests/sparse_kernels.rs`), so it must be
-//! requested explicitly, either per call or process-wide via the
-//! `SPIKEFOLIO_FAST_MATH=1` environment flag consumed by
-//! [`default_mode`].
 
 use crate::Matrix;
-
-/// Reduction-ordering contract of the sparse kernels.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SparseMode {
-    /// Fixed accumulation order: outputs are bitwise identical to the
-    /// dense reference kernels. The default everywhere.
-    #[default]
-    Bitwise,
-    /// May reorder reductions (pairwise event accumulation) for
-    /// throughput; equals the dense reference to `≤ 1e-6` relative error.
-    FastMath,
-}
-
-/// The process-wide default [`SparseMode`]: [`SparseMode::FastMath`] when
-/// the environment variable `SPIKEFOLIO_FAST_MATH` is set to `1` at first
-/// call, [`SparseMode::Bitwise`] otherwise. Read once and cached.
-pub fn default_mode() -> SparseMode {
-    static MODE: std::sync::OnceLock<SparseMode> = std::sync::OnceLock::new();
-    *MODE.get_or_init(|| match std::env::var("SPIKEFOLIO_FAST_MATH") {
-        Ok(v) if v == "1" => SparseMode::FastMath,
-        _ => SparseMode::Bitwise,
-    })
-}
 
 /// Compact event representation of a spike raster or stacked spike
 /// matrix: per row, the ascending column indices of the non-zero entries
@@ -188,7 +155,7 @@ impl SpikeSet {
     }
 }
 
-/// `out[b][j] += x · w[j]` across four independent `j` lanes. Each `out[j]`
+/// `out[b][j] += x · w[j]` across eight independent `j` lanes. Each `out[j]`
 /// is its own accumulator chain, so the unrolling changes instruction-level
 /// parallelism (and lets the autovectorizer emit SIMD mul+add) without
 /// reordering any chain — bitwise identical to the naive loop.
@@ -216,21 +183,12 @@ fn axpy_lanes(x: f64, w: &[f64], out: &mut [f64]) {
     }
 }
 
-/// `out[b][j] += x0·w0[j] + x1·w1[j]`: two events folded per pass. The
-/// pairwise add reassociates each `out[j]` chain — FastMath only.
-#[inline(always)]
-fn axpy2_lanes(x0: f64, w0: &[f64], x1: f64, w1: &[f64], out: &mut [f64]) {
-    for ((o, &a), &b) in out.iter_mut().zip(w0).zip(w1) {
-        *o += x0 * a + x1 * b;
-    }
-}
-
 /// Event-driven synaptic drive: `out[bsz × n] = vals[bsz × k] · wt[k × n]`
 /// where only the columns recorded in `set` (stack rows
 /// `row0..row0 + bsz`) are touched. `wt` is the **transposed** weight
 /// matrix (`in_dim × out_dim`), so each event streams one contiguous row.
 ///
-/// In [`SparseMode::Bitwise`] the result is bitwise identical to
+/// The result is bitwise identical to
 /// [`crate::gemm::gemm_nt`]`(vals, w, out, bsz, k, n)` with `w` the
 /// untransposed `n × k` weights (see the [module docs](self)). `out` is
 /// fully overwritten.
@@ -254,7 +212,6 @@ pub fn spike_drive(
     bsz: usize,
     k: usize,
     n: usize,
-    mode: SparseMode,
 ) -> u64 {
     assert_eq!(vals.len(), bsz * k, "spike_drive: vals length {} != {bsz}x{k}", vals.len());
     assert_eq!(wt.len(), k * n, "spike_drive: wt length {} != {k}x{n}", wt.len());
@@ -283,30 +240,9 @@ pub fn spike_drive(
             events += active.len() as u64;
             let vrow = &vals[b * k..(b + 1) * k];
             let orow = &mut out[b * n..(b + 1) * n];
-            match mode {
-                SparseMode::Bitwise => {
-                    for &ki in active {
-                        let ki = ki as usize;
-                        axpy_lanes(vrow[ki], &wt[ki * n..(ki + 1) * n], orow);
-                    }
-                }
-                SparseMode::FastMath => {
-                    let mut pairs = active.chunks_exact(2);
-                    for pair in pairs.by_ref() {
-                        let (k0, k1) = (pair[0] as usize, pair[1] as usize);
-                        axpy2_lanes(
-                            vrow[k0],
-                            &wt[k0 * n..(k0 + 1) * n],
-                            vrow[k1],
-                            &wt[k1 * n..(k1 + 1) * n],
-                            orow,
-                        );
-                    }
-                    for &ki in pairs.remainder() {
-                        let ki = ki as usize;
-                        axpy_lanes(vrow[ki], &wt[ki * n..(ki + 1) * n], orow);
-                    }
-                }
+            for &ki in active {
+                let ki = ki as usize;
+                axpy_lanes(vrow[ki], &wt[ki * n..(ki + 1) * n], orow);
             }
         }
         return events.saturating_mul(n as u64);
@@ -316,11 +252,6 @@ pub fn spike_drive(
     // events in exactly the per-sample order.
     let active: Vec<&[u32]> = (0..bsz).map(|b| set.row(row0 + b)).collect();
     let mut cur = vec![0usize; bsz];
-    // FastMath defers odd events per sample so they still fold in pairs.
-    let mut pending: Vec<(u32, f64)> = Vec::new();
-    if mode == SparseMode::FastMath {
-        pending = vec![(u32::MAX, 0.0); bsz];
-    }
     for ki in 0..k {
         let kw = ki as u32;
         let wrow = &wt[ki * n..(ki + 1) * n];
@@ -332,28 +263,7 @@ pub fn spike_drive(
             }
             cur[b] = c + 1;
             events += 1;
-            let x = vals[b * k + ki];
-            let orow = &mut out[b * n..(b + 1) * n];
-            match mode {
-                SparseMode::Bitwise => axpy_lanes(x, wrow, orow),
-                SparseMode::FastMath => {
-                    let (k0, x0) = pending[b];
-                    if k0 == u32::MAX {
-                        pending[b] = (kw, x);
-                    } else {
-                        axpy2_lanes(x0, &wt[k0 as usize * n..(k0 as usize + 1) * n], x, wrow, orow);
-                        pending[b].0 = u32::MAX;
-                    }
-                }
-            }
-        }
-    }
-    if mode == SparseMode::FastMath {
-        for (b, &(k0, x0)) in pending.iter().enumerate() {
-            if k0 != u32::MAX {
-                let k0 = k0 as usize;
-                axpy_lanes(x0, &wt[k0 * n..(k0 + 1) * n], &mut out[b * n..(b + 1) * n]);
-            }
+            axpy_lanes(vals[b * k + ki], wrow, &mut out[b * n..(b + 1) * n]);
         }
     }
     events.saturating_mul(n as u64)
@@ -364,10 +274,8 @@ pub fn spike_drive(
 /// `b` columns recorded in `set` — the sparse counterpart of
 /// [`crate::gemm::gemm_tn_acc`] with `b` the stacked input spikes.
 ///
-/// Bitwise identical to the dense kernel in **both** modes: each output
-/// element receives its contributions in the same row-ascending order, and
-/// per-element there is no reduction to reorder (one contribution per
-/// row), so FastMath has nothing to reassociate here.
+/// Bitwise identical to the dense kernel: each output element receives
+/// its contributions in the same row-ascending order.
 ///
 /// Returns the multiply–accumulates actually performed
 /// (`Σ_r nonzero(a_r) · active(b_r)`).
@@ -510,18 +418,8 @@ mod tests {
         let mut dense = vec![0.0; bsz * n];
         gemm::gemm_nt(a.as_slice(), w.as_slice(), &mut dense, bsz, k, n);
         let mut sparse = vec![f64::NAN; bsz * n];
-        let synops = spike_drive(
-            a.as_slice(),
-            &set,
-            0,
-            wt.as_slice(),
-            &mut sparse,
-            bsz,
-            k,
-            n,
-            SparseMode::Bitwise,
-        );
-        assert_eq!(sparse, dense, "bitwise mode must equal the dense kernel exactly");
+        let synops = spike_drive(a.as_slice(), &set, 0, wt.as_slice(), &mut sparse, bsz, k, n);
+        assert_eq!(sparse, dense, "sparse drive must equal the dense kernel exactly");
         assert_eq!(synops, set.nnz() * n as u64);
     }
 
@@ -535,44 +433,8 @@ mod tests {
         let mut dense = vec![0.0; bsz * n];
         gemm::gemm_nt(a.as_slice(), w.as_slice(), &mut dense, bsz, k, n);
         let mut sparse = vec![0.0; bsz * n];
-        spike_drive(
-            a.as_slice(),
-            &set,
-            0,
-            w.transposed().as_slice(),
-            &mut sparse,
-            bsz,
-            k,
-            n,
-            SparseMode::Bitwise,
-        );
+        spike_drive(a.as_slice(), &set, 0, w.transposed().as_slice(), &mut sparse, bsz, k, n);
         assert_eq!(sparse, dense);
-    }
-
-    #[test]
-    fn spike_drive_fast_math_is_close_not_necessarily_bitwise() {
-        let (bsz, k, n) = (4, 33, 13);
-        let a = raster(bsz, k, 10);
-        let w = mat(n, k, 11);
-        let set = SpikeSet::from_matrix(&a);
-        let mut dense = vec![0.0; bsz * n];
-        gemm::gemm_nt(a.as_slice(), w.as_slice(), &mut dense, bsz, k, n);
-        let mut fast = vec![0.0; bsz * n];
-        spike_drive(
-            a.as_slice(),
-            &set,
-            0,
-            w.transposed().as_slice(),
-            &mut fast,
-            bsz,
-            k,
-            n,
-            SparseMode::FastMath,
-        );
-        for (f, d) in fast.iter().zip(&dense) {
-            let rel = (f - d).abs() / (1.0 + d.abs());
-            assert!(rel <= 1e-6, "fast-math drifted: {f} vs {d}");
-        }
     }
 
     #[test]
@@ -582,17 +444,8 @@ mod tests {
         let set = SpikeSet::from_matrix(&a);
         let w = mat(n, k, 12);
         let mut out = vec![42.0; bsz * n];
-        let synops = spike_drive(
-            a.as_slice(),
-            &set,
-            0,
-            w.transposed().as_slice(),
-            &mut out,
-            bsz,
-            k,
-            n,
-            SparseMode::Bitwise,
-        );
+        let synops =
+            spike_drive(a.as_slice(), &set, 0, w.transposed().as_slice(), &mut out, bsz, k, n);
         assert!(out.iter().all(|&v| v == 0.0));
         assert_eq!(synops, 0);
     }
@@ -609,17 +462,7 @@ mod tests {
             let mut dense = vec![0.0; bsz * n];
             gemm::gemm_nt(block, w.as_slice(), &mut dense, bsz, k, n);
             let mut sparse = vec![0.0; bsz * n];
-            spike_drive(
-                block,
-                &set,
-                t * bsz,
-                w.transposed().as_slice(),
-                &mut sparse,
-                bsz,
-                k,
-                n,
-                SparseMode::Bitwise,
-            );
+            spike_drive(block, &set, t * bsz, w.transposed().as_slice(), &mut sparse, bsz, k, n);
             assert_eq!(sparse, dense, "timestep {t}");
         }
     }
@@ -662,22 +505,13 @@ mod tests {
     }
 
     #[test]
-    fn default_mode_is_bitwise_unless_env_opts_in() {
-        // The test environment does not set SPIKEFOLIO_FAST_MATH, so the
-        // cached default must be the bitwise contract.
-        if std::env::var("SPIKEFOLIO_FAST_MATH").is_err() {
-            assert_eq!(default_mode(), SparseMode::Bitwise);
-        }
-    }
-
-    #[test]
     #[should_panic(expected = "spike_drive: set width")]
     fn spike_drive_rejects_mismatched_set() {
         let a = raster(2, 4, 20);
         let set = SpikeSet::from_matrix(&raster(2, 5, 20));
         let mut out = vec![0.0; 2 * 3];
         let w = mat(4, 3, 21);
-        spike_drive(a.as_slice(), &set, 0, w.as_slice(), &mut out, 2, 4, 3, SparseMode::Bitwise);
+        spike_drive(a.as_slice(), &set, 0, w.as_slice(), &mut out, 2, 4, 3);
     }
 
     #[test]

@@ -4,17 +4,14 @@
 //!
 //! * **Network level** — batched forward traces and backward gradients at
 //!   b1/b8/b32 are *bitwise* equal between [`KernelPath::Dense`] and
-//!   [`KernelPath::Sparse`] in the default bitwise mode, for hard, soft,
-//!   and adaptive (ALIF) networks.
+//!   [`KernelPath::Sparse`], for hard, soft, and adaptive (ALIF) networks.
 //! * **Training level** — thread-count invariance holds on the sparse
 //!   path, and a short seeded Table-3 slice trained end-to-end lands on
 //!   bit-identical final weights whichever path the trainer runs.
 //! * **Kernel level** — a proptest battery over adversarial spike
 //!   patterns (all-zero timesteps, fully-dense timesteps, single-neuron
 //!   spikes, ragged per-sample sparsity) pins `spike_drive` /
-//!   `spike_outer_acc` to the dense GEMMs: bitwise in
-//!   [`SparseMode::Bitwise`], ≤1e-6 relative in
-//!   [`SparseMode::FastMath`].
+//!   `spike_outer_acc` to the dense GEMMs bitwise.
 //!
 //! The accounting test closes the loop the CI bench smoke also checks:
 //! the event count tallied by the kernels while propagating spikes must
@@ -32,8 +29,7 @@ use spikefolio_snn::encoder::Encoding;
 use spikefolio_snn::network::{SdpNetwork, SdpNetworkConfig};
 use spikefolio_snn::neuron::SpikeFn;
 use spikefolio_snn::{
-    reset_kernel_path, set_kernel_path, stbp, BatchNetworkTrace, BatchWorkspace, KernelPath,
-    SparseMode, SpikeSet,
+    set_kernel_path, stbp, BatchNetworkTrace, BatchWorkspace, KernelPath, SpikeSet,
 };
 use spikefolio_tensor::{gemm, sparse, Matrix};
 
@@ -101,7 +97,7 @@ fn forward_traces_are_bitwise_equal_at_all_batch_sizes() {
     for (kind, net) in nets() {
         for batch in BATCHES {
             let (dense, _) = forward_both(&net, batch, KernelPath::Dense);
-            let (sparse_t, _) = forward_both(&net, batch, KernelPath::Sparse(SparseMode::Bitwise));
+            let (sparse_t, _) = forward_both(&net, batch, KernelPath::Sparse);
             // Whole-trace equality: voltages, thresholds, spikes, spike
             // sets, actions, stats, and the kernel event tally.
             assert_eq!(sparse_t, dense, "{kind} net, batch {batch}");
@@ -114,8 +110,7 @@ fn forward_traces_are_bitwise_equal_at_all_batch_sizes() {
 fn backward_gradients_are_bitwise_equal_at_all_batch_sizes() {
     for (kind, net) in nets() {
         for batch in BATCHES {
-            let (trace, mut ws) =
-                forward_both(&net, batch, KernelPath::Sparse(SparseMode::Bitwise));
+            let (trace, mut ws) = forward_both(&net, batch, KernelPath::Sparse);
             let d_actions =
                 Matrix::from_fn(batch, 3, |b, a| 0.2 - 0.1 * a as f64 + 0.01 * b as f64);
             let dense = stbp::backward_batch_with(
@@ -132,7 +127,7 @@ fn backward_gradients_are_bitwise_equal_at_all_batch_sizes() {
                 &d_actions,
                 0.05,
                 &mut ws,
-                KernelPath::Sparse(SparseMode::Bitwise),
+                KernelPath::Sparse,
             );
             assert_eq!(
                 stbp::flat_grads(&sparse_g),
@@ -177,34 +172,24 @@ fn trained_model_regression_sparse_equals_dense_on_table3_slice() {
     cfg.training.epochs = 2;
     cfg.training.steps_per_epoch = 5;
     cfg.training.batch_size = 6;
-    let run = |path: Option<KernelPath>| {
-        match path {
-            Some(p) => set_kernel_path(p),
-            None => reset_kernel_path(),
-        }
+    let run = |path: KernelPath| {
+        set_kernel_path(path);
         let mut agent = SdpAgent::new(&cfg, train.num_assets(), 3);
         let log = Trainer::new(&cfg).train_sdp(&mut agent, &train);
-        reset_kernel_path();
+        set_kernel_path(KernelPath::Sparse);
         (stbp::flat_params(&agent.network), log.epoch_rewards)
     };
-    let (dense_params, dense_rewards) = run(Some(KernelPath::Dense));
-    let (sparse_params, sparse_rewards) = run(Some(KernelPath::Sparse(SparseMode::Bitwise)));
-    let (default_params, default_rewards) = run(None);
+    let (dense_params, dense_rewards) = run(KernelPath::Dense);
+    let (sparse_params, sparse_rewards) = run(KernelPath::Sparse);
     assert_eq!(sparse_rewards, dense_rewards, "training curves must match bitwise");
     assert_eq!(sparse_params, dense_params, "final weights must match bitwise");
-    // The default path must be one of the two verified paths (sparse
-    // bitwise unless the fast-math env flag was set for this run).
-    if std::env::var("SPIKEFOLIO_FAST_MATH").is_err() {
-        assert_eq!(default_params, dense_params, "default path drifted from the references");
-        assert_eq!(default_rewards, dense_rewards);
-    }
 }
 
 #[test]
 fn kernel_event_tally_matches_cost_model_synops() {
     let net = SdpNetwork::new(SdpNetworkConfig::small(16, 4), &mut StdRng::seed_from_u64(2016));
     let batch = 32;
-    let (trace, _) = forward_both(&net, batch, KernelPath::Sparse(SparseMode::Bitwise));
+    let (trace, _) = forward_both(&net, batch, KernelPath::Sparse);
     // Three independent tallies of the same quantity: the kernels' own
     // running count, the stats recomputation from the dense rasters, and
     // the cost model fed by per-layer spike counts.
@@ -277,8 +262,7 @@ fn weights(out_dim: usize, in_dim: usize, seed: u64) -> Matrix {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// `spike_drive` equals `gemm_nt` bitwise in the default mode, and to
-    /// ≤1e-6 relative error in fast-math mode, over every adversarial
+    /// `spike_drive` equals `gemm_nt` bitwise over every adversarial
     /// pattern family.
     #[test]
     fn drive_matches_dense_over_adversarial_patterns(
@@ -299,31 +283,19 @@ proptest! {
             let mut dense = vec![0.0; bsz * out_dim];
             gemm::gemm_nt(block, w.as_slice(), &mut dense, bsz, in_dim, out_dim);
 
-            let mut bitwise = vec![f64::NAN; bsz * out_dim];
+            let mut sparse_out = vec![f64::NAN; bsz * out_dim];
             let synops = sparse::spike_drive(
-                block, &set, t * bsz, wt.as_slice(), &mut bitwise,
-                bsz, in_dim, out_dim, SparseMode::Bitwise,
+                block, &set, t * bsz, wt.as_slice(), &mut sparse_out, bsz, in_dim, out_dim,
             );
-            prop_assert_eq!(&bitwise, &dense);
+            prop_assert_eq!(&sparse_out, &dense);
             let events: u64 =
                 (0..bsz).map(|b| set.row(t * bsz + b).len() as u64).sum();
             prop_assert_eq!(synops, events * out_dim as u64);
-
-            let mut fast = vec![f64::NAN; bsz * out_dim];
-            sparse::spike_drive(
-                block, &set, t * bsz, wt.as_slice(), &mut fast,
-                bsz, in_dim, out_dim, SparseMode::FastMath,
-            );
-            for (f, d) in fast.iter().zip(&dense) {
-                let rel = (f - d).abs() / (1.0 + d.abs());
-                prop_assert!(rel <= 1e-6, "fast-math drift {} vs {} (pattern {})", f, d, pattern);
-            }
         }
     }
 
     /// `spike_outer_acc` equals `gemm_tn_acc` bitwise over every
-    /// adversarial pattern family (both modes share one code path — there
-    /// is no per-element reduction to reorder).
+    /// adversarial pattern family.
     #[test]
     fn weight_grad_matches_dense_over_adversarial_patterns(
         pattern in 0usize..4,
