@@ -247,7 +247,8 @@ pub enum Stage {
     BatchForm,
     /// Wall time of the batched backend forward.
     BackendInfer,
-    /// Response rendering + write on the connection writer.
+    /// Response rendering on the connection writer (observed before the
+    /// write, so a reply a client has read is already counted).
     Render,
 }
 

@@ -161,28 +161,26 @@ fn writer_loop(
     let mut out = BufWriter::new(stream);
     while let Ok(item) = rx.recv() {
         // Only served responses are timed through the render stage, so its
-        // histogram count matches the served-request tally exactly.
-        let (line, render_t0) = match item {
-            Outgoing::Line(line) => (line, None),
+        // histogram count matches the served-request tally exactly. The
+        // stage is observed before the write: a client that has read its
+        // reply must find it counted.
+        let line = match item {
+            Outgoing::Line(line) => line,
             Outgoing::Pending { id, rx } => match rx.recv() {
                 Ok(Ok(resp)) => {
                     let t0 = Instant::now();
-                    (protocol::render_response(&resp, deterministic), Some(t0))
+                    let line = protocol::render_response(&resp, deterministic);
+                    registry.observe_stage(Stage::Render, t0.elapsed());
+                    line
                 }
-                Ok(Err(err)) => (
-                    protocol::render_error(Some(id), protocol::error_kind(&err), &err.to_string()),
-                    None,
-                ),
-                Err(_) => {
-                    (protocol::render_error(Some(id), "shutting_down", "service stopped"), None)
+                Ok(Err(err)) => {
+                    protocol::render_error(Some(id), protocol::error_kind(&err), &err.to_string())
                 }
+                Err(_) => protocol::render_error(Some(id), "shutting_down", "service stopped"),
             },
         };
         if writeln!(out, "{line}").and_then(|()| out.flush()).is_err() {
             break;
-        }
-        if let Some(t0) = render_t0 {
-            registry.observe_stage(Stage::Render, t0.elapsed());
         }
     }
 }

@@ -13,10 +13,9 @@
 //! [`Service::shutdown`] closes admission, drains every queued request,
 //! and joins the workers.
 //!
-//! Observability: every request is timed through the
-//! [`MetricsRegistry`](crate::metrics::MetricsRegistry) stages (accept →
-//! queue-wait → batch-form → backend-infer; the server front end adds
-//! parse and render), carries a correlation id minted at admission (or
+//! Observability: every request is timed through the [`MetricsRegistry`]
+//! stages (accept → queue-wait → batch-form → backend-infer; the server
+//! front end adds parse and render), carries a correlation id minted at admission (or
 //! earlier, at parse), and can be sampled 1-in-N into a
 //! [`ChromeTraceRecorder`] so a single request's spans load in Perfetto.
 //! A health monitor compares live output entropy and per-layer firing
@@ -348,10 +347,17 @@ impl Service {
         let Some(tx) = guard.as_ref() else {
             return Err(ServeError::Shed(ShedReason::ShuttingDown));
         };
-        match tx.try_send(job) {
+        // Count the job before publishing it: the channel hand-off orders
+        // this add before the worker's matching subtraction. Counting after
+        // the send let a worker subtract first and wrap the gauge.
+        let depth = self.metrics.queue_depth.fetch_add(1, Ordering::Relaxed) + 1;
+        let sent = tx.try_send(job);
+        if sent.is_err() {
+            self.metrics.queue_depth.fetch_sub(1, Ordering::Relaxed);
+        }
+        match sent {
             Ok(()) => {
                 self.metrics.requests.fetch_add(1, Ordering::Relaxed);
-                let depth = self.metrics.queue_depth.fetch_add(1, Ordering::Relaxed) + 1;
                 self.metrics.queue_depth_peak.fetch_max(depth, Ordering::Relaxed);
                 self.metrics.observe_stage(Stage::Accept, accept_t0.elapsed());
                 Ok(reply_rx)
@@ -831,6 +837,42 @@ mod tests {
             assert!(rx.recv().unwrap().is_ok());
         }
         assert_eq!(svc.stats().shed_queue_full, shed);
+    }
+
+    #[test]
+    fn queue_depth_stays_bounded_under_concurrent_submits() {
+        let cfg = ServiceConfig {
+            queue_capacity: 4,
+            workers: 2,
+            batch: BatchPolicy { max_batch: 2, max_wait_us: 0 },
+            ..ServiceConfig::default()
+        };
+        let svc = service(0, cfg);
+        let submitters = 4;
+        // Queued jobs, jobs a worker holds while forming a batch, and one
+        // in-flight admission per submitter.
+        let bound = (cfg.queue_capacity + cfg.workers * cfg.batch.max_batch + submitters) as u64;
+        std::thread::scope(|scope| {
+            for t in 0..submitters {
+                let svc = &svc;
+                scope.spawn(move || {
+                    for i in 0..500 {
+                        if let Ok(rx) = svc.submit(req((t * 1000 + i) as u64)) {
+                            let _ = rx.recv();
+                        }
+                    }
+                });
+            }
+            for _ in 0..200 {
+                let depth = svc.stats().queue_depth;
+                assert!(depth <= bound, "queue depth {depth} above {bound}");
+                std::thread::yield_now();
+            }
+        });
+        svc.shutdown();
+        let stats = svc.stats();
+        assert_eq!(stats.queue_depth, 0, "every admitted job must be counted out");
+        assert!(stats.queue_depth_peak <= bound, "peak {} above {bound}", stats.queue_depth_peak);
     }
 
     #[test]
