@@ -11,7 +11,7 @@
 //!   demand. The ring is shared (`Arc`) between the desk loop and the
 //!   process panic hook, so a mid-round crash still flushes the ordered
 //!   tail of events leading up to the fault.
-//! * [`LineageLedger`] — an append-only JSONL file
+//! * [`lineage`] — an append-only JSONL ledger
 //!   (`spikefolio.lineage.v1`) recording, for every candidate version,
 //!   its parent, training window, all three gate stage numbers, swap
 //!   outcome, and quarantine reason. Every line carries its own CRC32

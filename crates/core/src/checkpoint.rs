@@ -185,8 +185,7 @@ pub fn save_sdp(agent: &SdpAgent, path: impl AsRef<Path>) -> std::io::Result<()>
 
 /// [`save_sdp`] with a fault-injection seam: when `faults` is `Some`, the
 /// plan may fail the write with a transient error or corrupt the stored
-/// bytes afterwards (see
-/// [`atomic_write_faulted`](spikefolio_resilience::atomic_write_faulted)).
+/// bytes afterwards (see [`atomic_write_faulted`]).
 ///
 /// # Errors
 ///

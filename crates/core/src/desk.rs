@@ -3,11 +3,10 @@
 //! `spikefolio live-desk` runs the full production shape of the paper's
 //! pipeline as one supervised loop: market data arrives incrementally (a
 //! seeded generator revealing periods round by round, or a CSV feed
-//! tailed with [`CsvTail`]), a guarded trainer
-//! ([`train_sdp_guarded`](crate::guarded::train_sdp_guarded)) fine-tunes
-//! the incumbent policy on a sliding window, and every candidate must
-//! pass a three-stage validation gate before the serving [`ModelStore`]
-//! hot-swaps it in:
+//! tailed with [`CsvTail`]), a guarded trainer ([`train_sdp_guarded`])
+//! fine-tunes the incumbent policy on a sliding window, and every
+//! candidate must pass a three-stage validation gate before the serving
+//! [`ModelStore`] hot-swaps it in:
 //!
 //! 1. **integrity** — the candidate checkpoint on disk round-trips
 //!    through `load_sdp` (CRC + shape validation); a rotted file is

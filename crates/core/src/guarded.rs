@@ -24,10 +24,9 @@
 //! — the strongest assertion in the chaos suite
 //! (`tests/fault_injection.rs`).
 //!
-//! Faults come from a scripted, seeded
-//! [`FaultPlan`](spikefolio_resilience::FaultPlan): gradient-level faults
-//! are applied to the session between epoch and health check, IO faults
-//! inside the checkpoint save/load seams, and market faults via
+//! Faults come from a scripted, seeded [`FaultPlan`]: gradient-level
+//! faults are applied to the session between epoch and health check, IO
+//! faults inside the checkpoint save/load seams, and market faults via
 //! [`apply_market_faults`] before training starts. An empty plan (the
 //! default) injects nothing and leaves training bitwise identical to the
 //! unguarded loop.

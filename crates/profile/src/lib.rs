@@ -14,7 +14,7 @@
 //! * [`cost`] — the op-level cost model: dense multiply–accumulates an
 //!   equivalent ANN would execute vs the spike-sparse synaptic operations
 //!   the SNN actually performed, and the effective sparsity per layer,
-//! * [`bench`] — schema-versioned (`spikefolio.bench.v1`) performance
+//! * [`mod@bench`] — schema-versioned (`spikefolio.bench.v1`) performance
 //!   baselines with a two-sided regression comparator; the `spikefolio
 //!   bench run|compare` CLI and the `ci.sh` bench-smoke gate sit on top.
 //!

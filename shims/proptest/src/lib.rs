@@ -78,7 +78,7 @@ pub mod collection {
     use rand::Rng;
     use std::ops::{Range, RangeInclusive};
 
-    /// Length specification for [`vec`]: an exact `usize` or a range.
+    /// Length specification for [`vec()`]: an exact `usize` or a range.
     pub trait SizeRange {
         /// Picks a length.
         fn pick(&self, rng: &mut StdRng) -> usize;
