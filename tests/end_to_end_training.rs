@@ -137,3 +137,55 @@ fn trained_weights_are_pinned_bitwise() {
     assert_eq!(ddpg_crc, 0x9df1_6b33, "DDPG actor");
     assert_eq!(q.to_bits(), 0x3fd3_38e4_3a45_2e7e, "DDPG critic");
 }
+
+/// Pins the dense trainers' telemetry: one `"epoch"` record per epoch that
+/// agrees bit for bit with the returned log, and a CRC-32 of each agent's
+/// logged gradient norms (DDPG logs its actor's norm, not the critic's).
+#[test]
+fn dense_trainer_telemetry_is_pinned() {
+    use spikefolio::ddpg::DdpgAgent;
+    use spikefolio::eiie::EiieAgent;
+    use spikefolio::training::TrainingLog;
+    use spikefolio_telemetry::{MemoryRecorder, Value};
+
+    let (train, _) = ExperimentPreset::experiment1().shrunk(120, 20).generate_split(7);
+    let n = train.num_assets();
+    let mut cfg = SdpConfig::smoke();
+    cfg.training.epochs = 3;
+    cfg.training.steps_per_epoch = 6;
+    cfg.training.batch_size = 8;
+    let trainer = Trainer::new(&cfg);
+    let seed = 11;
+
+    let check = |agent: &str, log: &TrainingLog, rec: &MemoryRecorder| -> u32 {
+        let records = rec.records();
+        assert_eq!(records.len(), cfg.training.epochs, "{agent}: one record per epoch");
+        for (epoch, r) in records.iter().enumerate() {
+            assert_eq!(r.kind(), "epoch", "{agent}");
+            assert_eq!(r.get("agent").and_then(Value::as_str), Some(agent));
+            assert_eq!(r.get("epoch").and_then(Value::as_u64), Some(epoch as u64), "{agent}");
+            let samples = (cfg.training.steps_per_epoch * cfg.training.batch_size) as u64;
+            assert_eq!(r.get("samples").and_then(Value::as_u64), Some(samples), "{agent}");
+            let field = |k| r.get(k).and_then(Value::as_f64).map(f64::to_bits);
+            assert_eq!(field("reward"), Some(log.epoch_rewards[epoch].to_bits()), "{agent}");
+            assert_eq!(field("grad_norm"), Some(log.epoch_grad_norms[epoch].to_bits()), "{agent}");
+        }
+        weights_crc(&log.epoch_grad_norms, &[])
+    };
+
+    let mut rec = MemoryRecorder::new();
+    let log = trainer.train_drl_with(&mut DrlAgent::new(&cfg, n, seed), &train, &mut rec);
+    let drl = check("drl", &log, &rec);
+
+    let mut rec = MemoryRecorder::new();
+    let log = trainer.train_eiie_with(&mut EiieAgent::new(&cfg, n, seed), &train, &mut rec);
+    let eiie = check("eiie", &log, &rec);
+
+    let mut rec = MemoryRecorder::new();
+    let log = trainer.train_ddpg_with(&mut DdpgAgent::new(&cfg, n, seed), &train, &mut rec);
+    let ddpg = check("ddpg", &log, &rec);
+
+    assert_eq!(drl, 0xa9ad_b093, "DRL grad norms");
+    assert_eq!(eiie, 0x8923_5563, "EIIE grad norms");
+    assert_eq!(ddpg, 0x59e5_0bda, "DDPG actor grad norms");
+}
