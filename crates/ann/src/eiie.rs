@@ -15,7 +15,7 @@
 use crate::conv::{Conv1d, Conv1dGradients};
 use rand::Rng;
 use spikefolio_tensor::ops::{softmax, softmax_backward};
-use spikefolio_tensor::optim::{Optimizer, ParamSlot};
+use spikefolio_tensor::optim::{Gradients, Optimizer, ParamSlot};
 use spikefolio_tensor::{vector, Matrix};
 
 /// Shape of an EIIE network.
@@ -120,9 +120,8 @@ pub struct EiieGradients {
     pub d_cash_bias: f64,
 }
 
-impl EiieGradients {
-    /// Accumulates `other` into `self`.
-    pub fn accumulate(&mut self, other: &EiieGradients) {
+impl Gradients for EiieGradients {
+    fn accumulate(&mut self, other: &EiieGradients) {
         self.conv1.d_weights.add_scaled(1.0, &other.conv1.d_weights);
         vector::axpy(&mut self.conv1.d_bias, 1.0, &other.conv1.d_bias);
         self.conv2.d_weights.add_scaled(1.0, &other.conv2.d_weights);
@@ -132,8 +131,7 @@ impl EiieGradients {
         self.d_cash_bias += other.d_cash_bias;
     }
 
-    /// Scales every gradient by `alpha`.
-    pub fn scale(&mut self, alpha: f64) {
+    fn scale(&mut self, alpha: f64) {
         self.conv1.d_weights.scale(alpha);
         self.conv1.d_bias.iter_mut().for_each(|g| *g *= alpha);
         self.conv2.d_weights.scale(alpha);
@@ -143,8 +141,7 @@ impl EiieGradients {
         self.d_cash_bias *= alpha;
     }
 
-    /// Global L2 norm over every parameter gradient.
-    pub fn global_norm(&self) -> f64 {
+    fn global_norm(&self) -> f64 {
         let mut sq = 0.0;
         for conv in [&self.conv1, &self.conv2] {
             sq += conv.d_weights.as_slice().iter().map(|g| g * g).sum::<f64>();

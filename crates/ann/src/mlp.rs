@@ -5,7 +5,7 @@ use crate::activation::Activation;
 use crate::linear::{Linear, LinearGradients};
 use rand::Rng;
 use spikefolio_tensor::ops::{softmax, softmax_backward};
-use spikefolio_tensor::optim::{Optimizer, ParamSlot};
+use spikefolio_tensor::optim::{Gradients, Optimizer, ParamSlot};
 use spikefolio_tensor::vector;
 
 /// A dense network: linear layers with a pointwise activation between
@@ -47,13 +47,8 @@ pub struct MlpGradients {
     pub layers: Vec<LinearGradients>,
 }
 
-impl MlpGradients {
-    /// Accumulates `other` into `self`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on shape mismatch.
-    pub fn accumulate(&mut self, other: &MlpGradients) {
+impl Gradients for MlpGradients {
+    fn accumulate(&mut self, other: &MlpGradients) {
         assert_eq!(self.layers.len(), other.layers.len(), "layer count mismatch");
         for (a, b) in self.layers.iter_mut().zip(&other.layers) {
             a.d_weights.add_scaled(1.0, &b.d_weights);
@@ -61,30 +56,20 @@ impl MlpGradients {
         }
     }
 
-    /// Scales all gradients by `alpha`.
-    pub fn scale(&mut self, alpha: f64) {
+    fn scale(&mut self, alpha: f64) {
         for l in &mut self.layers {
             l.d_weights.scale(alpha);
             l.d_bias.iter_mut().for_each(|g| *g *= alpha);
         }
     }
 
-    /// Global L2 norm.
-    pub fn global_norm(&self) -> f64 {
+    fn global_norm(&self) -> f64 {
         let mut sq = 0.0;
         for l in &self.layers {
             sq += l.d_weights.as_slice().iter().map(|g| g * g).sum::<f64>();
             sq += l.d_bias.iter().map(|g| g * g).sum::<f64>();
         }
         sq.sqrt()
-    }
-
-    /// Clips the global norm to `max_norm`.
-    pub fn clip_global_norm(&mut self, max_norm: f64) {
-        let n = self.global_norm();
-        if n > max_norm && n > 0.0 {
-            self.scale(max_norm / n);
-        }
     }
 }
 

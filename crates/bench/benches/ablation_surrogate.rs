@@ -12,6 +12,7 @@ use spikefolio_market::experiments::ExperimentPreset;
 use spikefolio_snn::network::{SdpNetwork, SdpNetworkConfig};
 use spikefolio_snn::neuron::SpikeFn;
 use spikefolio_snn::{stbp, Surrogate};
+use spikefolio_telemetry::NoopRecorder;
 
 fn surrogates() -> Vec<(&'static str, Surrogate)> {
     vec![
@@ -33,7 +34,7 @@ fn print_training_comparison_once() {
         cfg.training.batch_size = 16;
         cfg.training.learning_rate = 1e-3;
         let mut agent = SdpAgent::new(&cfg, train.num_assets(), cfg.seed);
-        let log = Trainer::new(&cfg).train_sdp(&mut agent, &train);
+        let log = Trainer::new(&cfg).train_sdp_with(&mut agent, &train, &mut NoopRecorder);
         println!("{:<22} {:>16.6}", name, log.final_reward());
     }
 }

@@ -4,11 +4,12 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use spikefolio::checkpoint::{load_sdp, save_sdp};
-use spikefolio::guarded::{train_sdp_guarded_quiet, ResilienceOptions};
+use spikefolio::guarded::{train_sdp_guarded, ResilienceOptions};
 use spikefolio::training::Trainer;
 use spikefolio::{SdpAgent, SdpConfig};
 use spikefolio_market::experiments::ExperimentPreset;
 use spikefolio_resilience::crc32;
+use spikefolio_telemetry::NoopRecorder;
 
 fn medium_agent() -> SdpAgent {
     let mut cfg = SdpConfig::smoke();
@@ -51,14 +52,14 @@ fn bench_guarded_overhead(c: &mut Criterion) {
     group.bench_function("plain", |b| {
         b.iter(|| {
             let mut agent = SdpAgent::new(&cfg, market.num_assets(), 3);
-            trainer.train_sdp(&mut agent, &market)
+            trainer.train_sdp_with(&mut agent, &market, &mut NoopRecorder)
         });
     });
     group.bench_function("guarded_no_faults", |b| {
         b.iter(|| {
             let mut agent = SdpAgent::new(&cfg, market.num_assets(), 3);
             let mut opts = ResilienceOptions::default();
-            train_sdp_guarded_quiet(&trainer, &mut agent, &market, &mut opts)
+            train_sdp_guarded(&trainer, &mut agent, &market, &mut opts, &mut NoopRecorder)
         });
     });
     group.finish();

@@ -11,6 +11,7 @@ use spikefolio_bench::bench_support;
 use spikefolio_snn::stbp;
 use spikefolio_snn::{BatchNetworkTrace, BatchWorkspace};
 use spikefolio_telemetry::{MemoryRecorder, NoopRecorder};
+use spikefolio_tensor::optim::Gradients;
 
 fn bench_profile_overhead(c: &mut Criterion) {
     let net = bench_support::paper_network(9);

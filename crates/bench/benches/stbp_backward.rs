@@ -5,7 +5,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use rand::SeedableRng;
 use spikefolio_bench::bench_support;
 use spikefolio_snn::stbp::{self, SdpTrainer};
-use spikefolio_tensor::optim::Adam;
+use spikefolio_tensor::optim::{Adam, Gradients};
 
 fn bench_backward(c: &mut Criterion) {
     let mut rng = rand::rngs::StdRng::seed_from_u64(13);

@@ -8,6 +8,7 @@ use rand::SeedableRng;
 use spikefolio_bench::bench_support;
 use spikefolio_snn::stbp;
 use spikefolio_snn::{BatchNetworkTrace, BatchWorkspace};
+use spikefolio_tensor::optim::Gradients;
 
 fn bench_backward_batch(c: &mut Criterion) {
     let net = bench_support::paper_network(13);

@@ -12,6 +12,7 @@ use spikefolio::{DrlAgent, SdpAgent, SdpConfig};
 use spikefolio_baselines::{Anticor, BestStock, Ons, Ucrp, M0};
 use spikefolio_env::{Backtester, Policy};
 use spikefolio_market::experiments::ExperimentPreset;
+use spikefolio_telemetry::NoopRecorder;
 
 fn table_options() -> RunOptions {
     if std::env::var_os("SPIKEFOLIO_FULL").is_some() {
@@ -27,7 +28,7 @@ fn table_options() -> RunOptions {
 }
 
 fn print_table3_once() {
-    let outcomes = run_table3(&table_options());
+    let outcomes = run_table3(&table_options(), &mut NoopRecorder);
     println!("\n===== Reproduced Table 3 =====\n{}", format_table3(&outcomes));
 }
 

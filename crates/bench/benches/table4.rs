@@ -11,6 +11,7 @@ use spikefolio::experiments::{run_table4, RunOptions};
 use spikefolio::report::format_table4;
 use spikefolio::{DrlAgent, LoihiDeployment, SdpAgent, SdpConfig};
 use spikefolio_loihi::LoihiChip;
+use spikefolio_telemetry::NoopRecorder;
 
 fn options() -> RunOptions {
     let mut opts = RunOptions::smoke();
@@ -22,7 +23,7 @@ fn options() -> RunOptions {
 }
 
 fn print_table4_once() {
-    let outcomes = run_table4(&options());
+    let outcomes = run_table4(&options(), &mut NoopRecorder);
     println!("\n===== Reproduced Table 4 =====\n{}", format_table4(&outcomes));
 }
 

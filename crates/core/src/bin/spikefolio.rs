@@ -41,8 +41,8 @@
 //! ignored, so a typo like `--telemtry` cannot quietly drop a run log.
 
 use spikefolio::experiments::{
-    cost_model_ablation, encoding_comparison, rate_penalty_ablation, run_table3_with,
-    run_table4_with, timestep_tradeoff, RunOptions,
+    cost_model_ablation, encoding_comparison, rate_penalty_ablation, run_table3, run_table4,
+    timestep_tradeoff, RunOptions,
 };
 use spikefolio::figures::{backtest_value_curves, training_reward_csv};
 use spikefolio::profiling::{run_bench_workloads, run_profile_workload, WorkloadOptions};
@@ -355,7 +355,7 @@ fn main() {
             let opts = parse_options(&args[1..]);
             run_with_optional_telemetry(
                 &args[1..],
-                |rec| run_table3_with(&opts, rec),
+                |rec| run_table3(&opts, rec),
                 |outcomes| report::format_table3(outcomes),
             );
         }
@@ -364,7 +364,7 @@ fn main() {
             let opts = parse_options(&args[1..]);
             run_with_optional_telemetry(
                 &args[1..],
-                |rec| run_table4_with(&opts, rec),
+                |rec| run_table4(&opts, rec),
                 |outcomes| report::format_table4(outcomes),
             );
         }

@@ -19,7 +19,7 @@ use spikefolio_market::MarketData;
 
 /// The DDPG-style baseline agent: deterministic MLP-softmax actor plus a
 /// state-action critic, trained by
-/// [`Trainer::train_ddpg`](crate::training::Trainer::train_ddpg).
+/// [`Trainer::train_ddpg_with`](crate::training::Trainer::train_ddpg_with).
 #[derive(Debug, Clone)]
 pub struct DdpgAgent {
     /// The policy network (same body as the DRL baseline).

@@ -48,7 +48,7 @@ use spikefolio_serve::metrics::{probe_baseline, HealthConfig};
 use spikefolio_serve::ModelStore;
 use spikefolio_snn::stbp::flat_params;
 use spikefolio_telemetry::value::Value;
-use spikefolio_telemetry::{labels, NoopRecorder, Record, Recorder};
+use spikefolio_telemetry::{labels, Record, Recorder};
 
 use crate::agent::SdpAgent;
 use crate::checkpoint;
@@ -1355,19 +1355,11 @@ pub fn run_desk(mut opts: DeskOptions, rec: &mut dyn Recorder) -> Result<DeskRep
     Ok(report)
 }
 
-/// [`run_desk`] without telemetry.
-///
-/// # Errors
-///
-/// As [`run_desk`].
-pub fn run_desk_quiet(opts: DeskOptions) -> Result<DeskReport, String> {
-    run_desk(opts, &mut NoopRecorder)
-}
-
 #[cfg(test)]
 mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used)]
     use super::*;
+    use spikefolio_telemetry::NoopRecorder;
 
     fn tmp_dir(name: &str) -> PathBuf {
         let dir =
@@ -1421,7 +1413,7 @@ mod tests {
     fn faultfree_desk_never_regresses_and_serves_gated_versions() {
         let opts = fast_opts("clean");
         let dir = opts.dir.clone();
-        let report = run_desk_quiet(opts).expect("desk runs");
+        let report = run_desk(opts, &mut NoopRecorder).expect("desk runs");
         assert_eq!(report.rounds.len(), 2);
         assert!(!report.ended_early);
         assert!(!report.degraded);
@@ -1447,11 +1439,11 @@ mod tests {
 
     #[test]
     fn desk_reports_are_deterministic() {
-        let a = run_desk_quiet(fast_opts("det_a")).expect("run a");
+        let a = run_desk(fast_opts("det_a"), &mut NoopRecorder).expect("run a");
         let b = {
             let mut opts = fast_opts("det_b");
             opts.dir = tmp_dir("det_b");
-            run_desk_quiet(opts).expect("run b")
+            run_desk(opts, &mut NoopRecorder).expect("run b")
         };
         assert_eq!(a.final_weights_crc, b.final_weights_crc);
         assert_eq!(a.to_json(), b.to_json());

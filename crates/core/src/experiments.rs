@@ -156,15 +156,10 @@ fn backtest_row(
 }
 
 /// Trains the two RL agents on one experiment's training range and
-/// backtests all seven Table 3 strategies on the held-out range.
-pub fn run_experiment(opts: &RunOptions, base: ExperimentPreset) -> ExperimentOutcome {
-    run_experiment_with(opts, base, &mut NoopRecorder)
-}
-
-/// [`run_experiment`] with telemetry: training epochs and every
-/// strategy's backtest steps flow into `rec`. Results are identical with
-/// any recorder.
-pub fn run_experiment_with(
+/// backtests all seven Table 3 strategies on the held-out range. Training
+/// epochs and every strategy's backtest steps flow into `rec`; results are
+/// identical with any recorder.
+pub fn run_experiment(
     opts: &RunOptions,
     base: ExperimentPreset,
     rec: &mut dyn Recorder,
@@ -197,14 +192,10 @@ pub fn run_experiment_with(
     ExperimentOutcome { experiment: preset.name.to_owned(), rows, sdp_log, drl_log }
 }
 
-/// Regenerates Table 3: all three experiments, all seven strategies.
-pub fn run_table3(opts: &RunOptions) -> Vec<ExperimentOutcome> {
-    run_table3_with(opts, &mut NoopRecorder)
-}
-
-/// [`run_table3`] with telemetry threaded through every experiment.
-pub fn run_table3_with(opts: &RunOptions, rec: &mut dyn Recorder) -> Vec<ExperimentOutcome> {
-    ExperimentPreset::all().into_iter().map(|p| run_experiment_with(opts, p, rec)).collect()
+/// Regenerates Table 3: all three experiments, all seven strategies, with
+/// telemetry threaded through every experiment.
+pub fn run_table3(opts: &RunOptions, rec: &mut dyn Recorder) -> Vec<ExperimentOutcome> {
+    ExperimentPreset::all().into_iter().map(|p| run_experiment(opts, p, rec)).collect()
 }
 
 /// One experiment's block of Table 4 (three device rows).
@@ -242,16 +233,12 @@ impl PowerOutcome {
 /// 15.81 nJ/inference; experiments 2–3 then use the *same* constants, so
 /// their rows are genuine model extrapolations. The CPU/GPU rows cost the
 /// DRL baseline's FLOPs on the fitted device models.
-pub fn run_table4(opts: &RunOptions) -> Vec<PowerOutcome> {
-    run_table4_with(opts, &mut NoopRecorder)
-}
-
-/// [`run_table4`] with telemetry: SDP training epochs and the deployed
-/// backtests flow into `rec`, and each deployment's accumulated event
-/// counts are recorded under the `loihi/*` counters — the exact inputs of
-/// the energy model, so the Table 4 energy rows can be recomputed from
-/// the run log alone.
-pub fn run_table4_with(opts: &RunOptions, rec: &mut dyn Recorder) -> Vec<PowerOutcome> {
+///
+/// SDP training epochs and the deployed backtests flow into `rec`, and
+/// each deployment's accumulated event counts are recorded under the
+/// `loihi/*` counters — the exact inputs of the energy model, so the
+/// Table 4 energy rows can be recomputed from the run log alone.
+pub fn run_table4(opts: &RunOptions, rec: &mut dyn Recorder) -> Vec<PowerOutcome> {
     let trainer = Trainer::new(&opts.config);
     let chip = LoihiChip::default();
     let mut outcomes = Vec::with_capacity(3);
@@ -346,7 +333,7 @@ pub fn timestep_tradeoff(opts: &RunOptions, timesteps: &[usize]) -> Vec<Timestep
         config.network.timesteps = t;
         let trainer = Trainer::new(&config);
         let mut sdp = SdpAgent::new(&config, train.num_assets(), config.seed);
-        let _ = trainer.train_sdp(&mut sdp, &train);
+        let _ = trainer.train_sdp_with(&mut sdp, &train, &mut NoopRecorder);
         // Ablations have no error channel; every preset network fits one
         // chip by construction.
         #[allow(clippy::expect_used)]
@@ -387,7 +374,7 @@ pub fn encoding_comparison(opts: &RunOptions) -> Vec<EncodingPoint> {
         config.network.probabilistic_encoding = probabilistic;
         let trainer = Trainer::new(&config);
         let mut sdp = SdpAgent::new(&config, train.num_assets(), config.seed);
-        let log = trainer.train_sdp(&mut sdp, &train);
+        let log = trainer.train_sdp_with(&mut sdp, &train, &mut NoopRecorder);
         let result = Backtester::new(config.backtest).run(&mut sdp, &test);
         points.push(EncodingPoint {
             encoding: if probabilistic { "probabilistic" } else { "deterministic" }.to_owned(),
@@ -416,7 +403,7 @@ pub fn cost_model_ablation(opts: &RunOptions) -> Vec<CostAblationPoint> {
     let preset = opts.preset(ExperimentPreset::experiment1());
     let (train, test) = preset.generate_split(opts.market_seed);
     let mut sdp = SdpAgent::new(&opts.config, train.num_assets(), opts.config.seed);
-    let _ = Trainer::new(&opts.config).train_sdp(&mut sdp, &train);
+    let _ = Trainer::new(&opts.config).train_sdp_with(&mut sdp, &train, &mut NoopRecorder);
 
     let models: [(&str, CostModel); 3] = [
         ("free", CostModel::Free),
@@ -473,7 +460,7 @@ pub fn rate_penalty_ablation(opts: &RunOptions, lambdas: &[f64]) -> Vec<RatePena
             let mut config = opts.config.clone();
             config.training.rate_penalty = lambda;
             let mut sdp = SdpAgent::new(&config, train.num_assets(), config.seed);
-            let _ = Trainer::new(&config).train_sdp(&mut sdp, &train);
+            let _ = Trainer::new(&config).train_sdp_with(&mut sdp, &train, &mut NoopRecorder);
             // Same invariant as the timestep sweep: preset networks always
             // fit one chip.
             #[allow(clippy::expect_used)]
@@ -518,7 +505,7 @@ pub fn neuron_model_ablation(opts: &RunOptions) -> Vec<NeuronModelPoint> {
             let mut config = opts.config.clone();
             config.network.adaptation = adaptation;
             let mut sdp = SdpAgent::new(&config, train.num_assets(), config.seed);
-            let log = Trainer::new(&config).train_sdp(&mut sdp, &train);
+            let log = Trainer::new(&config).train_sdp_with(&mut sdp, &train, &mut NoopRecorder);
             let result = Backtester::new(config.backtest).run(&mut sdp, &test);
             // Measure spiking on a handful of held-out states.
             let sb = *sdp.state_builder();
@@ -544,12 +531,12 @@ pub fn neuron_model_ablation(opts: &RunOptions) -> Vec<NeuronModelPoint> {
 /// buy-and-hold on one experiment.
 pub fn run_extended_comparison(opts: &RunOptions, base: ExperimentPreset) -> ExperimentOutcome {
     use spikefolio_baselines::{BuyAndHold, Eg, Olmar, Pamr};
-    let mut outcome = run_experiment(opts, base.clone());
+    let mut outcome = run_experiment(opts, base.clone(), &mut NoopRecorder);
     let preset = opts.preset(base);
     let (train, test) = preset.generate_split(opts.market_seed);
     // The architecture-faithful Jiang baseline (convolutional EIIE).
     let mut eiie = crate::eiie::EiieAgent::new(&opts.config, train.num_assets(), opts.config.seed);
-    let _ = Trainer::new(&opts.config).train_eiie(&mut eiie, &train);
+    let _ = Trainer::new(&opts.config).train_eiie_with(&mut eiie, &train, &mut NoopRecorder);
     outcome.rows.push(backtest_row(&opts.config, &mut eiie, &test, &mut NoopRecorder));
     outcome.rows.push(backtest_row(&opts.config, &mut Eg::new(), &test, &mut NoopRecorder));
     outcome.rows.push(backtest_row(&opts.config, &mut Pamr::new(), &test, &mut NoopRecorder));
@@ -580,7 +567,7 @@ mod tests {
 
     #[test]
     fn experiment_outcome_has_all_seven_strategies() {
-        let out = run_experiment(&tiny_opts(), ExperimentPreset::experiment1());
+        let out = run_experiment(&tiny_opts(), ExperimentPreset::experiment1(), &mut NoopRecorder);
         let names: Vec<&str> = out.rows.iter().map(|r| r.strategy.as_str()).collect();
         assert_eq!(names, vec!["SDP", "DRL[Jiang]", "ONS", "Best Stock", "ANTICOR", "M0", "UCRP"]);
         assert!(out.row("SDP").is_some());
@@ -593,7 +580,7 @@ mod tests {
 
     #[test]
     fn table4_rows_have_expected_shape() {
-        let outs = run_table4(&tiny_opts());
+        let outs = run_table4(&tiny_opts(), &mut NoopRecorder);
         assert_eq!(outs.len(), 3);
         for out in &outs {
             assert_eq!(out.rows.len(), 3);

@@ -15,6 +15,7 @@ use spikefolio_baselines::{Anticor, BestStock, Ons, Ucrp, M0};
 use spikefolio_env::analysis::value_curves_csv;
 use spikefolio_env::{Backtester, Policy};
 use spikefolio_market::experiments::ExperimentPreset;
+use spikefolio_telemetry::NoopRecorder;
 
 /// CSV of the per-epoch training reward curve (`epoch,reward`).
 pub fn training_reward_csv(log: &TrainingLog) -> String {
@@ -38,9 +39,9 @@ pub fn backtest_value_curves(opts: &RunOptions, base: ExperimentPreset) -> (Stri
     let trainer = Trainer::new(&opts.config);
 
     let mut sdp = SdpAgent::new(&opts.config, train.num_assets(), opts.config.seed);
-    let sdp_log = trainer.train_sdp(&mut sdp, &train);
+    let sdp_log = trainer.train_sdp_with(&mut sdp, &train, &mut NoopRecorder);
     let mut drl = DrlAgent::new(&opts.config, train.num_assets(), opts.config.seed);
-    let _ = trainer.train_drl(&mut drl, &train);
+    let _ = trainer.train_drl_with(&mut drl, &train, &mut NoopRecorder);
 
     let anticor_window = 15.min((test.num_periods() / 2).saturating_sub(1)).max(2);
     let backtester = Backtester::new(opts.config.backtest);

@@ -40,7 +40,7 @@ use spikefolio_resilience::{
     check_epoch, FaultPlan, GradFault, GuardConfig, GuardPolicy, MarketFault, MarketFaultKind,
 };
 use spikefolio_snn::stbp;
-use spikefolio_telemetry::{labels, NoopRecorder, Record, Recorder, Stopwatch};
+use spikefolio_telemetry::{labels, Record, Recorder, Stopwatch};
 use std::path::PathBuf;
 
 /// Configuration of one guarded training run.
@@ -246,7 +246,7 @@ pub fn train_sdp_guarded(
         let snap = session.snapshot(agent);
         let mut attempts = 0u32;
         loop {
-            let mut stats = session.run_epoch_with(agent, rec);
+            let mut stats = session.run_epoch(agent, rec);
             if let Some(fault) = opts.faults.take_grad_fault(epoch as u64) {
                 apply_grad_fault(agent, fault, &mut stats);
             }
@@ -343,26 +343,13 @@ pub fn train_sdp_guarded(
     outcome
 }
 
-/// [`train_sdp_guarded`] without telemetry.
-///
-/// # Panics
-///
-/// Panics if the market is shorter than the observation window + 2.
-pub fn train_sdp_guarded_quiet(
-    trainer: &Trainer,
-    agent: &mut SdpAgent,
-    market: &MarketData,
-    opts: &mut ResilienceOptions,
-) -> GuardedOutcome {
-    train_sdp_guarded(trainer, agent, market, opts, &mut NoopRecorder)
-}
-
 #[cfg(test)]
 mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used)]
     use super::*;
     use crate::config::SdpConfig;
     use spikefolio_market::Date;
+    use spikefolio_telemetry::NoopRecorder;
 
     fn trending_market(periods: usize) -> MarketData {
         let mut candles = Vec::new();
@@ -394,11 +381,12 @@ mod tests {
         let trainer = Trainer::new(&cfg);
 
         let mut plain = SdpAgent::new(&cfg, market.num_assets(), 3);
-        let plain_log = trainer.train_sdp(&mut plain, &market);
+        let plain_log = trainer.train_sdp_with(&mut plain, &market, &mut NoopRecorder);
 
         let mut guarded = SdpAgent::new(&cfg, market.num_assets(), 3);
         let mut opts = ResilienceOptions::default();
-        let outcome = train_sdp_guarded_quiet(&trainer, &mut guarded, &market, &mut opts);
+        let outcome =
+            train_sdp_guarded(&trainer, &mut guarded, &market, &mut opts, &mut NoopRecorder);
 
         assert!(!outcome.aborted);
         assert_eq!(outcome.recoveries, 0);
@@ -413,14 +401,15 @@ mod tests {
         let trainer = Trainer::new(&cfg);
 
         let mut clean = SdpAgent::new(&cfg, market.num_assets(), 3);
-        let _ = trainer.train_sdp(&mut clean, &market);
+        let _ = trainer.train_sdp_with(&mut clean, &market, &mut NoopRecorder);
 
         let mut faulted = SdpAgent::new(&cfg, market.num_assets(), 3);
         let mut opts = ResilienceOptions {
             faults: FaultPlan::new(1).grad_fault_at(1, GradFault::NaN),
             ..Default::default()
         };
-        let outcome = train_sdp_guarded_quiet(&trainer, &mut faulted, &market, &mut opts);
+        let outcome =
+            train_sdp_guarded(&trainer, &mut faulted, &market, &mut opts, &mut NoopRecorder);
         assert!(!outcome.aborted);
         assert_eq!(outcome.recoveries, 1);
         // One-shot fault + bit-exact rollback: the recovered run equals
@@ -446,7 +435,8 @@ mod tests {
             ..Default::default()
         };
         let before = stbp::flat_params(&agent.network);
-        let outcome = train_sdp_guarded_quiet(&trainer, &mut agent, &market, &mut opts);
+        let outcome =
+            train_sdp_guarded(&trainer, &mut agent, &market, &mut opts, &mut NoopRecorder);
         assert!(outcome.aborted);
         assert!(outcome.log.epoch_rewards.is_empty());
         // Last-good state: the initial parameters, all finite.
@@ -464,7 +454,8 @@ mod tests {
             faults: FaultPlan::new(2).grad_fault_at(1, GradFault::Inf),
             ..Default::default()
         };
-        let outcome = train_sdp_guarded_quiet(&trainer, &mut agent, &market, &mut opts);
+        let outcome =
+            train_sdp_guarded(&trainer, &mut agent, &market, &mut opts, &mut NoopRecorder);
         assert!(!outcome.aborted);
         assert_eq!(outcome.epochs_skipped, 1);
         assert_eq!(outcome.recoveries, 0);
@@ -484,7 +475,8 @@ mod tests {
             faults: FaultPlan::new(3).grad_fault_at(0, GradFault::Explode),
             ..Default::default()
         };
-        let outcome = train_sdp_guarded_quiet(&trainer, &mut agent, &market, &mut opts);
+        let outcome =
+            train_sdp_guarded(&trainer, &mut agent, &market, &mut opts, &mut NoopRecorder);
         assert!(!outcome.aborted);
         assert_eq!(outcome.recoveries, 1);
         assert_eq!(outcome.log.epoch_rewards.len(), cfg.training.epochs);

@@ -28,13 +28,14 @@
 //! use spikefolio::training::Trainer;
 //! use spikefolio_env::Backtester;
 //! use spikefolio_market::experiments::ExperimentPreset;
+//! use spikefolio_telemetry::NoopRecorder;
 //!
 //! // A deliberately tiny run: see examples/ for full-scale scripts.
 //! let preset = ExperimentPreset::experiment1().shrunk(60, 15);
 //! let (train, test) = preset.generate_split(7);
 //! let mut config = SdpConfig::smoke();
 //! let mut agent = SdpAgent::new(&config, train.num_assets(), 99);
-//! let log = Trainer::new(&config).train_sdp(&mut agent, &train);
+//! let log = Trainer::new(&config).train_sdp_with(&mut agent, &train, &mut NoopRecorder);
 //! let result = Backtester::new(config.backtest).run(&mut agent, &test);
 //! assert!(result.fapv() > 0.0);
 //! # let _ = log;
@@ -70,7 +71,7 @@ pub use agent::SdpAgent;
 pub use config::SdpConfig;
 pub use ddpg::DdpgAgent;
 pub use deploy::LoihiDeployment;
-pub use desk::{parse_fault_spec, run_desk, run_desk_quiet, DeskOptions, DeskReport, RoundRecord};
+pub use desk::{parse_fault_spec, run_desk, DeskOptions, DeskReport, RoundRecord};
 pub use desk_top::{
     lineage_json, render_ancestry, render_desk_top, render_lineage_ledger, run_desk_top,
     DeskTopOptions,

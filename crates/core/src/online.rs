@@ -20,6 +20,7 @@ use crate::training::Trainer;
 use serde::{Deserialize, Serialize};
 use spikefolio_env::{CostModel, Metrics, PortfolioState};
 use spikefolio_market::MarketData;
+use spikefolio_telemetry::NoopRecorder;
 
 /// Walk-forward schedule.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -93,7 +94,7 @@ pub fn walk_forward(
             agent =
                 SdpAgent::new(config, market.num_assets(), seed.wrapping_add(retrainings as u64));
         }
-        let log = trainer.train_sdp(&mut agent, &train_slice);
+        let log = trainer.train_sdp_with(&mut agent, &train_slice, &mut NoopRecorder);
         block_rewards.push(log.final_reward());
         retrainings += 1;
 

@@ -18,7 +18,7 @@
 use crate::agent::SdpAgent;
 use crate::config::SdpConfig;
 use crate::deploy::LoihiDeployment;
-use crate::experiments::{run_experiment_with, RunOptions};
+use crate::experiments::{run_experiment, RunOptions};
 use crate::training::Trainer;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -167,7 +167,7 @@ fn table3_slice(opts: &WorkloadOptions) -> BenchEntry {
     ropts.market_seed = opts.seed;
     let mut rec = MemoryRecorder::new();
     let t0 = Instant::now();
-    let _ = run_experiment_with(&ropts, ExperimentPreset::experiment1(), &mut rec);
+    let _ = run_experiment(&ropts, ExperimentPreset::experiment1(), &mut rec);
     let wall_s = t0.elapsed().as_secs_f64();
     let mut ops = BTreeMap::new();
     ops.insert("dense_macs".to_owned(), rec.counter_total(labels::COUNTER_OPS_DENSE_MACS));

@@ -125,6 +125,7 @@ mod tests {
     use super::*;
     use crate::experiments::{run_experiment, RunOptions};
     use spikefolio_market::experiments::ExperimentPreset;
+    use spikefolio_telemetry::NoopRecorder;
 
     #[test]
     fn table3_formatting_contains_all_rows() {
@@ -133,7 +134,7 @@ mod tests {
         opts.config.training.epochs = 1;
         opts.config.training.steps_per_epoch = 1;
         opts.config.training.batch_size = 2;
-        let out = run_experiment(&opts, ExperimentPreset::experiment1());
+        let out = run_experiment(&opts, ExperimentPreset::experiment1(), &mut NoopRecorder);
         let text = format_table3(&[out]);
         for name in ["SDP", "DRL[Jiang]", "ONS", "Best Stock", "ANTICOR", "M0", "UCRP"] {
             assert!(text.contains(name), "missing {name} in:\n{text}");

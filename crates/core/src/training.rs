@@ -23,15 +23,14 @@ use crate::drl::DrlAgent;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
+use spikefolio_ann::MlpGradients;
 use spikefolio_env::CostModel;
 use spikefolio_market::MarketData;
 use spikefolio_snn::network::SpikeStats;
 use spikefolio_snn::stbp;
 use spikefolio_snn::{BatchNetworkTrace, BatchWorkspace, SdpNetwork};
-use spikefolio_telemetry::{
-    labels, MemoryRecorder, NoopRecorder, Record, Recorder, Stopwatch, Value,
-};
-use spikefolio_tensor::optim::Adam;
+use spikefolio_telemetry::{labels, MemoryRecorder, Record, Recorder, Stopwatch, Value};
+use spikefolio_tensor::optim::{Adam, Gradients};
 use spikefolio_tensor::vector::dot;
 use spikefolio_tensor::Matrix;
 use std::time::Instant;
@@ -86,7 +85,7 @@ impl TrainingLog {
 }
 
 /// Diagnostics of one training epoch, as returned by
-/// [`SdpTrainingSession::run_epoch_with`].
+/// [`SdpTrainingSession::run_epoch`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EpochStats {
     /// Mean sample reward (eq. 1 summand).
@@ -317,7 +316,7 @@ pub struct Trainer {
 /// Persistent state of an in-progress SDP training run: the optimizer
 /// moments, portfolio-vector memory, and RNG streams survive between
 /// epochs so that epoch-at-a-time drivers (early stopping, curricula)
-/// behave identically to one long [`Trainer::train_sdp`] call.
+/// behave identically to one long [`Trainer::train_sdp_with`] call.
 #[derive(Debug)]
 pub struct SdpTrainingSession<'m> {
     market: &'m MarketData,
@@ -402,7 +401,7 @@ impl SdpTrainingSession<'_> {
     }
 
     /// Runs one epoch (`steps_per_epoch` minibatches) of STBP training on
-    /// `agent`, returning the epoch's mean sample reward.
+    /// `agent`, returning the epoch's diagnostics.
     ///
     /// Every minibatch runs on the batched SNN engine
     /// ([`SdpNetwork::forward_batch`] / [`stbp::backward_batch`]):
@@ -425,24 +424,16 @@ impl SdpTrainingSession<'_> {
     /// (`parallelism == 1` runs the same micro-batches inline without
     /// spawning threads).
     ///
-    /// # Panics
-    ///
-    /// Panics if `agent` does not match the session's market shape.
-    pub fn run_epoch(&mut self, agent: &mut SdpAgent) -> f64 {
-        self.run_epoch_with(agent, &mut NoopRecorder).reward
-    }
-
-    /// [`run_epoch`](Self::run_epoch) with telemetry: phase spans, queue
-    /// gauges, and one `"epoch"` record flow into `rec` when it is
-    /// enabled. With a [`NoopRecorder`] this is exactly `run_epoch` — all
-    /// measurement (clock reads, spike-counter clones, per-layer norm
-    /// sums) is skipped and every computed value is bitwise identical
-    /// either way.
+    /// Phase spans, queue gauges, and one `"epoch"` record flow into `rec`
+    /// when it is enabled. With a
+    /// [`NoopRecorder`](spikefolio_telemetry::NoopRecorder) all measurement (clock
+    /// reads, spike-counter clones, per-layer norm sums) is skipped; every
+    /// computed value is bitwise identical either way.
     ///
     /// # Panics
     ///
     /// Panics if `agent` does not match the session's market shape.
-    pub fn run_epoch_with(&mut self, agent: &mut SdpAgent, rec: &mut dyn Recorder) -> EpochStats {
+    pub fn run_epoch(&mut self, agent: &mut SdpAgent, rec: &mut dyn Recorder) -> EpochStats {
         let observe = rec.enabled();
         let epoch_watch = Stopwatch::start(rec);
         let epoch_t0 = Instant::now();
@@ -708,7 +699,7 @@ impl Trainer {
 
     /// Creates a persistent SDP training session (optimizer state, PVM,
     /// RNG streams) over `market`. Used directly for epoch-at-a-time
-    /// control (see [`crate::guarded`]); [`Trainer::train_sdp`] is the
+    /// control (see [`crate::guarded`]); [`Trainer::train_sdp_with`] is the
     /// plain loop on top of it.
     ///
     /// # Panics
@@ -721,7 +712,7 @@ impl Trainer {
     ) -> SdpTrainingSession<'m> {
         let tc = self.config.training;
         let (min_t, max_t) = self.bounds(market, agent.state_builder().min_period());
-        let mut trainer = stbp::SdpTrainer::new(&agent.network, Adam::new(tc.learning_rate));
+        let mut trainer = stbp::SdpTrainer::new(&agent.network, self.adam());
         trainer.max_grad_norm = Some(tc.max_grad_norm);
         SdpTrainingSession {
             market,
@@ -739,18 +730,9 @@ impl Trainer {
     }
 
     /// Trains the spiking agent in place on `market`, returning the log.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the market is shorter than the observation window + 2.
-    pub fn train_sdp(&self, agent: &mut SdpAgent, market: &MarketData) -> TrainingLog {
-        self.train_sdp_with(agent, market, &mut NoopRecorder)
-    }
-
-    /// [`train_sdp`](Self::train_sdp) with telemetry: emits one `"epoch"`
-    /// record per epoch into `rec` (see
-    /// [`SdpTrainingSession::run_epoch_with`]). Training results are
-    /// bitwise identical with any recorder.
+    /// Emits one `"epoch"` record per epoch into `rec` (see
+    /// [`SdpTrainingSession::run_epoch`]); training results are bitwise
+    /// identical with any recorder.
     ///
     /// # Panics
     ///
@@ -765,7 +747,7 @@ impl Trainer {
         let mut session = self.sdp_session(agent, market);
         let mut log = TrainingLog::with_capacity(tc.epochs);
         for _epoch in 0..tc.epochs {
-            let stats = session.run_epoch_with(agent, rec);
+            let stats = session.run_epoch(agent, rec);
             log.steps += tc.steps_per_epoch;
             log.push_epoch(&stats);
         }
@@ -774,21 +756,8 @@ impl Trainer {
 
     /// Trains the EIIE (convolutional Jiang) baseline in place on
     /// `market` — same deterministic policy gradient, PVM, and sampling
-    /// as the other agents.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the market is shorter than the observation window + 2.
-    pub fn train_eiie(
-        &self,
-        agent: &mut crate::eiie::EiieAgent,
-        market: &MarketData,
-    ) -> TrainingLog {
-        self.train_eiie_with(agent, market, &mut NoopRecorder)
-    }
-
-    /// [`train_eiie`](Self::train_eiie) with telemetry: emits one
-    /// `"epoch"` record (agent `"eiie"`) per epoch into `rec`.
+    /// as the other agents. Emits one `"epoch"` record (agent `"eiie"`)
+    /// per epoch into `rec`.
     ///
     /// # Panics
     ///
@@ -799,74 +768,29 @@ impl Trainer {
         market: &MarketData,
         rec: &mut dyn Recorder,
     ) -> TrainingLog {
-        let tc = self.config.training;
         let costs = self.config.backtest.costs;
-        let n_assets = market.num_assets();
-        let (min_t, max_t) = self.bounds(market, agent.window() - 1);
-        let mut pvm = Pvm::new(market.num_periods(), n_assets + 1);
-        let mut trainer =
-            spikefolio_ann::EiieTrainer::new(&agent.network, Adam::new(tc.learning_rate));
-        trainer.max_grad_norm = Some(tc.max_grad_norm);
-        let mut sample_rng = StdRng::seed_from_u64(self.config.seed ^ 0xe11e_u64);
-
-        let mut log = TrainingLog::with_capacity(tc.epochs);
-        for epoch in 0..tc.epochs {
-            let epoch_t0 = Instant::now();
-            let mut epoch_reward = 0.0;
-            let mut epoch_samples = 0usize;
-            let mut grad_norm_sum = 0.0;
-            for _step in 0..tc.steps_per_epoch {
-                let mut grads: Option<spikefolio_ann::eiie::EiieGradients> = None;
-                let mut batch_reward = 0.0;
-                for _ in 0..tc.batch_size {
-                    let t = sample_period(&mut sample_rng, min_t, max_t, tc.recency_bias);
-                    let y_t = market.price_relatives_with_cash(t);
-                    let w_drifted = drift(pvm.get(t - 1), &y_t);
-                    let windows = agent.windows(market, t);
-                    let trace = agent.network.forward(&windows, &w_drifted);
-                    let action = trace.action().to_vec();
-                    let y_next = market.price_relatives_with_cash(t + 1);
-                    let (r, dr) = reward_and_grad(&action, &y_next, &w_drifted, &costs);
-                    let d_action: Vec<f64> = dr.iter().map(|g| -g).collect();
-                    let g = agent.network.backward(&trace, &d_action);
-                    match grads.as_mut() {
-                        Some(acc) => acc.accumulate(&g),
-                        None => grads = Some(g),
-                    }
-                    pvm.set(t, action);
-                    batch_reward += r;
-                }
-                if let Some(mut g) = grads {
-                    g.scale(1.0 / tc.batch_size as f64);
-                    grad_norm_sum += g.global_norm();
-                    trainer.apply(&mut agent.network, &g);
-                }
-                log.steps += 1;
-                epoch_reward += batch_reward;
-                epoch_samples += tc.batch_size;
-            }
-            let stats = EpochStats {
-                reward: epoch_reward / epoch_samples.max(1) as f64,
-                wall_s: epoch_t0.elapsed().as_secs_f64(),
-                grad_norm: grad_norm_sum / tc.steps_per_epoch.max(1) as f64,
-            };
-            log.push_epoch(&stats);
-            emit_dense_epoch(rec, "eiie", epoch, &stats, epoch_samples);
-        }
-        log
+        let mut trainer = spikefolio_ann::EiieTrainer::new(&agent.network, self.adam());
+        trainer.max_grad_norm = Some(self.config.training.max_grad_norm);
+        let min_period = agent.window() - 1;
+        self.train_dense(
+            agent,
+            market,
+            rec,
+            ("eiie", 0xe11e, min_period),
+            |agent, t, w| {
+                let trace = agent.network.forward(&agent.windows(market, t), w);
+                let action = trace.action().to_vec();
+                let (r, dr) =
+                    reward_and_grad(&action, &market.price_relatives_with_cash(t + 1), w, &costs);
+                let g = agent.network.backward(&trace, &negated(&dr));
+                (action, r, g)
+            },
+            |agent, g| trainer.apply(&mut agent.network, g),
+        )
     }
 
-    /// Trains the dense DRL baseline in place on `market`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the market is shorter than the observation window + 2.
-    pub fn train_drl(&self, agent: &mut DrlAgent, market: &MarketData) -> TrainingLog {
-        self.train_drl_with(agent, market, &mut NoopRecorder)
-    }
-
-    /// [`train_drl`](Self::train_drl) with telemetry: emits one `"epoch"`
-    /// record (agent `"drl"`) per epoch into `rec`.
+    /// Trains the dense DRL baseline in place on `market`, emitting one
+    /// `"epoch"` record (agent `"drl"`) per epoch into `rec`.
     ///
     /// # Panics
     ///
@@ -877,74 +801,29 @@ impl Trainer {
         market: &MarketData,
         rec: &mut dyn Recorder,
     ) -> TrainingLog {
-        let tc = self.config.training;
         let costs = self.config.backtest.costs;
-        let n_assets = market.num_assets();
-        let (min_t, max_t) = self.bounds(market, agent.state_builder().min_period());
-        let mut pvm = Pvm::new(market.num_periods(), n_assets + 1);
-        let mut trainer =
-            spikefolio_ann::MlpTrainer::new(&agent.network, Adam::new(tc.learning_rate));
-        trainer.max_grad_norm = Some(tc.max_grad_norm);
-        let mut sample_rng = StdRng::seed_from_u64(self.config.seed ^ 0xd71_u64);
-
-        let mut log = TrainingLog::with_capacity(tc.epochs);
-        for epoch in 0..tc.epochs {
-            let epoch_t0 = Instant::now();
-            let mut epoch_reward = 0.0;
-            let mut epoch_samples = 0usize;
-            let mut grad_norm_sum = 0.0;
-            for _step in 0..tc.steps_per_epoch {
-                let mut grads: Option<spikefolio_ann::MlpGradients> = None;
-                let mut batch_reward = 0.0;
-                for _ in 0..tc.batch_size {
-                    let t = sample_period(&mut sample_rng, min_t, max_t, tc.recency_bias);
-                    let y_t = market.price_relatives_with_cash(t);
-                    let w_drifted = drift(pvm.get(t - 1), &y_t);
-                    let state = agent.state(market, t, &w_drifted);
-                    let trace = agent.network.forward(&state);
-                    let action = trace.action().to_vec();
-                    let y_next = market.price_relatives_with_cash(t + 1);
-                    let (r, dr) = reward_and_grad(&action, &y_next, &w_drifted, &costs);
-                    let d_action: Vec<f64> = dr.iter().map(|g| -g).collect();
-                    let g = agent.network.backward(&trace, &d_action);
-                    match grads.as_mut() {
-                        Some(acc) => acc.accumulate(&g),
-                        None => grads = Some(g),
-                    }
-                    pvm.set(t, action);
-                    batch_reward += r;
-                }
-                if let Some(mut g) = grads {
-                    g.scale(1.0 / tc.batch_size as f64);
-                    grad_norm_sum += g.global_norm();
-                    trainer.apply(&mut agent.network, &g);
-                }
-                log.steps += 1;
-                epoch_reward += batch_reward;
-                epoch_samples += tc.batch_size;
-            }
-            let stats = EpochStats {
-                reward: epoch_reward / epoch_samples.max(1) as f64,
-                wall_s: epoch_t0.elapsed().as_secs_f64(),
-                grad_norm: grad_norm_sum / tc.steps_per_epoch.max(1) as f64,
-            };
-            log.push_epoch(&stats);
-            emit_dense_epoch(rec, "drl", epoch, &stats, epoch_samples);
-        }
-        log
+        let mut trainer = spikefolio_ann::MlpTrainer::new(&agent.network, self.adam());
+        trainer.max_grad_norm = Some(self.config.training.max_grad_norm);
+        let min_period = agent.state_builder().min_period();
+        self.train_dense(
+            agent,
+            market,
+            rec,
+            ("drl", 0xd71, min_period),
+            |agent, t, w| {
+                let trace = agent.network.forward(&agent.state(market, t, w));
+                let action = trace.action().to_vec();
+                let (r, dr) =
+                    reward_and_grad(&action, &market.price_relatives_with_cash(t + 1), w, &costs);
+                let g = agent.network.backward(&trace, &negated(&dr));
+                (action, r, g)
+            },
+            |agent, g| trainer.apply(&mut agent.network, g),
+        )
     }
 
-    /// Trains the DDPG-style actor-critic baseline in place on `market`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the market is shorter than the observation window + 2.
-    pub fn train_ddpg(&self, agent: &mut DdpgAgent, market: &MarketData) -> TrainingLog {
-        self.train_ddpg_with(agent, market, &mut NoopRecorder)
-    }
-
-    /// [`train_ddpg`](Self::train_ddpg) with telemetry: emits one
-    /// `"epoch"` record (agent `"ddpg"`) per epoch into `rec`.
+    /// Trains the DDPG-style actor-critic baseline in place on `market`,
+    /// emitting one `"epoch"` record (agent `"ddpg"`) per epoch into `rec`.
     ///
     /// Unlike the SDP/DRL/EIIE loops, the reward gradient here is
     /// *indirect*: the critic regresses `Q(s, a)` toward the immediate
@@ -961,106 +840,145 @@ impl Trainer {
         market: &MarketData,
         rec: &mut dyn Recorder,
     ) -> TrainingLog {
-        let tc = self.config.training;
         let costs = self.config.backtest.costs;
-        let n_assets = market.num_assets();
-        let (min_t, max_t) = self.bounds(market, agent.state_builder().min_period());
-        let mut pvm = Pvm::new(market.num_periods(), n_assets + 1);
-        let mut actor_trainer =
-            spikefolio_ann::MlpTrainer::new(&agent.actor, Adam::new(tc.learning_rate));
-        actor_trainer.max_grad_norm = Some(tc.max_grad_norm);
-        let mut critic_trainer =
-            spikefolio_ann::MlpTrainer::new(&agent.critic, Adam::new(tc.learning_rate));
-        critic_trainer.max_grad_norm = Some(tc.max_grad_norm);
-        let mut sample_rng = StdRng::seed_from_u64(self.config.seed ^ 0xddb6_u64);
+        let max_grad_norm = Some(self.config.training.max_grad_norm);
+        let mut actor_trainer = spikefolio_ann::MlpTrainer::new(&agent.actor, self.adam());
+        actor_trainer.max_grad_norm = max_grad_norm;
+        let mut critic_trainer = spikefolio_ann::MlpTrainer::new(&agent.critic, self.adam());
+        critic_trainer.max_grad_norm = max_grad_norm;
+        let min_period = agent.state_builder().min_period();
+        self.train_dense(
+            agent,
+            market,
+            rec,
+            ("ddpg", 0xddb6, min_period),
+            |agent, t, w| {
+                let state = agent.state(market, t, w);
+                let trace = agent.actor.forward(&state);
+                let action = trace.action().to_vec();
+                let (r, _) =
+                    reward_and_grad(&action, &market.price_relatives_with_cash(t + 1), w, &costs);
+                let sa = [state.as_slice(), &action].concat();
+                let ctrace = agent.critic.forward(&sa);
+                let q = ctrace.action()[0];
+                // Critic: descend ½(Q − r)².
+                let critic = agent.critic.backward(&ctrace, &[q - r]);
+                // Actor: ascend Q, i.e. descend −Q through ∂Q/∂a.
+                let (_, d_input) = agent.critic.backward_input(&ctrace, &[1.0]);
+                let actor = agent.actor.backward(&trace, &negated(&d_input[state.len()..]));
+                (action, r, DdpgGradients { critic, actor })
+            },
+            |agent, g| {
+                critic_trainer.apply(&mut agent.critic, &g.critic);
+                actor_trainer.apply(&mut agent.actor, &g.actor);
+            },
+        )
+    }
 
+    /// A fresh Adam optimizer at the configured learning rate.
+    fn adam(&self) -> Adam {
+        Adam::new(self.config.training.learning_rate)
+    }
+
+    /// The eq. (1) minibatch loop every dense baseline shares: sample
+    /// periods, drift the PVM weights, sum per-sample gradients, average
+    /// them over the minibatch, apply, and log one epoch record.
+    ///
+    /// `(name, salt, min_period)` are the record's agent tag, the salt of
+    /// the sampling RNG, and the first period the agent can observe.
+    /// `sample(agent, t, w_drifted)` runs one decision period and returns
+    /// its action (written back into the PVM), reward and gradients;
+    /// `apply` takes one optimizer step with the averaged gradients.
+    fn train_dense<A, G: Gradients>(
+        &self,
+        agent: &mut A,
+        market: &MarketData,
+        rec: &mut dyn Recorder,
+        (name, salt, min_period): (&str, u64, usize),
+        sample: impl Fn(&A, usize, &[f64]) -> (Vec<f64>, f64, G),
+        mut apply: impl FnMut(&mut A, &G),
+    ) -> TrainingLog {
+        let tc = self.config.training;
+        let (min_t, max_t) = self.bounds(market, min_period);
+        let mut pvm = Pvm::new(market.num_periods(), market.num_assets() + 1);
+        let mut sample_rng = StdRng::seed_from_u64(self.config.seed ^ salt);
         let mut log = TrainingLog::with_capacity(tc.epochs);
         for epoch in 0..tc.epochs {
             let epoch_t0 = Instant::now();
             let mut epoch_reward = 0.0;
-            let mut epoch_samples = 0usize;
             let mut grad_norm_sum = 0.0;
             for _step in 0..tc.steps_per_epoch {
-                let mut actor_grads: Option<spikefolio_ann::MlpGradients> = None;
-                let mut critic_grads: Option<spikefolio_ann::MlpGradients> = None;
+                let mut grads: Option<G> = None;
                 let mut batch_reward = 0.0;
                 for _ in 0..tc.batch_size {
                     let t = sample_period(&mut sample_rng, min_t, max_t, tc.recency_bias);
-                    let y_t = market.price_relatives_with_cash(t);
-                    let w_drifted = drift(pvm.get(t - 1), &y_t);
-                    let state = agent.state(market, t, &w_drifted);
-                    let trace = agent.actor.forward(&state);
-                    let action = trace.action().to_vec();
-                    let y_next = market.price_relatives_with_cash(t + 1);
-                    let (r, _dr) = reward_and_grad(&action, &y_next, &w_drifted, &costs);
-                    let mut sa = Vec::with_capacity(state.len() + action.len());
-                    sa.extend_from_slice(&state);
-                    sa.extend_from_slice(&action);
-                    let ctrace = agent.critic.forward(&sa);
-                    let q = ctrace.action()[0];
-                    // Critic: descend ½(Q − r)².
-                    let cg = agent.critic.backward(&ctrace, &[q - r]);
-                    match critic_grads.as_mut() {
-                        Some(acc) => acc.accumulate(&cg),
-                        None => critic_grads = Some(cg),
-                    }
-                    // Actor: ascend Q, i.e. descend −Q through ∂Q/∂a.
-                    let (_, d_input) = agent.critic.backward_input(&ctrace, &[1.0]);
-                    let d_action: Vec<f64> = d_input[state.len()..].iter().map(|g| -g).collect();
-                    let ag = agent.actor.backward(&trace, &d_action);
-                    match actor_grads.as_mut() {
-                        Some(acc) => acc.accumulate(&ag),
-                        None => actor_grads = Some(ag),
+                    let w_drifted = drift(pvm.get(t - 1), &market.price_relatives_with_cash(t));
+                    let (action, r, g) = sample(agent, t, &w_drifted);
+                    match grads.as_mut() {
+                        Some(acc) => acc.accumulate(&g),
+                        None => grads = Some(g),
                     }
                     pvm.set(t, action);
                     batch_reward += r;
                 }
-                if let Some(mut g) = critic_grads {
-                    g.scale(1.0 / tc.batch_size as f64);
-                    critic_trainer.apply(&mut agent.critic, &g);
-                }
-                if let Some(mut g) = actor_grads {
+                if let Some(mut g) = grads {
                     g.scale(1.0 / tc.batch_size as f64);
                     grad_norm_sum += g.global_norm();
-                    actor_trainer.apply(&mut agent.actor, &g);
+                    apply(agent, &g);
                 }
                 log.steps += 1;
                 epoch_reward += batch_reward;
-                epoch_samples += tc.batch_size;
             }
+            let samples = tc.steps_per_epoch * tc.batch_size;
             let stats = EpochStats {
-                reward: epoch_reward / epoch_samples.max(1) as f64,
+                reward: epoch_reward / samples.max(1) as f64,
                 wall_s: epoch_t0.elapsed().as_secs_f64(),
                 grad_norm: grad_norm_sum / tc.steps_per_epoch.max(1) as f64,
             };
             log.push_epoch(&stats);
-            emit_dense_epoch(rec, "ddpg", epoch, &stats, epoch_samples);
+            if rec.enabled() {
+                rec.emit(
+                    Record::new("epoch")
+                        .field("agent", name)
+                        .field("epoch", epoch as u64)
+                        .field("reward", stats.reward)
+                        .field("wall_s", stats.wall_s)
+                        .field("grad_norm", stats.grad_norm)
+                        .field("samples", samples as u64),
+                );
+            }
         }
         log
     }
 }
 
-/// Emits a dense-baseline epoch record (no spike fields) when `rec` is
-/// enabled.
-fn emit_dense_epoch(
-    rec: &mut dyn Recorder,
-    agent: &str,
-    epoch: usize,
-    stats: &EpochStats,
-    samples: usize,
-) {
-    if !rec.enabled() {
-        return;
+/// `−g`: the descent direction on the loss `L = −r`.
+fn negated(g: &[f64]) -> Vec<f64> {
+    g.iter().map(|x| -x).collect()
+}
+
+/// The DDPG critic and actor gradients of one minibatch. The logged norm
+/// is the actor's, the one the policy steps along; each network clips its
+/// own gradients when applied.
+struct DdpgGradients {
+    critic: MlpGradients,
+    actor: MlpGradients,
+}
+
+impl Gradients for DdpgGradients {
+    fn accumulate(&mut self, other: &Self) {
+        self.critic.accumulate(&other.critic);
+        self.actor.accumulate(&other.actor);
     }
-    rec.emit(
-        Record::new("epoch")
-            .field("agent", agent)
-            .field("epoch", epoch as u64)
-            .field("reward", stats.reward)
-            .field("wall_s", stats.wall_s)
-            .field("grad_norm", stats.grad_norm)
-            .field("samples", samples as u64),
-    );
+
+    fn scale(&mut self, alpha: f64) {
+        self.critic.scale(alpha);
+        self.actor.scale(alpha);
+    }
+
+    fn global_norm(&self) -> f64 {
+        self.actor.global_norm()
+    }
 }
 
 #[cfg(test)]
@@ -1069,6 +987,7 @@ mod tests {
     use super::*;
     use spikefolio_env::{BacktestConfig, Backtester};
     use spikefolio_market::{Candle, Date};
+    use spikefolio_telemetry::NoopRecorder;
 
     /// A market where asset 1 steadily gains and the rest decay: any
     /// reward-ascending learner must shift weight onto asset 1.
@@ -1153,7 +1072,7 @@ mod tests {
         cfg.training.batch_size = 12;
         cfg.training.learning_rate = 2e-3;
         let mut agent = SdpAgent::new(&cfg, market.num_assets(), 3);
-        let log = Trainer::new(&cfg).train_sdp(&mut agent, &market);
+        let log = Trainer::new(&cfg).train_sdp_with(&mut agent, &market, &mut NoopRecorder);
         assert_eq!(log.epoch_rewards.len(), 6);
         assert!(
             log.final_reward() > log.epoch_rewards[0],
@@ -1175,7 +1094,7 @@ mod tests {
         cfg.training.batch_size = 12;
         cfg.training.learning_rate = 5e-3;
         let mut agent = DrlAgent::new(&cfg, market.num_assets(), 3);
-        let log = Trainer::new(&cfg).train_drl(&mut agent, &market);
+        let log = Trainer::new(&cfg).train_drl_with(&mut agent, &market, &mut NoopRecorder);
         assert!(log.improved(), "rewards: {:?}", log.epoch_rewards);
         let r = Backtester::new(BacktestConfig::default()).run(&mut agent, &market);
         let mean_up: f64 = r.weights.iter().map(|w| w[1]).sum::<f64>() / r.weights.len() as f64;
@@ -1192,7 +1111,7 @@ mod tests {
         cfg.training.batch_size = 12;
         cfg.training.learning_rate = 8e-3;
         let mut agent = crate::eiie::EiieAgent::new(&cfg, market.num_assets(), 3);
-        let log = Trainer::new(&cfg).train_eiie(&mut agent, &market);
+        let log = Trainer::new(&cfg).train_eiie_with(&mut agent, &market, &mut NoopRecorder);
         assert!(log.improved(), "rewards: {:?}", log.epoch_rewards);
         let r = Backtester::new(BacktestConfig::default()).run(&mut agent, &market);
         let mean_up: f64 = r.weights.iter().map(|w| w[1]).sum::<f64>() / r.weights.len() as f64;
@@ -1208,7 +1127,7 @@ mod tests {
         cfg.training.batch_size = 8;
         let run = || {
             let mut agent = DdpgAgent::new(&cfg, market.num_assets(), 3);
-            let log = Trainer::new(&cfg).train_ddpg(&mut agent, &market);
+            let log = Trainer::new(&cfg).train_ddpg_with(&mut agent, &market, &mut NoopRecorder);
             (agent, log)
         };
         let (a1, log1) = run();
@@ -1239,7 +1158,7 @@ mod tests {
         cfg.training.steps_per_epoch = 10;
         cfg.training.batch_size = 12;
         let mut agent = DdpgAgent::new(&cfg, market.num_assets(), 3);
-        Trainer::new(&cfg).train_ddpg(&mut agent, &market);
+        Trainer::new(&cfg).train_ddpg_with(&mut agent, &market, &mut NoopRecorder);
         let t = 20;
         let w = vec![0.25; 4];
         let state = agent.state(&market, t, &w);
@@ -1263,7 +1182,7 @@ mod tests {
             let mut c = cfg.clone();
             c.training.parallelism = threads;
             let mut agent = SdpAgent::new(&c, market.num_assets(), 3);
-            let log = Trainer::new(&c).train_sdp(&mut agent, &market);
+            let log = Trainer::new(&c).train_sdp_with(&mut agent, &market, &mut NoopRecorder);
             (spikefolio_snn::stbp::flat_params(&agent.network), log)
         };
         let (p2, log2) = run(2);
@@ -1308,7 +1227,7 @@ mod tests {
         cfg.training.steps_per_epoch = 2;
         cfg.training.batch_size = 4;
         let mut agent = SdpAgent::new(&cfg, market.num_assets(), 3);
-        let log = Trainer::new(&cfg).train_sdp(&mut agent, &market);
+        let log = Trainer::new(&cfg).train_sdp_with(&mut agent, &market, &mut NoopRecorder);
         assert_eq!(log.epoch_rewards.len(), 3);
         assert_eq!(log.epoch_wall_s.len(), 3);
         assert_eq!(log.epoch_grad_norms.len(), 3);
@@ -1326,7 +1245,7 @@ mod tests {
         cfg.training.parallelism = 2;
 
         let mut plain = SdpAgent::new(&cfg, market.num_assets(), 3);
-        let log_plain = Trainer::new(&cfg).train_sdp(&mut plain, &market);
+        let log_plain = Trainer::new(&cfg).train_sdp_with(&mut plain, &market, &mut NoopRecorder);
 
         let mut observed = SdpAgent::new(&cfg, market.num_assets(), 3);
         let mut rec = spikefolio_telemetry::MemoryRecorder::new();
@@ -1373,6 +1292,6 @@ mod tests {
         let market = trending_market(2);
         let cfg = SdpConfig::smoke();
         let mut agent = SdpAgent::new(&cfg, market.num_assets(), 3);
-        let _ = Trainer::new(&cfg).train_sdp(&mut agent, &market);
+        let _ = Trainer::new(&cfg).train_sdp_with(&mut agent, &market, &mut NoopRecorder);
     }
 }

@@ -20,7 +20,7 @@ use crate::decoder::DecoderTrace;
 use crate::network::{NetworkTrace, SdpNetwork};
 use spikefolio_telemetry::labels::SPAN_PROFILE_SNN_STBP;
 use spikefolio_telemetry::{NoopRecorder, Recorder, Stopwatch};
-use spikefolio_tensor::optim::{Optimizer, ParamSlot};
+use spikefolio_tensor::optim::{Gradients, Optimizer, ParamSlot};
 use spikefolio_tensor::{gemm, sparse, vector, Matrix};
 
 /// Gradients of one LIF layer.
@@ -59,13 +59,10 @@ impl SdpGradients {
             d_decoder_bias: vec![0.0; net.decoder.bias.len()],
         }
     }
+}
 
-    /// Accumulates `other` into `self` (gradient averaging over batches).
-    ///
-    /// # Panics
-    ///
-    /// Panics on shape mismatch.
-    pub fn accumulate(&mut self, other: &SdpGradients) {
+impl Gradients for SdpGradients {
+    fn accumulate(&mut self, other: &SdpGradients) {
         assert_eq!(self.layers.len(), other.layers.len(), "layer count mismatch");
         for (a, b) in self.layers.iter_mut().zip(&other.layers) {
             a.d_weights.add_scaled(1.0, &b.d_weights);
@@ -75,8 +72,7 @@ impl SdpGradients {
         vector::axpy(&mut self.d_decoder_bias, 1.0, &other.d_decoder_bias);
     }
 
-    /// Multiplies every gradient by `alpha`.
-    pub fn scale(&mut self, alpha: f64) {
+    fn scale(&mut self, alpha: f64) {
         for l in &mut self.layers {
             l.d_weights.scale(alpha);
             l.d_bias.iter_mut().for_each(|g| *g *= alpha);
@@ -85,8 +81,7 @@ impl SdpGradients {
         self.d_decoder_bias.iter_mut().for_each(|g| *g *= alpha);
     }
 
-    /// Global L2 norm across all gradients.
-    pub fn global_norm(&self) -> f64 {
+    fn global_norm(&self) -> f64 {
         let mut sq = 0.0;
         for l in &self.layers {
             sq += l.d_weights.as_slice().iter().map(|g| g * g).sum::<f64>();
@@ -95,14 +90,6 @@ impl SdpGradients {
         sq += self.d_decoder_weights.iter().map(|g| g * g).sum::<f64>();
         sq += self.d_decoder_bias.iter().map(|g| g * g).sum::<f64>();
         sq.sqrt()
-    }
-
-    /// Clips the global norm to `max_norm` (no-op if already below).
-    pub fn clip_global_norm(&mut self, max_norm: f64) {
-        let n = self.global_norm();
-        if n > max_norm && n > 0.0 {
-            self.scale(max_norm / n);
-        }
     }
 }
 

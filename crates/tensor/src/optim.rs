@@ -73,6 +73,32 @@ impl Adam {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ParamSlot(usize);
 
+/// A network's gradient buffers, as a minibatch loop sums, averages and
+/// clips them. Every trainer (STBP, MLP, EIIE) clips through the same
+/// [`clip_global_norm`](Gradients::clip_global_norm).
+pub trait Gradients {
+    /// Accumulates `other` into `self` (summing a minibatch).
+    ///
+    /// # Panics
+    ///
+    /// Implementations panic on shape mismatch.
+    fn accumulate(&mut self, other: &Self);
+
+    /// Multiplies every gradient by `alpha`.
+    fn scale(&mut self, alpha: f64);
+
+    /// Global L2 norm across every gradient.
+    fn global_norm(&self) -> f64;
+
+    /// Clips the global norm to `max_norm` (no-op if already below).
+    fn clip_global_norm(&mut self, max_norm: f64) {
+        let n = self.global_norm();
+        if n > max_norm && n > 0.0 {
+            self.scale(max_norm / n);
+        }
+    }
+}
+
 /// A first-order optimizer over flat `f64` buffers.
 ///
 /// Usage: `register` each parameter buffer once (obtaining a [`ParamSlot`]),

@@ -14,6 +14,7 @@ use spikefolio_env::Backtester;
 use spikefolio_loihi::energy::LoihiEnergyModel;
 use spikefolio_loihi::LoihiChip;
 use spikefolio_market::experiments::ExperimentPreset;
+use spikefolio_telemetry::NoopRecorder;
 
 fn main() {
     let preset = ExperimentPreset::experiment1().shrunk(150, 40);
@@ -27,7 +28,7 @@ fn main() {
 
     let mut agent = SdpAgent::new(&config, train.num_assets(), config.seed);
     println!("training SDP ({} params)...", agent.network.num_params());
-    let _ = Trainer::new(&config).train_sdp(&mut agent, &train);
+    let _ = Trainer::new(&config).train_sdp_with(&mut agent, &train, &mut NoopRecorder);
 
     println!("quantizing per eq. (14) and mapping onto the chip model...");
     let mut deployed = LoihiDeployment::new(&agent, &LoihiChip::default()).expect("fits on chip");

@@ -11,6 +11,7 @@ use spikefolio::training::Trainer;
 use spikefolio_baselines::Ucrp;
 use spikefolio_env::Backtester;
 use spikefolio_market::experiments::ExperimentPreset;
+use spikefolio_telemetry::NoopRecorder;
 
 fn main() {
     // Table 1, experiment 1 — shrunk so the demo runs in seconds.
@@ -38,7 +39,7 @@ fn main() {
     println!("{}", agent.network.summary());
 
     println!("training...");
-    let log = Trainer::new(&config).train_sdp(&mut agent, &train);
+    let log = Trainer::new(&config).train_sdp_with(&mut agent, &train, &mut NoopRecorder);
     for (i, r) in log.epoch_rewards.iter().enumerate() {
         println!("  epoch {:>2}: mean log return {:+.6}", i + 1, r);
     }

@@ -10,6 +10,7 @@
 use spikefolio::experiments::{run_table3, RunOptions};
 use spikefolio::report::format_table3;
 use spikefolio::SdpConfig;
+use spikefolio_telemetry::NoopRecorder;
 
 fn options() -> RunOptions {
     let arg = std::env::args().nth(1).unwrap_or_default();
@@ -45,7 +46,7 @@ fn main() {
         "running Table 3 at {} scale...",
         if opts.shrink.is_some() { "reduced" } else { "full" }
     );
-    let outcomes = run_table3(&opts);
+    let outcomes = run_table3(&opts, &mut NoopRecorder);
     println!("{}", format_table3(&outcomes));
 
     // The paper's qualitative claims, checked on this run.

@@ -9,6 +9,7 @@
 use spikefolio::experiments::{run_table4, RunOptions, PAPER_LOIHI_NJ_PER_INF};
 use spikefolio::report::format_table4;
 use spikefolio::SdpConfig;
+use spikefolio_telemetry::NoopRecorder;
 
 fn options() -> RunOptions {
     if std::env::args().any(|a| a == "--smoke") {
@@ -26,7 +27,7 @@ fn main() {
     eprintln!(
         "training + deploying SDP for each experiment (this touches every pipeline stage)..."
     );
-    let outcomes = run_table4(&opts);
+    let outcomes = run_table4(&opts, &mut NoopRecorder);
     println!("{}", format_table4(&outcomes));
 
     println!("paper headline: ≥186x energy advantage vs CPU, ≥516x vs GPU;");

@@ -12,6 +12,7 @@ use spikefolio::drl::DrlAgent;
 use spikefolio::training::Trainer;
 use spikefolio_env::Backtester;
 use spikefolio_market::experiments::ExperimentPreset;
+use spikefolio_telemetry::NoopRecorder;
 
 fn main() {
     let preset = ExperimentPreset::experiment1().shrunk(300, 75);
@@ -38,14 +39,14 @@ fn main() {
         config.network.hidden
     );
     println!("epoch |  SDP mean log-return");
-    let sdp_log = trainer.train_sdp(&mut sdp, &train);
+    let sdp_log = trainer.train_sdp_with(&mut sdp, &train, &mut NoopRecorder);
     for (i, r) in sdp_log.epoch_rewards.iter().enumerate() {
         let bar = "#".repeat(((r * 2e4).max(0.0) as usize).min(60));
         println!("{:>5} | {:+.6} {bar}", i + 1, r);
     }
 
     let mut drl = DrlAgent::new(&config, train.num_assets(), config.seed);
-    let drl_log = trainer.train_drl(&mut drl, &train);
+    let drl_log = trainer.train_drl_with(&mut drl, &train, &mut NoopRecorder);
     println!(
         "\nfinal training reward: SDP {:+.6} vs DRL {:+.6}",
         sdp_log.final_reward(),

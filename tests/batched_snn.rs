@@ -13,6 +13,7 @@ use spikefolio_snn::network::{SdpNetwork, SdpNetworkConfig};
 use spikefolio_snn::neuron::SpikeFn;
 use spikefolio_snn::stbp;
 use spikefolio_snn::{BatchNetworkTrace, BatchWorkspace};
+use spikefolio_tensor::optim::Gradients;
 use spikefolio_tensor::Matrix;
 
 const TOL: f64 = 1e-12;

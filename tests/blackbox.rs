@@ -11,11 +11,12 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use spikefolio::{
-    render_ancestry, render_desk_top, run_desk_quiet, run_triage, DeskOptions, TriageOptions,
+    render_ancestry, render_desk_top, run_desk, run_triage, DeskOptions, TriageOptions,
 };
 use spikefolio_blackbox::read_ledger;
 use spikefolio_resilience::FaultPlan;
 use spikefolio_telemetry::value::{parse, Value};
+use spikefolio_telemetry::NoopRecorder;
 use std::path::PathBuf;
 use std::process::Command;
 
@@ -85,7 +86,7 @@ fn triage_replays_a_quarantined_gate_bitwise() {
     opts.drift_threshold = 0.0;
     let dir = opts.dir.clone();
     let config = opts.config.clone();
-    let report = run_desk_quiet(opts).expect("desk completes");
+    let report = run_desk(opts, &mut NoopRecorder).expect("desk completes");
     assert!(report.quarantines >= 1, "zero drift bound must quarantine: {report:?}");
 
     let t = run_triage(&TriageOptions { config, dir, round: None }).expect("triage replays");
@@ -109,7 +110,7 @@ fn triage_reproduces_an_integrity_quarantine_as_a_failing_load() {
     opts.faults = spikefolio::parse_fault_spec("corrupt@1,corrupt@1", opts.seed).unwrap();
     let dir = opts.dir.clone();
     let config = opts.config.clone();
-    let report = run_desk_quiet(opts).expect("desk completes");
+    let report = run_desk(opts, &mut NoopRecorder).expect("desk completes");
     assert_eq!(report.rounds[1].outcome, "rejected:integrity", "{report:?}");
 
     let t = run_triage(&TriageOptions { config, dir, round: Some(1) }).expect("triage replays");
@@ -129,7 +130,7 @@ fn triage_reproduces_an_integrity_quarantine_as_a_failing_load() {
 fn desk_run_writes_readable_ledger_ancestry_and_status() {
     let opts = fast_opts("ledger");
     let dir = opts.dir.clone();
-    let report = run_desk_quiet(opts).expect("desk completes");
+    let report = run_desk(opts, &mut NoopRecorder).expect("desk completes");
 
     let log = read_ledger(dir.join("lineage.jsonl")).expect("ledger reads");
     assert_eq!(log.skipped, 0, "a clean run's ledger has no torn lines");
@@ -166,8 +167,9 @@ fn armed_recorder_does_not_change_the_desk_outcome() {
     bare.lineage = None;
     bare.status = None;
     bare.faults = FaultPlan::default();
-    let bare_report = run_desk_quiet(bare).expect("bare run completes");
-    let armed_report = run_desk_quiet(fast_opts("armed")).expect("armed run completes");
+    let bare_report = run_desk(bare, &mut NoopRecorder).expect("bare run completes");
+    let armed_report =
+        run_desk(fast_opts("armed"), &mut NoopRecorder).expect("armed run completes");
     assert_eq!(bare_report.final_weights_crc, armed_report.final_weights_crc);
     assert_eq!(bare_report.to_json(), armed_report.to_json());
 }

@@ -7,6 +7,7 @@ use spikefolio::drl::DrlAgent;
 use spikefolio::training::Trainer;
 use spikefolio_env::Backtester;
 use spikefolio_market::experiments::ExperimentPreset;
+use spikefolio_telemetry::NoopRecorder;
 
 fn smoke_config() -> SdpConfig {
     let mut cfg = SdpConfig::smoke();
@@ -23,7 +24,7 @@ fn sdp_training_improves_in_sample_performance() {
     let cfg = smoke_config();
     let mut untrained = SdpAgent::new(&cfg, train.num_assets(), cfg.seed);
     let mut trained = untrained.clone();
-    let log = Trainer::new(&cfg).train_sdp(&mut trained, &train);
+    let log = Trainer::new(&cfg).train_sdp_with(&mut trained, &train, &mut NoopRecorder);
     assert_eq!(log.epoch_rewards.len(), cfg.training.epochs);
     assert!(log.epoch_rewards.iter().all(|r| r.is_finite()));
     // The trained policy must beat its own initialization in-sample (the
@@ -45,7 +46,7 @@ fn trained_sdp_backtests_on_heldout_data() {
     let (train, test) = ExperimentPreset::experiment1().shrunk(90, 25).generate_split(11);
     let cfg = smoke_config();
     let mut agent = SdpAgent::new(&cfg, train.num_assets(), cfg.seed);
-    let _ = Trainer::new(&cfg).train_sdp(&mut agent, &train);
+    let _ = Trainer::new(&cfg).train_sdp_with(&mut agent, &train, &mut NoopRecorder);
     let r = Backtester::new(cfg.backtest).run(&mut agent, &test);
     assert!(r.fapv() > 0.0 && r.fapv().is_finite());
     assert!((0.0..1.0).contains(&r.metrics.mdd));
@@ -60,9 +61,9 @@ fn both_agents_train_on_the_same_data_without_interference() {
     let trainer = Trainer::new(&cfg);
 
     let mut sdp = SdpAgent::new(&cfg, train.num_assets(), cfg.seed);
-    let sdp_log = trainer.train_sdp(&mut sdp, &train);
+    let sdp_log = trainer.train_sdp_with(&mut sdp, &train, &mut NoopRecorder);
     let mut drl = DrlAgent::new(&cfg, train.num_assets(), cfg.seed);
-    let drl_log = trainer.train_drl(&mut drl, &train);
+    let drl_log = trainer.train_drl_with(&mut drl, &train, &mut NoopRecorder);
 
     assert_eq!(sdp_log.steps, drl_log.steps, "identical training budgets");
     let r_sdp = Backtester::new(cfg.backtest).run(&mut sdp, &test);
@@ -79,7 +80,7 @@ fn training_is_reproducible_under_fixed_seeds() {
 
     let run = || {
         let mut agent = SdpAgent::new(&cfg, train.num_assets(), cfg.seed);
-        let log = Trainer::new(&cfg).train_sdp(&mut agent, &train);
+        let log = Trainer::new(&cfg).train_sdp_with(&mut agent, &train, &mut NoopRecorder);
         (spikefolio_snn::stbp::flat_params(&agent.network), log.epoch_rewards)
     };
     let (p1, r1) = run();

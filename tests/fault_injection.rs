@@ -23,7 +23,7 @@ use spikefolio_market::experiments::ExperimentPreset;
 use spikefolio_market::{sanitize_market, MarketData, SanitizeConfig};
 use spikefolio_resilience::{FaultPlan, GradFault, GuardConfig, MarketFaultKind};
 use spikefolio_snn::stbp::{flat_params, set_flat_params};
-use spikefolio_telemetry::{labels, MemoryRecorder};
+use spikefolio_telemetry::{labels, MemoryRecorder, NoopRecorder};
 use std::path::{Path, PathBuf};
 
 fn tmp(name: &str) -> PathBuf {
@@ -140,7 +140,7 @@ fn recovered_run_matches_fault_free_training() {
     let cfg = tiny_cfg();
     let trainer = Trainer::new(&cfg);
     let mut clean = SdpAgent::new(&cfg, market.num_assets(), 3);
-    let _ = trainer.train_sdp(&mut clean, &market);
+    let _ = trainer.train_sdp_with(&mut clean, &market, &mut NoopRecorder);
 
     let path = tmp("reference.ckpt");
     let (faulted_weights, outcome, _, _) = run_acceptance(&path);
@@ -164,7 +164,7 @@ fn rollback_restores_bitwise_identical_weights_mid_run() {
     let trainer = Trainer::new(&cfg);
 
     let mut clean = SdpAgent::new(&cfg, market.num_assets(), 5);
-    let _ = trainer.train_sdp(&mut clean, &market);
+    let _ = trainer.train_sdp_with(&mut clean, &market, &mut NoopRecorder);
 
     let mut faulted = SdpAgent::new(&cfg, market.num_assets(), 5);
     let mut opts = ResilienceOptions {

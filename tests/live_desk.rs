@@ -16,11 +16,11 @@ use proptest::prelude::*;
 use spikefolio::agent::SdpAgent;
 use spikefolio::checkpoint::{heal_sdp, load_sdp, save_sdp};
 use spikefolio::config::SdpConfig;
-use spikefolio::{parse_fault_spec, run_desk, run_desk_quiet, DeskOptions, DeskReport};
+use spikefolio::{parse_fault_spec, run_desk, DeskOptions, DeskReport};
 use spikefolio_market::experiments::ExperimentPreset;
 use spikefolio_market::io::to_csv;
 use spikefolio_snn::stbp::flat_params;
-use spikefolio_telemetry::{labels, MemoryRecorder};
+use spikefolio_telemetry::{labels, MemoryRecorder, NoopRecorder};
 use std::path::PathBuf;
 
 fn tmp_dir(name: &str) -> PathBuf {
@@ -90,19 +90,19 @@ fn chaos_desk_serves_only_gated_models_and_is_deterministic() {
     // including the CRC over the final serving weights.
     let mut opts_b = fast_opts("chaos-b");
     opts_b.faults = parse_fault_spec("corrupt@0,nan@1,swapio@2,val@3", opts_b.seed).unwrap();
-    let report_b = run_desk_quiet(opts_b).expect("replay completes");
+    let report_b = run_desk(opts_b, &mut NoopRecorder).expect("replay completes");
     assert_eq!(report.final_weights_crc, report_b.final_weights_crc);
     assert_eq!(report.to_json(), report_b.to_json(), "chaos run must be deterministic");
 }
 
 #[test]
 fn recovered_desk_matches_fault_free_run() {
-    let clean = run_desk_quiet(fast_opts("clean")).expect("fault-free run completes");
+    let clean = run_desk(fast_opts("clean"), &mut NoopRecorder).expect("fault-free run completes");
 
     let mut opts = fast_opts("recovered");
     opts.faults =
         parse_fault_spec("corrupt@0,stall@0x2,nan@1,panic@1,swapio@2,val@3", opts.seed).unwrap();
-    let faulted = run_desk_quiet(opts).expect("faulted run completes");
+    let faulted = run_desk(opts, &mut NoopRecorder).expect("faulted run completes");
 
     // Recovery is exact: the faulted desk makes the same promotion
     // decisions and lands on bitwise the same serving weights.
@@ -168,7 +168,7 @@ fn stalled_csv_feed_trips_watchdog_and_keeps_last_good() {
     opts.rounds = 2;
     opts.csv = Some(csv_path);
     opts.max_stall_polls = 2;
-    let report = run_desk_quiet(opts).expect("stalled run still reports");
+    let report = run_desk(opts, &mut NoopRecorder).expect("stalled run still reports");
 
     assert_eq!(report.rounds.len(), 1, "desk stops at the stall: {report:?}");
     assert_eq!(report.rounds[0].outcome, "stalled");

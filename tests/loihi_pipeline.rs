@@ -9,6 +9,7 @@ use spikefolio_env::Backtester;
 use spikefolio_loihi::energy::LoihiEnergyModel;
 use spikefolio_loihi::LoihiChip;
 use spikefolio_market::experiments::ExperimentPreset;
+use spikefolio_telemetry::NoopRecorder;
 
 fn trained_agent() -> (SdpAgent, spikefolio_market::MarketData, SdpConfig) {
     let mut cfg = SdpConfig::smoke();
@@ -18,7 +19,7 @@ fn trained_agent() -> (SdpAgent, spikefolio_market::MarketData, SdpConfig) {
     cfg.training.learning_rate = 1e-3;
     let (train, test) = ExperimentPreset::experiment1().shrunk(70, 20).generate_split(23);
     let mut agent = SdpAgent::new(&cfg, train.num_assets(), cfg.seed);
-    let _ = Trainer::new(&cfg).train_sdp(&mut agent, &train);
+    let _ = Trainer::new(&cfg).train_sdp_with(&mut agent, &train, &mut NoopRecorder);
     (agent, test, cfg)
 }
 

@@ -12,6 +12,7 @@ use spikefolio::training::Trainer;
 use spikefolio_env::Backtester;
 use spikefolio_market::experiments::ExperimentPreset;
 use spikefolio_market::io::{from_csv, to_csv};
+use spikefolio_telemetry::NoopRecorder;
 
 fn smoke_config() -> SdpConfig {
     let mut cfg = SdpConfig::smoke();
@@ -32,7 +33,7 @@ fn trained_checkpoint_reproduces_backtest() {
     let (train, test) = ExperimentPreset::experiment1().shrunk(50, 15).generate_split(3);
     let cfg = smoke_config();
     let mut agent = SdpAgent::new(&cfg, train.num_assets(), cfg.seed);
-    let _ = Trainer::new(&cfg).train_sdp(&mut agent, &train);
+    let _ = Trainer::new(&cfg).train_sdp_with(&mut agent, &train, &mut NoopRecorder);
     let reference = Backtester::new(cfg.backtest).run(&mut agent.clone(), &test);
 
     let path = tmp("trained.ckpt");
@@ -64,7 +65,7 @@ fn eiie_trains_and_backtests_end_to_end() {
     let (train, test) = ExperimentPreset::experiment1().shrunk(60, 15).generate_split(9);
     let cfg = smoke_config();
     let mut agent = EiieAgent::new(&cfg, train.num_assets(), cfg.seed);
-    let log = Trainer::new(&cfg).train_eiie(&mut agent, &train);
+    let log = Trainer::new(&cfg).train_eiie_with(&mut agent, &train, &mut NoopRecorder);
     assert!(log.steps > 0);
     let r = Backtester::new(cfg.backtest).run(&mut agent, &test);
     assert!(r.fapv() > 0.0 && r.fapv().is_finite());
@@ -95,7 +96,7 @@ fn alif_agent_trains_and_cannot_deploy() {
     let mut cfg = smoke_config();
     cfg.network.adaptation = Some(AdaptiveParams::new());
     let mut agent = SdpAgent::new(&cfg, train.num_assets(), cfg.seed);
-    let _ = Trainer::new(&cfg).train_sdp(&mut agent, &train);
+    let _ = Trainer::new(&cfg).train_sdp_with(&mut agent, &train, &mut NoopRecorder);
     let r = Backtester::new(cfg.backtest).run(&mut agent, &test);
     assert!(r.fapv() > 0.0, "ALIF agent must train and trade");
     // Chip deployment is LIF-only by design.

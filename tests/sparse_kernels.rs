@@ -31,6 +31,7 @@ use spikefolio_snn::neuron::SpikeFn;
 use spikefolio_snn::{
     set_kernel_path, stbp, BatchNetworkTrace, BatchWorkspace, KernelPath, SpikeSet,
 };
+use spikefolio_telemetry::NoopRecorder;
 use spikefolio_tensor::{gemm, sparse, Matrix};
 
 const BATCHES: [usize; 3] = [1, 8, 32];
@@ -152,7 +153,7 @@ fn training_is_thread_count_invariant_on_the_sparse_path() {
         let mut c = cfg.clone();
         c.training.parallelism = threads;
         let mut agent = SdpAgent::new(&c, train.num_assets(), 3);
-        let log = Trainer::new(&c).train_sdp(&mut agent, &train);
+        let log = Trainer::new(&c).train_sdp_with(&mut agent, &train, &mut NoopRecorder);
         (stbp::flat_params(&agent.network), log.epoch_rewards)
     };
     let (p1, r1) = run(1);
@@ -175,7 +176,7 @@ fn trained_model_regression_sparse_equals_dense_on_table3_slice() {
     let run = |path: KernelPath| {
         set_kernel_path(path);
         let mut agent = SdpAgent::new(&cfg, train.num_assets(), 3);
-        let log = Trainer::new(&cfg).train_sdp(&mut agent, &train);
+        let log = Trainer::new(&cfg).train_sdp_with(&mut agent, &train, &mut NoopRecorder);
         set_kernel_path(KernelPath::Sparse);
         (stbp::flat_params(&agent.network), log.epoch_rewards)
     };

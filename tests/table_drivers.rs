@@ -7,6 +7,7 @@ use spikefolio::experiments::{
     PAPER_LOIHI_NJ_PER_INF,
 };
 use spikefolio::report;
+use spikefolio_telemetry::NoopRecorder;
 
 fn tiny_opts() -> RunOptions {
     let mut opts = RunOptions::smoke();
@@ -19,7 +20,7 @@ fn tiny_opts() -> RunOptions {
 
 #[test]
 fn table3_driver_produces_three_experiments() {
-    let outcomes = run_table3(&tiny_opts());
+    let outcomes = run_table3(&tiny_opts(), &mut NoopRecorder);
     assert_eq!(outcomes.len(), 3);
     for (out, name) in outcomes.iter().zip(["Experiment 1", "Experiment 2", "Experiment 3"]) {
         assert_eq!(out.experiment, name);
@@ -39,7 +40,7 @@ fn table3_driver_produces_three_experiments() {
 
 #[test]
 fn table4_driver_reproduces_headline_ratios() {
-    let outcomes = run_table4(&tiny_opts());
+    let outcomes = run_table4(&tiny_opts(), &mut NoopRecorder);
     assert_eq!(outcomes.len(), 3);
     for out in &outcomes {
         // Paper headline: ≥186× vs CPU, ≥516× vs GPU. The calibrated model
