@@ -157,7 +157,9 @@ fn decode(text: &str, kind: &str) -> Result<Vec<f64>, LoadCheckpointError> {
         .and_then(|f| f.strip_prefix("params="))
         .and_then(|n| n.parse().ok())
         .ok_or_else(|| LoadCheckpointError::Parse("missing params= field".into()))?;
-    let mut out = Vec::with_capacity(count);
+    // The header is untrusted: size the buffer from the bytes actually
+    // present (each value takes at least one digit and one separator).
+    let mut out = Vec::with_capacity(count.min(payload.len() / 2));
     for line in lines {
         for tok in line.split_whitespace() {
             let bits = u64::from_str_radix(tok, 16)
@@ -361,6 +363,15 @@ mod tests {
         std::fs::remove_file(&path).ok();
         // Missing file is an Io error.
         assert!(matches!(load_sdp(&mut agent, &path), Err(LoadCheckpointError::Io(_))));
+    }
+
+    #[test]
+    fn huge_params_header_is_a_parse_error_not_an_allocation() {
+        for count in ["4000000000000", "18446744073709551615"] {
+            let text = format!("{MAGIC_V1} kind=sdp params={count}\n");
+            let err = decode(&text, "sdp").unwrap_err();
+            assert!(matches!(err, LoadCheckpointError::Parse(_)), "params={count}: {err}");
+        }
     }
 
     #[test]
