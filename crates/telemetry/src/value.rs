@@ -192,13 +192,20 @@ fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
 }
 
+/// The deepest nesting of arrays and objects [`parse`] accepts. The
+/// parser recurses once per level, so untrusted input (a serve request
+/// line, a scorecard) must not pick the depth; every document the repo
+/// writes stays under ten levels.
+const MAX_DEPTH: usize = 128;
+
 /// Parses one JSON document.
 ///
 /// # Errors
 ///
-/// Returns a message with the byte offset of the first syntax error.
+/// Returns a message with the byte offset of the first syntax error, or
+/// of the first array or object nested more than 128 levels deep.
 pub fn parse(input: &str) -> Result<Value, String> {
-    let mut p = Parser { bytes: input.as_bytes(), pos: 0 };
+    let mut p = Parser { bytes: input.as_bytes(), pos: 0, depth: 0 };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
@@ -211,6 +218,8 @@ pub fn parse(input: &str) -> Result<Value, String> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -237,8 +246,15 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Value, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(open @ (b'{' | b'[')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(format!("nesting deeper than {MAX_DEPTH} at byte {}", self.pos));
+                }
+                self.depth += 1;
+                let v = if open == b'{' { self.object() } else { self.array() };
+                self.depth -= 1;
+                v
+            }
             Some(b'"') => Ok(Value::Str(self.string()?)),
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
@@ -456,6 +472,21 @@ mod tests {
         for bad in ["", "{", "[1,", "{\"a\":}", "tru", "1 2", "\"unterminated"] {
             assert!(parse(bad).is_err(), "{bad:?} should fail");
         }
+    }
+
+    #[test]
+    fn nesting_is_capped_without_overflowing_the_stack() {
+        for deep in ["[".repeat(10_000), "{\"a\":".repeat(10_000)] {
+            let err = parse(&deep).unwrap_err();
+            assert!(
+                err.contains(&format!("at byte {}", MAX_DEPTH * (deep.len() / 10_000))),
+                "{err}"
+            );
+        }
+        let at_cap = (0..MAX_DEPTH - 1).fold(Value::List(vec![]), |v, _| Value::List(vec![v]));
+        let json = at_cap.to_json();
+        assert_eq!(parse(&json).unwrap(), at_cap);
+        assert!(parse(&format!("[{json}]")).is_err(), "one level past the cap");
     }
 
     #[test]
