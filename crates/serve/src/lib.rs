@@ -50,7 +50,7 @@ pub use metrics::{
     MetricsSnapshot, Stage, METRICS_SCHEMA,
 };
 pub use protocol::SERVE_SCHEMA;
-pub use server::{Server, ServerHandle, ServerOptions};
+pub use server::{Server, ServerHandle, ServerOptions, MAX_LINE_BYTES};
 pub use service::{
     BatchPolicy, InferenceRequest, InferenceResponse, ServeError, Service, ServiceConfig,
     ShedReason, StatsSnapshot,

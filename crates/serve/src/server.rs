@@ -22,6 +22,11 @@ use crate::metrics::{MetricsRegistry, Stage, METRICS_SCHEMA};
 use crate::protocol::{self, Control, Payload, WireRequest};
 use crate::service::{InferenceRequest, InferenceResponse, ServeError, Service};
 
+/// Longest request line a connection may send (a paper-scale request is
+/// about 8 KB). A client that passes it without a newline gets a
+/// `line_too_long` error and is disconnected.
+pub const MAX_LINE_BYTES: usize = 1 << 20;
+
 /// Server tuning knobs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServerOptions {
@@ -203,6 +208,8 @@ fn handle_connection(
 
     let mut read_half = stream;
     let mut buf: Vec<u8> = Vec::new();
+    // Leading bytes of `buf` already known to hold no newline.
+    let mut scanned = 0;
     let mut chunk = [0u8; 4096];
     'conn: loop {
         if handle.is_stopped() {
@@ -212,8 +219,9 @@ fn handle_connection(
             Ok(0) => break,
             Ok(n) => {
                 buf.extend_from_slice(&chunk[..n]);
-                while let Some(pos) = buf.iter().position(|&b| b == b'\n') {
-                    let line_bytes: Vec<u8> = buf.drain(..=pos).collect();
+                while let Some(off) = buf[scanned..].iter().position(|&b| b == b'\n') {
+                    let line_bytes: Vec<u8> = buf.drain(..=scanned + off).collect();
+                    scanned = 0;
                     let text = String::from_utf8_lossy(&line_bytes);
                     let line = text.trim();
                     if line.is_empty() {
@@ -222,6 +230,17 @@ fn handle_connection(
                     if !process_line(line, service, handle, &out_tx) {
                         break 'conn;
                     }
+                }
+                scanned = buf.len();
+                if buf.len() > MAX_LINE_BYTES {
+                    service.registry().count_parse_error();
+                    let msg = format!("request line exceeds {MAX_LINE_BYTES} bytes");
+                    let _ = out_tx.send(Outgoing::Line(protocol::render_error(
+                        None,
+                        "line_too_long",
+                        &msg,
+                    )));
+                    break;
                 }
             }
             Err(e)

@@ -507,3 +507,48 @@ fn deterministic_mode_renders_bitwise_identical_response_streams() {
     handle.shutdown();
     assert!(join.join().expect("server thread").is_ok());
 }
+
+// ------------------------------------------------------ hostile clients
+
+#[test]
+fn oversized_line_is_refused_and_the_next_client_is_served() {
+    use spikefolio_serve::MAX_LINE_BYTES;
+    let ckpt = temp_ckpt("long_line", 6);
+    let (addr, handle, join) = start_tcp_server(&ckpt, ServiceConfig::default());
+
+    // 2 MiB with no newline, from a separate thread: the server may close
+    // before the client finishes writing, so write errors are expected.
+    let stream = TcpStream::connect(&addr).expect("connect");
+    stream.set_read_timeout(Some(std::time::Duration::from_secs(10))).expect("read timeout");
+    let mut writer = stream.try_clone().expect("clone stream");
+    let flood = std::thread::spawn(move || {
+        let block = vec![b'['; 64 * 1024];
+        for _ in 0..(2 * MAX_LINE_BYTES) / block.len() {
+            if writer.write_all(&block).is_err() {
+                break;
+            }
+        }
+    });
+    let mut reply = String::new();
+    BufReader::new(stream).read_line(&mut reply).expect("read refusal");
+    flood.join().expect("flood thread");
+    let reply = parse(reply.trim()).expect("refusal is JSON");
+    assert!(!is_true(&reply, "ok"), "{reply:?}");
+    assert_eq!(reply.get("error").and_then(Value::as_str), Some("line_too_long"), "{reply:?}");
+
+    // The server is still up for the next client, and counted the refusal.
+    let mut reader = BufReader::new(TcpStream::connect(&addr).expect("reconnect"));
+    assert!(is_true(&send_line(&mut reader, r#"{"cmd":"ping"}"#), "ok"));
+    let metrics = send_line(&mut reader, r#"{"cmd":"metrics"}"#);
+    let parse_errors = metrics
+        .get("metrics")
+        .and_then(|m| m.get("counters"))
+        .and_then(|c| c.get("parse_errors"))
+        .and_then(Value::as_u64);
+    assert_eq!(parse_errors, Some(1), "{metrics:?}");
+
+    let ack = send_line(&mut reader, r#"{"cmd":"shutdown"}"#);
+    assert!(is_true(&ack, "ok"), "{ack:?}");
+    assert!(join.join().expect("server thread").is_ok());
+    assert!(handle.is_stopped());
+}
