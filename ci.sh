@@ -28,6 +28,9 @@ cargo test -q -p spikefolio --test sparse_kernels
 echo "==> cargo bench --no-run (benches must keep compiling)"
 cargo bench --no-run --workspace
 
+echo "==> perfbench unit tests (its own cargo workspace: keeps its calls into the crates compiling)"
+cargo test -q --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> bench-baseline smoke (pin + self-compare must pass)"
 mkdir -p target
 cargo run --release -q --bin spikefolio -- bench run --smoke --seed 7 \
