@@ -74,7 +74,7 @@ impl Adam {
 pub struct ParamSlot(usize);
 
 /// A network's gradient buffers, as a minibatch loop sums, averages and
-/// clips them. Every trainer (STBP, MLP, EIIE) clips through the same
+/// clips them. The STBP and MLP trainers clip through the shared
 /// [`clip_global_norm`](Gradients::clip_global_norm).
 pub trait Gradients {
     /// Accumulates `other` into `self` (summing a minibatch).
