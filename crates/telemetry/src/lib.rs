@@ -54,7 +54,7 @@ pub mod summary;
 pub mod value;
 
 pub use record::Record;
-pub use sink::{JsonlSink, MemoryRecorder};
+pub use sink::{JsonlSink, MemoryRecorder, TapeRecorder};
 pub use summary::{summarize_file, summarize_lines, RunSummary};
 pub use value::Value;
 

@@ -1,5 +1,6 @@
-//! Recorders that store observations: the JSONL file sink and an
-//! in-memory recorder for tests and programmatic inspection.
+//! Recorders that store observations: the JSONL file sink, an in-memory
+//! recorder for tests and programmatic inspection, and an in-order tape
+//! that replays into either.
 
 use crate::record::Record;
 use crate::value::Value;
@@ -262,6 +263,11 @@ impl MemoryRecorder {
     pub fn counters(&self) -> &BTreeMap<String, u64> {
         &self.counters
     }
+
+    /// All span `(total seconds, span count)` pairs (label-sorted).
+    pub fn spans(&self) -> &BTreeMap<String, (f64, u64)> {
+        &self.spans
+    }
 }
 
 impl Recorder for MemoryRecorder {
@@ -281,6 +287,81 @@ impl Recorder for MemoryRecorder {
 
     fn emit(&mut self, record: Record) {
         self.records.push(record);
+    }
+}
+
+/// One observation held on a [`TapeRecorder`].
+#[derive(Debug, Clone, PartialEq)]
+enum TapeEvent {
+    Counter(String, u64),
+    Gauge(String, f64),
+    Span(String, f64),
+    Emit(Record),
+}
+
+/// An in-order recorder for work that runs away from the caller's
+/// recorder, e.g. on a worker thread: it keeps every observation in
+/// arrival order and [`replay`](TapeRecorder::replay)s them into another
+/// recorder later, so the target sees exactly the call sequence it would
+/// have seen had the work recorded into it directly.
+///
+/// A tape is built [`mirroring`](TapeRecorder::mirroring) its eventual
+/// target's [`enabled`](Recorder::enabled): a tape for a disabled target
+/// is itself disabled and buffers nothing, so instrumented code skips its
+/// measurement work exactly as it would with a
+/// [`NoopRecorder`](crate::NoopRecorder).
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct TapeRecorder {
+    enabled: bool,
+    events: Vec<TapeEvent>,
+}
+
+impl TapeRecorder {
+    /// An empty tape whose `enabled()` equals `target`'s.
+    pub fn mirroring(target: &(impl Recorder + ?Sized)) -> Self {
+        Self { enabled: target.enabled(), events: Vec::new() }
+    }
+
+    /// Plays every held observation into `rec`, in the order recorded.
+    pub fn replay(self, rec: &mut (impl Recorder + ?Sized)) {
+        for event in self.events {
+            match event {
+                TapeEvent::Counter(label, delta) => rec.counter(&label, delta),
+                TapeEvent::Gauge(label, value) => rec.gauge(&label, value),
+                TapeEvent::Span(label, seconds) => rec.span(&label, seconds),
+                TapeEvent::Emit(record) => rec.emit(record),
+            }
+        }
+    }
+
+    /// Holds the event `make` builds, unless the tape is disabled (then
+    /// nothing is built).
+    fn push(&mut self, make: impl FnOnce() -> TapeEvent) {
+        if self.enabled {
+            self.events.push(make());
+        }
+    }
+}
+
+impl Recorder for TapeRecorder {
+    fn enabled(&self) -> bool {
+        self.enabled
+    }
+
+    fn counter(&mut self, label: &str, delta: u64) {
+        self.push(|| TapeEvent::Counter(label.to_owned(), delta));
+    }
+
+    fn gauge(&mut self, label: &str, value: f64) {
+        self.push(|| TapeEvent::Gauge(label.to_owned(), value));
+    }
+
+    fn span(&mut self, label: &str, seconds: f64) {
+        self.push(|| TapeEvent::Span(label.to_owned(), seconds));
+    }
+
+    fn emit(&mut self, record: Record) {
+        self.push(|| TapeEvent::Emit(record));
     }
 }
 
@@ -358,5 +439,44 @@ mod tests {
         assert_eq!(rec.span_total("s"), (0.5, 1));
         assert_eq!(rec.records().len(), 1);
         assert_eq!(rec.counter_total("missing"), 0);
+    }
+
+    /// A fixed, clock-free observation sequence with metrics on both
+    /// sides of an emit.
+    fn script(rec: &mut dyn Recorder) {
+        rec.counter("loihi/synops", 100);
+        rec.gauge("train/queue/occupancy", 2.0);
+        rec.span("train/epoch/forward_batch", 0.25);
+        rec.emit(Record::new("epoch").field("epoch", 0u64).field("reward", 0.5));
+        rec.counter("loihi/synops", 50);
+        rec.span("train/epoch/forward_batch", 0.125);
+        rec.span("train/epoch", 0.5);
+        rec.emit(Record::new("scenario_cell").field("strategy", "SDP"));
+        rec.gauge("train/queue/occupancy", 3.0);
+    }
+
+    #[test]
+    fn replayed_tape_writes_the_same_bytes_as_direct_recording() {
+        let mut direct = JsonlSink::new(Vec::new());
+        script(&mut direct);
+        let direct = direct.finish().unwrap();
+
+        let mut replayed = JsonlSink::new(Vec::new());
+        let mut tape = TapeRecorder::mirroring(&replayed);
+        assert!(tape.enabled());
+        script(&mut tape);
+        tape.replay(&mut replayed);
+        let replayed = replayed.finish().unwrap();
+        assert_eq!(std::str::from_utf8(&replayed).unwrap(), std::str::from_utf8(&direct).unwrap());
+    }
+
+    #[test]
+    fn tape_mirroring_a_disabled_recorder_buffers_nothing() {
+        let mut tape = TapeRecorder::mirroring(&crate::NoopRecorder);
+        assert!(!tape.enabled());
+        script(&mut tape);
+        let mut mem = MemoryRecorder::new();
+        tape.replay(&mut mem);
+        assert!(mem.records().is_empty() && mem.counters().is_empty() && mem.spans().is_empty());
     }
 }
