@@ -362,11 +362,11 @@ impl<O: Optimizer> EiieTrainer<O> {
         Self { optimizer, slots, max_grad_norm: Some(10.0) }
     }
 
-    /// Applies one descent step.
-    pub fn apply(&mut self, net: &mut Eiie, grads: &EiieGradients) {
-        let mut grads = grads.clone();
+    /// Applies one descent step, clipping `grads` in place to the
+    /// global-norm cap first.
+    pub fn apply(&mut self, net: &mut Eiie, grads: &mut EiieGradients) {
         if let Some(max) = self.max_grad_norm {
-            let flat = Eiie::flat_grads(&grads);
+            let flat = Eiie::flat_grads(grads);
             let norm = flat.iter().map(|g| g * g).sum::<f64>().sqrt();
             if norm > max && norm > 0.0 {
                 grads.scale(max / norm);
@@ -482,8 +482,8 @@ mod tests {
         let mut trainer = EiieTrainer::new(&net, Adam::new(1e-2));
         for _ in 0..100 {
             let trace = net.forward(&assets, &pw);
-            let grads = net.backward(&trace, &[0.0, -1.0, 0.0, 0.0]);
-            trainer.apply(&mut net, &grads);
+            let mut grads = net.backward(&trace, &[0.0, -1.0, 0.0, 0.0]);
+            trainer.apply(&mut net, &mut grads);
         }
         let after = net.act(&assets, &pw)[1];
         assert!(after > before + 0.2, "a[1] went {before} → {after}");

@@ -242,13 +242,13 @@ impl<O: Optimizer> MlpTrainer<O> {
         Self { optimizer, weight_slots, bias_slots, max_grad_norm: Some(10.0) }
     }
 
-    /// Applies one descent step.
+    /// Applies one descent step, clipping `grads` in place to the
+    /// global-norm cap first.
     ///
     /// # Panics
     ///
     /// Panics if `grads` doesn't match the network shape.
-    pub fn apply(&mut self, net: &mut Mlp, grads: &MlpGradients) {
-        let mut grads = grads.clone();
+    pub fn apply(&mut self, net: &mut Mlp, grads: &mut MlpGradients) {
         if let Some(max) = self.max_grad_norm {
             grads.clip_global_norm(max);
         }
@@ -366,8 +366,8 @@ mod tests {
         let mut trainer = MlpTrainer::new(&n, Adam::new(1e-2));
         for _ in 0..100 {
             let trace = n.forward(&state);
-            let grads = n.backward(&trace, &[0.0, 0.0, -1.0]);
-            trainer.apply(&mut n, &grads);
+            let mut grads = n.backward(&trace, &[0.0, 0.0, -1.0]);
+            trainer.apply(&mut n, &mut grads);
         }
         let after = n.act(&state)[2];
         assert!(after > before + 0.1, "a[2] went {before} → {after}");

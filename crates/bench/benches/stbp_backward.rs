@@ -24,8 +24,8 @@ fn bench_backward(c: &mut Criterion) {
         let mut trainer = SdpTrainer::new(&train_net, Adam::new(1e-4));
         b.iter(|| {
             let (_, tr) = train_net.forward(&state, &mut rng);
-            let grads = stbp::backward(&train_net, &tr, &d_action);
-            trainer.apply(&mut train_net, &grads);
+            let mut grads = stbp::backward(&train_net, &tr, &d_action);
+            trainer.apply(&mut train_net, &mut grads);
         })
     });
     group.bench_function("gradient_accumulate_scale", |b| {

@@ -159,8 +159,8 @@ mod tests {
         let target = 0.042;
         for _ in 0..200 {
             let trace = critic.forward(&input);
-            let g = critic.backward(&trace, &[trace.action()[0] - target]);
-            trainer.apply(&mut critic, &g);
+            let mut g = critic.backward(&trace, &[trace.action()[0] - target]);
+            trainer.apply(&mut critic, &mut g);
         }
         let q = critic.act(&input)[0];
         assert!((q - target).abs() < 1e-3, "critic converged to {q}, wanted {target}");

@@ -33,6 +33,8 @@ use spikefolio_telemetry::{labels, MemoryRecorder, Record, Recorder, Stopwatch, 
 use spikefolio_tensor::optim::{Adam, Gradients};
 use spikefolio_tensor::vector::dot;
 use spikefolio_tensor::Matrix;
+use std::collections::BTreeMap;
+use std::sync::mpsc;
 use std::time::Instant;
 
 /// Per-epoch training diagnostics.
@@ -414,8 +416,11 @@ impl SdpTrainingSession<'_> {
     ///    round-robin to `training.parallelism` workers. Each micro-batch
     ///    is one batched forward + reward gradient + batched STBP
     ///    backward, reusing the worker's cached workspace.
-    /// 3. **Phase 3 (sequential):** accumulate micro-batch gradients in
-    ///    micro-batch index order, write actions back into the PVM, and
+    ///    As each micro-batch finishes, its gradients are accumulated and
+    ///    its actions written back into the PVM, in micro-batch index
+    ///    order, so the step holds one gradient sum rather than one per
+    ///    micro-batch.
+    /// 3. **Phase 3 (sequential):** average the accumulated gradients and
     ///    apply the Adam step.
     ///
     /// Because the work units (micro-batches) and the per-sample encoder
@@ -480,93 +485,32 @@ impl SdpTrainingSession<'_> {
                 .collect();
             sample_watch.stop(rec, labels::SPAN_TRAIN_SAMPLE);
 
-            // Phase 2: batched forward/backward over micro-batches.
+            // Phase 2: batched forward/backward over micro-batches, each
+            // folded into the step's sums (gradients, rewards, PVM rows,
+            // measurements) in micro-batch index order as soon as it
+            // exists, so no more than the out-of-order results are held.
             let network = &agent.network;
             let market = self.market;
             let costs = self.costs;
             let rate_penalty = tc.rate_penalty;
             let chunks: Vec<&[SampleItem]> = items.chunks(micro).collect();
-            let mut results: Vec<Option<MicroBatchResult>> =
-                (0..chunks.len()).map(|_| None).collect();
             if observe {
                 rec.gauge(labels::GAUGE_QUEUE_MICRO_BATCHES, chunks.len() as f64);
                 rec.gauge(labels::GAUGE_QUEUE_WORKERS, workers as f64);
                 rec.gauge(labels::GAUGE_QUEUE_OCCUPANCY, chunks.len() as f64 / workers as f64);
             }
-            if workers == 1 {
-                let cache = &mut self.worker_caches[0];
-                for (slot, chunk) in results.iter_mut().zip(&chunks) {
-                    *slot = Some(process_micro_batch(
-                        network,
-                        market,
-                        &costs,
-                        rate_penalty,
-                        chunk,
-                        cache,
-                        observe,
-                    ));
-                }
-            } else {
-                let chunks = &chunks;
-                let outs: Vec<(usize, _)> = std::thread::scope(|scope| {
-                    let mut handles = Vec::with_capacity(workers);
-                    for (w, cache) in self.worker_caches.iter_mut().take(workers).enumerate() {
-                        handles.push(scope.spawn(move || {
-                            chunks
-                                .iter()
-                                .enumerate()
-                                .skip(w)
-                                .step_by(workers)
-                                .map(|(mb, chunk)| {
-                                    (
-                                        mb,
-                                        process_micro_batch(
-                                            network,
-                                            market,
-                                            &costs,
-                                            rate_penalty,
-                                            chunk,
-                                            cache,
-                                            observe,
-                                        ),
-                                    )
-                                })
-                                .collect::<Vec<_>>()
-                        }));
-                    }
-                    handles
-                        .into_iter()
-                        .flat_map(|h| {
-                            // join() only fails if the worker panicked;
-                            // propagating that panic is the correct response.
-                            #[allow(clippy::expect_used)]
-                            h.join().expect("worker thread panicked")
-                        })
-                        .collect()
-                });
-                for (mb, out) in outs {
-                    results[mb] = Some(out);
-                }
-            }
-
-            // Phase 3 (sequential, micro-batch index order): accumulate
-            // gradients, write the PVM.
-            let apply_watch = Stopwatch::start(rec);
-            let mut grads = stbp::SdpGradients::zeros_like(&agent.network);
+            let mut grads = stbp::SdpGradients::zeros_like(network);
             let mut batch_reward = 0.0;
             let mut forward_s = 0.0;
             let mut backward_s = 0.0;
             let mut encode_s = 0.0;
             let mut lif_s = 0.0;
             let mut stbp_s = 0.0;
-            for out in results {
-                // Every micro-batch slot is filled by exactly one worker
-                // above; an empty slot is a scheduler bug worth a panic.
-                #[allow(clippy::expect_used)]
-                let (samples, g, telemetry) = out.expect("micro-batch result missing");
+            let pvm = &mut self.pvm;
+            let mut fold = |(samples, g, telemetry): MicroBatchResult| {
                 grads.accumulate(&g);
                 for (t, action, r) in samples {
-                    self.pvm.set(t, action);
+                    pvm.set(t, action);
                     batch_reward += r;
                 }
                 if let Some(mt) = telemetry {
@@ -583,7 +527,62 @@ impl SdpTrainingSession<'_> {
                         *total += n;
                     }
                 }
+            };
+            if workers == 1 {
+                let cache = &mut self.worker_caches[0];
+                for chunk in &chunks {
+                    fold(process_micro_batch(
+                        network,
+                        market,
+                        &costs,
+                        rate_penalty,
+                        chunk,
+                        cache,
+                        observe,
+                    ));
+                }
+            } else {
+                let chunks = &chunks;
+                let (tx, rx) = mpsc::channel();
+                std::thread::scope(|scope| {
+                    for (w, cache) in self.worker_caches.iter_mut().take(workers).enumerate() {
+                        let tx = tx.clone();
+                        scope.spawn(move || {
+                            for (mb, chunk) in chunks.iter().enumerate().skip(w).step_by(workers) {
+                                let out = process_micro_batch(
+                                    network,
+                                    market,
+                                    &costs,
+                                    rate_penalty,
+                                    chunk,
+                                    cache,
+                                    observe,
+                                );
+                                // The receiver lives until every sender
+                                // is gone, so a send cannot fail.
+                                let _ = tx.send((mb, out));
+                            }
+                        });
+                    }
+                    drop(tx);
+                    // A result that overtakes a lower index waits here.
+                    let mut pending = BTreeMap::new();
+                    let mut next = 0;
+                    for (mb, out) in rx {
+                        pending.insert(mb, out);
+                        while let Some(out) = pending.remove(&next) {
+                            fold(out);
+                            next += 1;
+                        }
+                    }
+                    // The channel closes once every worker has returned;
+                    // a worker panic re-raises when the scope joins.
+                    assert!(pending.is_empty(), "micro-batch result missing");
+                });
             }
+
+            // Phase 3 (sequential): average and apply the step's gradients.
+            let apply_watch = Stopwatch::start(rec);
             grads.scale(1.0 / tc.batch_size as f64);
             grad_norm_sum += grads.global_norm();
             if observe {
@@ -601,12 +600,12 @@ impl SdpTrainingSession<'_> {
                     *sum += sq.sqrt();
                 }
                 let before = stbp::flat_params(&agent.network);
-                self.trainer.apply(&mut agent.network, &grads);
+                self.trainer.apply(&mut agent.network, &mut grads);
                 let after = stbp::flat_params(&agent.network);
                 update_mag_sum +=
                     before.iter().zip(&after).map(|(a, b)| (a - b) * (a - b)).sum::<f64>().sqrt();
             } else {
-                self.trainer.apply(&mut agent.network, &grads);
+                self.trainer.apply(&mut agent.network, &mut grads);
             }
             apply_watch.stop(rec, labels::SPAN_TRAIN_APPLY);
             epoch_reward += batch_reward;
@@ -869,8 +868,8 @@ impl Trainer {
                 (action, r, DdpgGradients { critic, actor })
             },
             |agent, g| {
-                critic_trainer.apply(&mut agent.critic, &g.critic);
-                actor_trainer.apply(&mut agent.actor, &g.actor);
+                critic_trainer.apply(&mut agent.critic, &mut g.critic);
+                actor_trainer.apply(&mut agent.actor, &mut g.actor);
             },
         )
     }
@@ -896,7 +895,7 @@ impl Trainer {
         rec: &mut dyn Recorder,
         (name, salt, min_period): (&str, u64, usize),
         sample: impl Fn(&A, usize, &[f64]) -> (Vec<f64>, f64, G),
-        mut apply: impl FnMut(&mut A, &G),
+        mut apply: impl FnMut(&mut A, &mut G),
     ) -> TrainingLog {
         let tc = self.config.training;
         let (min_t, max_t) = self.bounds(market, min_period);
@@ -924,7 +923,7 @@ impl Trainer {
                 if let Some(mut g) = grads {
                     g.scale(1.0 / tc.batch_size as f64);
                     grad_norm_sum += g.global_norm();
-                    apply(agent, &g);
+                    apply(agent, &mut g);
                 }
                 log.steps += 1;
                 epoch_reward += batch_reward;

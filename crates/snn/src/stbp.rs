@@ -452,8 +452,8 @@ fn backward_batch_inner(
 /// // Descend on L = -a[0] (make action 0 more likely).
 /// let mut d_action = vec![0.0; 3];
 /// d_action[0] = -1.0;
-/// let grads = stbp::backward(&net, &trace, &d_action);
-/// trainer.apply(&mut net, &grads);
+/// let mut grads = stbp::backward(&net, &trace, &d_action);
+/// trainer.apply(&mut net, &mut grads);
 /// # let _ = action;
 /// ```
 #[derive(Debug, Clone)]
@@ -486,13 +486,13 @@ impl<O: Optimizer> SdpTrainer<O> {
         }
     }
 
-    /// Applies one optimization step with `grads` (descent direction).
+    /// Applies one optimization step with `grads` (descent direction),
+    /// clipping `grads` in place to the global-norm cap first.
     ///
     /// # Panics
     ///
     /// Panics if `grads` was produced for a differently-shaped network.
-    pub fn apply(&mut self, net: &mut SdpNetwork, grads: &SdpGradients) {
-        let mut grads = grads.clone();
+    pub fn apply(&mut self, net: &mut SdpNetwork, grads: &mut SdpGradients) {
         if let Some(max) = self.max_grad_norm {
             grads.clip_global_norm(max);
         }
@@ -658,8 +658,8 @@ mod tests {
         let mut trainer = SdpTrainer::new(&net, spikefolio_tensor::optim::Adam::new(5e-3));
         for _ in 0..50 {
             let (_, trace) = net.forward(&state, &mut rng());
-            let grads = backward(&net, &trace, &[-1.0, 0.0]);
-            trainer.apply(&mut net, &grads);
+            let mut grads = backward(&net, &trace, &[-1.0, 0.0]);
+            trainer.apply(&mut net, &mut grads);
         }
         let after = net.act(&state, &mut rng())[0];
         assert!(after > before + 0.05, "a[0] went {before} → {after}");
@@ -676,8 +676,8 @@ mod tests {
         let mut trainer = SdpTrainer::new(&net, spikefolio_tensor::optim::Adam::new(1e-2));
         for _ in 0..100 {
             let (_, trace) = net.forward(&state, &mut rng());
-            let grads = backward(&net, &trace, &[0.0, -1.0]);
-            trainer.apply(&mut net, &grads);
+            let mut grads = backward(&net, &trace, &[0.0, -1.0]);
+            trainer.apply(&mut net, &mut grads);
         }
         let after = net.act(&state, &mut rng())[1];
         assert!(after > before, "a[1] went {before} → {after}");
@@ -825,8 +825,8 @@ mod tests {
             let mut trainer = SdpTrainer::new(&net, spikefolio_tensor::optim::Adam::new(5e-3));
             for _ in 0..80 {
                 let (_, trace) = net.forward(&state, &mut rng());
-                let grads = backward_with_rate_penalty(&net, &trace, &d_action, lambda);
-                trainer.apply(&mut net, &grads);
+                let mut grads = backward_with_rate_penalty(&net, &trace, &d_action, lambda);
+                trainer.apply(&mut net, &mut grads);
             }
             let (_, stats) = net.act_with_stats(&state, &mut rng());
             stats.neuron_spikes
