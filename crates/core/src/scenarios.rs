@@ -9,9 +9,18 @@
 //! measures how policies fit on ordinary regimes survive tails they were
 //! not shown.
 //!
-//! Determinism contract: the scorecard depends only on `(options, seed)`.
-//! Per-cell wall-clock goes to telemetry `scenario_cell` records, never
-//! into the scorecard document.
+//! The work of a universe fans out over every core in two rounds of
+//! independent jobs: the four trainings, then the (scenario × strategy)
+//! backtests. Each job records into its own tape, and the caller replays
+//! the tapes and collects the cells in job order.
+//!
+//! Determinism contract: the scorecard depends only on `(options, seed)`,
+//! not on the core count, and the telemetry record sequence does not
+//! depend on the core count either. A universe's agents are seeded from
+//! its place in [`UniverseSpec::standard_set`], so a subset run
+//! reproduces the full matrix's rows for that universe. Per-cell
+//! wall-clock goes to telemetry `scenario_cell` records, never into the
+//! scorecard document.
 
 use crate::agent::SdpAgent;
 use crate::config::SdpConfig;
@@ -21,10 +30,11 @@ use crate::eiie::EiieAgent;
 use crate::training::Trainer;
 use spikefolio_baselines::scenario_baselines;
 use spikefolio_env::{BacktestConfig, Backtester, CostModel, Policy};
-use spikefolio_market::{UniverseGrid, UniverseSpec};
+use spikefolio_market::{MarketData, UniverseGrid, UniverseSpec};
 use spikefolio_scenario::{Scenario, Scorecard, ScorecardCell};
-use spikefolio_telemetry::{Record, Recorder};
-use std::time::Instant;
+use spikefolio_telemetry::{Record, Recorder, Stopwatch, TapeRecorder};
+use std::num::NonZeroUsize;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Options for one `scenarios run`.
 #[derive(Debug, Clone)]
@@ -32,10 +42,10 @@ pub struct ScenarioMatrixOptions {
     /// Master seed: market generation, agent init, and training all derive
     /// from it.
     pub seed: u64,
-    /// Universe names to include (empty = the whole
+    /// Universe names to include, each at most once (empty = the whole
     /// [`UniverseSpec::standard_set`]).
     pub universes: Vec<String>,
-    /// Scenarios to include (empty = [`Scenario::ALL`]).
+    /// Scenarios to include, each at most once (empty = [`Scenario::ALL`]).
     pub scenarios: Vec<Scenario>,
     /// Use the minutes-scale smoke grid and training budget (CI scale).
     pub smoke: bool,
@@ -67,22 +77,40 @@ fn describe_costs(costs: &CostModel) -> String {
     }
 }
 
-/// Resolves the universe specs for `opts`, validating requested names.
-fn select_universes(opts: &ScenarioMatrixOptions) -> Result<Vec<UniverseSpec>, String> {
+/// Resolves the universe specs for `opts`, each with its index in
+/// [`UniverseSpec::standard_set`], validating requested names.
+fn select_universes(opts: &ScenarioMatrixOptions) -> Result<Vec<(usize, UniverseSpec)>, String> {
     let grid = if opts.smoke { UniverseGrid::smoke() } else { UniverseGrid::standard() };
-    let all = UniverseSpec::standard_set(grid);
+    let all: Vec<(usize, UniverseSpec)> =
+        UniverseSpec::standard_set(grid).into_iter().enumerate().collect();
     if opts.universes.is_empty() {
         return Ok(all);
     }
-    let known: Vec<&str> = all.iter().map(|s| s.name.as_str()).collect();
-    let mut picked = Vec::new();
+    let known: Vec<&str> = all.iter().map(|(_, s)| s.name.as_str()).collect();
+    let mut picked: Vec<(usize, UniverseSpec)> = Vec::new();
     for name in &opts.universes {
-        match all.iter().find(|s| &s.name == name) {
-            Some(spec) => picked.push(spec.clone()),
+        if picked.iter().any(|(_, s)| &s.name == name) {
+            return Err(format!("universe {name:?} is listed twice"));
+        }
+        match all.iter().find(|(_, s)| &s.name == name) {
+            Some(entry) => picked.push(entry.clone()),
             None => return Err(format!("unknown universe {name:?}; known: {}", known.join(", "))),
         }
     }
     Ok(picked)
+}
+
+/// Resolves the scenarios for `opts`, rejecting a repeated one.
+fn select_scenarios(opts: &ScenarioMatrixOptions) -> Result<Vec<Scenario>, String> {
+    if opts.scenarios.is_empty() {
+        return Ok(Scenario::ALL.to_vec());
+    }
+    for (i, scenario) in opts.scenarios.iter().enumerate() {
+        if opts.scenarios[..i].contains(scenario) {
+            return Err(format!("scenario {:?} is listed twice", scenario.name()));
+        }
+    }
+    Ok(opts.scenarios.clone())
 }
 
 /// The training/evaluation configuration for one universe of the matrix.
@@ -93,94 +121,198 @@ fn matrix_config(opts: &ScenarioMatrixOptions) -> SdpConfig {
         cfg.training.steps_per_epoch = 16;
         cfg.training.batch_size = 32;
     }
+    // The matrix runs whole trainings side by side (see `fan_out`), so
+    // each one trains on a single thread.
+    cfg.training.parallelism = 1;
     cfg.backtest.costs = opts.costs;
     cfg.seed = opts.seed;
     cfg
 }
 
-/// Runs the full matrix, emitting one telemetry `scenario_cell` record per
-/// evaluated cell (with wall-clock) and returning the scorecard (without
-/// wall-clock — the document is bitwise-deterministic under a pinned
-/// seed).
+/// One universe's trained agent, in scorecard strategy order.
+enum Learned {
+    Sdp(SdpAgent),
+    Drl(DrlAgent),
+    Eiie(EiieAgent),
+    Ddpg(DdpgAgent),
+}
+
+impl Learned {
+    /// A fresh copy of the trained agent to backtest, so every cell starts
+    /// from the same state.
+    fn policy(&self) -> Box<dyn Policy> {
+        match self {
+            Self::Sdp(agent) => Box::new(agent.clone()),
+            Self::Drl(agent) => Box::new(agent.clone()),
+            Self::Eiie(agent) => Box::new(agent.clone()),
+            Self::Ddpg(agent) => Box::new(agent.clone()),
+        }
+    }
+}
+
+/// Runs `job(i, tape)` for every `i < jobs` on `workers` threads, the
+/// caller's included (one worker spawns no thread): each worker takes the
+/// next index from a shared counter until none is left. Every job records
+/// into its own [`TapeRecorder`] mirroring `rec`. The tapes are replayed
+/// into `rec` and the outputs returned in job order, so both are the same
+/// for any worker count and any schedule.
+fn fan_out<T: Send>(
+    jobs: usize,
+    workers: usize,
+    rec: &mut dyn Recorder,
+    job: impl Fn(usize, &mut TapeRecorder) -> T + Sync,
+) -> Vec<T> {
+    let next = AtomicUsize::new(0);
+    let blank = TapeRecorder::mirroring(rec);
+    let work = || {
+        let mut done = Vec::new();
+        loop {
+            // The index publishes no data (outputs reach the caller
+            // through the joins), so `Relaxed` suffices.
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= jobs {
+                return done;
+            }
+            let mut tape = blank.clone();
+            let out = job(i, &mut tape);
+            done.push((i, out, tape));
+        }
+    };
+    let mut done = std::thread::scope(|scope| {
+        let helpers: Vec<_> = (1..workers.min(jobs)).map(|_| scope.spawn(work)).collect();
+        let mut done = work();
+        for helper in helpers {
+            // join() only fails if the worker panicked; propagating that
+            // panic is the correct response.
+            #[allow(clippy::expect_used)]
+            done.extend(helper.join().expect("matrix worker panicked"));
+        }
+        done
+    });
+    done.sort_unstable_by_key(|(i, ..)| *i);
+    done.into_iter()
+        .map(|(_, out, tape)| {
+            tape.replay(rec);
+            out
+        })
+        .collect()
+}
+
+/// Runs the full matrix on every available core, emitting one telemetry
+/// `scenario_cell` record per evaluated cell (with wall-clock) and
+/// returning the scorecard (without wall-clock — the document is
+/// bitwise-deterministic under a pinned seed, whatever the core count).
 ///
 /// # Errors
 ///
-/// Returns an error for an unknown universe name.
+/// Returns an error for an unknown or repeated universe name, or a
+/// repeated scenario.
 pub fn run_scenario_matrix(
     opts: &ScenarioMatrixOptions,
     rec: &mut dyn Recorder,
 ) -> Result<Scorecard, String> {
+    let workers = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
+    run_matrix(opts, rec, workers)
+}
+
+/// [`run_scenario_matrix`] on `workers` threads.
+///
+/// Each universe runs as two fan-outs: its four trainings, then its
+/// (scenario × strategy) backtests. Between them, and before the next
+/// universe, the caller works alone, so only the jobs of one fan-out
+/// overlap.
+fn run_matrix(
+    opts: &ScenarioMatrixOptions,
+    rec: &mut dyn Recorder,
+    workers: usize,
+) -> Result<Scorecard, String> {
     let specs = select_universes(opts)?;
-    let scenarios: Vec<Scenario> =
-        if opts.scenarios.is_empty() { Scenario::ALL.to_vec() } else { opts.scenarios.clone() };
+    let scenarios = select_scenarios(opts)?;
     let cfg = matrix_config(opts);
     let backtester = Backtester::new(BacktestConfig {
         costs: opts.costs,
         risk_free_per_period: cfg.backtest.risk_free_per_period,
     });
+    let classical = scenario_baselines().len();
 
     let mut card =
         Scorecard { seed: opts.seed, cost_model: describe_costs(&opts.costs), cells: Vec::new() };
-    for (u_idx, spec) in specs.iter().enumerate() {
+    for (u_idx, spec) in &specs {
         let (train, test) = spec.generate_split(opts.seed);
         // Per-universe agent seed: distinct streams per universe, all
-        // derived from the master seed.
-        let agent_seed = opts.seed.wrapping_add(u_idx as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        // derived from the master seed and the universe's place in the
+        // standard set, so a subset run reproduces the full matrix's rows.
+        let agent_seed = opts.seed.wrapping_add(*u_idx as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
         let mut ucfg = cfg.clone();
         ucfg.seed = agent_seed;
         let trainer = Trainer::new(&ucfg);
+        let n = train.num_assets();
 
-        let mut sdp = SdpAgent::new(&ucfg, train.num_assets(), agent_seed);
-        trainer.train_sdp_with(&mut sdp, &train, rec);
-        let mut drl = DrlAgent::new(&ucfg, train.num_assets(), agent_seed ^ 0xd71);
-        trainer.train_drl_with(&mut drl, &train, rec);
-        let mut eiie = EiieAgent::new(&ucfg, train.num_assets(), agent_seed ^ 0xe11e);
-        trainer.train_eiie_with(&mut eiie, &train, rec);
-        let mut ddpg = DdpgAgent::new(&ucfg, train.num_assets(), agent_seed ^ 0xddb6);
-        trainer.train_ddpg_with(&mut ddpg, &train, rec);
+        type TrainJob<'a> = &'a (dyn Fn(&mut TapeRecorder) -> Learned + Sync);
+        let trainings: [TrainJob<'_>; 4] = [
+            &|tape| {
+                let mut agent = SdpAgent::new(&ucfg, n, agent_seed);
+                trainer.train_sdp_with(&mut agent, &train, tape);
+                Learned::Sdp(agent)
+            },
+            &|tape| {
+                let mut agent = DrlAgent::new(&ucfg, n, agent_seed ^ 0xd71);
+                trainer.train_drl_with(&mut agent, &train, tape);
+                Learned::Drl(agent)
+            },
+            &|tape| {
+                let mut agent = EiieAgent::new(&ucfg, n, agent_seed ^ 0xe11e);
+                trainer.train_eiie_with(&mut agent, &train, tape);
+                Learned::Eiie(agent)
+            },
+            &|tape| {
+                let mut agent = DdpgAgent::new(&ucfg, n, agent_seed ^ 0xddb6);
+                trainer.train_ddpg_with(&mut agent, &train, tape);
+                Learned::Ddpg(agent)
+            },
+        ];
+        let learned = fan_out(trainings.len(), workers, rec, |i, tape| trainings[i](tape));
 
-        for scenario in &scenarios {
-            let stressed = scenario.apply(&test);
-            let mut roster: Vec<Box<dyn Policy>> = vec![
-                Box::new(sdp.clone()),
-                Box::new(drl.clone()),
-                Box::new(eiie.clone()),
-                Box::new(ddpg.clone()),
-            ];
-            roster.extend(scenario_baselines());
-            for mut policy in roster {
-                let t0 = Instant::now();
-                let result = backtester.run(policy.as_mut(), &stressed);
-                let wall_s = t0.elapsed().as_secs_f64();
-                let cell = ScorecardCell {
-                    universe: spec.name.clone(),
-                    scenario: scenario.name().to_owned(),
-                    strategy: result.policy_name.clone(),
-                    reward: result.log_returns.iter().sum(),
-                    sharpe: result.metrics.sharpe,
-                    max_drawdown: result.metrics.mdd,
-                    turnover: result.turnover,
-                    cost_drag: result.cost_drag(),
-                    final_value: result.fapv(),
-                };
-                if rec.enabled() {
-                    rec.emit(
-                        Record::new("scenario_cell")
-                            .field("universe", cell.universe.as_str())
-                            .field("scenario", cell.scenario.as_str())
-                            .field("strategy", cell.strategy.as_str())
-                            .field("reward", cell.reward)
-                            .field("sharpe", cell.sharpe)
-                            .field("max_drawdown", cell.max_drawdown)
-                            .field("turnover", cell.turnover)
-                            .field("cost_drag", cell.cost_drag)
-                            .field("final_value", cell.final_value)
-                            .field("wall_s", wall_s),
-                    );
-                }
-                card.cells.push(cell);
+        let stressed: Vec<MarketData> = scenarios.iter().map(|s| s.apply(&test)).collect();
+        let strategies = learned.len() + classical;
+        let cells = fan_out(scenarios.len() * strategies, workers, rec, |job, tape| {
+            let (s_idx, k) = (job / strategies, job % strategies);
+            let mut policy = match learned.get(k) {
+                Some(agent) => agent.policy(),
+                None => scenario_baselines().swap_remove(k - learned.len()),
+            };
+            let watch = Stopwatch::start(tape);
+            let result = backtester.run(policy.as_mut(), &stressed[s_idx]);
+            let wall_s = watch.elapsed_s();
+            let cell = ScorecardCell {
+                universe: spec.name.clone(),
+                scenario: scenarios[s_idx].name().to_owned(),
+                strategy: result.policy_name.clone(),
+                reward: result.log_returns.iter().sum(),
+                sharpe: result.metrics.sharpe,
+                max_drawdown: result.metrics.mdd,
+                turnover: result.turnover,
+                cost_drag: result.cost_drag(),
+                final_value: result.fapv(),
+            };
+            if tape.enabled() {
+                tape.emit(
+                    Record::new("scenario_cell")
+                        .field("universe", cell.universe.as_str())
+                        .field("scenario", cell.scenario.as_str())
+                        .field("strategy", cell.strategy.as_str())
+                        .field("reward", cell.reward)
+                        .field("sharpe", cell.sharpe)
+                        .field("max_drawdown", cell.max_drawdown)
+                        .field("turnover", cell.turnover)
+                        .field("cost_drag", cell.cost_drag)
+                        .field("final_value", cell.final_value)
+                        .field("wall_s", wall_s),
+                );
             }
-        }
+            cell
+        });
+        card.cells.extend(cells);
     }
     Ok(card)
 }
@@ -189,7 +321,7 @@ pub fn run_scenario_matrix(
 mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used)]
     use super::*;
-    use spikefolio_telemetry::{NoopRecorder, Value};
+    use spikefolio_telemetry::{MemoryRecorder, NoopRecorder, Value};
 
     fn smoke_opts() -> ScenarioMatrixOptions {
         ScenarioMatrixOptions {
@@ -210,9 +342,59 @@ mod tests {
     }
 
     #[test]
+    fn repeated_universe_or_scenario_is_rejected_by_name() {
+        let mut opts = smoke_opts();
+        opts.universes = vec!["crypto".into(), "fx".into(), "crypto".into()];
+        let err = run_scenario_matrix(&opts, &mut NoopRecorder).unwrap_err();
+        assert!(err.contains("\"crypto\"") && err.contains("twice"), "{err}");
+
+        let mut opts = smoke_opts();
+        opts.scenarios = vec![Scenario::Calm, Scenario::FlashCrash, Scenario::Calm];
+        let err = run_scenario_matrix(&opts, &mut NoopRecorder).unwrap_err();
+        assert!(err.contains("\"calm\"") && err.contains("twice"), "{err}");
+    }
+
+    /// Every record as `(kind, fields)`, with the wall-clock field dropped.
+    fn clock_free(rec: &MemoryRecorder) -> Vec<(String, Vec<(String, Value)>)> {
+        rec.records()
+            .iter()
+            .map(|r| {
+                let fields = r.fields().iter().filter(|(k, _)| k != "wall_s").cloned().collect();
+                (r.kind().to_owned(), fields)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn scorecard_and_telemetry_are_independent_of_the_worker_count() {
+        let opts = smoke_opts();
+        let run = |workers| {
+            let mut rec = MemoryRecorder::new();
+            let card = run_matrix(&opts, &mut rec, workers).unwrap();
+            (card.to_json(), rec)
+        };
+        let (one_card, one) = run(1);
+        let (three_card, three) = run(3);
+        assert_eq!(one_card, three_card);
+
+        let records = clock_free(&one);
+        let kinds = |kind: &str| records.iter().filter(|(k, _)| k == kind).count();
+        // 4 trainings' epochs, then 2 scenarios × 8 strategies.
+        let epochs = 4 * matrix_config(&opts).training.epochs;
+        assert_eq!((kinds("epoch"), kinds("scenario_cell")), (epochs, 16));
+        assert_eq!(records, clock_free(&three));
+        assert_eq!(one.counters(), three.counters());
+        let span_counts = |rec: &MemoryRecorder| -> Vec<(String, u64)> {
+            rec.spans().iter().map(|(label, &(_, n))| (label.clone(), n)).collect()
+        };
+        assert!(!one.spans().is_empty());
+        assert_eq!(span_counts(&one), span_counts(&three));
+    }
+
+    #[test]
     fn matrix_covers_every_cell_and_emits_telemetry() {
         let opts = smoke_opts();
-        let mut rec = spikefolio_telemetry::MemoryRecorder::new();
+        let mut rec = MemoryRecorder::new();
         let card = run_scenario_matrix(&opts, &mut rec).unwrap();
         // 1 universe × 2 scenarios × (4 learned + 4 classical) strategies.
         assert_eq!(card.cells.len(), 2 * 8);

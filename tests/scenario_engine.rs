@@ -9,7 +9,8 @@
 //!    `spikefolio.run.v1` golden test in `telemetry_run.rs`).
 //! 2. **Coverage** — one row per (universe × scenario × strategy) cell,
 //!    DDPG included, and every cell parses back through `from_json`.
-//! 3. **Determinism** — the same seed replays to bitwise-identical JSON.
+//! 3. **Determinism** — the same seed replays to bitwise-identical JSON,
+//!    and a universe's rows are the same whichever universes run with it.
 //! 4. **Friction accounting** — with realistic frictions enabled,
 //!    rebalancing strategies pay positive cost drag while buy-and-hold
 //!    pays nothing after its initial allocation.
@@ -109,6 +110,25 @@ fn matrix_replays_bitwise_under_a_pinned_seed() {
     let a = run_scenario_matrix(&opts, &mut NoopRecorder).expect("first run");
     let b = run_scenario_matrix(&opts, &mut NoopRecorder).expect("second run");
     assert_eq!(a.to_json(), b.to_json());
+}
+
+/// A universe's rows do not depend on which other universes run beside
+/// it: its agents are seeded from its place in the standard set, not in
+/// the requested list.
+#[test]
+fn subset_run_reproduces_the_universe_rows_of_a_larger_run() {
+    let alone = ScenarioMatrixOptions {
+        universes: vec!["fx".into()],
+        scenarios: vec![Scenario::Calm],
+        ..smoke_opts()
+    };
+    let pair =
+        ScenarioMatrixOptions { universes: vec!["crypto".into(), "fx".into()], ..alone.clone() };
+    let alone = run_scenario_matrix(&alone, &mut NoopRecorder).expect("fx alone");
+    let pair = run_scenario_matrix(&pair, &mut NoopRecorder).expect("crypto and fx");
+    let fx_rows: Vec<&ScorecardCell> = pair.cells.iter().filter(|c| c.universe == "fx").collect();
+    assert_eq!(fx_rows.len(), 8);
+    assert_eq!(alone.cells.iter().collect::<Vec<_>>(), fx_rows);
 }
 
 /// With realistic frictions on, every rebalancing strategy pays positive
