@@ -195,14 +195,16 @@ print(f"    lineage ledger OK: {len(d['entries'])} entries, 0 skipped")
 PYEOF
 
 echo "==> scenario matrix smoke (2 universes x 2 scenarios; schema + determinism + coverage)"
+# The first run uses every core; the second is pinned to one, so the cmp
+# also checks that the scorecard does not depend on the core count.
 cargo run --release -q --bin spikefolio -- scenarios run \
   --universes crypto,equity --scenarios calm,flash-crash --smoke --seed 11 \
   --json --out target/scenario_smoke_a.json > /dev/null
-cargo run --release -q --bin spikefolio -- scenarios run \
+taskset -c 0 cargo run --release -q --bin spikefolio -- scenarios run \
   --universes crypto,equity --scenarios calm,flash-crash --smoke --seed 11 \
   --json --out target/scenario_smoke_b.json > /dev/null
 cmp target/scenario_smoke_a.json target/scenario_smoke_b.json \
-  || { echo "scorecard not bitwise-deterministic under a pinned seed"; exit 1; }
+  || { echo "scorecard differs between all cores and one core under a pinned seed"; exit 1; }
 python3 - <<'PYEOF'
 import json
 d = json.load(open("target/scenario_smoke_a.json"))
