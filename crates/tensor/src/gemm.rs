@@ -26,10 +26,11 @@
 //!   `alpha · x · y` evaluation order of
 //!   [`Matrix::add_outer`](crate::Matrix::add_outer).
 
-/// Register-block width for [`gemm_nt`]: each k-sweep drives `TILE`
-/// independent accumulator chains (one per output column), hiding FP add
+/// Register-block width for [`gemm_nt`] and
+/// [`Matrix::matvec_into`](crate::Matrix::matvec_into): each k-sweep drives
+/// `TILE` independent accumulator chains (one per output), hiding FP add
 /// latency without touching any chain's summation order.
-const TILE: usize = 8;
+pub(crate) const TILE: usize = 8;
 
 /// `out[m × n] = a[m × k] · b[n × k]ᵀ`.
 ///

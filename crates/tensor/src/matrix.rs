@@ -1,5 +1,6 @@
 //! Row-major dense matrix of `f64` values.
 
+use crate::gemm::TILE;
 use crate::ShapeError;
 
 /// A dense, row-major matrix of `f64` values.
@@ -175,17 +176,56 @@ impl Matrix {
     ///
     /// Panics if `x.len() != cols`.
     pub fn matvec(&self, x: &[f64]) -> Vec<f64> {
-        assert_eq!(x.len(), self.cols, "matvec: vector length {} != cols {}", x.len(), self.cols);
         let mut out = vec![0.0; self.rows];
-        for (r, o) in out.iter_mut().enumerate() {
-            let row = &self.data[r * self.cols..(r + 1) * self.cols];
+        self.matvec_into(x, &mut out);
+        out
+    }
+
+    /// Matrix–vector product into a caller-owned buffer: `out = self * x`.
+    ///
+    /// Every output is one k-ascending single-accumulator dot product. Rows
+    /// go in blocks of eight that share one sweep over `x`, so eight
+    /// independent chains hide the add latency without changing any chain's
+    /// order; leftover rows run alone. Zero inputs are not skipped, so NaN
+    /// and ±inf propagate as in a plain dot product. `out` is fully
+    /// overwritten.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x.len() != cols` or `out.len() != rows`.
+    pub fn matvec_into(&self, x: &[f64], out: &mut [f64]) {
+        assert_eq!(x.len(), self.cols, "matvec: vector length {} != cols {}", x.len(), self.cols);
+        assert_eq!(
+            out.len(),
+            self.rows,
+            "matvec: output length {} != rows {}",
+            out.len(),
+            self.rows
+        );
+        let k = self.cols;
+        let mut blocks = out.chunks_exact_mut(TILE);
+        for (b, oblk) in (&mut blocks).enumerate() {
+            let base = b * TILE * k;
+            let rows: [&[f64]; TILE] =
+                std::array::from_fn(|j| &self.data[base + j * k..base + (j + 1) * k]);
+            let mut acc = [0.0f64; TILE];
+            for (kk, &xv) in x.iter().enumerate() {
+                for (av, row) in acc.iter_mut().zip(&rows) {
+                    *av += row[kk] * xv;
+                }
+            }
+            oblk.copy_from_slice(&acc);
+        }
+        let done = self.rows - self.rows % TILE;
+        let rest = blocks.into_remainder();
+        for (r, o) in (done..).zip(rest.iter_mut()) {
+            let row = &self.data[r * k..(r + 1) * k];
             let mut acc = 0.0;
             for (a, b) in row.iter().zip(x) {
                 acc += a * b;
             }
             *o = acc;
         }
-        out
     }
 
     /// Transposed matrix–vector product `selfᵀ * x`.
@@ -194,6 +234,19 @@ impl Matrix {
     ///
     /// Panics if `x.len() != rows`.
     pub fn matvec_transposed(&self, x: &[f64]) -> Vec<f64> {
+        let mut out = vec![0.0; self.cols];
+        self.matvec_transposed_into(x, &mut out);
+        out
+    }
+
+    /// Transposed matrix–vector product into a caller-owned buffer:
+    /// `out = selfᵀ * x`, accumulating row by row with zero `x` entries
+    /// skipped (spike vectors are sparse). `out` is fully overwritten.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x.len() != rows` or `out.len() != cols`.
+    pub fn matvec_transposed_into(&self, x: &[f64], out: &mut [f64]) {
         assert_eq!(
             x.len(),
             self.rows,
@@ -201,17 +254,23 @@ impl Matrix {
             x.len(),
             self.rows
         );
-        let mut out = vec![0.0; self.cols];
+        assert_eq!(
+            out.len(),
+            self.cols,
+            "matvec_transposed: output length {} != cols {}",
+            out.len(),
+            self.cols
+        );
+        out.fill(0.0);
         for (r, &xv) in x.iter().enumerate() {
             if xv == 0.0 {
-                continue; // spike vectors are sparse; skip silent rows
+                continue;
             }
             let row = &self.data[r * self.cols..(r + 1) * self.cols];
             for (o, &w) in out.iter_mut().zip(row) {
                 *o += w * xv;
             }
         }
-        out
     }
 
     /// Matrix–matrix product `self * other`.
@@ -600,6 +659,69 @@ mod tests {
     fn matvec_matches_manual_computation() {
         let m = Matrix::from_rows(&[&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]]);
         assert_eq!(m.matvec(&[1.0, 0.0, -1.0]), vec![-2.0, -2.0]);
+    }
+
+    /// The single-chain dot the tiled `matvec` must reproduce bitwise.
+    fn naive_matvec(m: &Matrix, x: &[f64]) -> Vec<f64> {
+        (0..m.rows())
+            .map(|r| {
+                let mut acc = 0.0;
+                for (a, b) in m.row(r).iter().zip(x) {
+                    acc += a * b;
+                }
+                acc
+            })
+            .collect()
+    }
+
+    /// A deterministic value stream with exact zeros, −0.0, NaN and ±inf
+    /// sprinkled between ordinary magnitudes.
+    fn special(i: usize, salt: usize) -> f64 {
+        let h = (i.wrapping_mul(0x9e37_79b9) ^ salt.wrapping_mul(0x85eb_ca6b)) % 97;
+        match h {
+            0 => 0.0,
+            1 => -0.0,
+            2 if salt.is_multiple_of(3) => f64::NAN,
+            3 if salt.is_multiple_of(5) => f64::INFINITY,
+            4 if salt.is_multiple_of(7) => f64::NEG_INFINITY,
+            _ => ((i * 31 + salt * 17) % 61) as f64 / 7.0 - 4.0,
+        }
+    }
+
+    #[test]
+    fn tiled_matvec_is_bitwise_the_single_chain_dot() {
+        for rows in [1, 7, 8, 9, 24, 36] {
+            for cols in [0, 1, 420] {
+                for salt in [1, 3, 5, 7, 105] {
+                    let m = Matrix::from_fn(rows, cols, |r, c| special(r * cols + c, salt));
+                    let x: Vec<f64> = (0..cols).map(|c| special(c, salt + 11)).collect();
+                    let mut into = vec![f64::NAN; rows];
+                    m.matvec_into(&x, &mut into);
+                    let expect = naive_matvec(&m, &x);
+                    for (got, want) in
+                        [m.matvec(&x), into].iter().flat_map(|v| v.iter().zip(&expect))
+                    {
+                        if want.is_nan() {
+                            assert!(got.is_nan(), "{rows}x{cols} salt {salt}: {got} != NaN");
+                        } else {
+                            assert_eq!(
+                                got.to_bits(),
+                                want.to_bits(),
+                                "{rows}x{cols} salt {salt}: {got} != {want}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn matvec_transposed_into_overwrites_its_buffer() {
+        let m = Matrix::from_rows(&[&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]]);
+        let mut out = vec![9.0; 3];
+        m.matvec_transposed_into(&[2.0, -1.0], &mut out);
+        assert_eq!(out, m.matvec_transposed(&[2.0, -1.0]));
     }
 
     #[test]

@@ -72,9 +72,24 @@ pub fn softmax_in_place(x: &mut [f64]) {
 ///
 /// Panics if `y.len() != dy.len()`.
 pub fn softmax_backward(y: &[f64], dy: &[f64]) -> Vec<f64> {
+    let mut dx = vec![0.0; y.len()];
+    softmax_backward_into(y, dy, &mut dx);
+    dx
+}
+
+/// [`softmax_backward`] into a caller-owned buffer, which is fully
+/// overwritten.
+///
+/// # Panics
+///
+/// Panics if the three lengths disagree.
+pub fn softmax_backward_into(y: &[f64], dy: &[f64], dx: &mut [f64]) {
     assert_eq!(y.len(), dy.len(), "softmax_backward: length mismatch");
+    assert_eq!(y.len(), dx.len(), "softmax_backward: output length mismatch");
     let inner: f64 = y.iter().zip(dy).map(|(a, b)| a * b).sum();
-    y.iter().zip(dy).map(|(&yi, &di)| yi * (di - inner)).collect()
+    for (d, (&yi, &di)) in dx.iter_mut().zip(y.iter().zip(dy)) {
+        *d = yi * (di - inner);
+    }
 }
 
 #[cfg(test)]

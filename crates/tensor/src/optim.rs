@@ -165,15 +165,15 @@ impl Optimizer for Adam {
         let s = &mut self.state[slot.0];
         assert_eq!(s.m.len(), params.len(), "slot length mismatch");
         s.t += 1;
-        let b1t = 1.0 - self.beta1.powi(s.t as i32);
-        let b2t = 1.0 - self.beta2.powi(s.t as i32);
-        for i in 0..params.len() {
-            let g = grads[i];
-            s.m[i] = self.beta1 * s.m[i] + (1.0 - self.beta1) * g;
-            s.v[i] = self.beta2 * s.v[i] + (1.0 - self.beta2) * g * g;
-            let m_hat = s.m[i] / b1t;
-            let v_hat = s.v[i] / b2t;
-            params[i] -= self.lr * m_hat / (v_hat.sqrt() + self.eps);
+        let (lr, beta1, beta2, eps) = (self.lr, self.beta1, self.beta2, self.eps);
+        let b1t = 1.0 - beta1.powi(s.t as i32);
+        let b2t = 1.0 - beta2.powi(s.t as i32);
+        for (((p, &g), m), v) in params.iter_mut().zip(grads).zip(&mut s.m).zip(&mut s.v) {
+            *m = beta1 * *m + (1.0 - beta1) * g;
+            *v = beta2 * *v + (1.0 - beta2) * g * g;
+            let m_hat = *m / b1t;
+            let v_hat = *v / b2t;
+            *p -= lr * m_hat / (v_hat.sqrt() + eps);
         }
     }
 
