@@ -58,11 +58,6 @@ impl Activation {
             Activation::Identity => 1.0,
         }
     }
-
-    /// Applies the activation to a whole slice, producing a new vector.
-    pub fn apply_vec(self, xs: &[f64]) -> Vec<f64> {
-        xs.iter().map(|&x| self.apply(x)).collect()
-    }
 }
 
 #[cfg(test)]
@@ -102,11 +97,5 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn apply_vec_maps_elementwise() {
-        let v = Activation::Relu.apply_vec(&[-1.0, 2.0]);
-        assert_eq!(v, vec![0.0, 2.0]);
     }
 }

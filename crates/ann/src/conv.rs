@@ -30,6 +30,20 @@ pub struct Conv1dGradients {
     pub d_bias: Vec<f64>,
 }
 
+impl Conv1dGradients {
+    pub(crate) fn zeros(conv: &Conv1d) -> Self {
+        Self {
+            d_weights: Matrix::zeros(conv.out_channels(), conv.weights.cols()),
+            d_bias: vec![0.0; conv.out_channels()],
+        }
+    }
+
+    pub(crate) fn fill(&mut self, value: f64) {
+        self.d_weights.as_mut_slice().fill(value);
+        self.d_bias.fill(value);
+    }
+}
+
 impl Conv1d {
     /// Xavier-initialized convolution.
     ///
@@ -84,23 +98,34 @@ impl Conv1d {
     /// Panics on shape mismatch.
     pub fn forward(&self, input: &Matrix) -> Matrix {
         assert_eq!(input.rows(), self.in_channels, "input channel mismatch");
-        let out_len = self.out_len(input.cols());
-        let mut out = Matrix::zeros(self.out_channels(), out_len);
-        for oc in 0..self.out_channels() {
+        let mut out = Matrix::zeros(self.out_channels(), self.out_len(input.cols()));
+        self.forward_into(input.as_slice(), input.cols(), out.as_mut_slice());
+        out
+    }
+
+    /// Forward pass on row-major slices: `input` is `in_channels × length`,
+    /// `out` (fully overwritten) is `out_channels × out_len(length)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics on shape mismatch.
+    pub(crate) fn forward_into(&self, input: &[f64], length: usize, out: &mut [f64]) {
+        let out_len = self.out_len(length);
+        let k = self.kernel;
+        assert_eq!(input.len(), self.in_channels * length, "input channel mismatch");
+        assert_eq!(out.len(), self.out_channels() * out_len, "output shape mismatch");
+        for (oc, orow) in out.chunks_exact_mut(out_len).enumerate() {
             let w = self.weights.row(oc);
-            for pos in 0..out_len {
+            for (pos, o) in orow.iter_mut().enumerate() {
                 let mut acc = self.bias[oc];
-                for ic in 0..self.in_channels {
-                    let row = input.row(ic);
-                    let wbase = ic * self.kernel;
-                    for k in 0..self.kernel {
-                        acc += w[wbase + k] * row[pos + k];
+                for (wk, row) in w.chunks_exact(k).zip(input.chunks_exact(length)) {
+                    for (a, b) in wk.iter().zip(&row[pos..pos + k]) {
+                        acc += a * b;
                     }
                 }
-                out[(oc, pos)] = acc;
+                *o = acc;
             }
         }
-        out
     }
 
     /// Backward pass: given the forward `input` and upstream gradient
@@ -113,28 +138,72 @@ impl Conv1d {
         assert_eq!(input.rows(), self.in_channels, "input channel mismatch");
         let out_len = self.out_len(input.cols());
         assert_eq!(d_out.shape(), (self.out_channels(), out_len), "d_out shape mismatch");
-
-        let mut d_weights = Matrix::zeros(self.out_channels(), self.in_channels * self.kernel);
-        let mut d_bias = vec![0.0; self.out_channels()];
+        let mut grads = Conv1dGradients::zeros(self);
         let mut d_input = Matrix::zeros(self.in_channels, input.cols());
-        for oc in 0..self.out_channels() {
-            let w = self.weights.row(oc).to_vec();
-            for pos in 0..out_len {
-                let g = d_out[(oc, pos)];
+        self.backward_into(
+            input.as_slice(),
+            input.cols(),
+            d_out.as_slice(),
+            (grads.d_weights.as_mut_slice(), &mut grads.d_bias),
+            Some(d_input.as_mut_slice()),
+        );
+        (grads, d_input)
+    }
+
+    /// Backward pass on row-major slices that adds this evaluation's
+    /// gradients into caller-owned sums: `(d_weights, d_bias)` are
+    /// `out_channels × (in_channels · kernel)` and `out_channels`, and
+    /// `d_input`, if wanted, is `in_channels × length`.
+    ///
+    /// Each element gains its terms in `(out channel, position)` order, with
+    /// zero upstream entries skipped. Into zeroed sums that is exactly
+    /// [`backward`](Self::backward). When `out_len` is 1, every element
+    /// gains at most one term, so adding straight into a running sum equals
+    /// adding a separately computed gradient to it.
+    ///
+    /// # Panics
+    ///
+    /// Panics on shape mismatch.
+    pub(crate) fn backward_into(
+        &self,
+        input: &[f64],
+        length: usize,
+        d_out: &[f64],
+        (d_weights, d_bias): (&mut [f64], &mut [f64]),
+        mut d_input: Option<&mut [f64]>,
+    ) {
+        let out_len = self.out_len(length);
+        let k = self.kernel;
+        let span = self.in_channels * k;
+        assert_eq!(input.len(), self.in_channels * length, "input channel mismatch");
+        assert_eq!(d_out.len(), self.out_channels() * out_len, "d_out shape mismatch");
+        assert_eq!(d_weights.len(), self.weights.len(), "d_weights shape mismatch");
+        assert_eq!(d_bias.len(), self.out_channels(), "d_bias shape mismatch");
+        if let Some(di) = d_input.as_deref() {
+            assert_eq!(di.len(), input.len(), "d_input shape mismatch");
+        }
+        for (oc, (dw, g_row)) in
+            d_weights.chunks_exact_mut(span).zip(d_out.chunks_exact(out_len)).enumerate()
+        {
+            let w = self.weights.row(oc);
+            for (pos, &g) in g_row.iter().enumerate() {
                 if g == 0.0 {
                     continue;
                 }
                 d_bias[oc] += g;
-                for ic in 0..self.in_channels {
-                    let wbase = ic * self.kernel;
-                    for k in 0..self.kernel {
-                        d_weights[(oc, wbase + k)] += g * input[(ic, pos + k)];
-                        d_input[(ic, pos + k)] += g * w[wbase + k];
+                for (ic, dwk) in dw.chunks_exact_mut(k).enumerate() {
+                    let at = ic * length + pos;
+                    for (d, &x) in dwk.iter_mut().zip(&input[at..at + k]) {
+                        *d += g * x;
+                    }
+                    if let Some(di) = d_input.as_deref_mut() {
+                        for (d, &wv) in di[at..at + k].iter_mut().zip(&w[ic * k..(ic + 1) * k]) {
+                            *d += g * wv;
+                        }
                     }
                 }
             }
         }
-        (Conv1dGradients { d_weights, d_bias }, d_input)
     }
 
     /// Number of trainable parameters.

@@ -14,7 +14,7 @@
 
 use crate::conv::{Conv1d, Conv1dGradients};
 use rand::Rng;
-use spikefolio_tensor::ops::{softmax, softmax_backward};
+use spikefolio_tensor::ops::{softmax_backward_into, softmax_in_place};
 use spikefolio_tensor::optim::{Gradients, Optimizer, ParamSlot};
 use spikefolio_tensor::{vector, Matrix};
 
@@ -80,21 +80,25 @@ pub struct Eiie {
     cash_bias: f64,
 }
 
-/// Per-asset forward intermediates.
-#[derive(Debug, Clone, PartialEq)]
-struct AssetTrace {
-    input: Matrix,
-    pre1: Matrix,
-    act1: Matrix,
-    pre2: Matrix,
-    z2: Vec<f64>,
-    prev_weight: f64,
-}
-
-/// Forward trace of an EIIE evaluation.
-#[derive(Debug, Clone, PartialEq)]
+/// Forward trace of an EIIE evaluation: every asset's intermediates,
+/// stored asset-major in flat buffers.
+///
+/// A trace can be reused: [`Eiie::forward_into`] overwrites it in place,
+/// so a training loop that keeps one allocates nothing per sample.
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct EiieTrace {
-    assets: Vec<AssetTrace>,
+    /// Asset windows, `assets × (channels · window)`.
+    inputs: Vec<f64>,
+    /// First-convolution outputs, `assets × (conv1_channels · len1)`.
+    pre1: Vec<f64>,
+    /// Their ReLU.
+    act1: Vec<f64>,
+    /// Second-convolution outputs, `assets × conv2_channels`.
+    pre2: Vec<f64>,
+    /// Their ReLU.
+    z2: Vec<f64>,
+    /// Each asset's previous portfolio weight.
+    prev: Vec<f64>,
     action: Vec<f64>,
 }
 
@@ -102,6 +106,32 @@ impl EiieTrace {
     /// The softmax action (cash first).
     pub fn action(&self) -> &[f64] {
         &self.action
+    }
+}
+
+/// Reusable backward-pass buffers of one [`Eiie`], including the
+/// sample's gradient before it joins the minibatch sum.
+#[derive(Debug, Clone)]
+pub struct EiieScratch {
+    dz: Vec<f64>,
+    d_pre2: Vec<f64>,
+    d_pre1: Vec<f64>,
+    /// One asset's first-convolution gradient, summed over positions.
+    asset_conv1: Conv1dGradients,
+    /// The sample's gradient, summed over assets.
+    sample: EiieGradients,
+}
+
+impl EiieScratch {
+    /// Buffers sized for `net`.
+    pub fn new(net: &Eiie) -> Self {
+        Self {
+            dz: Vec::new(),
+            d_pre2: vec![0.0; net.config.conv2_channels],
+            d_pre1: vec![0.0; net.config.conv1_channels * net.len1()],
+            asset_conv1: Conv1dGradients::zeros(&net.conv1),
+            sample: EiieGradients::zeros(net),
+        }
     }
 }
 
@@ -118,6 +148,26 @@ pub struct EiieGradients {
     pub d_head_bias: f64,
     /// Cash-bias gradient.
     pub d_cash_bias: f64,
+}
+
+impl EiieGradients {
+    fn zeros(net: &Eiie) -> Self {
+        Self {
+            conv1: Conv1dGradients::zeros(&net.conv1),
+            conv2: Conv1dGradients::zeros(&net.conv2),
+            d_head: vec![0.0; net.head.len()],
+            d_head_bias: 0.0,
+            d_cash_bias: 0.0,
+        }
+    }
+
+    fn fill(&mut self, value: f64) {
+        self.conv1.fill(value);
+        self.conv2.fill(value);
+        self.d_head.fill(value);
+        self.d_head_bias = value;
+        self.d_cash_bias = value;
+    }
 }
 
 impl Gradients for EiieGradients {
@@ -154,10 +204,6 @@ impl Gradients for EiieGradients {
     }
 }
 
-fn relu(m: &Matrix) -> Matrix {
-    m.map(|x| x.max(0.0))
-}
-
 impl Eiie {
     /// Builds an EIIE network.
     ///
@@ -184,17 +230,9 @@ impl Eiie {
         self.conv1.num_params() + self.conv2.num_params() + self.head.len() + 2
     }
 
-    /// Score one asset; returns the trace.
-    fn eval_asset(&self, input: Matrix, prev_weight: f64) -> (f64, AssetTrace) {
-        let pre1 = self.conv1.forward(&input);
-        let act1 = relu(&pre1);
-        let pre2 = self.conv2.forward(&act1);
-        let z2: Vec<f64> = pre2.as_slice().iter().map(|&x| x.max(0.0)).collect();
-        let mut score = self.head_bias + self.head[self.head.len() - 1] * prev_weight;
-        for (w, z) in self.head.iter().zip(&z2) {
-            score += w * z;
-        }
-        (score, AssetTrace { input, pre1, act1, pre2, z2, prev_weight })
+    /// Length of the first convolution's output (the second's kernel).
+    fn len1(&self) -> usize {
+        self.config.window - self.config.conv1_kernel + 1
     }
 
     /// Forward pass.
@@ -209,25 +247,87 @@ impl Eiie {
     pub fn forward(&self, assets: &[Matrix], prev_weights: &[f64]) -> EiieTrace {
         assert!(!assets.is_empty(), "need at least one asset");
         assert_eq!(prev_weights.len(), assets.len() + 1, "prev_weights length mismatch");
-        let mut scores = Vec::with_capacity(assets.len() + 1);
-        scores.push(self.cash_bias);
-        let mut traces = Vec::with_capacity(assets.len());
+        let mut windows =
+            Vec::with_capacity(assets.len() * self.config.channels * self.config.window);
         for (a, input) in assets.iter().enumerate() {
             assert_eq!(
                 input.shape(),
                 (self.config.channels, self.config.window),
                 "asset {a} window shape mismatch"
             );
-            let (score, tr) = self.eval_asset(input.clone(), prev_weights[a + 1]);
-            scores.push(score);
-            traces.push(tr);
+            windows.extend_from_slice(input.as_slice());
         }
-        EiieTrace { assets: traces, action: softmax(&scores) }
+        let mut trace = EiieTrace::default();
+        self.forward_into(&windows, prev_weights, &mut trace);
+        trace
     }
 
-    /// Inference only.
-    pub fn act(&self, assets: &[Matrix], prev_weights: &[f64]) -> Vec<f64> {
-        self.forward(assets, prev_weights).action
+    /// Forward pass into a reused trace, which is fully overwritten.
+    ///
+    /// `windows` holds the assets' `channels × window` price windows back
+    /// to back (row-major, asset-major); `prev_weights` is the previous
+    /// portfolio vector (cash first, one longer than the asset count).
+    ///
+    /// # Panics
+    ///
+    /// Panics on shape mismatches.
+    pub fn forward_into(&self, windows: &[f64], prev_weights: &[f64], trace: &mut EiieTrace) {
+        let m = prev_weights.len().saturating_sub(1);
+        assert!(m > 0, "need at least one asset");
+        let cfg = &self.config;
+        let (cw, c1l, c2) =
+            (cfg.channels * cfg.window, cfg.conv1_channels * self.len1(), cfg.conv2_channels);
+        assert_eq!(windows.len(), m * cw, "window buffer length mismatch");
+        trace.inputs.clear();
+        trace.inputs.extend_from_slice(windows);
+        trace.prev.clear();
+        trace.prev.extend_from_slice(&prev_weights[1..]);
+        for buf in [&mut trace.pre1, &mut trace.act1] {
+            buf.resize(m * c1l, 0.0);
+        }
+        for buf in [&mut trace.pre2, &mut trace.z2] {
+            buf.resize(m * c2, 0.0);
+        }
+        trace.action.clear();
+        trace.action.push(self.cash_bias);
+        for a in 0..m {
+            let pre1 = &mut trace.pre1[a * c1l..(a + 1) * c1l];
+            self.conv1.forward_into(&windows[a * cw..(a + 1) * cw], cfg.window, pre1);
+            let act1 = &mut trace.act1[a * c1l..(a + 1) * c1l];
+            for (y, &x) in act1.iter_mut().zip(pre1.iter()) {
+                *y = x.max(0.0);
+            }
+            let pre2 = &mut trace.pre2[a * c2..(a + 1) * c2];
+            self.conv2.forward_into(act1, self.len1(), pre2);
+            let z2 = &mut trace.z2[a * c2..(a + 1) * c2];
+            for (y, &x) in z2.iter_mut().zip(pre2.iter()) {
+                *y = x.max(0.0);
+            }
+            let mut score = self.head_bias + self.head[c2] * trace.prev[a];
+            for (w, z) in self.head.iter().zip(z2.iter()) {
+                score += w * z;
+            }
+            trace.action.push(score);
+        }
+        softmax_in_place(&mut trace.action);
+    }
+
+    /// Inference only, on asset windows laid out as for
+    /// [`forward_into`](Self::forward_into).
+    pub fn act(&self, windows: &[f64], prev_weights: &[f64]) -> Vec<f64> {
+        let mut trace = EiieTrace::default();
+        self.forward_into(windows, prev_weights, &mut trace);
+        trace.action
+    }
+
+    /// The empty minibatch sum of this network's gradients, for
+    /// [`backward_acc`](Self::backward_acc) to fold samples into. It is
+    /// `−0.0` throughout, the exact identity of IEEE addition, so the first
+    /// fold yields that sample's gradient bit for bit.
+    pub fn empty_gradients(&self) -> EiieGradients {
+        let mut grads = EiieGradients::zeros(self);
+        grads.fill(-0.0);
+        grads
     }
 
     /// Backward pass from `∂L/∂action`.
@@ -236,55 +336,89 @@ impl Eiie {
     ///
     /// Panics if `d_action.len() != trace.action.len()`.
     pub fn backward(&self, trace: &EiieTrace, d_action: &[f64]) -> EiieGradients {
-        let dz = softmax_backward(&trace.action, d_action);
-        let c2 = self.config.conv2_channels;
-        let mut grads = EiieGradients {
-            conv1: Conv1dGradients {
-                d_weights: Matrix::zeros(self.conv1.out_channels(), self.conv1.weights.cols()),
-                d_bias: vec![0.0; self.conv1.out_channels()],
-            },
-            conv2: Conv1dGradients {
-                d_weights: Matrix::zeros(self.conv2.out_channels(), self.conv2.weights.cols()),
-                d_bias: vec![0.0; self.conv2.out_channels()],
-            },
-            d_head: vec![0.0; self.head.len()],
-            d_head_bias: 0.0,
-            d_cash_bias: dz[0],
-        };
-        for (a, at) in trace.assets.iter().enumerate() {
-            let ds = dz[a + 1];
+        let mut scratch = EiieScratch::new(self);
+        self.sample_gradients(trace, d_action, &mut scratch);
+        scratch.sample
+    }
+
+    /// Backward pass from `∂L/∂action` that adds this sample's gradients
+    /// into the minibatch sum `acc`: bitwise
+    /// `acc.accumulate(&self.backward(trace, d_action))`.
+    ///
+    /// # Panics
+    ///
+    /// As [`backward`](Self::backward), or if `scratch` or `acc` was sized
+    /// for another shape.
+    pub fn backward_acc(
+        &self,
+        trace: &EiieTrace,
+        d_action: &[f64],
+        scratch: &mut EiieScratch,
+        acc: &mut EiieGradients,
+    ) {
+        self.sample_gradients(trace, d_action, scratch);
+        acc.accumulate(&scratch.sample);
+    }
+
+    /// One sample's gradients into `scratch.sample`, summed over assets in
+    /// asset order from `+0.0`.
+    ///
+    /// Each asset's first-convolution gradient is a sum over positions, so
+    /// it builds in `scratch.asset_conv1` and then joins the sample sum.
+    /// The second convolution's kernel spans its whole input
+    /// (`out_len == 1`), so each of its gradient entries gains one product
+    /// per asset; that product goes straight into the sample sum, which is
+    /// never `−0.0`, so `acc + (0.0 + p) == acc + p` keeps the bits.
+    fn sample_gradients(&self, trace: &EiieTrace, d_action: &[f64], scratch: &mut EiieScratch) {
+        let cfg = &self.config;
+        let (cw, c1l, c2) =
+            (cfg.channels * cfg.window, cfg.conv1_channels * self.len1(), cfg.conv2_channels);
+        let EiieScratch { dz, d_pre2, d_pre1, asset_conv1, sample: grads } = scratch;
+        dz.resize(trace.action.len(), 0.0);
+        softmax_backward_into(&trace.action, d_action, dz);
+        grads.fill(0.0);
+        grads.d_cash_bias = dz[0];
+        for (a, &ds) in dz[1..].iter().enumerate() {
             if ds == 0.0 {
                 continue;
             }
+            let z2 = &trace.z2[a * c2..(a + 1) * c2];
             grads.d_head_bias += ds;
-            for (g, z) in grads.d_head.iter_mut().zip(&at.z2) {
+            for (g, z) in grads.d_head.iter_mut().zip(z2) {
                 *g += ds * z;
             }
-            grads.d_head[c2] += ds * at.prev_weight;
+            grads.d_head[c2] += ds * trace.prev[a];
             // Back through the z2 ReLU into conv2.
-            let mut d_pre2 = Matrix::zeros(at.pre2.rows(), at.pre2.cols());
-            for (i, (&z, g)) in
-                at.pre2.as_slice().iter().zip(d_pre2.as_mut_slice().iter_mut()).enumerate()
+            for ((g, &z), &h) in
+                d_pre2.iter_mut().zip(&trace.pre2[a * c2..(a + 1) * c2]).zip(&self.head)
             {
-                if z > 0.0 {
-                    *g = ds * self.head[i];
-                }
+                *g = if z > 0.0 { ds * h } else { 0.0 };
             }
-            let (g2, d_act1) = self.conv2.backward(&at.act1, &d_pre2);
-            grads.conv2.d_weights.add_scaled(1.0, &g2.d_weights);
-            vector::axpy(&mut grads.conv2.d_bias, 1.0, &g2.d_bias);
+            d_pre1.fill(0.0);
+            self.conv2.backward_into(
+                &trace.act1[a * c1l..(a + 1) * c1l],
+                self.len1(),
+                d_pre2,
+                (grads.conv2.d_weights.as_mut_slice(), &mut grads.conv2.d_bias),
+                Some(d_pre1),
+            );
             // Back through the first ReLU into conv1.
-            let mut d_pre1 = d_act1;
-            for (g, &z) in d_pre1.as_mut_slice().iter_mut().zip(at.pre1.as_slice()) {
+            for (g, &z) in d_pre1.iter_mut().zip(&trace.pre1[a * c1l..(a + 1) * c1l]) {
                 if z <= 0.0 {
                     *g = 0.0;
                 }
             }
-            let (g1, _) = self.conv1.backward(&at.input, &d_pre1);
-            grads.conv1.d_weights.add_scaled(1.0, &g1.d_weights);
-            vector::axpy(&mut grads.conv1.d_bias, 1.0, &g1.d_bias);
+            asset_conv1.fill(0.0);
+            self.conv1.backward_into(
+                &trace.inputs[a * cw..(a + 1) * cw],
+                cfg.window,
+                d_pre1,
+                (asset_conv1.d_weights.as_mut_slice(), &mut asset_conv1.d_bias),
+                None,
+            );
+            grads.conv1.d_weights.add_scaled(1.0, &asset_conv1.d_weights);
+            vector::axpy(&mut grads.conv1.d_bias, 1.0, &asset_conv1.d_bias);
         }
-        grads
     }
 
     /// Flattens all parameters (test helper; order matches
@@ -418,7 +552,7 @@ mod tests {
         let net = Eiie::new(cfg, &mut rng());
         let assets = windows(4, &cfg, 1.0);
         let pw = vec![0.2; 5];
-        let a = net.act(&assets, &pw);
+        let a = net.forward(&assets, &pw).action().to_vec();
         assert_eq!(a.len(), 5);
         assert!(spikefolio_tensor::simplex::is_on_simplex(&a, 1e-12));
     }
@@ -429,7 +563,7 @@ mod tests {
         let net = Eiie::new(cfg, &mut rng());
         let w = windows(1, &cfg, 1.0).pop().unwrap();
         let assets = vec![w.clone(), w];
-        let a = net.act(&assets, &[0.2, 0.4, 0.4]);
+        let a = net.forward(&assets, &[0.2, 0.4, 0.4]).action().to_vec();
         assert!((a[1] - a[2]).abs() < 1e-12, "identical inputs, identical weights → tie");
     }
 
@@ -451,8 +585,9 @@ mod tests {
         let analytic = Eiie::flat_grads(&grads);
         let params = net.flat_params();
         assert_eq!(analytic.len(), params.len());
-        let loss =
-            |n: &Eiie| -> f64 { n.act(&assets, &pw).iter().zip(&c).map(|(a, b)| a * b).sum() };
+        let loss = |n: &Eiie| -> f64 {
+            n.forward(&assets, &pw).action().iter().zip(&c).map(|(a, b)| a * b).sum()
+        };
         let eps = 1e-6;
         for i in 0..params.len() {
             let mut pp = params.clone();
@@ -478,14 +613,14 @@ mod tests {
         let mut net = Eiie::new(cfg, &mut rng());
         let assets = windows(3, &cfg, 1.0);
         let pw = [0.25; 4];
-        let before = net.act(&assets, &pw)[1];
+        let before = net.forward(&assets, &pw).action()[1];
         let mut trainer = EiieTrainer::new(&net, Adam::new(1e-2));
         for _ in 0..100 {
             let trace = net.forward(&assets, &pw);
             let mut grads = net.backward(&trace, &[0.0, -1.0, 0.0, 0.0]);
             trainer.apply(&mut net, &mut grads);
         }
-        let after = net.act(&assets, &pw)[1];
+        let after = net.forward(&assets, &pw).action()[1];
         assert!(after > before + 0.2, "a[1] went {before} → {after}");
     }
 
@@ -498,6 +633,51 @@ mod tests {
         net2.set_flat_params(&flat);
         assert_eq!(net2.flat_params(), flat);
         assert_eq!(net.num_params(), flat.len());
+    }
+
+    fn bits(g: &EiieGradients) -> Vec<u64> {
+        Eiie::flat_grads(g).iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn in_place_fold_matches_accumulating_backward_bitwise() {
+        let cfg = EiieConfig::jiang(3, 6);
+        let mut net = Eiie::new(cfg, &mut rng());
+        // A first-convolution channel that is dead for every window here.
+        net.conv1.bias[1] = -100.0;
+        let mut assets = windows(3, &cfg, 1.0);
+        assets[1][(2, 3)] = -0.0;
+        let pw = [0.25, -0.0, 0.5, 0.25];
+        let d_actions = [
+            [-1.0, 0.5, 0.0, 2.0],
+            [0.0, 0.0, 0.0, 0.0],
+            [0.3, -0.7, 1.1, -0.2],
+            [-0.0, 1.0, -1.0, 0.5],
+        ];
+        let trace = net.forward(&assets, &pw);
+        let mut flat = Vec::new();
+        for a in &assets {
+            flat.extend_from_slice(a.as_slice());
+        }
+        let mut reused = EiieTrace::default();
+        net.forward_into(&flat, &pw, &mut reused);
+        assert_eq!(reused, trace);
+
+        let mut scratch = EiieScratch::new(&net);
+        let mut whole = net.backward(&trace, &d_actions[0]);
+        let mut folded = net.empty_gradients();
+        for (i, d) in d_actions.iter().enumerate() {
+            if i > 0 {
+                whole.accumulate(&net.backward(&trace, d));
+            }
+            net.backward_acc(&reused, d, &mut scratch, &mut folded);
+        }
+        assert_eq!(bits(&folded), bits(&whole), "from empty");
+
+        let mut acc = whole.clone();
+        acc.accumulate(&net.backward(&trace, &d_actions[2]));
+        net.backward_acc(&trace, &d_actions[2], &mut scratch, &mut whole);
+        assert_eq!(bits(&whole), bits(&acc), "non-empty");
     }
 
     #[test]

@@ -30,6 +30,6 @@ pub mod mlp;
 
 pub use activation::Activation;
 pub use conv::Conv1d;
-pub use eiie::{Eiie, EiieConfig, EiieTrainer};
+pub use eiie::{Eiie, EiieConfig, EiieGradients, EiieScratch, EiieTrace, EiieTrainer};
 pub use linear::Linear;
-pub use mlp::{Mlp, MlpGradients, MlpTrainer};
+pub use mlp::{Mlp, MlpGradients, MlpScratch, MlpTrace, MlpTrainer};

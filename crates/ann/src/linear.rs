@@ -22,6 +22,29 @@ pub struct LinearGradients {
     pub d_bias: Vec<f64>,
 }
 
+impl LinearGradients {
+    /// The empty sum of `layer`'s per-sample gradients: `+0.0` weights and
+    /// `−0.0` biases (see [`Mlp::empty_gradients`](crate::Mlp::empty_gradients)
+    /// for why).
+    pub(crate) fn empty(layer: &Linear) -> Self {
+        Self {
+            d_weights: Matrix::zeros(layer.out_dim(), layer.in_dim()),
+            d_bias: vec![-0.0; layer.out_dim()],
+        }
+    }
+
+    /// Adds one sample's gradients in place: `∂W += dy·xᵀ`, `∂b += dy`.
+    ///
+    /// # Panics
+    ///
+    /// Panics on dimension mismatch.
+    pub(crate) fn fold(&mut self, x: &[f64], dy: &[f64]) {
+        assert_eq!(dy.len(), self.d_bias.len(), "dy length mismatch");
+        self.d_weights.add_outer(1.0, dy, x);
+        vector::axpy(&mut self.d_bias, 1.0, dy);
+    }
+}
+
 impl Linear {
     /// Xavier-initialized layer.
     pub fn new<R: Rng + ?Sized>(in_dim: usize, out_dim: usize, rng: &mut R) -> Self {
@@ -45,9 +68,19 @@ impl Linear {
     ///
     /// Panics if `x.len() != in_dim()`.
     pub fn forward(&self, x: &[f64]) -> Vec<f64> {
-        let mut y = self.weights.matvec(x);
-        vector::axpy(&mut y, 1.0, &self.bias);
+        let mut y = vec![0.0; self.out_dim()];
+        self.forward_into(x, &mut y);
         y
+    }
+
+    /// Forward pass into a caller-owned buffer, which is fully overwritten.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x.len() != in_dim()` or `y.len() != out_dim()`.
+    pub(crate) fn forward_into(&self, x: &[f64], y: &mut [f64]) {
+        self.weights.matvec_into(x, y);
+        vector::axpy(y, 1.0, &self.bias);
     }
 
     /// Backward pass: given the input `x` that produced the forward output
@@ -57,12 +90,10 @@ impl Linear {
     ///
     /// Panics on dimension mismatch.
     pub fn backward(&self, x: &[f64], dy: &[f64]) -> (LinearGradients, Vec<f64>) {
-        assert_eq!(dy.len(), self.out_dim(), "dy length mismatch");
-        let mut d_weights = Matrix::zeros(self.out_dim(), self.in_dim());
-        d_weights.add_outer(1.0, dy, x);
-        let d_bias = dy.to_vec();
+        let mut grads = LinearGradients::empty(self);
+        grads.fold(x, dy);
         let dx = self.weights.matvec_transposed(dy);
-        (LinearGradients { d_weights, d_bias }, dx)
+        (grads, dx)
     }
 
     /// Number of trainable parameters.
@@ -121,6 +152,41 @@ mod tests {
         }
         // Bias gradient equals upstream gradient.
         assert_eq!(grads.d_bias, c.to_vec());
+    }
+
+    fn bits(g: &LinearGradients) -> Vec<u64> {
+        g.d_weights.as_slice().iter().chain(&g.d_bias).map(|v| v.to_bits()).collect()
+    }
+
+    /// The sum the minibatch loop formed before the in-place fold: the
+    /// first sample's gradients, then each later one added whole.
+    fn add_whole(acc: &mut LinearGradients, g: &LinearGradients) {
+        acc.d_weights.add_scaled(1.0, &g.d_weights);
+        vector::axpy(&mut acc.d_bias, 1.0, &g.d_bias);
+    }
+
+    #[test]
+    fn in_place_fold_matches_summing_whole_gradients_bitwise() {
+        let l = Linear::new(3, 4, &mut rng());
+        // A −0.0 input, an all-zero upstream gradient, and upstream
+        // entries that are −0.0 in every sample (the bias sum must stay
+        // −0.0, as the first sample's copy left it).
+        let samples: [([f64; 3], [f64; 4]); 4] = [
+            ([0.3, -0.0, 1.2], [1.0, -0.0, 0.5, -2.0]),
+            ([0.0, 0.0, 0.0], [0.0, -0.0, 0.0, 0.0]),
+            ([-1.5, 0.25, -0.0], [-0.5, -0.0, 0.0, 3.0]),
+            ([2.0, -0.75, 0.5], [0.0, -0.0, -1.0, 0.0]),
+        ];
+        let mut whole = l.backward(&samples[0].0, &samples[0].1).0;
+        let mut folded = LinearGradients::empty(&l);
+        folded.fold(&samples[0].0, &samples[0].1);
+        assert_eq!(bits(&folded), bits(&whole), "first sample");
+        for (x, dy) in &samples[1..] {
+            add_whole(&mut whole, &l.backward(x, dy).0);
+            folded.fold(x, dy);
+        }
+        assert_eq!(bits(&folded), bits(&whole));
+        assert_eq!(folded.d_bias[1].to_bits(), (-0.0f64).to_bits());
     }
 
     #[test]

@@ -4,7 +4,7 @@
 use crate::activation::Activation;
 use crate::linear::{Linear, LinearGradients};
 use rand::Rng;
-use spikefolio_tensor::ops::{softmax, softmax_backward};
+use spikefolio_tensor::ops::{softmax_backward_into, softmax_in_place};
 use spikefolio_tensor::optim::{Gradients, Optimizer, ParamSlot};
 use spikefolio_tensor::vector;
 
@@ -21,10 +21,13 @@ pub struct Mlp {
 }
 
 /// Forward trace for backprop: pre-activations and activations per layer.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// A trace can be reused: [`Mlp::forward_into`] overwrites it in place, so
+/// a training loop that keeps one allocates nothing per sample.
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct MlpTrace {
-    /// Layer inputs, `layers.len() + 1` entries (last is pre-softmax
-    /// activations... see `forward`).
+    /// Layer inputs, `layers.len() + 1` entries; the last is the final
+    /// layer's raw output.
     inputs: Vec<Vec<f64>>,
     /// Pre-activation outputs per layer.
     pre_activations: Vec<Vec<f64>>,
@@ -38,6 +41,13 @@ impl MlpTrace {
     pub fn action(&self) -> &[f64] {
         &self.action
     }
+}
+
+/// Reusable backward-pass buffers: the gradient flowing down the layers.
+#[derive(Debug, Clone, Default)]
+pub struct MlpScratch {
+    dy: Vec<f64>,
+    dx: Vec<f64>,
 }
 
 /// Gradients for every layer of an [`Mlp`].
@@ -140,23 +150,60 @@ impl Mlp {
     ///
     /// Panics if `state.len() != in_dim()`.
     pub fn forward(&self, state: &[f64]) -> MlpTrace {
-        let mut inputs = vec![state.to_vec()];
-        let mut pre_activations = Vec::with_capacity(self.layers.len());
-        let mut x = state.to_vec();
+        let mut trace = MlpTrace::default();
+        self.forward_into(state, &mut trace);
+        trace
+    }
+
+    /// Forward pass into a reused trace, which is fully overwritten.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `state.len() != in_dim()`.
+    pub fn forward_into(&self, state: &[f64], trace: &mut MlpTrace) {
+        let depth = self.layers.len();
+        trace.inputs.resize_with(depth + 1, Vec::new);
+        trace.pre_activations.resize_with(depth, Vec::new);
+        trace.inputs[0].clear();
+        trace.inputs[0].extend_from_slice(state);
         for (i, layer) in self.layers.iter().enumerate() {
-            let z = layer.forward(&x);
-            pre_activations.push(z.clone());
-            x = if i + 1 < self.layers.len() { self.activation.apply_vec(&z) } else { z };
-            inputs.push(x.clone());
+            let z = &mut trace.pre_activations[i];
+            z.resize(layer.out_dim(), 0.0);
+            layer.forward_into(&trace.inputs[i], z);
+            let next = &mut trace.inputs[i + 1];
+            next.clear();
+            if i + 1 < depth {
+                next.extend(z.iter().map(|&v| self.activation.apply(v)));
+            } else {
+                next.extend_from_slice(z);
+            }
         }
-        let action = if self.softmax_head { softmax(&x) } else { x };
-        MlpTrace { inputs, pre_activations, action }
+        trace.action.clear();
+        trace.action.extend_from_slice(&trace.inputs[depth]);
+        if self.softmax_head {
+            softmax_in_place(&mut trace.action);
+        }
     }
 
     /// Inference: the output vector (the softmax action of a policy
     /// network, `[value]` for a value network).
     pub fn act(&self, state: &[f64]) -> Vec<f64> {
         self.forward(state).action
+    }
+
+    /// The empty minibatch sum of this network's gradients, for
+    /// [`backward_acc`](Self::backward_acc) to fold samples into.
+    ///
+    /// Folding samples into it reproduces, bit for bit, summing their
+    /// separate [`backward`](Self::backward) gradients from the first:
+    /// - A sample's weight gradient is `0.0 + dy·x`. The fold adds `dy·x`
+    ///   straight into a weight sum that starts at `+0.0`, so it is never
+    ///   `−0.0`, and then `acc + (0.0 + p) == acc + p`.
+    /// - A sample's bias gradient is `dy` itself. The bias sum starts at
+    ///   `−0.0`, the exact identity of IEEE addition, so the first fold
+    ///   yields `dy` bit for bit, signed zeros included.
+    pub fn empty_gradients(&self) -> MlpGradients {
+        MlpGradients { layers: self.layers.iter().map(LinearGradients::empty).collect() }
     }
 
     /// Backward pass from `∂L/∂action`.
@@ -166,7 +213,9 @@ impl Mlp {
     /// Panics if `d_action.len() != action_dim()` or the trace shape is
     /// inconsistent.
     pub fn backward(&self, trace: &MlpTrace, d_action: &[f64]) -> MlpGradients {
-        self.backward_input(trace, d_action).0
+        let mut grads = self.empty_gradients();
+        self.backprop(trace, d_action, &mut MlpScratch::default(), Some(&mut grads), false);
+        grads
     }
 
     /// Backward pass from `∂L/∂output`; returns `(gradients, ∂L/∂input)`.
@@ -176,10 +225,68 @@ impl Mlp {
     ///
     /// As [`backward`](Self::backward).
     pub fn backward_input(&self, trace: &MlpTrace, d_out: &[f64]) -> (MlpGradients, Vec<f64>) {
+        let mut grads = self.empty_gradients();
+        let mut scratch = MlpScratch::default();
+        self.backprop(trace, d_out, &mut scratch, Some(&mut grads), true);
+        (grads, scratch.dy)
+    }
+
+    /// Backward pass from `∂L/∂output` that folds this sample's parameter
+    /// gradients into the minibatch sum `acc` in place. Bitwise the same
+    /// as `acc.accumulate(&self.backward(trace, d_out))`.
+    ///
+    /// # Panics
+    ///
+    /// As [`backward`](Self::backward), or if `acc` does not match the
+    /// network shape.
+    pub fn backward_acc(
+        &self,
+        trace: &MlpTrace,
+        d_out: &[f64],
+        scratch: &mut MlpScratch,
+        acc: &mut MlpGradients,
+    ) {
+        assert_eq!(acc.layers.len(), self.layers.len(), "layer count mismatch");
+        self.backprop(trace, d_out, scratch, Some(acc), false);
+    }
+
+    /// Backward pass from `∂L/∂output` that computes only `∂L/∂input`,
+    /// no parameter gradients: bitwise `backward_input(trace, d_out).1`.
+    /// A DDPG critic's input gradient is the actor's learning signal.
+    ///
+    /// # Panics
+    ///
+    /// As [`backward`](Self::backward).
+    pub fn input_gradient<'s>(
+        &self,
+        trace: &MlpTrace,
+        d_out: &[f64],
+        scratch: &'s mut MlpScratch,
+    ) -> &'s [f64] {
+        self.backprop(trace, d_out, scratch, None, true);
+        &scratch.dy
+    }
+
+    /// Walks `∂L/∂output` down the layers, folding each layer's gradients
+    /// into `acc` when given. With `to_input` the input gradient is left in
+    /// `scratch.dy`; without it the input layer's `dx` is skipped.
+    fn backprop(
+        &self,
+        trace: &MlpTrace,
+        d_out: &[f64],
+        scratch: &mut MlpScratch,
+        mut acc: Option<&mut MlpGradients>,
+        to_input: bool,
+    ) {
         assert_eq!(d_out.len(), self.action_dim(), "d_action length mismatch");
-        let mut dy =
-            if self.softmax_head { softmax_backward(&trace.action, d_out) } else { d_out.to_vec() };
-        let mut grads: Vec<Option<LinearGradients>> = vec![None; self.layers.len()];
+        let MlpScratch { dy, dx } = scratch;
+        dy.clear();
+        if self.softmax_head {
+            dy.resize(d_out.len(), 0.0);
+            softmax_backward_into(&trace.action, d_out, dy);
+        } else {
+            dy.extend_from_slice(d_out);
+        }
         for (i, layer) in self.layers.iter().enumerate().rev() {
             // Through the activation (not applied after the last layer).
             if i + 1 < self.layers.len() {
@@ -187,12 +294,15 @@ impl Mlp {
                     *d *= self.activation.grad(z);
                 }
             }
-            let (g, dx) = layer.backward(&trace.inputs[i], &dy);
-            grads[i] = Some(g);
-            dy = dx;
+            if let Some(acc) = acc.as_deref_mut() {
+                acc.layers[i].fold(&trace.inputs[i], dy);
+            }
+            if i > 0 || to_input {
+                dx.resize(layer.in_dim(), 0.0);
+                layer.weights.matvec_transposed_into(dy, dx);
+                std::mem::swap(dy, dx);
+            }
         }
-        let layers = grads.into_iter().map(|g| g.expect("all layers visited")).collect();
-        (MlpGradients { layers }, dy)
     }
 
     /// Flattens all parameters (diagnostic/test helper).
@@ -399,6 +509,93 @@ mod tests {
         assert_ne!(q[0], 1.0);
         let (_, d_input) = n.backward_input(&n.forward(&state), &[1.0]);
         assert_eq!(d_input.len(), n.in_dim());
+    }
+
+    fn bits(g: &MlpGradients) -> Vec<u64> {
+        g.layers
+            .iter()
+            .flat_map(|l| l.d_weights.as_slice().iter().chain(&l.d_bias))
+            .map(|v| v.to_bits())
+            .collect()
+    }
+
+    /// A ReLU net whose hidden unit 0 is dead for every input here and
+    /// passes back a negative gradient, so its bias gradient is −0.0 in
+    /// every sample.
+    fn dead_unit_net(value: bool) -> Mlp {
+        let mut n = if value {
+            Mlp::value(&[4, 6, 1], Activation::Relu, &mut rng())
+        } else {
+            Mlp::new(&[4, 6, 3], Activation::Relu, &mut rng())
+        };
+        n.layers[0].bias[0] = -100.0;
+        n.layers[1].weights[(0, 0)] = 1.0;
+        n
+    }
+
+    /// `(state, ∂L/∂output)` samples with a −0.0 input and an all-zero
+    /// upstream gradient.
+    fn fold_samples(out_dim: usize) -> Vec<(Vec<f64>, Vec<f64>)> {
+        let d = |v: [f64; 3]| v[..out_dim].to_vec();
+        vec![
+            (vec![0.4, -0.0, 1.1, 0.7], d([-1.0, 0.5, 2.0])),
+            (vec![-0.3, 0.9, -0.0, 0.2], d([0.0, 0.0, 0.0])),
+            (vec![1.5, -1.2, 0.3, -0.0], d([-0.25, -1.0, 0.5])),
+            (vec![0.0, 0.6, -0.8, 1.3], d([-2.0, 1.0, -0.5])),
+        ]
+    }
+
+    #[test]
+    fn in_place_fold_matches_accumulating_backward_bitwise() {
+        for value in [false, true] {
+            let n = dead_unit_net(value);
+            let samples = fold_samples(n.action_dim());
+            let mut scratch = MlpScratch::default();
+            let mut trace = MlpTrace::default();
+
+            // The minibatch sum as first-sample-then-accumulate, and as
+            // folds into the empty sum through a reused trace.
+            let mut whole = n.backward(&n.forward(&samples[0].0), &samples[0].1);
+            let mut folded = n.empty_gradients();
+            for (i, (state, d_out)) in samples.iter().enumerate() {
+                if i > 0 {
+                    whole.accumulate(&n.backward(&n.forward(state), d_out));
+                }
+                n.forward_into(state, &mut trace);
+                assert_eq!(trace, n.forward(state), "value {value}: reused trace");
+                n.backward_acc(&trace, d_out, &mut scratch, &mut folded);
+            }
+            assert_eq!(bits(&folded), bits(&whole), "value {value}: from empty");
+
+            // Into a non-empty accumulator.
+            let (state, d_out) = &samples[2];
+            let mut acc = whole.clone();
+            acc.accumulate(&n.backward(&n.forward(state), d_out));
+            n.backward_acc(&n.forward(state), d_out, &mut scratch, &mut whole);
+            assert_eq!(bits(&whole), bits(&acc), "value {value}: non-empty");
+        }
+        // The dead unit's bias gradient kept the −0.0 of every sample.
+        let n = dead_unit_net(true);
+        let mut folded = n.empty_gradients();
+        for (state, _) in fold_samples(1) {
+            n.backward_acc(&n.forward(&state), &[-1.0], &mut MlpScratch::default(), &mut folded);
+        }
+        assert_eq!(folded.layers[0].d_bias[0].to_bits(), (-0.0f64).to_bits());
+    }
+
+    #[test]
+    fn input_gradient_matches_backward_input_bitwise() {
+        for value in [false, true] {
+            let n = dead_unit_net(value);
+            let mut scratch = MlpScratch::default();
+            for (state, d_out) in fold_samples(n.action_dim()) {
+                let trace = n.forward(&state);
+                let (_, full) = n.backward_input(&trace, &d_out);
+                let only = n.input_gradient(&trace, &d_out, &mut scratch);
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(only), bits(&full), "value {value}");
+            }
+        }
     }
 
     #[test]

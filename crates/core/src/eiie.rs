@@ -7,7 +7,6 @@ use rand::SeedableRng;
 use spikefolio_ann::{Eiie, EiieConfig};
 use spikefolio_env::{DecisionContext, Policy};
 use spikefolio_market::MarketData;
-use spikefolio_tensor::Matrix;
 
 /// Jiang's EIIE (convolutional, weight-shared) policy wrapped for the
 /// spikefolio environment.
@@ -40,20 +39,22 @@ impl EiieAgent {
         self.window
     }
 
-    /// Builds the per-asset price windows at period `t`: one
-    /// `channels × window` matrix per asset, normalized by each asset's
-    /// latest close (the same normalization as the flat state builder).
+    /// Writes the per-asset price windows at period `t` into `out`
+    /// (cleared first): one row-major `channels × window` block per asset,
+    /// normalized by the asset's latest close (the same normalization as
+    /// the flat state builder). This is the layout [`Eiie::forward_into`]
+    /// reads.
     ///
     /// # Panics
     ///
     /// Panics if `t` precedes the observation window.
-    pub fn windows(&self, market: &MarketData, t: usize) -> Vec<Matrix> {
+    pub(crate) fn windows_into(&self, market: &MarketData, t: usize, out: &mut Vec<f64>) {
         assert!(t + 1 >= self.window, "period {t} has no full window");
-        let channels = if self.include_open { 4 } else { 3 };
-        (0..market.num_assets())
-            .map(|a| {
-                let latest = market.close(t, a);
-                Matrix::from_fn(channels, self.window, |ch, k| {
+        out.clear();
+        for a in 0..market.num_assets() {
+            let latest = market.close(t, a);
+            for ch in 0..self.channels() {
+                out.extend((0..self.window).map(|k| {
                     let c = market.candle(t - k, a);
                     let px = match ch {
                         0 => c.close,
@@ -62,15 +63,25 @@ impl EiieAgent {
                         _ => c.open,
                     };
                     px / latest
-                })
-            })
-            .collect()
+                }));
+            }
+        }
+    }
+
+    fn channels(&self) -> usize {
+        if self.include_open {
+            4
+        } else {
+            3
+        }
     }
 
     /// Inference at period `t` of `market` with previous weights
     /// `prev_weights`.
     pub fn act(&self, market: &MarketData, t: usize, prev_weights: &[f64]) -> Vec<f64> {
-        self.network.act(&self.windows(market, t), prev_weights)
+        let mut windows = Vec::new();
+        self.windows_into(market, t, &mut windows);
+        self.network.act(&windows, prev_weights)
     }
 }
 
@@ -111,14 +122,16 @@ mod tests {
     fn windows_are_normalized_by_latest_close() {
         let market = ExperimentPreset::experiment1().shrunk(20, 5).generate(5);
         let agent = EiieAgent::new(&SdpConfig::smoke(), market.num_assets(), 1);
-        let ws = agent.windows(&market, 10);
-        assert_eq!(ws.len(), market.num_assets());
-        for w in &ws {
+        let mut ws = Vec::new();
+        agent.windows_into(&market, 10, &mut ws);
+        let window = agent.window();
+        assert_eq!(ws.len(), market.num_assets() * 3 * window);
+        for w in ws.chunks_exact(3 * window) {
             // Channel 0 (close), lag 0 → exactly 1.
-            assert!((w[(0, 0)] - 1.0).abs() < 1e-12);
+            assert!((w[0] - 1.0).abs() < 1e-12);
             // High channel dominates low channel everywhere.
-            for k in 0..w.cols() {
-                assert!(w[(1, k)] >= w[(2, k)]);
+            for k in 0..window {
+                assert!(w[window + k] >= w[2 * window + k]);
             }
         }
     }
@@ -129,6 +142,8 @@ mod tests {
         let mut cfg = SdpConfig::smoke();
         cfg.state.include_open = true;
         let agent = EiieAgent::new(&cfg, market.num_assets(), 1);
-        assert_eq!(agent.windows(&market, 10)[0].rows(), 4);
+        let mut ws = Vec::new();
+        agent.windows_into(&market, 10, &mut ws);
+        assert_eq!(ws.len(), market.num_assets() * 4 * agent.window());
     }
 }

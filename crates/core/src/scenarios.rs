@@ -10,9 +10,12 @@
 //! not shown.
 //!
 //! The work of a universe fans out over every core in two rounds of
-//! independent jobs: the four trainings, then the (scenario × strategy)
-//! backtests. Each job records into its own tape, and the caller replays
-//! the tapes and collects the cells in job order.
+//! independent jobs. The first round runs the four trainings, then the
+//! (scenario × classical strategy) backtests, which need no trained agent
+//! and so fill the cores the trainings leave idle. The second round runs
+//! the (scenario × learned agent) backtests. Each job records into its
+//! own tape. The caller replays the tapes and collects the cells in the
+//! serial order: the trainings, then every cell in scorecard order.
 //!
 //! Determinism contract: the scorecard depends only on `(options, seed)`,
 //! not on the core count, and the telemetry record sequence does not
@@ -129,6 +132,10 @@ fn matrix_config(opts: &ScenarioMatrixOptions) -> SdpConfig {
     cfg
 }
 
+/// The learned agents of a universe, which lead each scenario's row of the
+/// scorecard.
+const LEARNED: usize = 4;
+
 /// One universe's trained agent, in scorecard strategy order.
 enum Learned {
     Sdp(SdpAgent),
@@ -150,18 +157,24 @@ impl Learned {
     }
 }
 
+/// A first-round job's result: a trained agent or a classical cell.
+enum Done {
+    Trained(Box<Learned>),
+    Scored(ScorecardCell),
+}
+
 /// Runs `job(i, tape)` for every `i < jobs` on `workers` threads, the
 /// caller's included (one worker spawns no thread): each worker takes the
 /// next index from a shared counter until none is left. Every job records
-/// into its own [`TapeRecorder`] mirroring `rec`. The tapes are replayed
-/// into `rec` and the outputs returned in job order, so both are the same
-/// for any worker count and any schedule.
+/// into its own [`TapeRecorder`] mirroring `rec`. The outputs come back
+/// with their tapes in job order, so both are the same for any worker
+/// count and any schedule; the caller replays the tapes.
 fn fan_out<T: Send>(
     jobs: usize,
     workers: usize,
-    rec: &mut dyn Recorder,
+    rec: &dyn Recorder,
     job: impl Fn(usize, &mut TapeRecorder) -> T + Sync,
-) -> Vec<T> {
+) -> Vec<(T, TapeRecorder)> {
     let next = AtomicUsize::new(0);
     let blank = TapeRecorder::mirroring(rec);
     let work = || {
@@ -190,12 +203,50 @@ fn fan_out<T: Send>(
         done
     });
     done.sort_unstable_by_key(|(i, ..)| *i);
-    done.into_iter()
-        .map(|(_, out, tape)| {
-            tape.replay(rec);
-            out
-        })
-        .collect()
+    done.into_iter().map(|(_, out, tape)| (out, tape)).collect()
+}
+
+/// Backtests `policy` on `market`, the `scenario` overlay of the test
+/// window, into one scorecard cell, and records it (with its wall-clock)
+/// as a `scenario_cell` record.
+fn score(
+    backtester: &Backtester,
+    policy: &mut dyn Policy,
+    market: &MarketData,
+    universe: &str,
+    scenario: Scenario,
+    tape: &mut TapeRecorder,
+) -> ScorecardCell {
+    let watch = Stopwatch::start(tape);
+    let result = backtester.run(policy, market);
+    let wall_s = watch.elapsed_s();
+    let cell = ScorecardCell {
+        universe: universe.to_owned(),
+        scenario: scenario.name().to_owned(),
+        strategy: result.policy_name.clone(),
+        reward: result.log_returns.iter().sum(),
+        sharpe: result.metrics.sharpe,
+        max_drawdown: result.metrics.mdd,
+        turnover: result.turnover,
+        cost_drag: result.cost_drag(),
+        final_value: result.fapv(),
+    };
+    if tape.enabled() {
+        tape.emit(
+            Record::new("scenario_cell")
+                .field("universe", cell.universe.as_str())
+                .field("scenario", cell.scenario.as_str())
+                .field("strategy", cell.strategy.as_str())
+                .field("reward", cell.reward)
+                .field("sharpe", cell.sharpe)
+                .field("max_drawdown", cell.max_drawdown)
+                .field("turnover", cell.turnover)
+                .field("cost_drag", cell.cost_drag)
+                .field("final_value", cell.final_value)
+                .field("wall_s", wall_s),
+        );
+    }
+    cell
 }
 
 /// Runs the full matrix on every available core, emitting one telemetry
@@ -217,10 +268,10 @@ pub fn run_scenario_matrix(
 
 /// [`run_scenario_matrix`] on `workers` threads.
 ///
-/// Each universe runs as two fan-outs: its four trainings, then its
-/// (scenario × strategy) backtests. Between them, and before the next
-/// universe, the caller works alone, so only the jobs of one fan-out
-/// overlap.
+/// Each universe runs as two fan-outs: its four trainings and its
+/// classical backtests, then its learned backtests. Between them, and
+/// before the next universe, the caller works alone, so only the jobs of
+/// one fan-out overlap.
 fn run_matrix(
     opts: &ScenarioMatrixOptions,
     rec: &mut dyn Recorder,
@@ -249,7 +300,7 @@ fn run_matrix(
         let n = train.num_assets();
 
         type TrainJob<'a> = &'a (dyn Fn(&mut TapeRecorder) -> Learned + Sync);
-        let trainings: [TrainJob<'_>; 4] = [
+        let trainings: [TrainJob<'_>; LEARNED] = [
             &|tape| {
                 let mut agent = SdpAgent::new(&ucfg, n, agent_seed);
                 trainer.train_sdp_with(&mut agent, &train, tape);
@@ -271,48 +322,67 @@ fn run_matrix(
                 Learned::Ddpg(agent)
             },
         ];
-        let learned = fan_out(trainings.len(), workers, rec, |i, tape| trainings[i](tape));
-
-        let stressed: Vec<MarketData> = scenarios.iter().map(|s| s.apply(&test)).collect();
-        let strategies = learned.len() + classical;
-        let cells = fan_out(scenarios.len() * strategies, workers, rec, |job, tape| {
-            let (s_idx, k) = (job / strategies, job % strategies);
-            let mut policy = match learned.get(k) {
-                Some(agent) => agent.policy(),
-                None => scenario_baselines().swap_remove(k - learned.len()),
-            };
-            let watch = Stopwatch::start(tape);
-            let result = backtester.run(policy.as_mut(), &stressed[s_idx]);
-            let wall_s = watch.elapsed_s();
-            let cell = ScorecardCell {
-                universe: spec.name.clone(),
-                scenario: scenarios[s_idx].name().to_owned(),
-                strategy: result.policy_name.clone(),
-                reward: result.log_returns.iter().sum(),
-                sharpe: result.metrics.sharpe,
-                max_drawdown: result.metrics.mdd,
-                turnover: result.turnover,
-                cost_drag: result.cost_drag(),
-                final_value: result.fapv(),
-            };
-            if tape.enabled() {
-                tape.emit(
-                    Record::new("scenario_cell")
-                        .field("universe", cell.universe.as_str())
-                        .field("scenario", cell.scenario.as_str())
-                        .field("strategy", cell.strategy.as_str())
-                        .field("reward", cell.reward)
-                        .field("sharpe", cell.sharpe)
-                        .field("max_drawdown", cell.max_drawdown)
-                        .field("turnover", cell.turnover)
-                        .field("cost_drag", cell.cost_drag)
-                        .field("final_value", cell.final_value)
-                        .field("wall_s", wall_s),
-                );
+        // Round 1: the trainings, then the classical backtests. Each of
+        // those stresses its own copy of the test window and drops it, so
+        // at most one stressed window per worker is alive beside a
+        // training.
+        let jobs = LEARNED + scenarios.len() * classical;
+        let round1 = fan_out(jobs, workers, rec, |job, tape| match job.checked_sub(LEARNED) {
+            None => Done::Trained(Box::new(trainings[job](tape))),
+            Some(c) => {
+                let scenario = scenarios[c / classical];
+                let mut policy = scenario_baselines().swap_remove(c % classical);
+                let stressed = scenario.apply(&test);
+                Done::Scored(score(
+                    &backtester,
+                    policy.as_mut(),
+                    &stressed,
+                    &spec.name,
+                    scenario,
+                    tape,
+                ))
             }
-            cell
         });
-        card.cells.extend(cells);
+        let mut learned = Vec::with_capacity(LEARNED);
+        let mut classical_cells = Vec::with_capacity(jobs - LEARNED);
+        for (done, tape) in round1 {
+            match done {
+                // The trainings are the first jobs, so their tapes replay
+                // first and in order.
+                Done::Trained(agent) => {
+                    tape.replay(rec);
+                    learned.push(*agent);
+                }
+                Done::Scored(cell) => classical_cells.push((cell, tape)),
+            }
+        }
+
+        // Round 2: the learned agents on every stressed window.
+        let stressed: Vec<MarketData> = scenarios.iter().map(|s| s.apply(&test)).collect();
+        let learned_cells = fan_out(scenarios.len() * LEARNED, workers, rec, |job, tape| {
+            let (s_idx, k) = (job / LEARNED, job % LEARNED);
+            let mut policy = learned[k].policy();
+            score(
+                &backtester,
+                policy.as_mut(),
+                &stressed[s_idx],
+                &spec.name,
+                scenarios[s_idx],
+                tape,
+            )
+        });
+
+        // Each scenario's row: the learned agents, then the classical
+        // roster.
+        let mut learned_cells = learned_cells.into_iter();
+        let mut classical_cells = classical_cells.into_iter();
+        for _ in &scenarios {
+            let row = learned_cells.by_ref().take(LEARNED);
+            for (cell, tape) in row.chain(classical_cells.by_ref().take(classical)) {
+                tape.replay(rec);
+                card.cells.push(cell);
+            }
+        }
     }
     Ok(card)
 }
@@ -389,6 +459,50 @@ mod tests {
         };
         assert!(!one.spans().is_empty());
         assert_eq!(span_counts(&one), span_counts(&three));
+    }
+
+    #[test]
+    fn records_follow_the_serial_order_at_any_worker_count() {
+        let opts = ScenarioMatrixOptions {
+            universes: vec!["crypto".into(), "equity".into()],
+            ..smoke_opts()
+        };
+        let epochs = matrix_config(&opts).training.epochs as u64;
+        for workers in [1, 3] {
+            let mut rec = MemoryRecorder::new();
+            let card = run_matrix(&opts, &mut rec, workers).unwrap();
+            let mut records = rec.records().iter();
+            let mut next = || records.next().expect("record stream ended early");
+            for universe in card.universes() {
+                // The universe's trainings, in strategy order...
+                for agent in ["sdp", "drl", "eiie", "ddpg"] {
+                    for epoch in 0..epochs {
+                        let r = next();
+                        assert_eq!(r.kind(), "epoch", "{workers} workers");
+                        assert_eq!(r.get("agent").and_then(Value::as_str), Some(agent));
+                        assert_eq!(r.get("epoch").and_then(Value::as_u64), Some(epoch));
+                    }
+                }
+                // ...then its cells, in scorecard order.
+                for cell in card.cells.iter().filter(|c| c.universe == universe) {
+                    let r = next();
+                    assert_eq!(r.kind(), "scenario_cell", "{workers} workers");
+                    let field = |k| r.get(k).and_then(Value::as_str);
+                    assert_eq!(field("universe"), Some(universe), "{workers} workers");
+                    assert_eq!(
+                        field("scenario"),
+                        Some(cell.scenario.as_str()),
+                        "{workers} workers"
+                    );
+                    assert_eq!(
+                        field("strategy"),
+                        Some(cell.strategy.as_str()),
+                        "{workers} workers"
+                    );
+                }
+            }
+            assert!(records.next().is_none(), "{workers} workers: records past the last cell");
+        }
     }
 
     #[test]

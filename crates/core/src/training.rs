@@ -23,7 +23,7 @@ use crate::drl::DrlAgent;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
-use spikefolio_ann::MlpGradients;
+use spikefolio_ann::{EiieScratch, EiieTrace, MlpGradients, MlpScratch, MlpTrace};
 use spikefolio_env::CostModel;
 use spikefolio_market::MarketData;
 use spikefolio_snn::network::SpikeStats;
@@ -115,30 +115,38 @@ impl Pvm {
         &self.weights[t]
     }
 
-    fn set(&mut self, t: usize, w: Vec<f64>) {
-        self.weights[t] = w;
+    fn row_mut(&mut self, t: usize) -> &mut [f64] {
+        &mut self.weights[t]
     }
 }
 
-/// Drifts weights `w` through the price-relative vector `y`:
+/// Drifts weights `w` through the price-relative vector `y` into `out`:
 /// `w′ = (y ⊙ w) / (y · w)`.
-fn drift(w: &[f64], y: &[f64]) -> Vec<f64> {
+fn drift(w: &[f64], y: &[f64], out: &mut [f64]) {
     let growth = dot(w, y).max(1e-12);
-    w.iter().zip(y).map(|(&wi, &yi)| wi * yi / growth).collect()
+    for (o, (&wi, &yi)) in out.iter_mut().zip(w.iter().zip(y)) {
+        *o = wi * yi / growth;
+    }
 }
 
 /// Reward and its gradient with respect to the action.
 ///
-/// Returns `(r, ∂r/∂a)` with
-/// `r = ln(μ(a, w′)) + ln(y · a)` and the cost term differentiated through
-/// the proportional turnover model (the iterative model uses its combined
-/// rate as a first-order approximation — the standard treatment).
+/// Returns `r = ln(μ(a, w′)) + ln(y · a)` and writes `∂r/∂a` into `grad`,
+/// with the cost term differentiated through the proportional turnover
+/// model (the iterative model uses its combined rate as a first-order
+/// approximation — the standard treatment).
+///
+/// # Panics
+///
+/// Panics if `grad.len() != action.len()`.
 fn reward_and_grad(
     action: &[f64],
     y_next: &[f64],
     w_drifted: &[f64],
     costs: &CostModel,
-) -> (f64, Vec<f64>) {
+    grad: &mut [f64],
+) -> f64 {
+    assert_eq!(grad.len(), action.len(), "reward gradient length mismatch");
     let mu = costs.shrink_factor(action, w_drifted);
     let growth = dot(y_next, action).max(1e-12);
     let r = (mu * growth).ln();
@@ -146,30 +154,26 @@ fn reward_and_grad(
     // frictional model's commission + half-spread are both first-order
     // approximations (impact is second-order in trade size).
     let rate = costs.linear_rate();
-    let grad: Vec<f64> = action
-        .iter()
-        .zip(y_next.iter().zip(w_drifted))
-        .enumerate()
-        .map(|(i, (&ai, (&yi, &wi)))| {
-            let mut g = yi / growth;
-            if i > 0 && rate > 0.0 {
-                // ∂μ/∂a_i = −rate · sign(a_i − w′_i) (risky legs only);
-                // subgradient 0 at the kink (f64::signum(0.0) is 1, so an
-                // explicit comparison is needed).
-                let d = ai - wi;
-                let sign = if d > 0.0 {
-                    1.0
-                } else if d < 0.0 {
-                    -1.0
-                } else {
-                    0.0
-                };
-                g -= rate * sign / mu;
-            }
-            g
-        })
-        .collect();
-    (r, grad)
+    let terms = action.iter().zip(y_next.iter().zip(w_drifted));
+    for (i, (out, (&ai, (&yi, &wi)))) in grad.iter_mut().zip(terms).enumerate() {
+        let mut g = yi / growth;
+        if i > 0 && rate > 0.0 {
+            // ∂μ/∂a_i = −rate · sign(a_i − w′_i) (risky legs only);
+            // subgradient 0 at the kink (f64::signum(0.0) is 1, so an
+            // explicit comparison is needed).
+            let d = ai - wi;
+            let sign = if d > 0.0 {
+                1.0
+            } else if d < 0.0 {
+                -1.0
+            } else {
+                0.0
+            };
+            g -= rate * sign / mu;
+        }
+        *out = g;
+    }
+    r
 }
 
 /// One sampled training example, prepared sequentially in phase 1 of a
@@ -260,10 +264,11 @@ fn process_micro_batch(
     for (b, item) in items.iter().enumerate() {
         let action = trace.action(b).to_vec();
         let y_next = market.price_relatives_with_cash(item.t + 1);
-        let (r, dr) = reward_and_grad(&action, &y_next, &item.w_drifted, costs);
+        let d_action = d_actions.row_mut(b);
+        let r = reward_and_grad(&action, &y_next, &item.w_drifted, costs, d_action);
         // Gradient *descent* on L = −r (+ optional rate penalty).
-        for (o, g) in d_actions.row_mut(b).iter_mut().zip(&dr) {
-            *o = -g;
+        for g in d_action.iter_mut() {
+            *g = -*g;
         }
         samples.push((item.t, action, r));
     }
@@ -470,7 +475,8 @@ impl SdpTrainingSession<'_> {
                         tc.recency_bias,
                     );
                     let y_t = self.market.price_relatives_with_cash(t);
-                    let w_drifted = drift(self.pvm.get(t - 1), &y_t);
+                    let mut w_drifted = vec![0.0; y_t.len()];
+                    drift(self.pvm.get(t - 1), &y_t, &mut w_drifted);
                     let state = agent.state(self.market, t, &w_drifted);
                     SampleItem {
                         t,
@@ -510,7 +516,7 @@ impl SdpTrainingSession<'_> {
             let mut fold = |(samples, g, telemetry): MicroBatchResult| {
                 grads.accumulate(&g);
                 for (t, action, r) in samples {
-                    pvm.set(t, action);
+                    pvm.row_mut(t).copy_from_slice(&action);
                     batch_reward += r;
                 }
                 if let Some(mt) = telemetry {
@@ -771,18 +777,22 @@ impl Trainer {
         let mut trainer = spikefolio_ann::EiieTrainer::new(&agent.network, self.adam());
         trainer.max_grad_norm = Some(self.config.training.max_grad_norm);
         let min_period = agent.window() - 1;
+        let mut windows = Vec::new();
+        let mut trace = EiieTrace::default();
+        let mut scratch = EiieScratch::new(&agent.network);
+        let mut d_action = Vec::new();
+        let empty = agent.network.empty_gradients();
         self.train_dense(
             agent,
             market,
             rec,
-            ("eiie", 0xe11e, min_period),
-            |agent, t, w| {
-                let trace = agent.network.forward(&agent.windows(market, t), w);
-                let action = trace.action().to_vec();
-                let (r, dr) =
-                    reward_and_grad(&action, &market.price_relatives_with_cash(t + 1), w, &costs);
-                let g = agent.network.backward(&trace, &negated(&dr));
-                (action, r, g)
+            DenseRun { name: "eiie", salt: 0xe11e, min_period, empty },
+            |agent, s, grads| {
+                agent.windows_into(market, s.t, &mut windows);
+                agent.network.forward_into(&windows, s.w_drifted, &mut trace);
+                let r = s.descend(trace.action(), &costs, &mut d_action);
+                agent.network.backward_acc(&trace, &d_action, &mut scratch, grads);
+                r
             },
             |agent, g| trainer.apply(&mut agent.network, g),
         )
@@ -804,18 +814,22 @@ impl Trainer {
         let mut trainer = spikefolio_ann::MlpTrainer::new(&agent.network, self.adam());
         trainer.max_grad_norm = Some(self.config.training.max_grad_norm);
         let min_period = agent.state_builder().min_period();
+        let mut state = Vec::new();
+        let mut trace = MlpTrace::default();
+        let mut scratch = MlpScratch::default();
+        let mut d_action = Vec::new();
+        let empty = agent.network.empty_gradients();
         self.train_dense(
             agent,
             market,
             rec,
-            ("drl", 0xd71, min_period),
-            |agent, t, w| {
-                let trace = agent.network.forward(&agent.state(market, t, w));
-                let action = trace.action().to_vec();
-                let (r, dr) =
-                    reward_and_grad(&action, &market.price_relatives_with_cash(t + 1), w, &costs);
-                let g = agent.network.backward(&trace, &negated(&dr));
-                (action, r, g)
+            DenseRun { name: "drl", salt: 0xd71, min_period, empty },
+            |agent, s, grads| {
+                agent.state_builder().build_into(market, s.t, s.w_drifted, &mut state);
+                agent.network.forward_into(&state, &mut trace);
+                let r = s.descend(trace.action(), &costs, &mut d_action);
+                agent.network.backward_acc(&trace, &d_action, &mut scratch, grads);
+                r
             },
             |agent, g| trainer.apply(&mut agent.network, g),
         )
@@ -846,26 +860,39 @@ impl Trainer {
         let mut critic_trainer = spikefolio_ann::MlpTrainer::new(&agent.critic, self.adam());
         critic_trainer.max_grad_norm = max_grad_norm;
         let min_period = agent.state_builder().min_period();
+        // The critic reads the state followed by the action.
+        let mut state_action = Vec::new();
+        let (mut trace, mut ctrace) = (MlpTrace::default(), MlpTrace::default());
+        let (mut scratch, mut cscratch) = (MlpScratch::default(), MlpScratch::default());
+        let (mut dr, mut d_action) = (Vec::new(), Vec::new());
+        let empty = DdpgGradients {
+            critic: agent.critic.empty_gradients(),
+            actor: agent.actor.empty_gradients(),
+        };
         self.train_dense(
             agent,
             market,
             rec,
-            ("ddpg", 0xddb6, min_period),
-            |agent, t, w| {
-                let state = agent.state(market, t, w);
-                let trace = agent.actor.forward(&state);
-                let action = trace.action().to_vec();
-                let (r, _) =
-                    reward_and_grad(&action, &market.price_relatives_with_cash(t + 1), w, &costs);
-                let sa = [state.as_slice(), &action].concat();
-                let ctrace = agent.critic.forward(&sa);
+            DenseRun { name: "ddpg", salt: 0xddb6, min_period, empty },
+            |agent, s, grads| {
+                agent.state_builder().build_into(market, s.t, s.w_drifted, &mut state_action);
+                let state_len = state_action.len();
+                agent.actor.forward_into(&state_action, &mut trace);
+                let action = trace.action();
+                s.action.copy_from_slice(action);
+                dr.resize(action.len(), 0.0);
+                let r = reward_and_grad(action, s.y_next, s.w_drifted, &costs, &mut dr);
+                state_action.extend_from_slice(action);
+                agent.critic.forward_into(&state_action, &mut ctrace);
                 let q = ctrace.action()[0];
                 // Critic: descend ½(Q − r)².
-                let critic = agent.critic.backward(&ctrace, &[q - r]);
+                agent.critic.backward_acc(&ctrace, &[q - r], &mut cscratch, &mut grads.critic);
                 // Actor: ascend Q, i.e. descend −Q through ∂Q/∂a.
-                let (_, d_input) = agent.critic.backward_input(&ctrace, &[1.0]);
-                let actor = agent.actor.backward(&trace, &negated(&d_input[state.len()..]));
-                (action, r, DdpgGradients { critic, actor })
+                let d_input = agent.critic.input_gradient(&ctrace, &[1.0], &mut cscratch);
+                d_action.clear();
+                d_action.extend(d_input[state_len..].iter().map(|g| -g));
+                agent.actor.backward_acc(&trace, &d_action, &mut scratch, &mut grads.actor);
+                r
             },
             |agent, g| {
                 critic_trainer.apply(&mut agent.critic, &mut g.critic);
@@ -880,50 +907,58 @@ impl Trainer {
     }
 
     /// The eq. (1) minibatch loop every dense baseline shares: sample
-    /// periods, drift the PVM weights, sum per-sample gradients, average
-    /// them over the minibatch, apply, and log one epoch record.
+    /// periods, drift the PVM weights, fold per-sample gradients into the
+    /// minibatch sum, average it, apply, and log one epoch record.
     ///
-    /// `(name, salt, min_period)` are the record's agent tag, the salt of
-    /// the sampling RNG, and the first period the agent can observe.
-    /// `sample(agent, t, w_drifted)` runs one decision period and returns
-    /// its action (written back into the PVM), reward and gradients;
-    /// `apply` takes one optimizer step with the averaged gradients.
-    fn train_dense<A, G: Gradients>(
+    /// `run` names the agent and its sampling salt (see [`DenseRun`]).
+    /// `sample(agent, s, grads)` runs decision period `s.t`, writes its
+    /// action into the PVM row `s.action`, folds its gradients into
+    /// `grads` and returns its reward; `apply` takes one optimizer step
+    /// with the averaged gradients.
+    ///
+    /// Samples run strictly in draw order: a later draw of `t + 1` drifts
+    /// the action an earlier sample wrote at `t`, so the minibatch cannot
+    /// be evaluated as one batch without changing results.
+    fn train_dense<A, G: Gradients + Clone>(
         &self,
         agent: &mut A,
         market: &MarketData,
         rec: &mut dyn Recorder,
-        (name, salt, min_period): (&str, u64, usize),
-        sample: impl Fn(&A, usize, &[f64]) -> (Vec<f64>, f64, G),
+        run: DenseRun<'_, G>,
+        mut sample: impl FnMut(&A, DenseSample<'_>, &mut G) -> f64,
         mut apply: impl FnMut(&mut A, &mut G),
     ) -> TrainingLog {
         let tc = self.config.training;
-        let (min_t, max_t) = self.bounds(market, min_period);
+        let (min_t, max_t) = self.bounds(market, run.min_period);
         let mut pvm = Pvm::new(market.num_periods(), market.num_assets() + 1);
-        let mut sample_rng = StdRng::seed_from_u64(self.config.seed ^ salt);
+        let mut sample_rng = StdRng::seed_from_u64(self.config.seed ^ run.salt);
         let mut log = TrainingLog::with_capacity(tc.epochs);
+        let (mut y_t, mut y_next) = (Vec::new(), Vec::new());
+        let mut w_drifted = vec![0.0; market.num_assets() + 1];
         for epoch in 0..tc.epochs {
             let epoch_t0 = Instant::now();
             let mut epoch_reward = 0.0;
             let mut grad_norm_sum = 0.0;
             for _step in 0..tc.steps_per_epoch {
-                let mut grads: Option<G> = None;
+                let mut grads = run.empty.clone();
                 let mut batch_reward = 0.0;
                 for _ in 0..tc.batch_size {
                     let t = sample_period(&mut sample_rng, min_t, max_t, tc.recency_bias);
-                    let w_drifted = drift(pvm.get(t - 1), &market.price_relatives_with_cash(t));
-                    let (action, r, g) = sample(agent, t, &w_drifted);
-                    match grads.as_mut() {
-                        Some(acc) => acc.accumulate(&g),
-                        None => grads = Some(g),
-                    }
-                    pvm.set(t, action);
-                    batch_reward += r;
+                    market.price_relatives_with_cash_into(t, &mut y_t);
+                    market.price_relatives_with_cash_into(t + 1, &mut y_next);
+                    drift(pvm.get(t - 1), &y_t, &mut w_drifted);
+                    let s = DenseSample {
+                        t,
+                        w_drifted: &w_drifted,
+                        y_next: &y_next,
+                        action: pvm.row_mut(t),
+                    };
+                    batch_reward += sample(agent, s, &mut grads);
                 }
-                if let Some(mut g) = grads {
-                    g.scale(1.0 / tc.batch_size as f64);
-                    grad_norm_sum += g.global_norm();
-                    apply(agent, &mut g);
+                if tc.batch_size > 0 {
+                    grads.scale(1.0 / tc.batch_size as f64);
+                    grad_norm_sum += grads.global_norm();
+                    apply(agent, &mut grads);
                 }
                 log.steps += 1;
                 epoch_reward += batch_reward;
@@ -938,7 +973,7 @@ impl Trainer {
             if rec.enabled() {
                 rec.emit(
                     Record::new("epoch")
-                        .field("agent", name)
+                        .field("agent", run.name)
                         .field("epoch", epoch as u64)
                         .field("reward", stats.reward)
                         .field("wall_s", stats.wall_s)
@@ -951,14 +986,49 @@ impl Trainer {
     }
 }
 
-/// `−g`: the descent direction on the loss `L = −r`.
-fn negated(g: &[f64]) -> Vec<f64> {
-    g.iter().map(|x| -x).collect()
+/// One dense baseline's settings for [`Trainer::train_dense`].
+struct DenseRun<'a, G> {
+    /// The agent tag of its `"epoch"` records.
+    name: &'a str,
+    /// The salt of its sampling RNG.
+    salt: u64,
+    /// The first period the agent can observe.
+    min_period: usize,
+    /// The empty minibatch sum of its gradients (see
+    /// [`Mlp::empty_gradients`](spikefolio_ann::Mlp::empty_gradients)).
+    empty: G,
+}
+
+/// One decision period of a dense minibatch, as
+/// [`Trainer::train_dense`] hands it to an agent's sample step.
+struct DenseSample<'a> {
+    t: usize,
+    /// The PVM weights of `t − 1`, drifted through the period-`t` move.
+    w_drifted: &'a [f64],
+    /// `y_{t+1}`: the price relatives the action is rewarded on.
+    y_next: &'a [f64],
+    /// The PVM row of `t`, which receives the action.
+    action: &'a mut [f64],
+}
+
+impl DenseSample<'_> {
+    /// Writes `action` into the PVM and `−∂r/∂a`, the descent direction on
+    /// `L = −r`, into `d_action`; returns the reward `r`.
+    fn descend(self, action: &[f64], costs: &CostModel, d_action: &mut Vec<f64>) -> f64 {
+        self.action.copy_from_slice(action);
+        d_action.resize(action.len(), 0.0);
+        let r = reward_and_grad(action, self.y_next, self.w_drifted, costs, d_action);
+        for g in d_action.iter_mut() {
+            *g = -*g;
+        }
+        r
+    }
 }
 
 /// The DDPG critic and actor gradients of one minibatch. The logged norm
 /// is the actor's, the one the policy steps along; each network clips its
 /// own gradients when applied.
+#[derive(Clone)]
 struct DdpgGradients {
     critic: MlpGradients,
     actor: MlpGradients,
@@ -1018,15 +1088,17 @@ mod tests {
         let a = [0.1, 0.5, 0.4];
         let y = [1.0, 1.1, 0.9];
         let w = [0.3, 0.3, 0.4];
-        let (_, g) = reward_and_grad(&a, &y, &w, &costs);
+        let mut g = [0.0; 3];
+        reward_and_grad(&a, &y, &w, &costs, &mut g);
         let eps = 1e-7;
+        let mut scratch = [0.0; 3];
         for i in 0..3 {
             let mut ap = a;
             ap[i] += eps;
             let mut am = a;
             am[i] -= eps;
-            let (rp, _) = reward_and_grad(&ap, &y, &w, &costs);
-            let (rm, _) = reward_and_grad(&am, &y, &w, &costs);
+            let rp = reward_and_grad(&ap, &y, &w, &costs, &mut scratch);
+            let rm = reward_and_grad(&am, &y, &w, &costs, &mut scratch);
             let num = (rp - rm) / (2.0 * eps);
             assert!((g[i] - num).abs() < 1e-5, "component {i}: {} vs {num}", g[i]);
         }
@@ -1036,7 +1108,8 @@ mod tests {
     fn drift_preserves_simplex() {
         let w = [0.2, 0.5, 0.3];
         let y = [1.0, 1.2, 0.8];
-        let d = drift(&w, &y);
+        let mut d = [0.0; 3];
+        drift(&w, &y, &mut d);
         assert!(spikefolio_tensor::simplex::is_on_simplex(&d, 1e-12));
         // Winner gains share.
         assert!(d[1] > w[1]);

@@ -97,10 +97,27 @@ impl StateBuilder {
     /// Panics if `t < min_period()`, if `t` is out of range, or if
     /// `prev_weights.len() != num_assets + 1` when weights are included.
     pub fn build(&self, data: &MarketData, t: usize, prev_weights: &[f64]) -> Vec<f64> {
+        let mut state = Vec::with_capacity(self.state_dim(data.num_assets()));
+        self.build_into(data, t, prev_weights, &mut state);
+        state
+    }
+
+    /// [`build`](Self::build) into `state`, which is cleared first.
+    ///
+    /// # Panics
+    ///
+    /// As [`build`](Self::build).
+    pub fn build_into(
+        &self,
+        data: &MarketData,
+        t: usize,
+        prev_weights: &[f64],
+        state: &mut Vec<f64>,
+    ) {
         assert!(t >= self.min_period(), "period {t} has no full window");
         assert!(t < data.num_periods(), "period {t} out of range");
         let n = data.num_assets();
-        let mut state = Vec::with_capacity(self.state_dim(n));
+        state.clear();
         for a in 0..n {
             let latest_close = data.close(t, a);
             for k in 0..self.config.window {
@@ -117,7 +134,6 @@ impl StateBuilder {
             assert_eq!(prev_weights.len(), n + 1, "prev_weights must have length num_assets + 1");
             state.extend_from_slice(prev_weights);
         }
-        state
     }
 
     /// Builds the state vector from a raw OHLC window instead of a full

@@ -140,13 +140,15 @@ impl MarketData {
     /// (no cash entry). For `t == 0` the open of period 0 is used as the
     /// previous close.
     pub fn price_relatives(&self, t: usize) -> Vec<f64> {
-        (0..self.num_assets)
-            .map(|a| {
-                let c = self.candle(t, a);
-                let prev = if t == 0 { c.open } else { self.close(t - 1, a) };
-                c.close / prev
-            })
-            .collect()
+        self.relatives(t).collect()
+    }
+
+    fn relatives(&self, t: usize) -> impl Iterator<Item = f64> + '_ {
+        (0..self.num_assets).map(move |a| {
+            let c = self.candle(t, a);
+            let prev = if t == 0 { c.open } else { self.close(t - 1, a) };
+            c.close / prev
+        })
     }
 
     /// Price-relative vector with a leading cash entry fixed at 1.0, i.e.
@@ -154,9 +156,16 @@ impl MarketData {
     /// portfolio.
     pub fn price_relatives_with_cash(&self, t: usize) -> Vec<f64> {
         let mut y = Vec::with_capacity(self.num_assets + 1);
-        y.push(1.0);
-        y.extend(self.price_relatives(t));
+        self.price_relatives_with_cash_into(t, &mut y);
         y
+    }
+
+    /// [`price_relatives_with_cash`](Self::price_relatives_with_cash)
+    /// into `out`, which is cleared first.
+    pub fn price_relatives_with_cash_into(&self, t: usize, out: &mut Vec<f64>) {
+        out.clear();
+        out.push(1.0);
+        out.extend(self.relatives(t));
     }
 
     /// Sum of traded volume for asset `a` over the trailing `periods`
