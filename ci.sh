@@ -25,6 +25,12 @@ cargo test -q -p spikefolio --test live_desk
 echo "==> sparse-kernel equivalence battery (dense vs event-driven, bitwise)"
 cargo test -q -p spikefolio --test sparse_kernels
 
+# The release build vectorizes the tiled kernels (target-cpu=native), the
+# debug build does not, so a kernel whose bits depended on vector width
+# would only fail here.
+echo "==> bitwise pins in the release build (trained weights, sparse kernels)"
+cargo test -q --release -p spikefolio --test end_to_end_training --test sparse_kernels
+
 echo "==> cargo bench --no-run (benches must keep compiling)"
 cargo bench --no-run --workspace
 
