@@ -678,6 +678,18 @@ mod tests {
         acc.accumulate(&net.backward(&trace, &d_actions[2]));
         net.backward_acc(&trace, &d_actions[2], &mut scratch, &mut whole);
         assert_eq!(bits(&whole), bits(&acc), "non-empty");
+
+        // A −0.0 cash entry over a zero upstream gradient gives every
+        // sample a −0.0 cash-bias gradient, which the sum must keep.
+        let silent = [-0.0, 0.0, 0.0, 0.0];
+        let mut whole = net.backward(&trace, &silent);
+        whole.accumulate(&net.backward(&trace, &silent));
+        let mut folded = net.empty_gradients();
+        for _ in 0..2 {
+            net.backward_acc(&trace, &silent, &mut scratch, &mut folded);
+        }
+        assert_eq!(whole.d_cash_bias.to_bits(), (-0.0f64).to_bits());
+        assert_eq!(bits(&folded), bits(&whole), "−0.0 cash gradient");
     }
 
     #[test]

@@ -674,41 +674,56 @@ mod tests {
             .collect()
     }
 
-    /// A deterministic value stream with exact zeros, −0.0, NaN and ±inf
-    /// sprinkled between ordinary magnitudes.
-    fn special(i: usize, salt: usize) -> f64 {
-        let h = (i.wrapping_mul(0x9e37_79b9) ^ salt.wrapping_mul(0x85eb_ca6b)) % 97;
-        match h {
+    /// Ordinary values with exact zeros and −0.0 sprinkled in.
+    fn value(i: usize, salt: usize) -> f64 {
+        match (i.wrapping_mul(0x9e37_79b9) ^ salt.wrapping_mul(0x85eb_ca6b)) % 23 {
             0 => 0.0,
             1 => -0.0,
-            2 if salt.is_multiple_of(3) => f64::NAN,
-            3 if salt.is_multiple_of(5) => f64::INFINITY,
-            4 if salt.is_multiple_of(7) => f64::NEG_INFINITY,
             _ => ((i * 31 + salt * 17) % 61) as f64 / 7.0 - 4.0,
         }
     }
 
     #[test]
     fn tiled_matvec_is_bitwise_the_single_chain_dot() {
+        let specials = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
         for rows in [1, 7, 8, 9, 24, 36] {
             for cols in [0, 1, 420] {
-                for salt in [1, 3, 5, 7, 105] {
-                    let m = Matrix::from_fn(rows, cols, |r, c| special(r * cols + c, salt));
-                    let x: Vec<f64> = (0..cols).map(|c| special(c, salt + 11)).collect();
+                // Case 0: ordinary values only, so every output is compared
+                // bit for bit. Case 1: NaN, +inf and −inf in the weights,
+                // each in a row of its own where rows allow, the +inf facing
+                // a zero input. Cases 2–4: one of them in `x`, which
+                // reaches every output.
+                for case in 0..5 {
+                    let mut m = Matrix::from_fn(rows, cols, |r, c| value(r * cols + c, case));
+                    let mut x: Vec<f64> = (0..cols).map(|c| value(c, case + 7)).collect();
+                    if cols > 0 {
+                        match case {
+                            0 => {}
+                            1 => {
+                                for (j, &v) in specials.iter().enumerate() {
+                                    m[((j * 5) % rows, (j * 13) % cols)] = v;
+                                }
+                                // 0 · inf is NaN: a kernel that skipped
+                                // zero inputs would miss it.
+                                x[13 % cols] = 0.0;
+                            }
+                            _ => x[(case * 97) % cols] = specials[case - 2],
+                        }
+                    }
                     let mut into = vec![f64::NAN; rows];
                     m.matvec_into(&x, &mut into);
                     let expect = naive_matvec(&m, &x);
-                    for (got, want) in
-                        [m.matvec(&x), into].iter().flat_map(|v| v.iter().zip(&expect))
-                    {
-                        if want.is_nan() {
-                            assert!(got.is_nan(), "{rows}x{cols} salt {salt}: {got} != NaN");
-                        } else {
-                            assert_eq!(
-                                got.to_bits(),
-                                want.to_bits(),
-                                "{rows}x{cols} salt {salt}: {got} != {want}"
-                            );
+                    for got in [m.matvec(&x), into] {
+                        for (r, (g, want)) in got.iter().zip(&expect).enumerate() {
+                            if want.is_nan() {
+                                assert!(g.is_nan(), "{rows}x{cols} case {case} row {r}: {g}");
+                            } else {
+                                assert_eq!(
+                                    g.to_bits(),
+                                    want.to_bits(),
+                                    "{rows}x{cols} case {case} row {r}: {g} != {want}"
+                                );
+                            }
                         }
                     }
                 }
