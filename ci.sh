@@ -27,9 +27,11 @@ cargo test -q -p spikefolio --test sparse_kernels
 
 # The release build vectorizes the tiled kernels (target-cpu=native), the
 # debug build does not, so a kernel whose bits depended on vector width
-# would only fail here.
-echo "==> bitwise pins in the release build (trained weights, sparse kernels)"
-cargo test -q --release -p spikefolio --test end_to_end_training --test sparse_kernels
+# would only fail here. batched_snn pins each batch row against its own
+# B = 1 run, the path every single decision takes.
+echo "==> bitwise pins in the release build (trained weights, sparse kernels, batch composition)"
+cargo test -q --release -p spikefolio --test end_to_end_training --test sparse_kernels \
+  --test batched_snn
 
 echo "==> cargo bench --no-run (benches must keep compiling)"
 cargo bench --no-run --workspace

@@ -5,8 +5,10 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::SeedableRng;
 use spikefolio::experiments::{rate_penalty_ablation, RunOptions};
+use spikefolio_bench::bench_support::backward_one;
 use spikefolio_snn::network::{SdpNetwork, SdpNetworkConfig};
-use spikefolio_snn::stbp;
+use spikefolio_snn::SingleSample;
+use spikefolio_tensor::Matrix;
 
 fn options() -> RunOptions {
     let mut opts = RunOptions::smoke();
@@ -43,17 +45,16 @@ fn bench_penalized_backward(c: &mut Criterion) {
     let mut rng = rand::rngs::StdRng::seed_from_u64(17);
     let net = SdpNetwork::new(SdpNetworkConfig::small(16, 12), &mut rng);
     let state: Vec<f64> = (0..16).map(|i| 0.9 + 0.02 * i as f64).collect();
-    let (_, trace) = net.forward(&state, &mut rng);
-    let d_action = vec![1.0 / 12.0; 12];
+    let mut one = SingleSample::new(&net);
+    one.forward(&net, &state, &mut rng);
+    let d_action = Matrix::filled(1, 12, 1.0 / 12.0);
 
     let mut group = c.benchmark_group("ablation/rate_penalty_backward");
     group.bench_function("plain", |b| {
-        b.iter(|| std::hint::black_box(stbp::backward(&net, &trace, &d_action)))
+        b.iter(|| std::hint::black_box(backward_one(&net, &mut one, &d_action, 0.0)))
     });
     group.bench_function("penalized", |b| {
-        b.iter(|| {
-            std::hint::black_box(stbp::backward_with_rate_penalty(&net, &trace, &d_action, 1.0))
-        })
+        b.iter(|| std::hint::black_box(backward_one(&net, &mut one, &d_action, 1.0)))
     });
     group.finish();
 }

@@ -8,11 +8,14 @@ use rand::SeedableRng;
 use spikefolio::agent::SdpAgent;
 use spikefolio::config::SdpConfig;
 use spikefolio::training::Trainer;
+use spikefolio_bench::bench_support::backward_one;
 use spikefolio_market::experiments::ExperimentPreset;
 use spikefolio_snn::network::{SdpNetwork, SdpNetworkConfig};
 use spikefolio_snn::neuron::SpikeFn;
-use spikefolio_snn::{stbp, Surrogate};
+use spikefolio_snn::SingleSample;
+use spikefolio_snn::Surrogate;
 use spikefolio_telemetry::NoopRecorder;
+use spikefolio_tensor::Matrix;
 
 fn surrogates() -> Vec<(&'static str, Surrogate)> {
     vec![
@@ -49,10 +52,11 @@ fn bench_backward_per_surrogate(c: &mut Criterion) {
         let mut rng = rand::rngs::StdRng::seed_from_u64(11);
         let net = SdpNetwork::new(cfg, &mut rng);
         let state: Vec<f64> = (0..16).map(|i| 0.9 + 0.02 * i as f64).collect();
-        let (_, trace) = net.forward(&state, &mut rng);
-        let d_action = vec![1.0 / 12.0; 12];
+        let mut one = SingleSample::new(&net);
+        one.forward(&net, &state, &mut rng);
+        let d_action = Matrix::filled(1, 12, 1.0 / 12.0);
         group.bench_function(name, |b| {
-            b.iter(|| std::hint::black_box(stbp::backward(&net, &trace, &d_action)))
+            b.iter(|| std::hint::black_box(backward_one(&net, &mut one, &d_action, 0.0)))
         });
     }
     group.finish();

@@ -7,6 +7,7 @@ use rand::SeedableRng;
 use spikefolio::experiments::{timestep_tradeoff, RunOptions};
 use spikefolio::report::format_timestep_tradeoff;
 use spikefolio_snn::network::{SdpNetwork, SdpNetworkConfig};
+use spikefolio_snn::SingleSample;
 
 fn options() -> RunOptions {
     let mut opts = RunOptions::smoke();
@@ -32,8 +33,9 @@ fn bench_forward_scaling(c: &mut Criterion) {
         let mut rng = rand::rngs::StdRng::seed_from_u64(5);
         let net = SdpNetwork::new(cfg, &mut rng);
         let state: Vec<f64> = (0..16).map(|i| 0.9 + 0.02 * i as f64).collect();
+        let mut one = SingleSample::new(&net);
         group.bench_with_input(BenchmarkId::from_parameter(t), &t, |b, _| {
-            b.iter(|| std::hint::black_box(net.act(&state, &mut rng)))
+            b.iter(|| std::hint::black_box(one.forward(&net, &state, &mut rng)[0]))
         });
     }
     group.finish();

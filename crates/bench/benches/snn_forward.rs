@@ -6,6 +6,8 @@ use rand::SeedableRng;
 use spikefolio_bench::bench_support;
 use spikefolio_loihi::quantize::quantize_network;
 use spikefolio_loihi::LoihiChip;
+use spikefolio_snn::SingleSample;
+use spikefolio_tensor::Matrix;
 
 fn bench_forward(c: &mut Criterion) {
     let mut rng = rand::rngs::StdRng::seed_from_u64(9);
@@ -21,16 +23,25 @@ fn bench_forward(c: &mut Criterion) {
     let (q, _) = quantize_network(&paper_net);
     let chip_net = LoihiChip::default().map(q).expect("paper net fits");
 
+    // One decision at B = 1 on reused buffers, as backtests and singleton
+    // serve requests run it.
+    let mut paper_one = SingleSample::new(&paper_net);
+    let mut small_one = SingleSample::new(&small_net);
+
     let mut group = c.benchmark_group("snn/forward");
     group.sample_size(20);
     group.bench_function("paper_scale_float", |b| {
-        b.iter(|| std::hint::black_box(paper_net.act(&paper_state, &mut rng)))
+        b.iter(|| std::hint::black_box(paper_one.forward(&paper_net, &paper_state, &mut rng)[0]))
     });
     group.bench_function("small_float", |b| {
-        b.iter(|| std::hint::black_box(small_net.act(&small_state, &mut rng)))
+        b.iter(|| std::hint::black_box(small_one.forward(&small_net, &small_state, &mut rng)[0]))
     });
-    group.bench_function("paper_scale_with_trace", |b| {
-        b.iter(|| std::hint::black_box(paper_net.forward(&paper_state, &mut rng)))
+    // The same pass through the allocating one-shot entry.
+    let paper_row = Matrix::from_rows(&[&paper_state]);
+    group.bench_function("paper_scale_one_shot", |b| {
+        b.iter(|| {
+            std::hint::black_box(paper_net.act_batch(&paper_row, std::slice::from_mut(&mut rng)))
+        })
     });
     group.bench_function("paper_scale_chip_fixed_point", |b| {
         let raster = paper_net.encoder.encode(&paper_state, 5, &mut rng);

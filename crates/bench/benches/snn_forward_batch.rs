@@ -1,11 +1,12 @@
-//! Batched forward engine vs the looped per-sample path: the throughput
-//! case for `SdpNetwork::forward_batch` at paper scale (one GEMM per
-//! layer per timestep instead of B matvec sweeps).
+//! Batched forward engine vs looped single-sample calls: the throughput
+//! case for `SdpNetwork::forward_batch` at paper scale (one B-row drive
+//! per layer per timestep instead of B one-row drives).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use spikefolio_bench::bench_support;
+use spikefolio_snn::SingleSample;
 use spikefolio_snn::{BatchNetworkTrace, BatchWorkspace};
 
 fn bench_forward_batch(c: &mut Criterion) {
@@ -16,11 +17,12 @@ fn bench_forward_batch(c: &mut Criterion) {
     group.sample_size(20);
     for &batch in &[4usize, 32] {
         let st = bench_support::pinned_states(batch, bench_support::PAPER_STATE_DIM);
-        group.bench_function(format!("looped_per_sample_b{batch}"), |b| {
+        let mut one = SingleSample::new(&net);
+        group.bench_function(format!("looped_b1_b{batch}"), |b| {
             b.iter(|| {
                 for s in 0..batch {
                     let mut r = StdRng::seed_from_u64(s as u64);
-                    std::hint::black_box(net.forward(st.row(s), &mut r));
+                    std::hint::black_box(one.forward(&net, st.row(s), &mut r)[0]);
                 }
             })
         });

@@ -1,14 +1,16 @@
-//! Batched STBP backward vs the looped per-sample path: one
-//! `∇W = Σ_t Δc(t)ᵀ · O_in(t)` GEMM per layer instead of T·B rank-1
-//! outer-product updates per sample.
+//! Batched STBP backward vs looped single-sample calls: one
+//! `∇W = Σ_{t,b} Δc(t,b)ᵀ · O_in(t,b)` kernel call per layer over the
+//! whole batch instead of one per sample.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use spikefolio_bench::bench_support;
 use spikefolio_snn::stbp;
+use spikefolio_snn::SingleSample;
 use spikefolio_snn::{BatchNetworkTrace, BatchWorkspace};
 use spikefolio_tensor::optim::Gradients;
+use spikefolio_tensor::Matrix;
 
 fn bench_backward_batch(c: &mut Criterion) {
     let net = bench_support::paper_network(13);
@@ -19,19 +21,19 @@ fn bench_backward_batch(c: &mut Criterion) {
         let states = bench_support::pinned_states(batch, bench_support::PAPER_STATE_DIM);
         let d_actions = bench_support::pinned_d_actions(batch, bench_support::PAPER_ACTION_DIM);
 
-        // Per-sample baseline: forward traces precomputed, backward looped.
-        let traces: Vec<_> = (0..batch)
+        // B = 1 baseline: forward traces precomputed, backward looped.
+        let mut singles: Vec<(SingleSample, Matrix)> = (0..batch)
             .map(|s| {
-                let mut r = StdRng::seed_from_u64(s as u64);
-                net.forward(states.row(s), &mut r).1
+                let mut one = SingleSample::new(&net);
+                one.forward(&net, states.row(s), &mut StdRng::seed_from_u64(s as u64));
+                (one, Matrix::from_rows(&[d_actions.row(s)]))
             })
             .collect();
-        group.bench_function(format!("looped_per_sample_b{batch}"), |b| {
+        group.bench_function(format!("looped_b1_b{batch}"), |b| {
             b.iter(|| {
                 let mut acc = stbp::SdpGradients::zeros_like(&net);
-                for (s, trace) in traces.iter().enumerate() {
-                    let g = stbp::backward_with_rate_penalty(&net, trace, d_actions.row(s), 0.0);
-                    acc.accumulate(&g);
+                for (one, d_action) in &mut singles {
+                    acc.accumulate(&bench_support::backward_one(&net, one, d_action, 0.0));
                 }
                 std::hint::black_box(acc.global_norm())
             })

@@ -11,6 +11,7 @@ use spikefolio::experiments::{run_table4, RunOptions};
 use spikefolio::report::format_table4;
 use spikefolio::{DrlAgent, LoihiDeployment, SdpAgent, SdpConfig};
 use spikefolio_loihi::LoihiChip;
+use spikefolio_snn::SingleSample;
 use spikefolio_telemetry::NoopRecorder;
 
 fn options() -> RunOptions {
@@ -44,8 +45,12 @@ fn bench_inference_kernels(c: &mut Criterion) {
         b.iter(|| std::hint::black_box(deployed.act(&state)))
     });
     group.bench_function("drl_dense", |b| b.iter(|| std::hint::black_box(drl.act(&state))));
+    let mut one = SingleSample::new(&sdp.network);
     group.bench_function("sdp_float_with_stats", |b| {
-        b.iter(|| std::hint::black_box(sdp.network.act_with_stats(&state, &mut rng)))
+        b.iter(|| {
+            one.forward(&sdp.network, &state, &mut rng);
+            std::hint::black_box(one.trace.stats)
+        })
     });
     group.finish();
 }

@@ -15,6 +15,8 @@ pub mod bench_support {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use spikefolio_snn::network::{SdpNetwork, SdpNetworkConfig};
+    use spikefolio_snn::stbp::{self, SdpGradients};
+    use spikefolio_snn::SingleSample;
     use spikefolio_tensor::Matrix;
 
     /// Paper-scale state dimension: 11 assets × window 8 × 4 channels +
@@ -51,6 +53,17 @@ pub mod bench_support {
     /// The pinned action-gradient batch the backward benches feed STBP.
     pub fn pinned_d_actions(batch: usize, action_dim: usize) -> Matrix {
         Matrix::from_fn(batch, action_dim, |_, a| 0.1 - 0.01 * a as f64)
+    }
+
+    /// The STBP gradients of `one`'s latest forward pass for the loss
+    /// gradient `d_action` (one row, `1 × action_dim`).
+    pub fn backward_one(
+        net: &SdpNetwork,
+        one: &mut SingleSample,
+        d_action: &Matrix,
+        rate_penalty: f64,
+    ) -> SdpGradients {
+        stbp::backward_batch(net, &one.trace, d_action, rate_penalty, &mut one.ws)
     }
 
     /// One deterministic encoder RNG per sample, seeded by sample index.

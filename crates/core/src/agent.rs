@@ -6,19 +6,39 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use spikefolio_env::{DecisionContext, Policy, StateBuilder};
 use spikefolio_market::MarketData;
-use spikefolio_snn::network::{SdpNetwork, SpikeStats};
+use spikefolio_snn::network::SdpNetwork;
+use spikefolio_snn::SingleSample;
 
 /// A trained (or trainable) spiking deterministic policy agent.
 ///
 /// Wraps the [`SdpNetwork`] with the feature pipeline so it can be driven
-/// directly by the [`Backtester`](spikefolio_env::Backtester).
-#[derive(Debug, Clone)]
+/// directly by the [`Backtester`](spikefolio_env::Backtester). Every
+/// decision runs [`SdpNetwork::forward_batch`] at `B = 1` on buffers the
+/// agent builds at its first decision and reuses, so inference allocates
+/// only the returned action. A clone starts without them.
+#[derive(Debug)]
 pub struct SdpAgent {
     /// The policy network (public so trainers and the deployment pipeline
-    /// can reach the parameters).
+    /// can reach the parameters). Change its parameters, never its shape:
+    /// the agent's inference buffers are sized for it at first use.
     pub network: SdpNetwork,
     state_builder: StateBuilder,
     rng: StdRng,
+    /// Scratch for [`StateBuilder::build_into`].
+    state: Vec<f64>,
+    single: Option<Box<SingleSample>>,
+}
+
+impl Clone for SdpAgent {
+    fn clone(&self) -> Self {
+        Self {
+            network: self.network.clone(),
+            state_builder: self.state_builder,
+            rng: self.rng.clone(),
+            state: Vec::new(),
+            single: None,
+        }
+    }
 }
 
 impl SdpAgent {
@@ -30,7 +50,13 @@ impl SdpAgent {
     pub fn new(config: &SdpConfig, num_assets: usize, seed: u64) -> Self {
         let mut rng = StdRng::seed_from_u64(seed);
         let network = SdpNetwork::new(config.network_config(num_assets), &mut rng);
-        Self { network, state_builder: StateBuilder::new(config.state), rng }
+        Self {
+            network,
+            state_builder: StateBuilder::new(config.state),
+            rng,
+            state: Vec::new(),
+            single: None,
+        }
     }
 
     /// The state feature builder in force.
@@ -48,13 +74,14 @@ impl SdpAgent {
     }
 
     /// Runs inference on an explicit state vector.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `state` is not the network's state width.
     pub fn act(&mut self, state: &[f64]) -> Vec<f64> {
-        self.network.act(state, &mut self.rng)
-    }
-
-    /// Inference with event counters (for the energy model).
-    pub fn act_with_stats(&mut self, state: &[f64]) -> (Vec<f64>, SpikeStats) {
-        self.network.act_with_stats(state, &mut self.rng)
+        let network = &self.network;
+        let one = self.single.get_or_insert_with(|| Box::new(SingleSample::new(network)));
+        one.forward(network, state, &mut self.rng).to_vec()
     }
 
     /// Mutable access to the agent's RNG (used by the trainer so the
@@ -66,8 +93,10 @@ impl SdpAgent {
 
 impl Policy for SdpAgent {
     fn rebalance(&mut self, ctx: &DecisionContext<'_>) -> Vec<f64> {
-        let state = self.state_builder.build(ctx.market, ctx.t, ctx.prev_weights);
-        self.network.act(&state, &mut self.rng)
+        self.state_builder.build_into(ctx.market, ctx.t, ctx.prev_weights, &mut self.state);
+        let network = &self.network;
+        let one = self.single.get_or_insert_with(|| Box::new(SingleSample::new(network)));
+        one.forward(network, &self.state, &mut self.rng).to_vec()
     }
 
     fn warmup_periods(&self) -> usize {

@@ -25,7 +25,7 @@ pub struct TrainingConfig {
     pub max_grad_norm: f64,
     /// Spike-rate regularization strength `λ` (0 = off). Penalizes hidden
     /// firing rates to trade backtest quality for on-chip energy; see
-    /// [`spikefolio_snn::stbp::backward_with_rate_penalty`].
+    /// [`spikefolio_snn::stbp::backward_batch`].
     pub rate_penalty: f64,
     /// Worker threads for minibatch gradient computation. Minibatches are
     /// split into fixed-size micro-batches ([`Self::micro_batch`]) that

@@ -478,55 +478,6 @@ pub fn rate_penalty_ablation(opts: &RunOptions, lambdas: &[f64]) -> Vec<RatePena
         .collect()
 }
 
-/// One row of the neuron-model ablation: plain LIF vs adaptive-threshold
-/// (ALIF) hidden layers.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct NeuronModelPoint {
-    /// `"lif"` or `"alif"`.
-    pub model: String,
-    /// Final training reward.
-    pub final_reward: f64,
-    /// Backtest metrics (float policy — ALIF cannot deploy on the chip
-    /// model).
-    pub metrics: Metrics,
-    /// Mean spikes per inference of the trained float policy.
-    pub spikes_per_inference: u64,
-}
-
-/// Ablation F: trains one agent per neuron model on experiment 1 and
-/// compares training reward, backtest quality, and spiking activity.
-pub fn neuron_model_ablation(opts: &RunOptions) -> Vec<NeuronModelPoint> {
-    use spikefolio_snn::neuron::AdaptiveParams;
-    let preset = opts.preset(ExperimentPreset::experiment1());
-    let (train, test) = preset.generate_split(opts.market_seed);
-    [("lif", None), ("alif", Some(AdaptiveParams::new()))]
-        .into_iter()
-        .map(|(name, adaptation)| {
-            let mut config = opts.config.clone();
-            config.network.adaptation = adaptation;
-            let mut sdp = SdpAgent::new(&config, train.num_assets(), config.seed);
-            let log = Trainer::new(&config).train_sdp_with(&mut sdp, &train, &mut NoopRecorder);
-            let result = Backtester::new(config.backtest).run(&mut sdp, &test);
-            // Measure spiking on a handful of held-out states.
-            let sb = *sdp.state_builder();
-            let w = vec![1.0 / (train.num_assets() + 1) as f64; train.num_assets() + 1];
-            let mut spikes = 0_u64;
-            let probes = 10.min(test.num_periods() - sb.min_period());
-            for i in 0..probes {
-                let s = sb.build(&test, sb.min_period() + i, &w);
-                let (_, stats) = sdp.act_with_stats(&s);
-                spikes += stats.total_spikes();
-            }
-            NeuronModelPoint {
-                model: name.to_owned(),
-                final_reward: log.final_reward(),
-                metrics: result.metrics,
-                spikes_per_inference: spikes / probes.max(1) as u64,
-            }
-        })
-        .collect()
-}
-
 /// Extended comparison: the Table 3 roster plus EG, PAMR, OLMAR, and
 /// buy-and-hold on one experiment.
 pub fn run_extended_comparison(opts: &RunOptions, base: ExperimentPreset) -> ExperimentOutcome {
@@ -636,16 +587,6 @@ mod tests {
             "penalized net should not produce more synops: {pts:?}"
         );
         assert!(pts.iter().all(|p| p.physical_nj_per_inf.is_finite()));
-    }
-
-    #[test]
-    fn neuron_model_ablation_covers_both_models() {
-        let pts = neuron_model_ablation(&tiny_opts());
-        assert_eq!(pts.len(), 2);
-        assert_eq!(pts[0].model, "lif");
-        assert_eq!(pts[1].model, "alif");
-        assert!(pts.iter().all(|p| p.metrics.fapv.is_finite()));
-        assert!(pts.iter().all(|p| p.spikes_per_inference > 0));
     }
 
     #[test]

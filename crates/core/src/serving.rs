@@ -71,13 +71,14 @@ fn candles_from_flat(flat: &[f64]) -> Result<Vec<Candle>, String> {
         .collect())
 }
 
-/// The float SNN backend: one `forward_batch` per micro-batch, each
-/// sample encoded with its own request-seeded RNG, so served weights are
-/// independent of batch composition.
+/// The float SNN backend: one `forward_batch` per micro-batch, singletons
+/// included, each sample encoded with its own request-seeded RNG, so
+/// served weights are independent of batch composition.
 ///
-/// Inference rides the default event-driven sparse kernel path
-/// ([`spikefolio_snn::kernel_path`]); the bitwise contract means served
-/// actions are identical to the dense reference, just cheaper per spike.
+/// Micro-batches of two or more ride the default event-driven sparse
+/// kernel path ([`spikefolio_snn::kernel_path`]) and a singleton the dense
+/// drive; the bitwise contract means served actions are identical either
+/// way.
 #[derive(Debug)]
 pub struct FloatPolicyBackend {
     network: SdpNetwork,
@@ -131,13 +132,6 @@ impl InferenceBackend for FloatPolicyBackend {
             return vec![vec![f64::NAN; self.action_dim()]; batch];
         };
         let mut rngs: Vec<StdRng> = seeds.iter().map(|&s| StdRng::seed_from_u64(s)).collect();
-        if batch == 1 {
-            // Singleton batches take the canonical per-sample path
-            // (bitwise identical by the batch-composition invariance
-            // contract); the batch engine and its recycled workspaces
-            // below only pay for width > 1.
-            return vec![self.network.act(matrix.row(0), &mut rngs[0])];
-        }
         let cached = self.scratch.lock().unwrap_or_else(std::sync::PoisonError::into_inner).take();
         let (mut ws, mut trace) = match cached {
             Some((b, ws, trace)) if b == batch => (ws, trace),
@@ -795,9 +789,33 @@ mod tests {
         let out = backend.infer_batch(&states, &[42, 43]);
         for (b, &seed) in [42u64, 43].iter().enumerate() {
             let mut sample_rng = StdRng::seed_from_u64(seed);
-            let direct = agent.network.act(&states[b * dim..(b + 1) * dim], &mut sample_rng);
-            assert_eq!(out[b], direct, "sample {b} must match per-sample act");
+            let state = Matrix::from_rows(&[&states[b * dim..(b + 1) * dim]]);
+            let direct = agent.network.act_batch(&state, std::slice::from_mut(&mut sample_rng));
+            assert_eq!(out[b], direct[0], "sample {b} must match its own B = 1 run");
         }
+    }
+
+    #[test]
+    fn singleton_batch_updates_firing_rates() {
+        // The drift monitor reads the rates of the latest micro-batch, so a
+        // singleton must overwrite those of the batch before it.
+        let config = SdpConfig::smoke();
+        let agent = SdpAgent::new(&config, 3, 11);
+        let net = agent.network.clone();
+        let backend = FloatPolicyBackend::new(net.clone(), *agent.state_builder());
+        let dim = backend.state_dim();
+        let mut rng = StdRng::seed_from_u64(9);
+        let four: Vec<f64> = (0..4 * dim).map(|_| rng.gen_range(0.8..1.2)).collect();
+        backend.infer_batch(&four, &[1, 2, 3, 4]);
+        let after_four = backend.layer_firing_rates().expect("rates after a batch");
+        let single: Vec<f64> = (0..dim).map(|_| rng.gen_range(0.5..1.5)).collect();
+        backend.infer_batch(&single, &[77]);
+
+        let mut one = spikefolio_snn::SingleSample::new(&net);
+        one.forward(&net, &single, &mut StdRng::seed_from_u64(77));
+        let own = net.layer_firing_rates(&one.trace.layer_spikes, 1);
+        assert_ne!(own, after_four, "the singleton must fire unlike the batch");
+        assert_eq!(backend.layer_firing_rates(), Some(own));
     }
 
     #[test]

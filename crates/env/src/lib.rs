@@ -2,9 +2,10 @@
 //!
 //! This crate implements the decision process of §II.A of the paper:
 //! portfolio weight dynamics, the transaction-cost shrink factor `μ_t`, the
-//! average-log-return reward of eq. (1), the backtesting engine, and the
-//! three performance metrics of §III.A (fAPV, Sharpe ratio, maximum
-//! drawdown) plus a few extras.
+//! backtesting engine, and the three performance metrics of §III.A (fAPV,
+//! Sharpe ratio, maximum drawdown) plus a few extras. The eq. (1)
+//! average-log-return reward and its gradient live with the trainer
+//! (`spikefolio::training`).
 //!
 //! The central abstraction is the [`Policy`] trait: anything that maps
 //! market history to a weight vector on the simplex — the SDP agent, the
@@ -35,10 +36,8 @@
 pub mod analysis;
 pub mod backtest;
 pub mod costs;
-pub mod episode;
 pub mod metrics;
 pub mod portfolio;
-pub mod reward;
 pub mod risk;
 pub mod state;
 

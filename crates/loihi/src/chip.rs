@@ -317,7 +317,8 @@ mod tests {
             let enc = net.encoder.encode(&s, net.config().timesteps, &mut r);
             let (sums, _) = mapped.infer(&enc);
             let chip_action = net.decoder.decode(&sums).action;
-            let float_action = net.act(&s, &mut r);
+            let float_action =
+                net.act_batch(&Matrix::from_rows(&[&s]), std::slice::from_mut(&mut r)).remove(0);
             let same_argmax = spikefolio_tensor::vector::argmax(&chip_action)
                 == spikefolio_tensor::vector::argmax(&float_action);
             if same_argmax {

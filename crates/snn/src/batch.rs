@@ -1,14 +1,23 @@
-//! Batched SNN execution engine: roll a whole minibatch of states through
-//! the `T` simulation steps with one drive kernel per layer per step
-//! instead of `B` separate matrix–vector products.
+//! The SNN execution engine: rolls a batch of `B` states through the `T`
+//! simulation steps with one drive kernel per layer per step. It is the
+//! only forward path: training runs it on minibatches, serving on
+//! micro-batches, and single decisions (backtests, the desk gate, a
+//! singleton serve request) at `B = 1`.
 //!
-//! Since PR 6 the drive defaults to the **event-driven sparse path**
+//! With `B > 1` the drive defaults to the **event-driven sparse path**
 //! ([`spikefolio_tensor::sparse`]): each spike stack carries a
 //! [`SpikeSet`] of its active indices, and the kernels touch only active
-//! presynaptic columns. The dense GEMM path is retained as the bitwise
-//! reference ([`KernelPath::Dense`], selectable per call via
+//! presynaptic columns. The dense GEMM path ([`KernelPath::Dense`]) is
+//! the bitwise reference, selectable per call via
 //! [`SdpNetwork::forward_batch_with`] or process-wide via
-//! [`set_kernel_path`]); the two paths produce bit-identical traces.
+//! [`set_kernel_path`]; the two paths produce bit-identical traces.
+//!
+//! At `B = 1` the default entries always take the dense drive. The sparse
+//! drive streams rows of `Wᵀ`, which it transposes once per call; one
+//! sample cannot amortize that transpose (3.7 MB for the paper's
+//! 3640×128 first layer), and keeping a `Wᵀ` buffer alive per
+//! single-sample workspace costs resident memory for nothing. A workspace
+//! therefore allocates `Wᵀ` only on its first sparse call.
 //!
 //! # Memory layout
 //!
@@ -28,20 +37,20 @@
 //! [`crate::stbp::backward_batch`] allocate only O(B) decoder-sized
 //! vectors outside the per-step hot loop.
 //!
-//! # Determinism contract
+//! # Determinism contract: batch-composition invariance
 //!
 //! * The forward pass encodes sample `b` with `rngs[b]`, consuming exactly
 //!   the random stream [`crate::encoder::PopulationEncoder::encode`]
-//!   would, and every layer
-//!   update evaluates the same floating-point expressions in the same order
-//!   as [`crate::layer::LifLayer::step`] (the batched drive GEMM computes
-//!   k-ascending dot products, bitwise identical to `matvec`). Actions from
-//!   `forward_batch` are therefore **bit-identical** to per-sample
-//!   [`SdpNetwork::forward`] calls with the same per-sample RNGs.
-//! * The backward pass reproduces the per-sample recurrences bitwise and
-//!   only reorders the final `(t, b)` gradient reductions, so parameter
-//!   gradients match the per-sample path to ~1e-14 (well inside the 1e-12
-//!   equivalence budget).
+//!   would, and updates every neuron through [`crate::layer::LifLayer`]'s
+//!   one update routine. Both drive kernels compute k-ascending dot
+//!   products with no cross-sample terms. Row `b` of a `B`-sample batch is
+//!   therefore **bit-identical** to the `B = 1` run of that sample with
+//!   the same RNG, and the summed event counters equal the sum of the
+//!   `B = 1` counters.
+//! * The backward pass evaluates the per-row recurrences identically and
+//!   only reorders the final `(t, b)` gradient reductions, so a batch's
+//!   parameter gradients match the sum of its rows' `B = 1` gradients to
+//!   ~1e-14 (well inside the 1e-12 equivalence budget).
 
 use crate::network::{SdpNetwork, SpikeStats};
 use rand::Rng;
@@ -53,11 +62,11 @@ use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Which kernel implementation the batched passes route through.
 ///
-/// The event-driven sparse path is the production default; the dense GEMM
-/// path is kept as the bitwise reference the equivalence test battery
-/// compares against. The two produce bit-identical traces and gradients
-/// (see [`spikefolio_tensor::sparse`]), so which one runs is observable
-/// only in wall-clock time.
+/// The event-driven sparse path is the default for `B > 1`; the dense
+/// GEMM path runs every `B = 1` forward pass and is the bitwise reference
+/// the equivalence test battery compares against. The two produce
+/// bit-identical traces and gradients (see [`spikefolio_tensor::sparse`]),
+/// so which one runs is observable only in time and memory.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KernelPath {
     /// Event-driven sparse kernels ([`sparse::spike_drive`] /
@@ -73,7 +82,8 @@ static DENSE_OVERRIDE: AtomicBool = AtomicBool::new(false);
 
 /// Routes every [`SdpNetwork::forward_batch`] /
 /// [`crate::stbp::backward_batch`] call in this process through `path`
-/// ([`KernelPath::Sparse`] is the default).
+/// ([`KernelPath::Sparse`] is the default; a `B = 1` forward pass takes
+/// the dense drive either way).
 ///
 /// Intended for equivalence testing of code that only exposes the default
 /// entry points (e.g. driving a full training run down the dense reference
@@ -208,9 +218,11 @@ pub(crate) struct BatchLayerBufs {
     pub(crate) adapt: Matrix,
     /// Drive scratch `W·o_in` for one timestep, `B × out`.
     pub(crate) drive: Matrix,
-    /// Transposed weights `Wᵀ`, `in × out` — refreshed once per batched
+    /// Transposed weights `Wᵀ`, `in × out` — refreshed once per sparse
     /// forward call so the event-driven drive streams one contiguous
-    /// `out`-wide row per presynaptic event.
+    /// `out`-wide row per presynaptic event. Empty until the first sparse
+    /// call, so a workspace that only runs the dense drive (every `B = 1`
+    /// workspace) never holds it.
     pub(crate) wt: Matrix,
     /// Backward scratch `δo(t)`, `B × out`.
     pub(crate) d_o: Matrix,
@@ -237,8 +249,6 @@ pub(crate) struct BatchLayerBufs {
 #[derive(Debug, Clone)]
 pub struct BatchWorkspace {
     pub(crate) batch: usize,
-    /// Per-sample encoder scratch, `T × encoder_dim`.
-    pub(crate) enc_scratch: Matrix,
     pub(crate) layers: Vec<BatchLayerBufs>,
     /// Per-sample spike sums over the last layer, `B × out_last`.
     pub(crate) spike_sums: Matrix,
@@ -264,7 +274,7 @@ impl BatchWorkspace {
                     spikes: Matrix::zeros(batch, out),
                     adapt: Matrix::zeros(batch, out),
                     drive: Matrix::zeros(batch, out),
-                    wt: Matrix::zeros(l.in_dim(), out),
+                    wt: Matrix::zeros(0, 0),
                     d_o: Matrix::zeros(batch, out),
                     d_v: Matrix::zeros(batch, out),
                     dv_next: Matrix::zeros(batch, out),
@@ -276,12 +286,7 @@ impl BatchWorkspace {
             })
             .collect();
         let out_last = net.layers.last().map_or(0, |l| l.out_dim());
-        Self {
-            batch,
-            enc_scratch: Matrix::zeros(t_max, net.encoder.output_dim()),
-            layers,
-            spike_sums: Matrix::zeros(batch, out_last),
-        }
+        Self { batch, layers, spike_sums: Matrix::zeros(batch, out_last) }
     }
 
     /// Minibatch size `B` the workspace was allocated for.
@@ -290,18 +295,58 @@ impl BatchWorkspace {
     }
 }
 
+/// Reusable buffers for one-sample (`B = 1`) forward passes, the path of
+/// every single decision: build once per network, then call
+/// [`SingleSample::forward`] per decision.
+#[derive(Debug, Clone)]
+pub struct SingleSample {
+    /// The one-row state batch handed to the engine.
+    state: Matrix,
+    /// The workspace of the passes; [`crate::stbp::backward_batch`] can
+    /// reuse it on [`SingleSample::trace`].
+    pub ws: BatchWorkspace,
+    /// The trace of the latest [`SingleSample::forward`].
+    pub trace: BatchNetworkTrace,
+}
+
+impl SingleSample {
+    /// Buffers sized for `net`.
+    pub fn new(net: &SdpNetwork) -> Self {
+        Self {
+            state: Matrix::zeros(1, net.config().state_dim),
+            ws: BatchWorkspace::new(net, 1),
+            trace: BatchNetworkTrace::new(net, 1),
+        }
+    }
+
+    /// Runs `state` through `net` at `B = 1` with
+    /// [`SdpNetwork::forward_batch`] and returns the action.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `state` is not the state width these buffers were built
+    /// for, or `net` has another shape.
+    pub fn forward<R: Rng>(&mut self, net: &SdpNetwork, state: &[f64], rng: &mut R) -> &[f64] {
+        self.state.row_mut(0).copy_from_slice(state);
+        net.forward_batch(&self.state, std::slice::from_mut(rng), &mut self.ws, &mut self.trace);
+        self.trace.action(0)
+    }
+}
+
 fn count_spikes(data: &[f64]) -> u64 {
     data.iter().filter(|&&s| s > 0.0).count() as u64
 }
 
 impl SdpNetwork {
-    /// Batched forward pass: runs every row of `states` (`B × state_dim`)
-    /// through Algorithm 1 simultaneously, one GEMM per layer per timestep.
+    /// Forward pass (Algorithm 1): runs every row of `states`
+    /// (`B × state_dim`) through the network simultaneously, one drive
+    /// kernel per layer per timestep — the dense one at `B = 1`, the
+    /// [`kernel_path`] default otherwise.
     ///
     /// Sample `b` is encoded with `rngs[b]`, so with per-sample seeded RNGs
-    /// the result is independent of how samples are grouped into batches —
-    /// and bit-identical to per-sample [`SdpNetwork::forward`] calls (see
-    /// the [module docs](crate::batch)).
+    /// the result is independent of how samples are grouped into batches:
+    /// each row is bit-identical to its own `B = 1` run (see the
+    /// [module docs](crate::batch)).
     ///
     /// `ws` and `trace` must have been built for this network at batch size
     /// `states.rows()`; both are fully overwritten.
@@ -320,11 +365,11 @@ impl SdpNetwork {
         self.forward_batch_recorded(states, rngs, ws, trace, &mut NoopRecorder);
     }
 
-    /// One-shot batched action selection: allocates a workspace and trace
-    /// for `states.rows()` samples, runs [`forward_batch`](Self::forward_batch),
-    /// and returns each sample's portfolio weight vector. The serving path
-    /// uses this when it has no long-lived workspace to reuse; results are
-    /// bit-identical to per-sample [`SdpNetwork::act`] with the same RNGs.
+    /// One-shot action selection for offline callers: allocates a
+    /// workspace and trace for `states.rows()` samples, runs
+    /// [`forward_batch`](Self::forward_batch), and returns each sample's
+    /// portfolio weight vector. Callers on a hot path keep their own
+    /// workspace and call `forward_batch` instead.
     ///
     /// # Panics
     ///
@@ -374,7 +419,8 @@ impl SdpNetwork {
         trace: &mut BatchNetworkTrace,
         rec: &mut dyn Recorder,
     ) {
-        self.forward_batch_impl(states, rngs, ws, trace, rec, kernel_path());
+        let path = if states.rows() == 1 { KernelPath::Dense } else { kernel_path() };
+        self.forward_batch_impl(states, rngs, ws, trace, rec, path);
     }
 
     fn forward_batch_impl<R: Rng>(
@@ -400,16 +446,13 @@ impl SdpNetwork {
         trace.stats = SpikeStats::default();
         trace.kernel_events = 0;
 
-        // Encode each sample with its own RNG, then interleave the T rows
-        // into the timestep-major stack (row t·B + b). The event view of
-        // the stack is built here, once, and threaded through the
-        // event-driven kernels of both passes.
+        // Encode each sample with its own RNG straight into its rows of the
+        // timestep-major stack (row t·B + b). The event view of the stack
+        // is built here, once, and threaded through the event-driven
+        // kernels of both passes.
         let encode_watch = Stopwatch::start(rec);
         for (b, rng) in rngs.iter_mut().enumerate() {
-            self.encoder.encode_into(states.row(b), t_max, rng, &mut ws.enc_scratch);
-            for t in 0..t_max {
-                trace.encoder.row_mut(t * bsz + b).copy_from_slice(ws.enc_scratch.row(t));
-            }
+            self.encoder.encode_into(states.row(b), t_max, rng, &mut trace.encoder, b);
         }
         trace.encoder_set.rebuild_from(&trace.encoder);
         trace.stats.encoder_spikes = count_spikes(trace.encoder.as_slice());
@@ -429,6 +472,9 @@ impl SdpNetwork {
         // workspace (amortized over T·B drive rows).
         if path == KernelPath::Sparse {
             for (lb, layer) in ws.layers.iter_mut().zip(&self.layers) {
+                if lb.wt.shape() != (layer.in_dim(), layer.out_dim()) {
+                    lb.wt = Matrix::zeros(layer.in_dim(), layer.out_dim());
+                }
                 layer.weights.transpose_into(&mut lb.wt);
             }
         }
@@ -472,7 +518,7 @@ impl SdpNetwork {
                     }
                     KernelPath::Dense => {
                         // Dense reference: B k-ascending dots per neuron,
-                        // bitwise identical to per-sample `matvec`. Tally
+                        // bitwise identical to the sparse drive. Tally
                         // the events the sparse kernel would process so
                         // traces stay comparable across paths.
                         gemm::gemm_nt(
@@ -489,34 +535,18 @@ impl SdpNetwork {
                         }
                     }
                 }
-                let p = &layer.params;
                 for b in 0..bsz {
                     let r = t * bsz + b;
-                    let drive = lb.drive.row(b);
-                    let cur = lb.current.row_mut(b);
-                    let volt = lb.voltage.row_mut(b);
-                    let spk = lb.spikes.row_mut(b);
-                    for i in 0..out_dim {
-                        // eq. (5): c(t) = d_c·c(t−1) + W·o_in + b.
-                        cur[i] = p.d_c * cur[i] + drive[i] + layer.bias[i];
-                        // eq. (6) + reset: v(t) = d_v·v(t−1)·(1 − o(t−1)) + c(t).
-                        volt[i] = p.d_v * volt[i] * (1.0 - spk[i]) + cur[i];
-                    }
-                    let th_row = lt.thresholds.row_mut(r);
-                    match layer.adaptation {
-                        Some(ad) => {
-                            let adapt = lb.adapt.row_mut(b);
-                            for i in 0..out_dim {
-                                adapt[i] = ad.rho * adapt[i] + (1.0 - ad.rho) * spk[i];
-                                th_row[i] = p.v_th + ad.beta * adapt[i];
-                            }
-                        }
-                        None => th_row.iter_mut().for_each(|th| *th = p.v_th),
-                    }
-                    lt.voltages.row_mut(r).copy_from_slice(volt);
-                    for i in 0..out_dim {
-                        spk[i] = layer.spike_fn.spike(volt[i], th_row[i]); // eq. (7)
-                    }
+                    layer.update(
+                        lb.drive.row(b),
+                        lb.current.row_mut(b),
+                        lb.voltage.row_mut(b),
+                        lb.spikes.row_mut(b),
+                        lb.adapt.row_mut(b),
+                        lt.thresholds.row_mut(r),
+                    );
+                    lt.voltages.row_mut(r).copy_from_slice(lb.voltage.row(b));
+                    let spk = lb.spikes.row(b);
                     lt.outputs.row_mut(r).copy_from_slice(spk);
                     // Row r is final: record its events. t is outer and b
                     // inner, so rows arrive in ascending stack order and
@@ -529,7 +559,7 @@ impl SdpNetwork {
         trace.kernel_events = kernel_events;
         lif_watch.stop(rec, SPAN_PROFILE_SNN_LIF);
 
-        // Event counters (summed over the batch, matching B per-sample runs).
+        // Event counters (summed over the batch, matching B single-sample runs).
         for (k, layer) in self.layers.iter().enumerate() {
             let inputs = if k == 0 {
                 trace.encoder.as_slice()
@@ -543,8 +573,8 @@ impl SdpNetwork {
             trace.layer_spikes[k] = out_spikes;
         }
 
-        // Σ_t o(t) per sample over the last layer, t ascending as in the
-        // per-sample path, then decode each sample.
+        // Σ_t o(t) per sample over the last layer, t ascending, then
+        // decode each sample.
         let last = trace.layers.last().expect("network has at least one layer");
         ws.spike_sums.fill_zero();
         for t in 0..t_max {
@@ -560,6 +590,19 @@ impl SdpNetwork {
             trace.firing_rates.row_mut(b).copy_from_slice(&dec.firing_rates);
             trace.actions.row_mut(b).copy_from_slice(&dec.action);
         }
+    }
+}
+
+#[cfg(test)]
+impl SdpNetwork {
+    /// Runs one state through [`SdpNetwork::forward_batch`] at `B = 1` on
+    /// fresh buffers and returns the trace.
+    pub(crate) fn forward_one<R: Rng>(&self, state: &[f64], rng: &mut R) -> BatchNetworkTrace {
+        let mut ws = BatchWorkspace::new(self, 1);
+        let mut trace = BatchNetworkTrace::new(self, 1);
+        let states = Matrix::from_rows(&[state]);
+        self.forward_batch(&states, std::slice::from_mut(rng), &mut ws, &mut trace);
+        trace
     }
 }
 
@@ -580,6 +623,9 @@ mod tests {
         Matrix::from_fn(batch, dim, |b, d| 0.8 + 0.05 * ((b * dim + d) % 9) as f64)
     }
 
+    // The "per-sample" reference of these pins is each row run alone at
+    // B = 1, which takes the dense drive; the batches take the sparse one.
+
     #[test]
     fn forward_batch_is_bitwise_equal_to_per_sample_forward() {
         for encoding in [Encoding::Deterministic, Encoding::Probabilistic] {
@@ -593,9 +639,8 @@ mod tests {
             let mut rngs: Vec<StdRng> = (0..batch).map(|b| rng(100 + b as u64)).collect();
             net.forward_batch(&st, &mut rngs, &mut ws, &mut trace);
             for b in 0..batch {
-                let mut r = rng(100 + b as u64);
-                let (action, _) = net.forward(st.row(b), &mut r);
-                assert_eq!(trace.action(b), action.as_slice(), "{encoding:?} sample {b}");
+                let one = net.forward_one(st.row(b), &mut rng(100 + b as u64));
+                assert_eq!(trace.action(b), one.action(0), "{encoding:?} sample {b}");
             }
         }
     }
@@ -611,7 +656,7 @@ mod tests {
         net.forward_batch(&st, &mut rngs, &mut ws, &mut trace);
         let mut expect = SpikeStats::default();
         for b in 0..batch {
-            let (_, s) = net.act_with_stats(st.row(b), &mut rng(b as u64));
+            let s = net.forward_one(st.row(b), &mut rng(b as u64)).stats;
             expect.encoder_spikes += s.encoder_spikes;
             expect.neuron_spikes += s.neuron_spikes;
             expect.synops += s.synops;
@@ -631,7 +676,7 @@ mod tests {
         net.forward_batch(&st, &mut rngs, &mut ws, &mut trace);
         let mut expect = vec![0u64; net.layers.len()];
         for b in 0..batch {
-            let (_, t) = net.forward(st.row(b), &mut rng(b as u64));
+            let t = net.forward_one(st.row(b), &mut rng(b as u64));
             assert_eq!(t.layer_spikes.iter().sum::<u64>(), t.stats.neuron_spikes);
             for (e, s) in expect.iter_mut().zip(&t.layer_spikes) {
                 *e += s;
@@ -678,8 +723,8 @@ mod tests {
         let mut rngs: Vec<StdRng> = (0..batch).map(|b| rng(b as u64)).collect();
         net.forward_batch(&st, &mut rngs, &mut ws, &mut trace);
         for b in 0..batch {
-            let (action, _) = net.forward(st.row(b), &mut rng(b as u64));
-            assert_eq!(trace.action(b), action.as_slice(), "ALIF sample {b}");
+            let one = net.forward_one(st.row(b), &mut rng(b as u64));
+            assert_eq!(trace.action(b), one.action(0), "ALIF sample {b}");
         }
     }
 
@@ -720,6 +765,24 @@ mod tests {
         net.forward_batch_with(&st, &mut rngs2, &mut ws, &mut sparse_t, KernelPath::Sparse);
         assert_eq!(sparse_t, dense, "bitwise sparse trace must equal the dense reference");
         assert!(sparse_t.kernel_events > 0, "workload should produce events");
+    }
+
+    #[test]
+    fn single_sample_runs_take_the_dense_drive_without_a_transpose_buffer() {
+        let net = SdpNetwork::new(SdpNetworkConfig::small(4, 3), &mut rng(19));
+        let st = states(&net, 1);
+        let mut ws = BatchWorkspace::new(&net, 1);
+        let mut default = BatchNetworkTrace::new(&net, 1);
+        net.forward_batch(&st, &mut [rng(3)], &mut ws, &mut default);
+        assert!(ws.layers.iter().all(|lb| lb.wt.is_empty()), "B = 1 must not build Wᵀ");
+        // An explicit sparse call still works at B = 1: it builds Wᵀ on
+        // first use and reproduces the dense trace bit for bit.
+        let mut sparse_t = BatchNetworkTrace::new(&net, 1);
+        net.forward_batch_with(&st, &mut [rng(3)], &mut ws, &mut sparse_t, KernelPath::Sparse);
+        assert_eq!(sparse_t, default);
+        for (lb, layer) in ws.layers.iter().zip(&net.layers) {
+            assert_eq!(lb.wt.shape(), (layer.in_dim(), layer.out_dim()));
+        }
     }
 
     #[test]

@@ -158,41 +158,45 @@ impl PopulationEncoder {
     /// Panics if `state.len() != state_dim` or `timesteps == 0`.
     pub fn encode<R: Rng + ?Sized>(&self, state: &[f64], timesteps: usize, rng: &mut R) -> Matrix {
         let mut spikes = Matrix::zeros(timesteps, self.output_dim());
-        self.encode_into(state, timesteps, rng, &mut spikes);
+        self.encode_into(state, timesteps, rng, &mut spikes, 0);
         spikes
     }
 
-    /// Like [`PopulationEncoder::encode`], but writes into a caller-owned
-    /// `timesteps × output_dim` matrix (cleared first), so batch drivers can
-    /// reuse one scratch buffer across samples. Consumes `rng` identically
-    /// to [`PopulationEncoder::encode`].
+    /// Like [`PopulationEncoder::encode`], but writes sample `b`'s spike
+    /// train into rows `t·B + b` of a caller-owned stacked
+    /// `(timesteps·B) × output_dim` matrix, clearing those rows first —
+    /// the timestep-major layout of the batched engine, which encodes each
+    /// sample straight into its trace. Consumes `rng` identically to
+    /// [`PopulationEncoder::encode`].
     ///
     /// # Panics
     ///
-    /// Panics if `state.len() != state_dim`, `timesteps == 0`, or `out` has
-    /// the wrong shape.
+    /// Panics if `state.len() != state_dim`, `timesteps == 0`, `out` is not
+    /// `(timesteps·B) × output_dim` for some `B`, or `b >= B`.
     pub fn encode_into<R: Rng + ?Sized>(
         &self,
         state: &[f64],
         timesteps: usize,
         rng: &mut R,
         out: &mut Matrix,
+        b: usize,
     ) {
         assert!(timesteps > 0, "timesteps must be positive");
         let n = self.output_dim();
-        assert_eq!(
-            out.shape(),
-            (timesteps, n),
-            "encode_into: out shape {:?} != ({timesteps}, {n})",
+        let batch = out.rows() / timesteps;
+        assert!(
+            out.cols() == n && out.rows() == timesteps * batch && b < batch,
+            "encode_into: out shape {:?} is not ({timesteps}·B, {n}) with sample {b} < B",
             out.shape()
         );
         let a = self.stimulation(state);
-        out.fill_zero();
-        let spikes = out;
+        for t in 0..timesteps {
+            out.row_mut(t * batch + b).fill(0.0);
+        }
         match self.config.encoding {
             Encoding::Probabilistic => {
                 for t in 0..timesteps {
-                    let row = spikes.row_mut(t);
+                    let row = out.row_mut(t * batch + b);
                     for (o, &p) in row.iter_mut().zip(&a) {
                         *o = if rng.gen::<f64>() < p { 1.0 } else { 0.0 };
                     }
@@ -202,7 +206,7 @@ impl PopulationEncoder {
                 let eps = self.config.epsilon;
                 let mut v = vec![0.0_f64; n];
                 for t in 0..timesteps {
-                    let row = spikes.row_mut(t);
+                    let row = out.row_mut(t * batch + b);
                     for ((o, vk), &ak) in row.iter_mut().zip(v.iter_mut()).zip(&a) {
                         *vk += ak; // eq. (3)
                         if *vk > 1.0 - eps {
@@ -348,8 +352,16 @@ mod tests {
             // Same seed, dirty reused buffer: identical spikes and RNG use.
             let mut buf = Matrix::filled(5, e.output_dim(), 7.0);
             let mut r = rng();
-            e.encode_into(&state, 5, &mut r, &mut buf);
+            e.encode_into(&state, 5, &mut r, &mut buf, 0);
             assert_eq!(buf, fresh, "{mode:?}");
+            // Sample 1 of a stacked batch of 3 lands in rows t·3 + 1 and
+            // leaves the other samples' rows alone.
+            let mut stack = Matrix::filled(5 * 3, e.output_dim(), 7.0);
+            e.encode_into(&state, 5, &mut rng(), &mut stack, 1);
+            for t in 0..5 {
+                assert_eq!(stack.row(t * 3 + 1), fresh.row(t), "{mode:?} t={t}");
+                assert!(stack.row(t * 3).iter().all(|&x| x == 7.0), "{mode:?} t={t}");
+            }
             // The RNG must have advanced exactly as in `encode`.
             let mut r2 = rng();
             let _ = e.encode(&state, 5, &mut r2);
@@ -362,7 +374,7 @@ mod tests {
     fn encode_into_rejects_wrong_shape() {
         let e = encoder(Encoding::Deterministic);
         let mut buf = Matrix::zeros(4, e.output_dim());
-        e.encode_into(&[1.0, 0.9, 1.1], 5, &mut rng(), &mut buf);
+        e.encode_into(&[1.0, 0.9, 1.1], 5, &mut rng(), &mut buf, 0);
     }
 
     #[test]

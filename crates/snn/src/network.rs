@@ -1,13 +1,12 @@
 //! The full SDP policy network: encoder → LIF layers → decoder
 //! (Fig. 1 / Algorithm 1).
 
-use crate::decoder::{Decoder, DecoderTrace};
+use crate::decoder::Decoder;
 use crate::encoder::{PopulationEncoder, PopulationEncoderConfig};
-use crate::layer::{LayerTrace, LifLayer};
+use crate::layer::LifLayer;
 use crate::neuron::{AdaptiveParams, LifParams, SpikeFn};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
-use spikefolio_tensor::Matrix;
 
 /// Configuration of an [`SdpNetwork`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -111,24 +110,6 @@ impl SpikeStats {
     }
 }
 
-/// Full forward trace for STBP.
-#[derive(Debug, Clone, PartialEq)]
-pub struct NetworkTrace {
-    /// Encoder output raster (`T × encoder_dim`).
-    pub encoder_spikes: Matrix,
-    /// Per-layer traces.
-    pub layers: Vec<LayerTrace>,
-    /// Decoder trace (firing rates + action).
-    pub decoder: DecoderTrace,
-    /// Event counters.
-    pub stats: SpikeStats,
-    /// Spikes emitted by each LIF layer (input-side first); sums to
-    /// [`SpikeStats::neuron_spikes`]. The per-layer resolution feeds the
-    /// spike-activity telemetry (see
-    /// [`SdpNetwork::layer_firing_rates`]).
-    pub layer_spikes: Vec<u64>,
-}
-
 /// The spiking deterministic policy network of Fig. 1.
 ///
 /// See the [crate docs](crate) for an end-to-end example.
@@ -223,85 +204,6 @@ impl SdpNetwork {
         s
     }
 
-    /// Full forward pass with trace recording (Algorithm 1).
-    ///
-    /// Returns `(action, trace)`; the action is on the probability simplex.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `state.len() != config.state_dim`.
-    pub fn forward<R: Rng + ?Sized>(&self, state: &[f64], rng: &mut R) -> (Vec<f64>, NetworkTrace) {
-        self.run(state, rng, true)
-    }
-
-    /// Inference-only forward pass (no trace allocation beyond counters).
-    pub fn act<R: Rng + ?Sized>(&self, state: &[f64], rng: &mut R) -> Vec<f64> {
-        self.run(state, rng, false).0
-    }
-
-    /// Inference with event statistics — used by the energy model.
-    pub fn act_with_stats<R: Rng + ?Sized>(
-        &self,
-        state: &[f64],
-        rng: &mut R,
-    ) -> (Vec<f64>, SpikeStats) {
-        let (action, trace) = self.run(state, rng, false);
-        (action, trace.stats)
-    }
-
-    fn run<R: Rng + ?Sized>(
-        &self,
-        state: &[f64],
-        rng: &mut R,
-        record: bool,
-    ) -> (Vec<f64>, NetworkTrace) {
-        let t_max = self.config.timesteps;
-        let enc = self.encoder.encode(state, t_max, rng);
-        let mut stats = SpikeStats {
-            encoder_spikes: enc.as_slice().iter().filter(|&&s| s > 0.0).count() as u64,
-            ..Default::default()
-        };
-
-        let mut raster = enc.clone();
-        let mut layer_traces = Vec::with_capacity(self.layers.len());
-        let mut layer_spikes = Vec::with_capacity(self.layers.len());
-        for layer in &self.layers {
-            // Synops: every incoming spike fans out to all `out_dim` neurons.
-            let in_spikes = raster.as_slice().iter().filter(|&&s| s > 0.0).count() as u64;
-            stats.synops += in_spikes * layer.out_dim() as u64;
-            stats.neuron_updates += (layer.out_dim() * t_max) as u64;
-            let (out, tr) = layer.forward(&raster, record);
-            let out_spikes = out.as_slice().iter().filter(|&&s| s > 0.0).count() as u64;
-            stats.neuron_spikes += out_spikes;
-            layer_spikes.push(out_spikes);
-            if let Some(tr) = tr {
-                layer_traces.push(tr);
-            }
-            raster = out;
-        }
-
-        // Σ_t o(t) over the last layer.
-        let out_dim = raster.cols();
-        let mut sums = vec![0.0; out_dim];
-        for t in 0..raster.rows() {
-            for (s, &o) in sums.iter_mut().zip(raster.row(t)) {
-                *s += o;
-            }
-        }
-        let dec = self.decoder.decode(&sums);
-        let action = dec.action.clone();
-        (
-            action,
-            NetworkTrace {
-                encoder_spikes: enc,
-                layers: layer_traces,
-                decoder: dec,
-                stats,
-                layer_spikes,
-            },
-        )
-    }
-
     /// Converts per-layer spike counts (summed over `samples` forward
     /// passes) into per-layer firing rates: spikes per neuron per
     /// timestep, in `[0, 1]`.
@@ -343,6 +245,10 @@ mod tests {
         SdpNetwork::new(SdpNetworkConfig::small(4, 3), &mut rng())
     }
 
+    fn act(net: &SdpNetwork, state: &[f64], rng: &mut rand::rngs::StdRng) -> Vec<f64> {
+        net.forward_one(state, rng).action(0).to_vec()
+    }
+
     #[test]
     fn paper_config_matches_table2() {
         let cfg = SdpNetworkConfig::paper(10, 12);
@@ -357,7 +263,7 @@ mod tests {
         let net = small_net();
         let mut r = rng();
         for s in [[1.0, 1.0, 1.0, 1.0], [0.5, 1.5, 0.8, 1.2], [1.1, 0.9, 1.0, 1.3]] {
-            let a = net.act(&s, &mut r);
+            let a = act(&net, &s, &mut r);
             assert_eq!(a.len(), 3);
             assert!(spikefolio_tensor::simplex::is_on_simplex(&a, 1e-9));
         }
@@ -367,8 +273,8 @@ mod tests {
     fn deterministic_encoding_gives_reproducible_actions() {
         let net = small_net();
         let s = [1.0, 0.9, 1.1, 1.05];
-        let a1 = net.act(&s, &mut rng());
-        let a2 = net.act(&s, &mut rand::rngs::StdRng::seed_from_u64(31337));
+        let a1 = act(&net, &s, &mut rng());
+        let a2 = act(&net, &s, &mut rand::rngs::StdRng::seed_from_u64(31337));
         assert_eq!(a1, a2, "deterministic encoder must ignore RNG state");
     }
 
@@ -379,8 +285,8 @@ mod tests {
         let net = SdpNetwork::new(cfg, &mut rng());
         let s = [1.0, 0.9, 1.1, 1.05];
         let mut r = rng();
-        let a1 = net.act(&s, &mut r);
-        let a2 = net.act(&s, &mut r);
+        let a1 = act(&net, &s, &mut r);
+        let a2 = act(&net, &s, &mut r);
         // Not guaranteed different in theory, but overwhelmingly likely.
         assert_ne!(a1, a2);
     }
@@ -388,18 +294,18 @@ mod tests {
     #[test]
     fn trace_covers_all_layers_and_timesteps() {
         let net = small_net();
-        let (_, tr) = net.forward(&[1.0, 1.0, 1.0, 1.0], &mut rng());
+        let tr = net.forward_one(&[1.0, 1.0, 1.0, 1.0], &mut rng());
         assert_eq!(tr.layers.len(), net.depth());
         for lt in &tr.layers {
-            assert_eq!(lt.len(), net.config().timesteps);
+            assert_eq!(lt.outputs.rows(), net.config().timesteps);
         }
-        assert_eq!(tr.encoder_spikes.rows(), net.config().timesteps);
+        assert_eq!(tr.encoder.rows(), net.config().timesteps);
     }
 
     #[test]
     fn stats_count_events() {
         let net = small_net();
-        let (_, stats) = net.act_with_stats(&[1.0, 1.0, 1.0, 1.0], &mut rng());
+        let stats = net.forward_one(&[1.0, 1.0, 1.0, 1.0], &mut rng()).stats;
         assert!(stats.encoder_spikes > 0, "a plausible state must excite the encoder");
         assert!(stats.neuron_updates > 0);
         assert_eq!(
@@ -425,10 +331,10 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "state length")]
+    #[should_panic(expected = "state width mismatch")]
     fn wrong_state_dim_panics() {
         let net = small_net();
-        let _ = net.act(&[1.0], &mut rng());
+        let _ = net.forward_one(&[1.0], &mut rng());
     }
 
     #[test]

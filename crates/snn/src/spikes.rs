@@ -60,7 +60,7 @@ mod tests {
         );
         let enc = encoder(Encoding::Deterministic); // 3 dims × 4 = 12 = layer input
         let raster = enc.encode(&[1.0, 0.95, 1.05], 7, &mut rng);
-        let (out, _) = layer.forward(&raster, false);
+        let (out, _) = layer.simulate(&raster);
         let set = raster_spike_set(&out);
         assert_eq!(set.occupancy(), out);
         let spikes = out.as_slice().iter().filter(|&&s| s > 0.0).count() as u64;

@@ -17,7 +17,7 @@
 
 use crate::batch::{kernel_path, BatchNetworkTrace, BatchWorkspace, KernelPath};
 use crate::decoder::DecoderTrace;
-use crate::network::{NetworkTrace, SdpNetwork};
+use crate::network::SdpNetwork;
 use spikefolio_telemetry::labels::SPAN_PROFILE_SNN_STBP;
 use spikefolio_telemetry::{NoopRecorder, Recorder, Stopwatch};
 use spikefolio_tensor::optim::{Gradients, Optimizer, ParamSlot};
@@ -93,137 +93,30 @@ impl Gradients for SdpGradients {
     }
 }
 
-/// Runs the STBP backward pass.
+/// STBP backward pass over a [`BatchNetworkTrace`] produced by
+/// [`SdpNetwork::forward_batch`](crate::batch), given the per-sample loss
+/// gradients `d_actions` (`B × action_dim`, one row per sample).
 ///
-/// `d_action` is `∂L/∂a` — for the eq. (1) reward maximized by gradient
+/// `d_actions` is `∂L/∂a` — for the eq. (1) reward maximized by gradient
 /// *ascent*, pass the negated reward gradient to perform descent on the
 /// loss.
 ///
-/// # Panics
-///
-/// Panics if the trace does not match the network (wrong depth or
-/// timestep count) or `d_action.len() != action_dim`.
-pub fn backward(net: &SdpNetwork, trace: &NetworkTrace, d_action: &[f64]) -> SdpGradients {
-    backward_with_rate_penalty(net, trace, d_action, 0.0)
-}
-
-/// STBP backward pass with an additional **spike-rate penalty** on the
-/// hidden layers: the loss gains `λ · mean hidden firing rate`, whose
-/// gradient adds `λ / (T · N_hidden)` to every hidden spike.
-///
-/// Spike-rate regularization is the standard lever for trading backtest
-/// quality against on-chip energy (fewer spikes → fewer synops → less
-/// dynamic energy on Loihi); the rate-penalty ablation bench sweeps `λ`.
-///
-/// # Panics
-///
-/// Panics under the same conditions as [`backward`], or if
-/// `rate_penalty < 0`.
-pub fn backward_with_rate_penalty(
-    net: &SdpNetwork,
-    trace: &NetworkTrace,
-    d_action: &[f64],
-    rate_penalty: f64,
-) -> SdpGradients {
-    assert_eq!(trace.layers.len(), net.depth(), "trace depth mismatch");
-    assert!(rate_penalty >= 0.0, "rate penalty must be non-negative");
-    let t_max = net.config().timesteps;
-    let n_hidden: usize = net.layers[..net.depth() - 1].iter().map(|l| l.out_dim()).sum();
-    let rate_grad = if n_hidden > 0 && rate_penalty > 0.0 {
-        rate_penalty / (t_max as f64 * n_hidden as f64)
-    } else {
-        0.0
-    };
-    let dec_grads = net.decoder.backward(&trace.decoder, d_action);
-
-    let mut grads = SdpGradients::zeros_like(net);
-    grads.d_decoder_weights = dec_grads.d_weights;
-    grads.d_decoder_bias = dec_grads.d_bias;
-
-    // External gradient on the current layer's output spikes, per timestep.
-    // For the last layer this is the (time-constant) decoder gradient.
-    let mut d_out_ext: Vec<Vec<f64>> = vec![dec_grads.d_spikes_per_step.clone(); t_max];
-
-    for (k, layer) in net.layers.iter().enumerate().rev() {
-        let lt = &trace.layers[k];
-        assert_eq!(lt.len(), t_max, "layer {k} trace has wrong timestep count");
-        let out_dim = layer.out_dim();
-        let in_dim = layer.in_dim();
-        let p = &layer.params;
-
-        let mut dv_next = vec![0.0_f64; out_dim];
-        let mut dc_next = vec![0.0_f64; out_dim];
-        let mut db_next = vec![0.0_f64; out_dim]; // adaptation-trace chain
-        let mut d_in: Vec<Vec<f64>> = vec![vec![0.0; in_dim]; t_max];
-
-        for t in (0..t_max).rev() {
-            let v_t = &lt.voltages[t];
-            let o_t = &lt.outputs[t];
-            let th_t = &lt.thresholds[t];
-            let in_t = &lt.inputs[t];
-
-            // δo(t): external + reset-path contribution −d_v·v(t)·δv(t+1),
-            // plus the rate penalty on hidden layers, plus the adaptation
-            // path o(t) → b(t+1) when thresholds adapt.
-            let mut d_o = d_out_ext[t].clone();
-            if k + 1 < net.layers.len() && rate_grad > 0.0 {
-                d_o.iter_mut().for_each(|g| *g += rate_grad);
-            }
-            for i in 0..out_dim {
-                d_o[i] -= p.d_v * v_t[i] * dv_next[i];
-            }
-            if let Some(ad) = layer.adaptation {
-                for i in 0..out_dim {
-                    d_o[i] += (1.0 - ad.rho) * db_next[i];
-                }
-            }
-            // δv(t) = δo(t)·z(v, th) + δv(t+1)·d_v·(1 − o(t)), and the
-            // threshold path δb(t) = −β·δo(t)·z + ρ·δb(t+1).
-            let mut d_v = vec![0.0; out_dim];
-            let mut d_b = vec![0.0; out_dim];
-            for i in 0..out_dim {
-                let z = layer.spike_fn.grad(v_t[i], th_t[i]);
-                d_v[i] = d_o[i] * z + dv_next[i] * p.d_v * (1.0 - o_t[i]);
-                if let Some(ad) = layer.adaptation {
-                    d_b[i] = -ad.beta * d_o[i] * z + ad.rho * db_next[i];
-                }
-            }
-            // δc(t) = δv(t) + d_c·δc(t+1).
-            let mut d_c = vec![0.0; out_dim];
-            for i in 0..out_dim {
-                d_c[i] = d_v[i] + p.d_c * dc_next[i];
-            }
-            // Parameter gradients (eq. 13).
-            grads.layers[k].d_weights.add_outer(1.0, &d_c, in_t);
-            vector::axpy(&mut grads.layers[k].d_bias, 1.0, &d_c);
-            // Gradient on this layer's inputs → previous layer's outputs.
-            d_in[t] = layer.weights.matvec_transposed(&d_c);
-
-            dv_next = d_v;
-            dc_next = d_c;
-            db_next = d_b;
-        }
-        d_out_ext = d_in;
-    }
-    grads
-}
-
-/// Batched STBP backward pass: the minibatch counterpart of
-/// [`backward_with_rate_penalty`], consuming a
-/// [`BatchNetworkTrace`] produced by
-/// [`SdpNetwork::forward_batch`](crate::batch) and the per-sample loss
-/// gradients `d_actions` (`B × action_dim`, one row per sample).
+/// `rate_penalty` adds a **spike-rate penalty** on the hidden layers: the
+/// loss gains `λ · mean hidden firing rate`, whose gradient adds
+/// `λ / (T · N_hidden)` to every hidden spike. Spike-rate regularization
+/// is the standard lever for trading backtest quality against on-chip
+/// energy (fewer spikes → fewer synops → less dynamic energy on Loihi);
+/// the rate-penalty ablation sweeps `λ`.
 ///
 /// Returns the gradients **summed** over the batch — scale by `1/B`
-/// afterwards for the batch mean, exactly as when accumulating per-sample
-/// [`backward`] results.
+/// afterwards for the batch mean.
 ///
-/// The reverse-time `δo/δv/δc` recurrences are evaluated elementwise in the
-/// same order as the per-sample path (bitwise identical); the weight
-/// gradient is then formed as a single GEMM per layer,
-/// `∇W += Σ_{t,b} δc(t,b)ᵀ · o_in(t,b)`, whose `(t, b)` summation reorder
-/// is the only floating-point difference from accumulating per-sample
-/// backward passes (≈1e-14 relative).
+/// The reverse-time `δo/δv/δc` recurrences are evaluated elementwise per
+/// sample row, in the same order whatever the batch size; the weight
+/// gradient is then formed as a single kernel call per layer,
+/// `∇W += Σ_{t,b} δc(t,b)ᵀ · o_in(t,b)`, whose `(t, b)` summation order is
+/// the only floating-point difference from summing the rows' `B = 1`
+/// passes (≈1e-14 relative).
 ///
 /// # Panics
 ///
@@ -309,8 +202,8 @@ fn backward_batch_inner(
 
     let mut grads = SdpGradients::zeros_like(net);
 
-    // Decoder backward per sample (b ascending, the per-sample accumulation
-    // order); the time-constant spike gradient seeds the last layer's
+    // Decoder backward per sample (b ascending); the time-constant spike
+    // gradient seeds the last layer's
     // upstream-gradient stack for every timestep.
     let depth = net.depth();
     for b in 0..bsz {
@@ -361,8 +254,7 @@ fn backward_batch_inner(
                     if t + 1 < t_max { Some(&tail[b * out_dim..(b + 1) * out_dim]) } else { None };
                 for i in 0..out_dim {
                     // δo(t): external + reset path (+ rate penalty on
-                    // hidden layers, + adaptation chain) — same evaluation
-                    // order as the per-sample path.
+                    // hidden layers, + adaptation chain).
                     let mut doi = ext[i];
                     if hidden_rate {
                         doi += rate_grad;
@@ -443,18 +335,20 @@ fn backward_batch_inner(
 /// use rand::SeedableRng;
 /// use spikefolio_snn::network::{SdpNetwork, SdpNetworkConfig};
 /// use spikefolio_snn::stbp::{self, SdpTrainer};
+/// use spikefolio_snn::SingleSample;
 /// use spikefolio_tensor::optim::Adam;
+/// use spikefolio_tensor::Matrix;
 ///
 /// let mut rng = rand::rngs::StdRng::seed_from_u64(2);
 /// let mut net = SdpNetwork::new(SdpNetworkConfig::small(4, 3), &mut rng);
 /// let mut trainer = SdpTrainer::new(&net, Adam::new(1e-3));
-/// let (action, trace) = net.forward(&[1.0, 0.9, 1.1, 1.0], &mut rng);
+/// // One sample, as a batch of one.
+/// let mut one = SingleSample::new(&net);
+/// one.forward(&net, &[1.0, 0.9, 1.1, 1.0], &mut rng);
 /// // Descend on L = -a[0] (make action 0 more likely).
-/// let mut d_action = vec![0.0; 3];
-/// d_action[0] = -1.0;
-/// let mut grads = stbp::backward(&net, &trace, &d_action);
+/// let d_actions = Matrix::from_rows(&[&[-1.0, 0.0, 0.0]]);
+/// let mut grads = stbp::backward_batch(&net, &one.trace, &d_actions, 0.0, &mut one.ws);
 /// trainer.apply(&mut net, &mut grads);
-/// # let _ = action;
 /// ```
 #[derive(Debug, Clone)]
 pub struct SdpTrainer<O: Optimizer> {
@@ -583,6 +477,21 @@ mod tests {
         rand::rngs::StdRng::seed_from_u64(123)
     }
 
+    /// The B = 1 backward pass of one sample's forward `trace`.
+    fn backward_one(
+        net: &SdpNetwork,
+        trace: &BatchNetworkTrace,
+        d_action: &[f64],
+        rate_penalty: f64,
+    ) -> SdpGradients {
+        let mut ws = BatchWorkspace::new(net, 1);
+        backward_batch(net, trace, &Matrix::from_rows(&[d_action]), rate_penalty, &mut ws)
+    }
+
+    fn act(net: &SdpNetwork, state: &[f64]) -> Vec<f64> {
+        net.forward_one(state, &mut rng()).action(0).to_vec()
+    }
+
     /// A small *soft-spike* network: fully differentiable, so finite
     /// differences must match the backward pass exactly.
     fn soft_net() -> SdpNetwork {
@@ -596,7 +505,7 @@ mod tests {
     }
 
     fn loss(net: &SdpNetwork, state: &[f64], c: &[f64]) -> f64 {
-        let a = net.act(state, &mut rng());
+        let a = act(net, state);
         a.iter().zip(c).map(|(x, y)| x * y).sum()
     }
 
@@ -605,8 +514,8 @@ mod tests {
         let net = soft_net();
         let state = [0.9, 1.05, 1.2];
         let c = [1.0, -1.5]; // arbitrary linear loss on the action
-        let (_, trace) = net.forward(&state, &mut rng());
-        let grads = backward(&net, &trace, &c);
+        let trace = net.forward_one(&state, &mut rng());
+        let grads = backward_one(&net, &trace, &c, 0.0);
         let analytic = flat_grads(&grads);
         let params = flat_params(&net);
         assert_eq!(analytic.len(), params.len());
@@ -644,8 +553,8 @@ mod tests {
         let mut cfg = SdpNetworkConfig::small(3, 2);
         cfg.timesteps = 5;
         let net = SdpNetwork::new(cfg, &mut rng());
-        let (_, trace) = net.forward(&[1.0, 0.9, 1.1], &mut rng());
-        let grads = backward(&net, &trace, &[1.0, -1.0]);
+        let trace = net.forward_one(&[1.0, 0.9, 1.1], &mut rng());
+        let grads = backward_one(&net, &trace, &[1.0, -1.0], 0.0);
         assert!(flat_grads(&grads).iter().all(|g| g.is_finite()));
     }
 
@@ -654,14 +563,14 @@ mod tests {
         // Descend on L = -a[0]; after a few steps a[0] must grow.
         let mut net = soft_net();
         let state = [1.0, 1.0, 1.0];
-        let before = net.act(&state, &mut rng())[0];
+        let before = act(&net, &state)[0];
         let mut trainer = SdpTrainer::new(&net, spikefolio_tensor::optim::Adam::new(5e-3));
         for _ in 0..50 {
-            let (_, trace) = net.forward(&state, &mut rng());
-            let mut grads = backward(&net, &trace, &[-1.0, 0.0]);
+            let trace = net.forward_one(&state, &mut rng());
+            let mut grads = backward_one(&net, &trace, &[-1.0, 0.0], 0.0);
             trainer.apply(&mut net, &mut grads);
         }
-        let after = net.act(&state, &mut rng())[0];
+        let after = act(&net, &state)[0];
         assert!(after > before + 0.05, "a[0] went {before} → {after}");
     }
 
@@ -672,22 +581,22 @@ mod tests {
         cfg.timesteps = 5;
         let mut net = SdpNetwork::new(cfg, &mut rng());
         let state = [1.0, 1.0, 1.0];
-        let before = net.act(&state, &mut rng())[1];
+        let before = act(&net, &state)[1];
         let mut trainer = SdpTrainer::new(&net, spikefolio_tensor::optim::Adam::new(1e-2));
         for _ in 0..100 {
-            let (_, trace) = net.forward(&state, &mut rng());
-            let mut grads = backward(&net, &trace, &[0.0, -1.0]);
+            let trace = net.forward_one(&state, &mut rng());
+            let mut grads = backward_one(&net, &trace, &[0.0, -1.0], 0.0);
             trainer.apply(&mut net, &mut grads);
         }
-        let after = net.act(&state, &mut rng())[1];
+        let after = act(&net, &state)[1];
         assert!(after > before, "a[1] went {before} → {after}");
     }
 
     #[test]
     fn gradients_accumulate_and_scale() {
         let net = soft_net();
-        let (_, trace) = net.forward(&[1.0, 1.0, 1.0], &mut rng());
-        let g1 = backward(&net, &trace, &[1.0, 0.0]);
+        let trace = net.forward_one(&[1.0, 1.0, 1.0], &mut rng());
+        let g1 = backward_one(&net, &trace, &[1.0, 0.0], 0.0);
         let mut acc = SdpGradients::zeros_like(&net);
         acc.accumulate(&g1);
         acc.accumulate(&g1);
@@ -702,12 +611,12 @@ mod tests {
     #[test]
     fn clip_global_norm_bounds_gradients() {
         let net = soft_net();
-        let (_, trace) = net.forward(&[1.0, 1.0, 1.0], &mut rng());
-        let mut g = backward(&net, &trace, &[100.0, -100.0]);
+        let trace = net.forward_one(&[1.0, 1.0, 1.0], &mut rng());
+        let mut g = backward_one(&net, &trace, &[100.0, -100.0], 0.0);
         g.clip_global_norm(1.0);
         assert!(g.global_norm() <= 1.0 + 1e-9);
         // Clipping an already-small gradient is a no-op.
-        let mut small = backward(&net, &trace, &[1e-8, -1e-8]);
+        let mut small = backward_one(&net, &trace, &[1e-8, -1e-8], 0.0);
         let before = small.global_norm();
         small.clip_global_norm(1.0);
         assert!((small.global_norm() - before).abs() < 1e-15);
@@ -730,8 +639,8 @@ mod tests {
 
         let state = [0.9, 1.1, 1.0];
         let c = [1.0, -2.0];
-        let (_, trace) = net.forward(&state, &mut rng());
-        let grads = backward(&net, &trace, &c);
+        let trace = net.forward_one(&state, &mut rng());
+        let grads = backward_one(&net, &trace, &c, 0.0);
         let analytic = flat_grads(&grads);
         let params = flat_params(&net);
         let eps = 1e-5;
@@ -762,8 +671,8 @@ mod tests {
         let mut alif = plain.clone();
         alif.adaptation = Some(AdaptiveParams { beta: 2.0, rho: 0.9 });
         let inputs = Matrix::filled(30, 1, 1.0);
-        let (o_plain, _) = plain.forward(&inputs, false);
-        let (o_alif, _) = alif.forward(&inputs, false);
+        let (o_plain, _) = plain.simulate(&inputs);
+        let (o_alif, _) = alif.simulate(&inputs);
         let count = |m: &Matrix| m.as_slice().iter().sum::<f64>();
         assert!(
             count(&o_alif) < count(&o_plain),
@@ -781,19 +690,19 @@ mod tests {
         let state = [0.95, 1.05, 1.1];
         let c = [0.5, -0.5];
         let lambda = 0.7;
-        let (_, trace) = net.forward(&state, &mut rng());
-        let grads = backward_with_rate_penalty(&net, &trace, &c, lambda);
+        let trace = net.forward_one(&state, &mut rng());
+        let grads = backward_one(&net, &trace, &c, lambda);
         let analytic = flat_grads(&grads);
         let params = flat_params(&net);
 
         let loss = |n: &SdpNetwork| -> f64 {
-            let (a, tr) = n.forward(&state, &mut rng());
-            let base: f64 = a.iter().zip(&c).map(|(x, y)| x * y).sum();
+            let tr = n.forward_one(&state, &mut rng());
+            let base: f64 = tr.action(0).iter().zip(&c).map(|(x, y)| x * y).sum();
             // Hidden layers are all but the last.
             let hidden = &tr.layers[..n.depth() - 1];
             let t = n.config().timesteps as f64;
             let n_hidden: usize = n.layers[..n.depth() - 1].iter().map(|l| l.out_dim()).sum();
-            let total: f64 = hidden.iter().flat_map(|lt| lt.outputs.iter()).flatten().sum();
+            let total: f64 = hidden.iter().flat_map(|lt| lt.outputs.as_slice()).sum();
             base + lambda * total / (t * n_hidden as f64)
         };
         let eps = 1e-5;
@@ -824,12 +733,11 @@ mod tests {
             let mut net = SdpNetwork::new(cfg, &mut rng());
             let mut trainer = SdpTrainer::new(&net, spikefolio_tensor::optim::Adam::new(5e-3));
             for _ in 0..80 {
-                let (_, trace) = net.forward(&state, &mut rng());
-                let mut grads = backward_with_rate_penalty(&net, &trace, &d_action, lambda);
+                let trace = net.forward_one(&state, &mut rng());
+                let mut grads = backward_one(&net, &trace, &d_action, lambda);
                 trainer.apply(&mut net, &mut grads);
             }
-            let (_, stats) = net.act_with_stats(&state, &mut rng());
-            stats.neuron_spikes
+            net.forward_one(&state, &mut rng()).stats.neuron_spikes
         };
         let plain = spikes_after(0.0);
         let penalized = spikes_after(5.0);
@@ -843,13 +751,12 @@ mod tests {
     #[should_panic(expected = "non-negative")]
     fn negative_rate_penalty_rejected() {
         let net = soft_net();
-        let (_, trace) = net.forward(&[1.0, 1.0, 1.0], &mut rng());
-        let _ = backward_with_rate_penalty(&net, &trace, &[0.0, 0.0], -1.0);
+        let trace = net.forward_one(&[1.0, 1.0, 1.0], &mut rng());
+        let _ = backward_one(&net, &trace, &[0.0, 0.0], -1.0);
     }
 
     #[test]
     fn batched_backward_sparse_matches_dense_bitwise() {
-        use crate::batch::{BatchNetworkTrace, BatchWorkspace, KernelPath};
         let mut cfg = SdpNetworkConfig::small(4, 3);
         cfg.timesteps = 5;
         let net = SdpNetwork::new(cfg, &mut rng());
@@ -874,8 +781,8 @@ mod tests {
         let mut net2 = soft_net();
         set_flat_params(&mut net2, &flat);
         assert_eq!(flat_params(&net2), flat);
-        let a1 = net.act(&[1.0, 1.0, 1.0], &mut rng());
-        let a2 = net2.act(&[1.0, 1.0, 1.0], &mut rng());
+        let a1 = act(&net, &[1.0, 1.0, 1.0]);
+        let a2 = act(&net2, &[1.0, 1.0, 1.0]);
         assert_eq!(a1, a2);
     }
 }

@@ -1,5 +1,5 @@
-//! Equivalence, gradient-correctness, property, and regression tests for
-//! the batched SNN execution engine (`SdpNetwork::forward_batch` /
+//! Batch-composition, gradient-correctness, property, and regression
+//! tests for the SNN execution engine (`SdpNetwork::forward_batch` /
 //! `stbp::backward_batch`).
 
 use proptest::prelude::*;
@@ -9,10 +9,10 @@ use spikefolio::agent::SdpAgent;
 use spikefolio::checkpoint;
 use spikefolio::config::SdpConfig;
 use spikefolio_snn::encoder::Encoding;
-use spikefolio_snn::network::{SdpNetwork, SdpNetworkConfig};
+use spikefolio_snn::network::{SdpNetwork, SdpNetworkConfig, SpikeStats};
 use spikefolio_snn::neuron::SpikeFn;
 use spikefolio_snn::stbp;
-use spikefolio_snn::{BatchNetworkTrace, BatchWorkspace};
+use spikefolio_snn::{BatchNetworkTrace, BatchWorkspace, SingleSample};
 use spikefolio_tensor::optim::Gradients;
 use spikefolio_tensor::Matrix;
 
@@ -30,14 +30,16 @@ fn states(batch: usize, dim: usize) -> Matrix {
     Matrix::from_fn(batch, dim, |b, d| 0.7 + 0.04 * ((b * dim + d) % 17) as f64)
 }
 
-/// Runs the batched forward + backward and the per-sample reference
-/// (identical per-sample encoder seeds) and compares actions exactly and
-/// every gradient block within `TOL`.
+/// Batch-composition pin: runs a batch forward + backward and, as the
+/// per-sample reference, each row alone at B = 1 with the same encoder
+/// seed. Actions must match bit for bit, the summed event counters
+/// exactly, and every gradient block within `TOL`. B = 1 takes the dense
+/// drive and the batches the sparse one, so the pin crosses both kernels.
 fn check_equivalence(encoding: Encoding) {
     let net = small_net(encoding);
     let dim = net.config().state_dim;
     let rate_penalty = 0.05;
-    for &batch in &[1usize, 3, 32] {
+    for &batch in &[3usize, 5, 32] {
         let st = states(batch, dim);
         let d_actions = Matrix::from_fn(batch, 3, |b, a| 0.2 - 0.1 * a as f64 + 0.01 * b as f64);
 
@@ -49,19 +51,27 @@ fn check_equivalence(encoding: Encoding) {
         let batched = stbp::backward_batch(&net, &trace, &d_actions, rate_penalty, &mut ws);
 
         let mut reference = stbp::SdpGradients::zeros_like(&net);
+        let mut stats = SpikeStats::default();
+        let mut one = SingleSample::new(&net);
         for b in 0..batch {
-            let mut r = StdRng::seed_from_u64(1000 + b as u64);
-            let (action, tr) = net.forward(st.row(b), &mut r);
-            // Actions must match the per-sample path exactly, not just
-            // within tolerance.
+            let action = one.forward(&net, st.row(b), &mut StdRng::seed_from_u64(1000 + b as u64));
+            // Actions must match the B = 1 run exactly, not just within
+            // tolerance.
             assert_eq!(
                 trace.action(b),
-                action.as_slice(),
+                action,
                 "batch {batch} sample {b}: action mismatch ({encoding:?})"
             );
-            let g = stbp::backward_with_rate_penalty(&net, &tr, d_actions.row(b), rate_penalty);
+            let s = one.trace.stats;
+            stats.encoder_spikes += s.encoder_spikes;
+            stats.neuron_spikes += s.neuron_spikes;
+            stats.synops += s.synops;
+            stats.neuron_updates += s.neuron_updates;
+            let d1 = Matrix::from_rows(&[d_actions.row(b)]);
+            let g = stbp::backward_batch(&net, &one.trace, &d1, rate_penalty, &mut one.ws);
             reference.accumulate(&g);
         }
+        assert_eq!(trace.stats, stats, "batch {batch}: summed stats ({encoding:?})");
 
         for (k, (bg, rg)) in batched.layers.iter().zip(&reference.layers).enumerate() {
             for (i, (x, y)) in
