@@ -500,8 +500,21 @@ impl<O: Optimizer> EiieTrainer<O> {
     /// global-norm cap first.
     pub fn apply(&mut self, net: &mut Eiie, grads: &mut EiieGradients) {
         if let Some(max) = self.max_grad_norm {
-            let flat = Eiie::flat_grads(grads);
-            let norm = flat.iter().map(|g| g * g).sum::<f64>().sqrt();
+            // Squares summed in `flat_grads` order without building it, so
+            // the norm's bits match the flattened sum.
+            let norm = grads
+                .conv1
+                .d_weights
+                .as_slice()
+                .iter()
+                .chain(&grads.conv1.d_bias)
+                .chain(grads.conv2.d_weights.as_slice())
+                .chain(&grads.conv2.d_bias)
+                .chain(&grads.d_head)
+                .chain([&grads.d_head_bias, &grads.d_cash_bias])
+                .map(|g| g * g)
+                .sum::<f64>()
+                .sqrt();
             if norm > max && norm > 0.0 {
                 grads.scale(max / norm);
             }
