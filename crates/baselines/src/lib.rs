@@ -53,31 +53,6 @@ pub use ucrp::Ucrp;
 
 use spikefolio_env::Policy;
 
-/// Returns boxed instances of all Table 3 baseline strategies with their
-/// default parameters, in the paper's row order (ONS, Best Stock, ANTICOR,
-/// M0, UCRP).
-pub fn table3_baselines() -> Vec<Box<dyn Policy>> {
-    vec![
-        Box::new(Ons::new()),
-        Box::new(BestStock::new()),
-        Box::new(Anticor::new()),
-        Box::new(M0::new()),
-        Box::new(Ucrp::new()),
-    ]
-}
-
-/// Extended strategy roster: the Table 3 five plus EG, PAMR, OLMAR, and
-/// buy-and-hold — the broader Li & Hoi survey families, used by the
-/// extended comparison reports.
-pub fn extended_baselines() -> Vec<Box<dyn Policy>> {
-    let mut v = table3_baselines();
-    v.push(Box::new(Eg::new()));
-    v.push(Box::new(Pamr::new()));
-    v.push(Box::new(Olmar::new()));
-    v.push(Box::new(BuyAndHold::new()));
-    v
-}
-
 /// Compact roster for the scenario stress matrix: one representative per
 /// survey family (meta-learning ONS, follow-the-loser ANTICOR, benchmark
 /// UCRP) plus buy-and-hold as the zero-turnover control — small enough
@@ -100,20 +75,5 @@ mod tests {
     fn scenario_roster_is_compact_with_a_zero_turnover_control() {
         let names: Vec<String> = scenario_baselines().iter().map(|p| p.name().to_owned()).collect();
         assert_eq!(names, vec!["ONS", "ANTICOR", "UCRP", "Buy and Hold"]);
-    }
-
-    #[test]
-    fn all_five_baselines_are_exposed() {
-        let names: Vec<String> = table3_baselines().iter().map(|p| p.name().to_owned()).collect();
-        assert_eq!(names, vec!["ONS", "Best Stock", "ANTICOR", "M0", "UCRP"]);
-    }
-
-    #[test]
-    fn extended_roster_adds_four_more() {
-        let names: Vec<String> = extended_baselines().iter().map(|p| p.name().to_owned()).collect();
-        assert_eq!(names.len(), 9);
-        for extra in ["EG", "PAMR", "OLMAR", "Buy and Hold"] {
-            assert!(names.iter().any(|n| n == extra), "missing {extra}");
-        }
     }
 }

@@ -10,7 +10,7 @@ use rand::SeedableRng;
 use spikefolio::experiments::{run_table4, RunOptions};
 use spikefolio::report::format_table4;
 use spikefolio::{DrlAgent, LoihiDeployment, SdpAgent, SdpConfig};
-use spikefolio_loihi::LoihiChip;
+use spikefolio_loihi::{LoihiChip, QuantizeOptions};
 use spikefolio_snn::SingleSample;
 use spikefolio_telemetry::NoopRecorder;
 
@@ -33,7 +33,13 @@ fn bench_inference_kernels(c: &mut Criterion) {
 
     let cfg = SdpConfig::smoke();
     let mut sdp = SdpAgent::new(&cfg, 11, 1);
-    let mut deployed = LoihiDeployment::new(&sdp, &LoihiChip::default()).unwrap();
+    let mut deployed = LoihiDeployment::new(
+        &sdp,
+        &LoihiChip::default(),
+        &QuantizeOptions::default(),
+        &mut NoopRecorder,
+    )
+    .unwrap();
     let drl = DrlAgent::new(&cfg, 11, 1);
     let mut rng = rand::rngs::StdRng::seed_from_u64(1);
     let state: Vec<f64> =
@@ -42,7 +48,7 @@ fn bench_inference_kernels(c: &mut Criterion) {
     let mut group = c.benchmark_group("table4/inference");
     group.bench_function("sdp_float", |b| b.iter(|| std::hint::black_box(sdp.act(&state))));
     group.bench_function("sdp_chip_fixed_point", |b| {
-        b.iter(|| std::hint::black_box(deployed.act(&state)))
+        b.iter(|| std::hint::black_box(deployed.act(&state, &mut NoopRecorder)))
     });
     group.bench_function("drl_dense", |b| b.iter(|| std::hint::black_box(drl.act(&state))));
     let mut one = SingleSample::new(&sdp.network);

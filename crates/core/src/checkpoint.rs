@@ -10,7 +10,6 @@
 //! instead of a parse panic. v1 files (no trailer) still load.
 
 use crate::agent::SdpAgent;
-use crate::drl::DrlAgent;
 use spikefolio_resilience::io::atomic_write_faulted;
 use spikefolio_resilience::{crc32, FaultPlan};
 use spikefolio_snn::stbp::{flat_params, set_flat_params};
@@ -266,33 +265,6 @@ pub fn heal_sdp(agent: &SdpAgent, path: impl AsRef<Path>) -> std::io::Result<boo
     }
 }
 
-/// Saves a DRL baseline agent's parameters (v2 format, atomic write).
-///
-/// # Errors
-///
-/// Returns any I/O error from staging, syncing, or renaming the file.
-pub fn save_drl(agent: &DrlAgent, path: impl AsRef<Path>) -> std::io::Result<()> {
-    let text = encode("drl", &agent.network.flat_params());
-    atomic_write_faulted(path, text.as_bytes(), CHECKPOINT_IO_LABEL, None)
-}
-
-/// Restores a DRL baseline agent's parameters in place (v2 or legacy v1).
-///
-/// # Errors
-///
-/// Returns [`LoadCheckpointError`] on I/O failure, syntax errors,
-/// checksum mismatch, or a parameter-count mismatch.
-pub fn load_drl(agent: &mut DrlAgent, path: impl AsRef<Path>) -> Result<(), LoadCheckpointError> {
-    let text = read_checkpoint_text(path)?;
-    let params = decode(&text, "drl")?;
-    let expected = agent.network.flat_params().len();
-    if params.len() != expected {
-        return Err(LoadCheckpointError::Shape { found: params.len(), expected });
-    }
-    agent.network.set_flat_params(&params);
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used)]
@@ -318,25 +290,12 @@ mod tests {
     }
 
     #[test]
-    fn drl_round_trip_is_bit_exact() {
-        let cfg = SdpConfig::smoke();
-        let agent = DrlAgent::new(&cfg, 5, 7);
-        let path = tmp("drl.ckpt");
-        save_drl(&agent, &path).unwrap();
-        let mut restored = DrlAgent::new(&cfg, 5, 999);
-        load_drl(&mut restored, &path).unwrap();
-        assert_eq!(restored.network.flat_params(), agent.network.flat_params());
-        std::fs::remove_file(path).ok();
-    }
-
-    #[test]
     fn wrong_kind_is_rejected() {
         let cfg = SdpConfig::smoke();
         let agent = SdpAgent::new(&cfg, 5, 7);
         let path = tmp("kind.ckpt");
         save_sdp(&agent, &path).unwrap();
-        let mut drl = DrlAgent::new(&cfg, 5, 7);
-        let err = load_drl(&mut drl, &path).unwrap_err();
+        let err = decode(&read_checkpoint_text(&path).unwrap(), "drl").unwrap_err();
         assert!(matches!(err, LoadCheckpointError::Parse(_)), "{err}");
         std::fs::remove_file(path).ok();
     }

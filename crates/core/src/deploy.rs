@@ -3,13 +3,14 @@
 
 use crate::agent::SdpAgent;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use spikefolio_env::{DecisionContext, Policy, StateBuilder};
 use spikefolio_loihi::chip::{LoihiChip, LoihiNetwork, LoihiRunStats, MapNetworkError};
 use spikefolio_loihi::quantize::{
     try_quantize_network, QuantizationReport, QuantizeError, QuantizeOptions,
 };
 use spikefolio_snn::decoder::Decoder;
+use spikefolio_snn::network::SpikeStats;
 use spikefolio_snn::PopulationEncoder;
 use spikefolio_telemetry::{labels, NoopRecorder, Recorder, Stopwatch};
 
@@ -58,42 +59,18 @@ impl std::fmt::Display for DeployError {
 impl std::error::Error for DeployError {}
 
 impl LoihiDeployment {
-    /// Quantizes and maps a trained agent onto `chip` with default
-    /// quantization options (max-abs ratio — nothing saturates).
-    ///
-    /// # Errors
-    ///
-    /// Returns the mapping error if the network exceeds the chip budget.
-    ///
-    /// # Panics
-    ///
-    /// Panics if quantization itself fails (all-zero layer or ALIF
-    /// network) — impossible for agents produced by this crate's
-    /// constructors and training loop.
-    #[allow(clippy::expect_used)] // documented panic contract of the legacy API
-    pub fn new(
-        agent: &SdpAgent,
-        chip: &LoihiChip,
-    ) -> Result<Self, spikefolio_loihi::chip::MapNetworkError> {
-        Self::new_recorded(agent, chip, &QuantizeOptions::default(), &mut NoopRecorder).map_err(
-            |e| match e {
-                DeployError::Map(m) => m,
-                DeployError::Quantize(q) => panic!("{q}"),
-            },
-        )
-    }
-
-    /// [`new`](Self::new) with explicit [`QuantizeOptions`] and telemetry:
-    /// the number of weights clamped to full scale during rescaling is
+    /// Quantizes (eq. 14) and maps a trained agent onto `chip`. The
+    /// number of weights clamped to full scale during rescaling is
     /// recorded on the `loihi/saturated_weights` counter. Observe-only —
     /// the deployment is identical with any recorder.
     ///
     /// # Errors
     ///
-    /// Returns [`DeployError`] if quantization fails (including a
-    /// saturated fraction above `opts.max_saturation_fraction`) or the
-    /// network exceeds the chip budget.
-    pub fn new_recorded(
+    /// Returns [`DeployError`] if quantization fails (ALIF network,
+    /// all-zero layer, or a saturated fraction above
+    /// `opts.max_saturation_fraction`) or the network exceeds the chip
+    /// budget.
+    pub fn new(
         agent: &SdpAgent,
         chip: &LoihiChip,
         opts: &QuantizeOptions,
@@ -131,49 +108,57 @@ impl LoihiDeployment {
         self.chip_net.allocation()
     }
 
-    /// One on-chip inference from a raw state vector.
-    pub fn act(&mut self, state: &[f64]) -> Vec<f64> {
-        self.act_recorded(state, &mut NoopRecorder)
+    /// The state layout the deployed policy reads.
+    pub fn state_builder(&self) -> &StateBuilder {
+        &self.state_builder
     }
 
-    /// [`act`](Self::act) with telemetry: times the off-chip encode and
-    /// the chip inference (`encode` / `loihi/infer` spans) and records the
-    /// inference's event counts under the `loihi/*` counters. Observe-only
-    /// — the action is identical with any recorder.
-    pub fn act_recorded(&mut self, state: &[f64], rec: &mut dyn Recorder) -> Vec<f64> {
-        let encode_watch = Stopwatch::start(rec);
-        let raster = self.encoder.encode(state, self.timesteps, &mut self.rng);
-        encode_watch.stop(rec, labels::SPAN_ENCODE);
-        let infer_watch = Stopwatch::start(rec);
+    /// Length of the state vector [`infer`](Self::infer) takes.
+    pub fn state_dim(&self) -> usize {
+        self.encoder.state_dim()
+    }
+
+    /// Length of the weight vector [`infer`](Self::infer) returns.
+    pub fn action_dim(&self) -> usize {
+        self.decoder.action_dim()
+    }
+
+    /// One on-chip inference: encodes `state` off-chip with `rng`, runs
+    /// the chip model and decodes the spike sums into weights. Returns
+    /// the action and the inference's event counts; touches no counter.
+    pub fn infer<R: Rng + ?Sized>(&self, state: &[f64], rng: &mut R) -> (Vec<f64>, LoihiRunStats) {
+        let raster = self.encoder.encode(state, self.timesteps, rng);
         let (sums, stats) = self.chip_net.infer(&raster);
+        (self.decoder.decode(&sums).action, stats)
+    }
+
+    /// [`infer`](Self::infer) with the deployment's own RNG, accumulating
+    /// the event counts. Times the inference (`loihi/infer` span) and
+    /// records its event counts under the `loihi/*` counters.
+    /// Observe-only — the action is identical with any recorder.
+    pub fn act(&mut self, state: &[f64], rec: &mut dyn Recorder) -> Vec<f64> {
+        let mut rng = self.rng.clone();
+        let infer_watch = Stopwatch::start(rec);
+        let (action, stats) = self.infer(state, &mut rng);
         infer_watch.stop(rec, labels::SPAN_CHIP_INFER);
+        self.rng = rng;
         self.total_stats += stats;
         self.inferences += 1;
         spikefolio_loihi::telemetry::record_run_stats(rec, &stats, 1);
-        self.decoder.decode(&sums).action
+        action
     }
 
     /// Average event counts per inference so far (zeroes before the first
     /// inference).
-    pub fn mean_stats(&self) -> LoihiRunStats {
-        if self.inferences == 0 {
-            return LoihiRunStats::default();
-        }
-        let n = self.inferences;
-        LoihiRunStats {
-            input_spikes: self.total_stats.input_spikes / n,
-            neuron_spikes: self.total_stats.neuron_spikes / n,
-            synops: self.total_stats.synops / n,
-            neuron_updates: self.total_stats.neuron_updates / n,
-            timesteps: self.total_stats.timesteps / n,
-        }
+    pub fn mean_stats(&self) -> SpikeStats {
+        spikefolio_loihi::telemetry::mean_spike_stats(&self.total_stats, self.inferences).0
     }
 }
 
 impl Policy for LoihiDeployment {
     fn rebalance(&mut self, ctx: &DecisionContext<'_>) -> Vec<f64> {
         let state = self.state_builder.build(ctx.market, ctx.t, ctx.prev_weights);
-        self.act(&state)
+        self.act(&state, &mut NoopRecorder)
     }
 
     fn warmup_periods(&self) -> usize {
@@ -195,6 +180,16 @@ mod tests {
     use spikefolio_tensor::simplex::is_on_simplex;
     use spikefolio_tensor::vector::argmax;
 
+    fn deploy(agent: &SdpAgent) -> LoihiDeployment {
+        LoihiDeployment::new(
+            agent,
+            &LoihiChip::default(),
+            &QuantizeOptions::default(),
+            &mut NoopRecorder,
+        )
+        .unwrap()
+    }
+
     fn agent_and_market() -> (SdpAgent, spikefolio_market::MarketData) {
         let market = ExperimentPreset::experiment1().shrunk(30, 10).generate(5);
         let agent = SdpAgent::new(&SdpConfig::smoke(), market.num_assets(), 2);
@@ -204,9 +199,7 @@ mod tests {
     #[test]
     fn deployment_succeeds_for_smoke_network() {
         let (agent, _) = agent_and_market();
-        let dep = LoihiDeployment::new(&agent, &LoihiChip::default());
-        assert!(dep.is_ok());
-        let dep = dep.unwrap();
+        let dep = deploy(&agent);
         assert!(dep.allocation().total_cores >= 1);
         assert!(!dep.quantization_report().ratios.is_empty());
     }
@@ -214,14 +207,14 @@ mod tests {
     #[test]
     fn chip_actions_match_float_agent_mostly() {
         let (mut agent, market) = agent_and_market();
-        let mut dep = LoihiDeployment::new(&agent, &LoihiChip::default()).unwrap();
+        let mut dep = deploy(&agent);
         let w = vec![1.0 / 12.0; 12];
         let mut agree = 0;
         let total = 15;
         for t in 4..4 + total {
             let s = agent.state(&market, t, &w);
             let a_float = agent.act(&s);
-            let a_chip = dep.act(&s);
+            let a_chip = dep.act(&s, &mut NoopRecorder);
             assert!(is_on_simplex(&a_chip, 1e-9));
             if argmax(&a_float) == argmax(&a_chip) {
                 agree += 1;
@@ -233,27 +226,25 @@ mod tests {
     #[test]
     fn recorded_act_is_identical_and_counts_events() {
         let (agent, market) = agent_and_market();
-        let mut plain_dep = LoihiDeployment::new(&agent, &LoihiChip::default()).unwrap();
-        let mut rec_dep = LoihiDeployment::new(&agent, &LoihiChip::default()).unwrap();
+        let mut plain_dep = deploy(&agent);
+        let mut rec_dep = deploy(&agent);
         let w = vec![1.0 / 12.0; 12];
         let s = agent.state_builder().build(&market, 4, &w);
-        let plain = plain_dep.act(&s);
+        let plain = plain_dep.act(&s, &mut NoopRecorder);
         let mut rec = spikefolio_telemetry::MemoryRecorder::new();
-        let recorded = rec_dep.act_recorded(&s, &mut rec);
+        let recorded = rec_dep.act(&s, &mut rec);
         assert_eq!(plain, recorded, "telemetry must not change the action");
         assert_eq!(rec.counter_total(labels::COUNTER_LOIHI_INFERENCES), 1);
         assert_eq!(rec.counter_total(labels::COUNTER_LOIHI_SYNOPS), rec_dep.total_stats.synops);
-        assert_eq!(rec.span_total(labels::SPAN_ENCODE).1, 1);
         assert_eq!(rec.span_total(labels::SPAN_CHIP_INFER).1, 1);
     }
 
     #[test]
     fn saturation_counter_is_emitted_for_aggressive_options() {
-        use spikefolio_loihi::quantize::QuantizeOptions;
         let (agent, _) = agent_and_market();
         // Defaults: nothing saturates, counter untouched.
         let mut rec = spikefolio_telemetry::MemoryRecorder::new();
-        let dep = LoihiDeployment::new_recorded(
+        let dep = LoihiDeployment::new(
             &agent,
             &LoihiChip::default(),
             &QuantizeOptions::default(),
@@ -266,32 +257,25 @@ mod tests {
         // exactly the report's total.
         let opts = QuantizeOptions { ratio_percentile: 0.5, max_saturation_fraction: 1.0 };
         let mut rec = spikefolio_telemetry::MemoryRecorder::new();
-        let dep =
-            LoihiDeployment::new_recorded(&agent, &LoihiChip::default(), &opts, &mut rec).unwrap();
+        let dep = LoihiDeployment::new(&agent, &LoihiChip::default(), &opts, &mut rec).unwrap();
         let saturated = dep.quantization_report().total_saturated();
         assert!(saturated > 0);
         assert_eq!(rec.counter_total(labels::COUNTER_LOIHI_SATURATED_WEIGHTS), saturated);
         // A tight bound turns the same saturation into a typed error.
         let tight = QuantizeOptions { ratio_percentile: 0.1, max_saturation_fraction: 0.001 };
-        let err = LoihiDeployment::new_recorded(
-            &agent,
-            &LoihiChip::default(),
-            &tight,
-            &mut spikefolio_telemetry::NoopRecorder,
-        )
-        .unwrap_err();
+        let err = LoihiDeployment::new(&agent, &LoihiChip::default(), &tight, &mut NoopRecorder)
+            .unwrap_err();
         assert!(matches!(err, DeployError::Quantize(_)), "{err}");
     }
 
     #[test]
     fn deployment_backtests_and_accumulates_stats() {
         let (agent, market) = agent_and_market();
-        let mut dep = LoihiDeployment::new(&agent, &LoihiChip::default()).unwrap();
+        let mut dep = deploy(&agent);
         let r = Backtester::default().run(&mut dep, &market);
         assert!(r.fapv() > 0.0);
         assert!(dep.inferences > 0);
-        let mean = dep.mean_stats();
-        assert!(mean.neuron_updates > 0);
-        assert_eq!(mean.timesteps, 5);
+        assert!(dep.mean_stats().neuron_updates > 0);
+        assert_eq!(dep.total_stats.timesteps, 5 * dep.inferences);
     }
 }

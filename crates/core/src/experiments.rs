@@ -13,7 +13,7 @@ use spikefolio_baselines::{Anticor, BestStock, Ons, Ucrp, M0};
 use spikefolio_env::{Backtester, Metrics, Policy};
 use spikefolio_loihi::device::DeviceModel;
 use spikefolio_loihi::energy::{EnergyReport, LoihiEnergyModel};
-use spikefolio_loihi::LoihiChip;
+use spikefolio_loihi::{LoihiChip, QuantizeOptions};
 use spikefolio_market::experiments::ExperimentPreset;
 use spikefolio_market::{sanitize_market, MarketData, SanitizeConfig};
 use spikefolio_resilience::GuardConfig;
@@ -252,12 +252,8 @@ pub fn run_table4(opts: &RunOptions, rec: &mut dyn Recorder) -> Vec<PowerOutcome
 
         let mut sdp = SdpAgent::new(&opts.config, train.num_assets(), opts.config.seed);
         let _ = train_sdp_for(opts, &trainer, &mut sdp, &train, rec);
-        let mut deployed = match LoihiDeployment::new_recorded(
-            &sdp,
-            &chip,
-            &spikefolio_loihi::QuantizeOptions::default(),
-            rec,
-        ) {
+        let mut deployed = match LoihiDeployment::new(&sdp, &chip, &QuantizeOptions::default(), rec)
+        {
             Ok(d) => d,
             Err(e) => panic!("paper-scale network must deploy on one chip: {e}"),
         };
@@ -267,7 +263,7 @@ pub fn run_table4(opts: &RunOptions, rec: &mut dyn Recorder) -> Vec<PowerOutcome
             &deployed.total_stats,
             deployed.inferences,
         );
-        let mean_stats = deployed.mean_stats().to_spike_stats();
+        let mean_stats = deployed.mean_stats();
 
         let model = *energy_model.get_or_insert_with(|| {
             LoihiEnergyModel::calibrated(&mean_stats, PAPER_LOIHI_NJ_PER_INF)
@@ -337,9 +333,11 @@ pub fn timestep_tradeoff(opts: &RunOptions, timesteps: &[usize]) -> Vec<Timestep
         // Ablations have no error channel; every preset network fits one
         // chip by construction.
         #[allow(clippy::expect_used)]
-        let mut deployed = LoihiDeployment::new(&sdp, &chip).expect("network fits");
+        let mut deployed =
+            LoihiDeployment::new(&sdp, &chip, &QuantizeOptions::default(), &mut NoopRecorder)
+                .expect("network fits");
         let result = Backtester::new(config.backtest).run(&mut deployed, &test);
-        let stats = deployed.mean_stats().to_spike_stats();
+        let stats = deployed.mean_stats();
         let model = *energy_model
             .get_or_insert_with(|| LoihiEnergyModel::calibrated(&stats, PAPER_LOIHI_NJ_PER_INF));
         points.push(TimestepPoint {
@@ -464,9 +462,11 @@ pub fn rate_penalty_ablation(opts: &RunOptions, lambdas: &[f64]) -> Vec<RatePena
             // Same invariant as the timestep sweep: preset networks always
             // fit one chip.
             #[allow(clippy::expect_used)]
-            let mut deployed = LoihiDeployment::new(&sdp, &chip).expect("network fits");
+            let mut deployed =
+                LoihiDeployment::new(&sdp, &chip, &QuantizeOptions::default(), &mut NoopRecorder)
+                    .expect("network fits");
             let result = Backtester::new(config.backtest).run(&mut deployed, &test);
-            let stats = deployed.mean_stats().to_spike_stats();
+            let stats = deployed.mean_stats();
             RatePenaltyPoint {
                 lambda,
                 spikes_per_inference: stats.total_spikes(),

@@ -223,14 +223,14 @@ pub fn run_profile_workload(opts: &WorkloadOptions) -> ProfileReport {
     // counters for a few pinned inferences.
     let chip = LoihiChip::default();
     if let Ok(mut deployment) =
-        LoihiDeployment::new_recorded(&agent, &chip, &QuantizeOptions::default(), &mut rec)
+        LoihiDeployment::new(&agent, &chip, &QuantizeOptions::default(), &mut rec)
     {
         let n = train.num_assets();
         let w = vec![1.0 / (n + 1) as f64; n + 1];
         let t = agent.state_builder().min_period().max(1);
         let state = agent.state(&train, t, &w);
         for _ in 0..3 {
-            let _ = deployment.act_recorded(&state, &mut rec);
+            let _ = deployment.act(&state, &mut rec);
         }
     }
 

@@ -18,8 +18,7 @@ use std::time::Duration;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use spikefolio_env::StateBuilder;
-use spikefolio_loihi::chip::{LoihiChip, LoihiNetwork, LoihiRunStats};
-use spikefolio_loihi::quantize::try_quantize_network;
+use spikefolio_loihi::chip::{LoihiChip, LoihiRunStats};
 use spikefolio_loihi::QuantizeOptions;
 use spikefolio_market::Candle;
 use spikefolio_serve::{
@@ -28,11 +27,13 @@ use spikefolio_serve::{
 };
 use spikefolio_snn::{BatchNetworkTrace, BatchWorkspace, SdpNetwork};
 use spikefolio_telemetry::value::{parse, Value};
+use spikefolio_telemetry::NoopRecorder;
 use spikefolio_tensor::Matrix;
 
 use crate::agent::SdpAgent;
 use crate::checkpoint;
 use crate::config::SdpConfig;
+use crate::deploy::{DeployError, LoihiDeployment};
 
 /// Which policy implementation answers requests.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -164,57 +165,28 @@ impl InferenceBackend for FloatPolicyBackend {
     }
 }
 
-/// The Loihi backend: states are population-encoded off-chip with the
-/// request seed, then run through the mapped fixed-point chip model one
-/// sample at a time (the chip model is sequential), decoding spike sums
-/// back into weights. Event counts accumulate across requests.
+/// The Loihi backend: a [`LoihiDeployment`] driven with one request-seeded
+/// RNG per sample. The chip model is sequential, so a micro-batch runs
+/// sample by sample; event counts accumulate across requests.
+#[derive(Debug)]
 pub struct LoihiPolicyBackend {
-    encoder: spikefolio_snn::PopulationEncoder,
-    decoder: spikefolio_snn::decoder::Decoder,
-    chip_net: LoihiNetwork,
-    timesteps: usize,
-    state_dim: usize,
-    action_dim: usize,
-    state_builder: StateBuilder,
+    deployment: LoihiDeployment,
     total_stats: Mutex<LoihiRunStats>,
 }
 
-impl std::fmt::Debug for LoihiPolicyBackend {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("LoihiPolicyBackend")
-            .field("state_dim", &self.state_dim)
-            .field("action_dim", &self.action_dim)
-            .field("timesteps", &self.timesteps)
-            .finish()
-    }
-}
-
 impl LoihiPolicyBackend {
-    /// Quantizes `network` (eq. (14)) and maps it onto `chip`.
+    /// Deploys `agent` on `chip` (eq. (14) quantization, then mapping).
     ///
     /// # Errors
     ///
-    /// Quantization or chip-mapping failures as a message.
+    /// Quantization or chip-mapping failures.
     pub fn new(
-        network: &SdpNetwork,
-        state_builder: StateBuilder,
+        agent: &SdpAgent,
         chip: &LoihiChip,
         opts: &QuantizeOptions,
-    ) -> Result<Self, String> {
-        let (quantized, _report) =
-            try_quantize_network(network, opts).map_err(|e| format!("quantize: {e:?}"))?;
-        let timesteps = quantized.timesteps;
-        let chip_net = chip.map(quantized).map_err(|e| format!("chip map: {e:?}"))?;
-        Ok(Self {
-            encoder: network.encoder.clone(),
-            decoder: network.decoder.clone(),
-            chip_net,
-            timesteps,
-            state_dim: network.config().state_dim,
-            action_dim: network.config().action_dim,
-            state_builder,
-            total_stats: Mutex::new(LoihiRunStats::default()),
-        })
+    ) -> Result<Self, DeployError> {
+        let deployment = LoihiDeployment::new(agent, chip, opts, &mut NoopRecorder)?;
+        Ok(Self { deployment, total_stats: Mutex::new(LoihiRunStats::default()) })
     }
 
     /// Accumulated on-chip event counts across every served sample.
@@ -229,27 +201,25 @@ impl InferenceBackend for LoihiPolicyBackend {
     }
 
     fn state_dim(&self) -> usize {
-        self.state_dim
+        self.deployment.state_dim()
     }
 
     fn action_dim(&self) -> usize {
-        self.action_dim
+        self.deployment.action_dim()
     }
 
     fn infer_batch(&self, states: &[f64], seeds: &[u64]) -> Vec<Vec<f64>> {
-        let dim = self.state_dim;
+        let dim = self.state_dim();
         let mut out = Vec::with_capacity(seeds.len());
         let mut batch_stats = LoihiRunStats::default();
         for (b, &seed) in seeds.iter().enumerate() {
             let Some(row) = states.get(b * dim..(b + 1) * dim) else {
-                out.push(vec![f64::NAN; self.action_dim]);
+                out.push(vec![f64::NAN; self.action_dim()]);
                 continue;
             };
-            let mut rng = StdRng::seed_from_u64(seed);
-            let raster = self.encoder.encode(row, self.timesteps, &mut rng);
-            let (sums, stats) = self.chip_net.infer(&raster);
+            let (action, stats) = self.deployment.infer(row, &mut StdRng::seed_from_u64(seed));
             batch_stats += stats;
-            out.push(self.decoder.decode(&sums).action);
+            out.push(action);
         }
         *self.total_stats.lock().unwrap_or_else(std::sync::PoisonError::into_inner) += batch_stats;
         out
@@ -262,7 +232,7 @@ impl InferenceBackend for LoihiPolicyBackend {
         prev_weights: &[f64],
     ) -> Result<Vec<f64>, String> {
         let candles = candles_from_flat(candles_flat)?;
-        self.state_builder.build_from_window(&candles, num_assets, prev_weights)
+        self.deployment.state_builder().build_from_window(&candles, num_assets, prev_weights)
     }
 }
 
@@ -296,17 +266,15 @@ impl ModelLoader for CheckpointBackendLoader {
         let mut agent = SdpAgent::new(&self.config, self.num_assets, 0);
         checkpoint::load_sdp(&mut agent, source)
             .map_err(|e| format!("checkpoint {source}: {e}"))?;
-        let state_builder = *agent.state_builder();
         match self.kind {
             BackendKind::Float => {
+                let state_builder = *agent.state_builder();
                 Ok(Box::new(FloatPolicyBackend::new(agent.network, state_builder)))
             }
-            BackendKind::Loihi => Ok(Box::new(LoihiPolicyBackend::new(
-                &agent.network,
-                state_builder,
-                &self.chip,
-                &self.quantize,
-            )?)),
+            BackendKind::Loihi => Ok(Box::new(
+                LoihiPolicyBackend::new(&agent, &self.chip, &self.quantize)
+                    .map_err(|e| e.to_string())?,
+            )),
         }
     }
 }
@@ -387,7 +355,12 @@ pub fn build_server(
 /// Build, run, or telemetry-write failures as a message.
 pub fn run_serve(opts: &ServeRunOptions) -> Result<(), String> {
     let (server, handle, service) = build_server(opts)?;
-    println!("serving {} on {} (backend {})", opts.checkpoint, handle.addr(), backend_name(opts));
+    println!(
+        "serving {} on {} (backend {})",
+        opts.checkpoint,
+        handle.addr(),
+        service.store().current().backend.name()
+    );
     server.run().map_err(|e| format!("server: {e}"))?;
     finish_telemetry(&service, opts.telemetry.as_deref())?;
     if let Some(path) = opts.trace.as_deref() {
@@ -405,13 +378,6 @@ pub fn run_serve(opts: &ServeRunOptions) -> Result<(), String> {
         stats.served, stats.batches, stats.max_batch, stats.shed_queue_full, stats.shed_deadline
     );
     Ok(())
-}
-
-fn backend_name(opts: &ServeRunOptions) -> &'static str {
-    match opts.backend {
-        BackendKind::Float => "snn-float",
-        BackendKind::Loihi => "loihi-quantized",
-    }
 }
 
 fn finish_telemetry(service: &Service, path: Option<&str>) -> Result<(), String> {
@@ -824,10 +790,8 @@ mod tests {
         let agent = SdpAgent::new(&config, 3, 11);
         let chip = LoihiChip::default();
         let opts = QuantizeOptions::default();
-        let backend = || {
-            LoihiPolicyBackend::new(&agent.network, *agent.state_builder(), &chip, &opts)
-                .expect("smoke network deploys")
-        };
+        let backend =
+            || LoihiPolicyBackend::new(&agent, &chip, &opts).expect("smoke network deploys");
         let served = backend();
         let dim = served.state_dim();
         let mut rng = StdRng::seed_from_u64(5);

@@ -1,52 +1,7 @@
-//! Post-backtest analysis: allocation statistics, rolling metrics, and
-//! CSV export for plotting value curves (the workspace's "figure" data).
+//! Post-backtest analysis: rolling metrics and CSV export for plotting
+//! value curves (the workspace's "figure" data).
 
-use crate::backtest::BacktestResult;
-use serde::{Deserialize, Serialize};
 use spikefolio_tensor::vector;
-
-/// Allocation statistics over a backtest's weight history.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct AllocationStats {
-    /// Mean weight per slot (cash first).
-    pub mean_weights: Vec<f64>,
-    /// Mean Herfindahl–Hirschman concentration `Σ w_i²` per decision
-    /// (1/n = perfectly diversified, 1 = single asset).
-    pub mean_hhi: f64,
-    /// Mean cash allocation.
-    pub mean_cash: f64,
-    /// Largest single-asset weight ever taken.
-    pub max_weight: f64,
-    /// Mean one-way turnover per decision.
-    pub mean_turnover: f64,
-}
-
-/// Computes allocation statistics from a backtest result.
-///
-/// # Panics
-///
-/// Panics if the result contains no decisions.
-pub fn allocation_stats(result: &BacktestResult) -> AllocationStats {
-    assert!(!result.weights.is_empty(), "backtest has no decisions");
-    let n = result.weights[0].len();
-    let mut mean_weights = vec![0.0; n];
-    let mut mean_hhi = 0.0;
-    let mut max_weight = 0.0_f64;
-    for w in &result.weights {
-        vector::axpy(&mut mean_weights, 1.0, w);
-        mean_hhi += w.iter().map(|x| x * x).sum::<f64>();
-        max_weight = max_weight.max(w[1..].iter().fold(0.0_f64, |m, &x| m.max(x)));
-    }
-    let count = result.weights.len() as f64;
-    mean_weights.iter_mut().for_each(|x| *x /= count);
-    AllocationStats {
-        mean_cash: mean_weights[0],
-        mean_hhi: mean_hhi / count,
-        max_weight,
-        mean_turnover: result.turnover / count,
-        mean_weights,
-    }
-}
 
 /// Rolling Sharpe ratio over windows of `window` periods (per-period
 /// units, risk-free 0). Returns one value per full window, stepping one
@@ -104,45 +59,6 @@ pub fn value_curves_csv(curves: &[(&str, &[f64])]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backtest::{BacktestConfig, Backtester, DecisionContext, Policy};
-    use spikefolio_market::experiments::ExperimentPreset;
-
-    struct Concentrated;
-    impl Policy for Concentrated {
-        fn rebalance(&mut self, ctx: &DecisionContext<'_>) -> Vec<f64> {
-            let mut w = vec![0.0; ctx.num_assets + 1];
-            w[1] = 1.0;
-            w
-        }
-    }
-
-    struct Uniform;
-    impl Policy for Uniform {
-        fn rebalance(&mut self, ctx: &DecisionContext<'_>) -> Vec<f64> {
-            spikefolio_tensor::uniform_simplex(ctx.num_assets + 1)
-        }
-    }
-
-    fn result_of(p: &mut dyn Policy) -> BacktestResult {
-        let market = ExperimentPreset::experiment1().shrunk(20, 5).generate(3);
-        Backtester::new(BacktestConfig::default()).run(p, &market)
-    }
-
-    #[test]
-    fn concentrated_policy_has_hhi_one() {
-        let stats = allocation_stats(&result_of(&mut Concentrated));
-        assert!((stats.mean_hhi - 1.0).abs() < 1e-12);
-        assert!((stats.max_weight - 1.0).abs() < 1e-12);
-        assert_eq!(stats.mean_cash, 0.0);
-    }
-
-    #[test]
-    fn uniform_policy_has_hhi_one_over_n() {
-        let stats = allocation_stats(&result_of(&mut Uniform));
-        assert!((stats.mean_hhi - 1.0 / 12.0).abs() < 1e-12);
-        assert!((stats.mean_cash - 1.0 / 12.0).abs() < 1e-12);
-        assert!((stats.mean_weights.iter().sum::<f64>() - 1.0).abs() < 1e-9);
-    }
 
     #[test]
     fn rolling_sharpe_shapes() {

@@ -92,16 +92,6 @@ impl BacktestResult {
     pub fn cost_drag(&self) -> f64 {
         1.0 - self.costs_paid.iter().map(|c| 1.0 - c).product::<f64>()
     }
-
-    /// Per-period simple returns of the run.
-    pub fn simple_returns(&self) -> Vec<f64> {
-        self.values.windows(2).map(|w| w[1] / w[0] - 1.0).collect()
-    }
-
-    /// Tail-risk bundle (VaR/CVaR/win-rate/profit-factor) over the run.
-    pub fn risk_report(&self) -> crate::risk::RiskReport {
-        crate::risk::risk_report(&self.simple_returns())
-    }
 }
 
 /// Drives policies over market data. See the [crate docs](crate) for an
@@ -414,17 +404,6 @@ mod tests {
             comm.cost_drag()
         );
         assert!(frict.fapv() < comm.fapv());
-    }
-
-    #[test]
-    fn risk_report_bridges_from_result() {
-        let m = market();
-        let r = Backtester::default().run(&mut Uniform, &m);
-        let returns = r.simple_returns();
-        assert_eq!(returns.len(), r.log_returns.len());
-        let risk = r.risk_report();
-        assert!((0.0..=1.0).contains(&risk.win_rate));
-        assert!(risk.cvar_95 >= risk.var_95);
     }
 
     #[test]

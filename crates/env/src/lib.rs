@@ -38,7 +38,6 @@ pub mod backtest;
 pub mod costs;
 pub mod metrics;
 pub mod portfolio;
-pub mod risk;
 pub mod state;
 
 pub use backtest::{BacktestConfig, BacktestResult, Backtester, DecisionContext, Policy};

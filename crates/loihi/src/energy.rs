@@ -133,21 +133,6 @@ impl LoihiEnergyModel {
         timesteps as f64 * self.t_step + self.t_io
     }
 
-    /// Traffic-aware latency: Loihi's barrier-synchronized timesteps
-    /// stretch when spike traffic is heavy (each router can forward a
-    /// bounded number of spikes per step). The per-step time grows by
-    /// `t_step / 2` for every `spikes_per_step_knee` spikes routed in an
-    /// average step.
-    ///
-    /// With light traffic this reduces to [`latency`](Self::latency).
-    pub fn latency_with_traffic(&self, timesteps: usize, stats: &SpikeStats) -> f64 {
-        const SPIKES_PER_STEP_KNEE: f64 = 2048.0;
-        let steps = timesteps.max(1) as f64;
-        let spikes_per_step = stats.total_spikes() as f64 / steps;
-        let stretch = 1.0 + 0.5 * spikes_per_step / SPIKES_PER_STEP_KNEE;
-        steps * self.t_step * stretch + self.t_io
-    }
-
     /// Builds the Table 4 row for a per-inference event profile.
     ///
     /// `stats` is the (average) event count of one inference and
@@ -213,18 +198,6 @@ mod tests {
         let m = LoihiEnergyModel::davies2018();
         assert!(m.latency(10) > m.latency(5));
         assert!((m.latency(5) - (5.0 * 10e-6 + 120e-6)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn traffic_stretches_latency() {
-        let m = LoihiEnergyModel::davies2018();
-        let light = SpikeStats { encoder_spikes: 10, ..Default::default() };
-        let heavy = SpikeStats { encoder_spikes: 100_000, ..Default::default() };
-        let base = m.latency(5);
-        let l_light = m.latency_with_traffic(5, &light);
-        let l_heavy = m.latency_with_traffic(5, &heavy);
-        assert!((l_light - base).abs() / base < 0.01, "light traffic ≈ base latency");
-        assert!(l_heavy > 2.0 * base, "heavy traffic must stretch the timestep");
     }
 
     #[test]

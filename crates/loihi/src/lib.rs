@@ -26,14 +26,12 @@
 #![warn(missing_docs)]
 #![warn(clippy::unwrap_used, clippy::expect_used)]
 
-pub mod board;
 pub mod chip;
 pub mod device;
 pub mod energy;
 pub mod quantize;
 pub mod telemetry;
 
-pub use board::{Board, BoardDeployment, PowerTrace};
 pub use chip::{ChipConfig, LoihiChip, LoihiNetwork};
 pub use device::{DeviceKind, DeviceModel};
 pub use energy::{EnergyReport, LoihiEnergyModel};

@@ -204,12 +204,6 @@ impl MarketData {
     pub fn log_return(&self, t: usize, a: usize) -> f64 {
         self.price_relatives(t)[a].ln()
     }
-
-    /// Total gross return (final close / initial open) per asset.
-    pub fn total_relatives(&self) -> Vec<f64> {
-        let last = self.num_periods() - 1;
-        (0..self.num_assets).map(|a| self.close(last, a) / self.candle(0, a).open).collect()
-    }
 }
 
 #[cfg(test)]
@@ -278,14 +272,6 @@ mod tests {
         assert_eq!(a.num_periods(), 2);
         assert_eq!(b.num_periods(), 1);
         assert_eq!(b.start_date(), Date::new(2020, 1, 2));
-    }
-
-    #[test]
-    fn total_relatives_compound() {
-        let d = toy();
-        let tot = d.total_relatives();
-        assert!((tot[0] - 1.1f64.powi(3)).abs() < 1e-9);
-        assert!((tot[1] - 1.0).abs() < 1e-12);
     }
 
     #[test]

@@ -46,7 +46,6 @@ pub mod sanitize;
 pub mod stats;
 pub mod tail;
 pub mod time;
-pub mod universe;
 
 pub use calibration::{MarketClass, UniverseGrid, UniverseSpec};
 pub use candle::Candle;

@@ -36,7 +36,7 @@ pub fn realized_volatility(data: &MarketData, asset: usize) -> f64 {
 }
 
 /// Mean pairwise correlation of log returns across all asset pairs.
-pub fn mean_cross_correlation(data: &MarketData) -> f64 {
+fn mean_cross_correlation(data: &MarketData) -> f64 {
     let n = data.num_assets();
     if n < 2 {
         return 1.0;

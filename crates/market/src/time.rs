@@ -77,16 +77,6 @@ impl Date {
         Self { days }
     }
 
-    /// Date from raw days since 1970-01-01.
-    pub fn from_days(days: i64) -> Self {
-        Self { days }
-    }
-
-    /// Days since 1970-01-01.
-    pub fn days_since_epoch(self) -> i64 {
-        self.days
-    }
-
     /// Decomposes into `(year, month, day)`.
     pub fn ymd(self) -> (i32, u32, u32) {
         // Convert to days since 0000-03-01 (civil-from-days algorithm,
@@ -191,8 +181,8 @@ mod tests {
 
     #[test]
     fn epoch_is_day_zero() {
-        assert_eq!(Date::new(1970, 1, 1).days_since_epoch(), 0);
-        assert_eq!(Date::new(1970, 1, 2).days_since_epoch(), 1);
+        assert_eq!(Date::new(1970, 1, 1).days, 0);
+        assert_eq!(Date::new(1970, 1, 2).days, 1);
     }
 
     #[test]
@@ -261,13 +251,12 @@ mod tests {
     #[test]
     fn exhaustive_round_trip_over_decade() {
         // Every day from 2015-01-01 to 2025-01-01 must round-trip through ymd.
-        let start = Date::new(2015, 1, 1).days_since_epoch();
-        let end = Date::new(2025, 1, 1).days_since_epoch();
+        let start = Date::new(2015, 1, 1).days;
+        let end = Date::new(2025, 1, 1).days;
         let mut prev = None;
         for days in start..end {
-            let d = Date::from_days(days);
-            let (y, m, dd) = d.ymd();
-            assert_eq!(Date::new(y, m, dd).days_since_epoch(), days);
+            let (y, m, dd) = Date { days }.ymd();
+            assert_eq!(Date::new(y, m, dd).days, days);
             if let Some((py, pm, _)) = prev {
                 // Months only move forward (or wrap at year boundary).
                 assert!(y > py || (y == py && m >= pm));

@@ -128,11 +128,6 @@ impl Matrix {
         &mut self.data
     }
 
-    /// Consumes the matrix and returns the row-major data vector.
-    pub fn into_vec(self) -> Vec<f64> {
-        self.data
-    }
-
     /// Immutable view of row `r`.
     ///
     /// # Panics
@@ -163,11 +158,6 @@ impl Matrix {
     pub fn col(&self, c: usize) -> Vec<f64> {
         assert!(c < self.cols, "col index {c} out of bounds ({} cols)", self.cols);
         (0..self.rows).map(|r| self.data[r * self.cols + c]).collect()
-    }
-
-    /// Iterator over rows as slices.
-    pub fn iter_rows(&self) -> impl Iterator<Item = &[f64]> {
-        self.data.chunks_exact(self.cols.max(1))
     }
 
     /// Matrix–vector product `self * x`.
@@ -498,13 +488,6 @@ impl Matrix {
         self.data.iter_mut().for_each(|v| *v = 0.0);
     }
 
-    /// Applies `f` to every element in place.
-    pub fn map_in_place(&mut self, mut f: impl FnMut(f64) -> f64) {
-        for v in &mut self.data {
-            *v = f(*v);
-        }
-    }
-
     /// Returns a new matrix with `f` applied to every element.
     pub fn map(&self, mut f: impl FnMut(f64) -> f64) -> Matrix {
         Matrix { rows: self.rows, cols: self.cols, data: self.data.iter().map(|&v| f(v)).collect() }
@@ -513,11 +496,6 @@ impl Matrix {
     /// Maximum absolute value of any element (0.0 for an empty matrix).
     pub fn max_abs(&self) -> f64 {
         self.data.iter().fold(0.0_f64, |m, &v| m.max(v.abs()))
-    }
-
-    /// Frobenius norm.
-    pub fn frobenius_norm(&self) -> f64 {
-        self.data.iter().map(|v| v * v).sum::<f64>().sqrt()
     }
 
     /// Sum of all elements.
@@ -804,7 +782,6 @@ mod tests {
     #[test]
     fn norms_and_sums() {
         let m = Matrix::from_rows(&[&[3.0, 4.0]]);
-        assert_eq!(m.frobenius_norm(), 5.0);
         assert_eq!(m.max_abs(), 4.0);
         assert_eq!(m.sum(), 7.0);
     }
@@ -919,13 +896,5 @@ mod tests {
         let b = Matrix::zeros(3, 2);
         let mut out = Matrix::zeros(3, 2);
         a.matmul_into(&b, &mut out);
-    }
-
-    #[test]
-    fn iter_rows_yields_all_rows() {
-        let m = Matrix::from_fn(4, 2, |r, _| r as f64);
-        let rows: Vec<&[f64]> = m.iter_rows().collect();
-        assert_eq!(rows.len(), 4);
-        assert_eq!(rows[3], &[3.0, 3.0]);
     }
 }

@@ -4,7 +4,7 @@
 //! parameters through this module, so the two agents share identical
 //! optimization semantics — important when comparing them in Table 3/4.
 
-/// Plain SGD with optional momentum.
+/// Plain SGD.
 ///
 /// # Example
 ///
@@ -20,19 +20,13 @@
 #[derive(Debug, Clone)]
 pub struct Sgd {
     lr: f64,
-    momentum: f64,
-    velocity: Vec<Vec<f64>>,
+    slot_lens: Vec<usize>,
 }
 
 impl Sgd {
-    /// SGD with learning rate `lr` and no momentum.
+    /// SGD with learning rate `lr`.
     pub fn new(lr: f64) -> Self {
-        Self { lr, momentum: 0.0, velocity: Vec::new() }
-    }
-
-    /// SGD with momentum.
-    pub fn with_momentum(lr: f64, momentum: f64) -> Self {
-        Self { lr, momentum, velocity: Vec::new() }
+        Self { lr, slot_lens: Vec::new() }
     }
 }
 
@@ -125,23 +119,15 @@ pub trait Optimizer {
 
 impl Optimizer for Sgd {
     fn register(&mut self, len: usize) -> ParamSlot {
-        self.velocity.push(vec![0.0; len]);
-        ParamSlot(self.velocity.len() - 1)
+        self.slot_lens.push(len);
+        ParamSlot(self.slot_lens.len() - 1)
     }
 
     fn step(&mut self, slot: ParamSlot, params: &mut [f64], grads: &[f64]) {
         assert_eq!(params.len(), grads.len(), "param/grad length mismatch");
-        let vel = &mut self.velocity[slot.0];
-        assert_eq!(vel.len(), params.len(), "slot length mismatch");
-        if self.momentum == 0.0 {
-            for (p, g) in params.iter_mut().zip(grads) {
-                *p -= self.lr * g;
-            }
-        } else {
-            for ((p, g), v) in params.iter_mut().zip(grads).zip(vel.iter_mut()) {
-                *v = self.momentum * *v + g;
-                *p -= self.lr * *v;
-            }
+        assert_eq!(self.slot_lens[slot.0], params.len(), "slot length mismatch");
+        for (p, g) in params.iter_mut().zip(grads) {
+            *p -= self.lr * g;
         }
     }
 
@@ -206,13 +192,6 @@ mod tests {
         let mut opt = Sgd::new(0.1);
         let x = run_quadratic(&mut opt, 100, 0.0);
         assert!((x - 3.0).abs() < 1e-6, "x = {x}");
-    }
-
-    #[test]
-    fn sgd_momentum_converges() {
-        let mut opt = Sgd::with_momentum(0.05, 0.9);
-        let x = run_quadratic(&mut opt, 200, 0.0);
-        assert!((x - 3.0).abs() < 1e-4, "x = {x}");
     }
 
     #[test]

@@ -65,11 +65,6 @@ pub fn norm(a: &[f64]) -> f64 {
     dot(a, a).sqrt()
 }
 
-/// L1 norm (sum of absolute values).
-pub fn norm_l1(a: &[f64]) -> f64 {
-    a.iter().map(|v| v.abs()).sum()
-}
-
 /// Maximum value; returns `f64::NEG_INFINITY` for an empty slice.
 pub fn max(a: &[f64]) -> f64 {
     a.iter().fold(f64::NEG_INFINITY, |m, &v| m.max(v))
@@ -94,13 +89,6 @@ pub fn argmax(a: &[f64]) -> Option<usize> {
         }
     }
     best.map(|(i, _)| i)
-}
-
-/// Index of the minimum element (first occurrence); `None` if empty or if
-/// every element is NaN.
-pub fn argmin(a: &[f64]) -> Option<usize> {
-    let neg: Vec<f64> = a.iter().map(|v| -v).collect();
-    argmax(&neg)
 }
 
 /// Pearson correlation of two equal-length samples; 0.0 if either side has
@@ -140,13 +128,6 @@ pub fn l1_distance(a: &[f64], b: &[f64]) -> f64 {
     a.iter().zip(b).map(|(x, y)| (x - y).abs()).sum()
 }
 
-/// Clamps every element into `[lo, hi]` in place.
-pub fn clamp_in_place(a: &mut [f64], lo: f64, hi: f64) {
-    for v in a.iter_mut() {
-        *v = v.clamp(lo, hi);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -155,7 +136,6 @@ mod tests {
     fn dot_and_norm() {
         assert_eq!(dot(&[3.0, 4.0], &[3.0, 4.0]), 25.0);
         assert_eq!(norm(&[3.0, 4.0]), 5.0);
-        assert_eq!(norm_l1(&[-3.0, 4.0]), 7.0);
     }
 
     #[test]
@@ -182,9 +162,8 @@ mod tests {
     }
 
     #[test]
-    fn argmax_argmin_behaviour() {
+    fn argmax_behaviour() {
         assert_eq!(argmax(&[1.0, 3.0, 2.0]), Some(1));
-        assert_eq!(argmin(&[1.0, 3.0, 2.0]), Some(0));
         assert_eq!(argmax(&[]), None);
         assert_eq!(argmax(&[f64::NAN, 2.0]), Some(1));
         assert_eq!(argmax(&[f64::NAN]), None);
@@ -210,12 +189,5 @@ mod tests {
     #[test]
     fn l1_distance_is_turnover() {
         assert_eq!(l1_distance(&[0.5, 0.5], &[1.0, 0.0]), 1.0);
-    }
-
-    #[test]
-    fn clamp_in_place_bounds_values() {
-        let mut v = vec![-1.0, 0.5, 2.0];
-        clamp_in_place(&mut v, 0.0, 1.0);
-        assert_eq!(v, vec![0.0, 0.5, 1.0]);
     }
 }

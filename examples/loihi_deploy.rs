@@ -12,7 +12,7 @@ use spikefolio::deploy::LoihiDeployment;
 use spikefolio::training::Trainer;
 use spikefolio_env::Backtester;
 use spikefolio_loihi::energy::LoihiEnergyModel;
-use spikefolio_loihi::LoihiChip;
+use spikefolio_loihi::{LoihiChip, QuantizeOptions};
 use spikefolio_market::experiments::ExperimentPreset;
 use spikefolio_telemetry::NoopRecorder;
 
@@ -31,7 +31,13 @@ fn main() {
     let _ = Trainer::new(&config).train_sdp_with(&mut agent, &train, &mut NoopRecorder);
 
     println!("quantizing per eq. (14) and mapping onto the chip model...");
-    let mut deployed = LoihiDeployment::new(&agent, &LoihiChip::default()).expect("fits on chip");
+    let mut deployed = LoihiDeployment::new(
+        &agent,
+        &LoihiChip::default(),
+        &QuantizeOptions::default(),
+        &mut NoopRecorder,
+    )
+    .expect("fits on chip");
     let report = deployed.quantization_report();
     for (k, (r, e)) in report.ratios.iter().zip(&report.max_errors).enumerate() {
         println!("  layer {k}: rescale ratio {r:>9.2}, max weight error {e:.2e}");
@@ -49,7 +55,7 @@ fn main() {
     println!("  float SDP  : {}", r_float.metrics);
     println!("  SDP (Loihi): {}", r_chip.metrics);
 
-    let stats = deployed.mean_stats().to_spike_stats();
+    let stats = deployed.mean_stats();
     println!(
         "\nmean events/inference: {} input spikes, {} neuron spikes, {} synops, {} updates",
         stats.encoder_spikes, stats.neuron_spikes, stats.synops, stats.neuron_updates

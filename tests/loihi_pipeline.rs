@@ -7,9 +7,13 @@ use spikefolio::deploy::LoihiDeployment;
 use spikefolio::training::Trainer;
 use spikefolio_env::Backtester;
 use spikefolio_loihi::energy::LoihiEnergyModel;
-use spikefolio_loihi::LoihiChip;
+use spikefolio_loihi::{LoihiChip, QuantizeOptions};
 use spikefolio_market::experiments::ExperimentPreset;
 use spikefolio_telemetry::NoopRecorder;
+
+fn deploy(agent: &SdpAgent, chip: &LoihiChip) -> LoihiDeployment {
+    LoihiDeployment::new(agent, chip, &QuantizeOptions::default(), &mut NoopRecorder).unwrap()
+}
 
 fn trained_agent() -> (SdpAgent, spikefolio_market::MarketData, SdpConfig) {
     let mut cfg = SdpConfig::smoke();
@@ -26,7 +30,7 @@ fn trained_agent() -> (SdpAgent, spikefolio_market::MarketData, SdpConfig) {
 #[test]
 fn deployed_policy_tracks_float_policy_in_backtest() {
     let (mut agent, test, cfg) = trained_agent();
-    let mut deployed = LoihiDeployment::new(&agent, &LoihiChip::default()).unwrap();
+    let mut deployed = deploy(&agent, &LoihiChip::default());
 
     let r_float = Backtester::new(cfg.backtest).run(&mut agent, &test);
     let r_chip = Backtester::new(cfg.backtest).run(&mut deployed, &test);
@@ -45,7 +49,7 @@ fn deployed_policy_tracks_float_policy_in_backtest() {
 #[test]
 fn quantization_report_is_sane() {
     let (agent, _, _) = trained_agent();
-    let deployed = LoihiDeployment::new(&agent, &LoihiChip::default()).unwrap();
+    let deployed = deploy(&agent, &LoihiChip::default());
     let report = deployed.quantization_report();
     assert_eq!(report.ratios.len(), agent.network.depth());
     for (&r, &e) in report.ratios.iter().zip(&report.max_errors) {
@@ -59,10 +63,10 @@ fn quantization_report_is_sane() {
 #[test]
 fn event_counters_feed_the_energy_model() {
     let (agent, test, cfg) = trained_agent();
-    let mut deployed = LoihiDeployment::new(&agent, &LoihiChip::default()).unwrap();
+    let mut deployed = deploy(&agent, &LoihiChip::default());
     let _ = Backtester::new(cfg.backtest).run(&mut deployed, &test);
 
-    let mean = deployed.mean_stats().to_spike_stats();
+    let mean = deployed.mean_stats();
     assert!(mean.encoder_spikes > 0);
     assert!(mean.synops > 0);
     assert!(mean.neuron_updates > 0);
@@ -87,8 +91,8 @@ fn chip_resources_scale_with_network_size() {
     let small = SdpAgent::new(&cfg_small, 11, 1);
     let large = SdpAgent::new(&cfg_large, 11, 1);
     let chip = LoihiChip::default();
-    let d_small = LoihiDeployment::new(&small, &chip).unwrap();
-    let d_large = LoihiDeployment::new(&large, &chip).unwrap();
+    let d_small = deploy(&small, &chip);
+    let d_large = deploy(&large, &chip);
     assert!(
         d_large.allocation().total_synapses > d_small.allocation().total_synapses,
         "bigger network must use more synapses"
@@ -100,7 +104,7 @@ fn chip_resources_scale_with_network_size() {
 fn deterministic_encoding_makes_deployment_reproducible() {
     let (agent, test, cfg) = trained_agent();
     let run = || {
-        let mut deployed = LoihiDeployment::new(&agent, &LoihiChip::default()).unwrap();
+        let mut deployed = deploy(&agent, &LoihiChip::default());
         Backtester::new(cfg.backtest).run(&mut deployed, &test).values
     };
     assert_eq!(run(), run());

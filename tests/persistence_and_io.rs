@@ -89,8 +89,8 @@ fn walk_forward_compounds_across_blocks() {
 
 #[test]
 fn alif_agent_trains_and_cannot_deploy() {
-    use spikefolio::deploy::LoihiDeployment;
-    use spikefolio_loihi::LoihiChip;
+    use spikefolio::deploy::{DeployError, LoihiDeployment};
+    use spikefolio_loihi::{LoihiChip, QuantizeOptions};
     use spikefolio_snn::neuron::AdaptiveParams;
     let (train, test) = ExperimentPreset::experiment1().shrunk(40, 10).generate_split(3);
     let mut cfg = smoke_config();
@@ -100,6 +100,11 @@ fn alif_agent_trains_and_cannot_deploy() {
     let r = Backtester::new(cfg.backtest).run(&mut agent, &test);
     assert!(r.fapv() > 0.0, "ALIF agent must train and trade");
     // Chip deployment is LIF-only by design.
-    let deploy = std::panic::catch_unwind(|| LoihiDeployment::new(&agent, &LoihiChip::default()));
-    assert!(deploy.is_err(), "ALIF deployment must be rejected");
+    let deploy = LoihiDeployment::new(
+        &agent,
+        &LoihiChip::default(),
+        &QuantizeOptions::default(),
+        &mut NoopRecorder,
+    );
+    assert!(matches!(deploy, Err(DeployError::Quantize(_))), "ALIF deployment must be rejected");
 }
