@@ -135,6 +135,37 @@ events=[e for e in d['traceEvents'] if e.get('name','').startswith('serve/req/')
 assert events, 'no sampled request spans in trace'; \
 print(f'    serve_trace.json OK ({len(events)} request spans)')"
 
+echo "==> Loihi serve smoke (quantized chip backend over the wire; bitwise replay)"
+cargo run --release -q --bin spikefolio -- serve --checkpoint target/serve_smoke.ckpt \
+  --backend loihi --smoke --deterministic --addr 127.0.0.1:0 > target/serve_loihi.log 2>&1 &
+SERVE_PID=$!
+trap 'kill "$SERVE_PID" 2>/dev/null || true' EXIT
+LOIHI_ADDR=""
+for _ in $(seq 1 50); do
+  LOIHI_ADDR=$(sed -n 's/^serving .* on \([0-9.]*:[0-9]*\) (backend loihi-quantized)$/\1/p' \
+    target/serve_loihi.log | head -1)
+  [ -n "$LOIHI_ADDR" ] && break
+  sleep 0.1
+done
+test -n "$LOIHI_ADDR" || { echo "Loihi server never reported its address"; cat target/serve_loihi.log; exit 1; }
+cargo run --release -q --bin spikefolio -- loadgen --addr "$LOIHI_ADDR" --requests 64 --seed 7 \
+  --check-determinism > target/loadgen_loihi.log
+grep -q "  errors 0$" target/loadgen_loihi.log \
+  || { echo "Loihi serve answered with errors"; cat target/loadgen_loihi.log; exit 1; }
+grep -q "determinism: bitwise identical across runs" target/loadgen_loihi.log \
+  || { echo "Loihi replies differ across runs"; cat target/loadgen_loihi.log; exit 1; }
+python3 - "$LOIHI_ADDR" <<'PYEOF'
+import socket, sys
+host, port = sys.argv[1].rsplit(":", 1)
+s = socket.create_connection((host, int(port)), timeout=10)
+s.sendall(b'{"cmd":"shutdown"}\n')
+s.recv(4096)
+s.close()
+PYEOF
+wait "$SERVE_PID"
+trap - EXIT
+echo "    Loihi serve OK: $(sed -n 's/^ *\(served .*\)$/\1/p' target/loadgen_loihi.log)"
+
 echo "==> live-desk smoke (seeded fault script; serving must never regress)"
 rm -rf target/live_desk_smoke
 # Seed 5 is picked so the faulted rounds reach their fault's pipeline
