@@ -17,9 +17,8 @@ pub const SPAN_TRAIN_APPLY: &str = "train/epoch/apply";
 pub const SPAN_TRAIN_CHECKPOINT: &str = "train/epoch/checkpoint";
 /// Span: one backtester decision + portfolio step.
 pub const SPAN_BACKTEST_STEP: &str = "backtest/step";
-/// Span: population encoding of one state (off-chip path).
-pub const SPAN_ENCODE: &str = "encode";
-/// Span: one chip-model inference (quantized spiking body).
+/// Span: one on-chip inference (off-chip encode, quantized spiking body,
+/// off-chip decode).
 pub const SPAN_CHIP_INFER: &str = "loihi/infer";
 
 /// Span: population-encoding section of a batched SNN forward pass.
