@@ -786,39 +786,48 @@ mod tests {
 
     #[test]
     fn loihi_backend_replies_are_pinned() {
-        let config = SdpConfig::smoke();
-        let agent = SdpAgent::new(&config, 3, 11);
-        let chip = LoihiChip::default();
-        let opts = QuantizeOptions::default();
-        let backend =
-            || LoihiPolicyBackend::new(&agent, &chip, &opts).expect("smoke network deploys");
-        let served = backend();
-        let dim = served.state_dim();
-        let mut rng = StdRng::seed_from_u64(5);
-        let states: Vec<f64> = (0..4 * dim).map(|_| rng.gen_range(0.8..1.2)).collect();
-        let seeds = [42u64, 43, 44, 45];
-        let mut actions = served.infer_batch(&states[..3 * dim], &seeds[..3]);
-        actions.extend(served.infer_batch(&states[3 * dim..], &seeds[3..]));
+        // Deterministic encoding ignores the request seed; probabilistic
+        // encoding draws every input spike from it.
+        for (probabilistic, crc) in [(false, 0xf684_e918), (true, 0x9527_6cfa)] {
+            let mut config = SdpConfig::smoke();
+            config.network.probabilistic_encoding = probabilistic;
+            let agent = SdpAgent::new(&config, 3, 11);
+            let chip = LoihiChip::default();
+            let opts = QuantizeOptions::default();
+            let backend =
+                || LoihiPolicyBackend::new(&agent, &chip, &opts).expect("smoke network deploys");
+            let served = backend();
+            let dim = served.state_dim();
+            let mut rng = StdRng::seed_from_u64(5);
+            let states: Vec<f64> = (0..4 * dim).map(|_| rng.gen_range(0.8..1.2)).collect();
+            let seeds = [42u64, 43, 44, 45];
+            let mut actions = served.infer_batch(&states[..3 * dim], &seeds[..3]);
+            actions.extend(served.infer_batch(&states[3 * dim..], &seeds[3..]));
 
-        // Every reply equals its own singleton call on a fresh backend, and
-        // the served total is the sum of those calls' event counts.
-        let mut summed = LoihiRunStats::default();
-        for (b, &seed) in seeds.iter().enumerate() {
-            let alone = backend();
-            let own = alone.infer_batch(&states[b * dim..(b + 1) * dim], &[seed]);
+            // Every reply equals its own singleton call on a fresh backend,
+            // and the served total is the sum of those calls' event counts.
+            let mut summed = LoihiRunStats::default();
+            for (b, &seed) in seeds.iter().enumerate() {
+                let alone = backend();
+                let own = alone.infer_batch(&states[b * dim..(b + 1) * dim], &[seed]);
+                assert_eq!(
+                    actions[b].iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+                    own[0].iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+                    "reply {b} must match its own singleton call bitwise"
+                );
+                summed += alone.total_stats();
+            }
+            assert_eq!(served.total_stats(), summed);
+            assert!(summed.synops > 0);
+
+            let bytes: Vec<u8> =
+                actions.iter().flatten().flat_map(|x| x.to_bits().to_le_bytes()).collect();
             assert_eq!(
-                actions[b].iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-                own[0].iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-                "reply {b} must match its own singleton call bitwise"
+                spikefolio_resilience::crc32(&bytes),
+                crc,
+                "Loihi replies drifted (probabilistic encoding: {probabilistic})"
             );
-            summed += alone.total_stats();
         }
-        assert_eq!(served.total_stats(), summed);
-        assert!(summed.synops > 0);
-
-        let bytes: Vec<u8> =
-            actions.iter().flatten().flat_map(|x| x.to_bits().to_le_bytes()).collect();
-        assert_eq!(spikefolio_resilience::crc32(&bytes), 0xf684_e918, "Loihi replies drifted");
     }
 
     #[test]
