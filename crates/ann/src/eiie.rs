@@ -706,6 +706,22 @@ mod tests {
     }
 
     #[test]
+    fn clip_scales_by_the_flattened_norm_bitwise() {
+        let cfg = EiieConfig::jiang(3, 6);
+        let mut net = Eiie::new(cfg, &mut rng());
+        let trace = net.forward(&windows(3, &cfg, 1.0), &[0.25; 4]);
+        let mut grads = net.backward(&trace, &[-40.0, 25.0, 70.0, -55.0]);
+        let norm = Eiie::flat_grads(&grads).iter().map(|g| g * g).sum::<f64>().sqrt();
+        let max = norm / 3.0;
+        let mut expected = grads.clone();
+        expected.scale(max / norm);
+        let mut trainer = EiieTrainer::new(&net, Adam::new(1e-3));
+        trainer.max_grad_norm = Some(max);
+        trainer.apply(&mut net, &mut grads);
+        assert_eq!(bits(&grads), bits(&expected));
+    }
+
+    #[test]
     fn config_validation() {
         assert!(EiieConfig::jiang(3, 8).validate().is_ok());
         assert!(EiieConfig { channels: 0, ..EiieConfig::jiang(3, 8) }.validate().is_err());
