@@ -785,6 +785,64 @@ mod tests {
     }
 
     #[test]
+    fn float_backend_replies_are_pinned() {
+        // Micro-batches of 1, 2, 3, 4 and 8 seeded requests through one
+        // backend: every reply must equal the dense reference run of its
+        // micro-batch bit for bit, and the replies' bits are pinned by CRC.
+        let cases = [
+            ("smoke", SdpConfig::smoke(), 3, [0x76d4_a46d, 0xf8d2_d34b]),
+            ("paper", SdpConfig::paper(), 11, [0xd571_f64c, 0x0e27_9b23]),
+        ];
+        for (shape, base, assets, crcs) in cases {
+            for (probabilistic, crc) in [false, true].into_iter().zip(crcs) {
+                let mut config = base.clone();
+                config.network.probabilistic_encoding = probabilistic;
+                let agent = SdpAgent::new(&config, assets, 11);
+                let net = &agent.network;
+                let backend = FloatPolicyBackend::new(net.clone(), *agent.state_builder());
+                let dim = backend.state_dim();
+                let mut rng = StdRng::seed_from_u64(5);
+                let mut seed = 1000u64;
+                let mut bytes = Vec::new();
+                for batch in [1usize, 2, 3, 4, 8] {
+                    let states: Vec<f64> =
+                        (0..batch * dim).map(|_| rng.gen_range(0.8..1.2)).collect();
+                    let seeds: Vec<u64> = (seed..seed + batch as u64).collect();
+                    seed += batch as u64;
+                    let replies = backend.infer_batch(&states, &seeds);
+
+                    let matrix = Matrix::try_from_vec(batch, dim, states).unwrap();
+                    let mut rngs: Vec<StdRng> =
+                        seeds.iter().map(|&s| StdRng::seed_from_u64(s)).collect();
+                    let mut ws = BatchWorkspace::new(net, batch);
+                    let mut trace = BatchNetworkTrace::new(net, batch);
+                    net.forward_batch_with(
+                        &matrix,
+                        &mut rngs,
+                        &mut ws,
+                        &mut trace,
+                        spikefolio_snn::KernelPath::Dense,
+                    );
+                    for (b, reply) in replies.iter().enumerate() {
+                        let bits = |a: &[f64]| a.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                        assert_eq!(
+                            bits(reply),
+                            bits(trace.action(b)),
+                            "{shape} probabilistic={probabilistic} B={batch} reply {b}"
+                        );
+                        bytes.extend(reply.iter().flat_map(|x| x.to_bits().to_le_bytes()));
+                    }
+                }
+                assert_eq!(
+                    spikefolio_resilience::crc32(&bytes),
+                    crc,
+                    "{shape} float replies drifted (probabilistic encoding: {probabilistic})"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn loihi_backend_replies_are_pinned() {
         // Deterministic encoding ignores the request seed; probabilistic
         // encoding draws every input spike from it.
