@@ -1,18 +1,18 @@
 //! Concrete serving backends and CLI drivers behind `spikefolio-serve`.
 //!
 //! The serve crate is policy-agnostic; this module plugs the repo's real
-//! policies into it: the float SNN backend (batched `forward_batch`
-//! kernels, bitwise batch-composition invariant) and the Loihi-quantized
-//! emulation backend (eq. (14) quantization + fixed-point chip model),
-//! both constructed from the same shape-validated v1/v2 checkpoints the
-//! trainer writes. It also hosts the `spikefolio serve` / `spikefolio
+//! policies into it: the float SNN backend (the batched engine on weights
+//! transposed once per model, bitwise batch-composition invariant) and
+//! the Loihi-quantized emulation backend (eq. (14) quantization +
+//! fixed-point chip model), both constructed from the same
+//! shape-validated v1/v2 checkpoints the trainer writes. It also hosts the `spikefolio serve` / `spikefolio
 //! loadgen` subcommand implementations, including the CI smoke flow and
 //! the batching-vs-unbatched self benchmark.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::str::FromStr;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Duration;
 
 use rand::rngs::StdRng;
@@ -25,7 +25,7 @@ use spikefolio_serve::{
     run_loadgen, InferenceBackend, LoadReport, LoadgenOptions, ModelLoader, ModelStore, Server,
     ServerHandle, ServerOptions, Service, ServiceConfig,
 };
-use spikefolio_snn::{BatchNetworkTrace, BatchWorkspace, SdpNetwork};
+use spikefolio_snn::{BatchNetworkTrace, BatchWorkspace, SdpNetwork, TransposedWeights};
 use spikefolio_telemetry::value::{parse, Value};
 use spikefolio_telemetry::NoopRecorder;
 use spikefolio_tensor::Matrix;
@@ -72,21 +72,24 @@ fn candles_from_flat(flat: &[f64]) -> Result<Vec<Candle>, String> {
         .collect())
 }
 
-/// The float SNN backend: one `forward_batch` per micro-batch, singletons
+/// The float SNN backend: one forward pass per micro-batch, singletons
 /// included, each sample encoded with its own request-seeded RNG, so
 /// served weights are independent of batch composition.
 ///
-/// Micro-batches of two or more ride the default event-driven sparse
-/// kernel path ([`spikefolio_snn::kernel_path`]) and a singleton the dense
-/// drive; the bitwise contract means served actions are identical either
-/// way.
+/// A served model's weights never change, so the backend transposes them
+/// once, on its first inference, and runs every micro-batch through
+/// [`SdpNetwork::forward_batch_transposed`]: the event-driven sparse
+/// drive at every batch size, bitwise identical to the dense reference.
 #[derive(Debug)]
 pub struct FloatPolicyBackend {
     network: SdpNetwork,
     state_builder: StateBuilder,
+    // The network's `Wᵀ`, built on first use rather than at load, so a
+    // hot swap does not hold a second copy while the old model drains.
+    transposed: OnceLock<TransposedWeights>,
     // Recycled forward buffers: at paper scale the (T·B)×dim stack
     // allocations cost as much as the batched GEMMs save, so the last
-    // workspace is parked here between micro-batches. `forward_batch`
+    // workspace is parked here between micro-batches. The forward pass
     // overwrites every cell it reads, so reuse cannot leak state across
     // calls; a size mismatch just rebuilds. Taken out of the lock for
     // the duration of the forward pass so concurrent workers never
@@ -106,7 +109,13 @@ impl Clone for FloatPolicyBackend {
 impl FloatPolicyBackend {
     /// Wraps a trained network and its state layout.
     pub fn new(network: SdpNetwork, state_builder: StateBuilder) -> Self {
-        Self { network, state_builder, scratch: Mutex::new(None), rates: Mutex::new(None) }
+        Self {
+            network,
+            state_builder,
+            transposed: OnceLock::new(),
+            scratch: Mutex::new(None),
+            rates: Mutex::new(None),
+        }
     }
 }
 
@@ -141,7 +150,8 @@ impl InferenceBackend for FloatPolicyBackend {
                 BatchNetworkTrace::new(&self.network, batch),
             ),
         };
-        self.network.forward_batch(&matrix, &mut rngs, &mut ws, &mut trace);
+        let wt = self.transposed.get_or_init(|| self.network.transposed_weights());
+        self.network.forward_batch_transposed(&matrix, &mut rngs, wt, &mut ws, &mut trace);
         let actions = (0..batch).map(|b| trace.action(b).to_vec()).collect();
         *self.rates.lock().unwrap_or_else(std::sync::PoisonError::into_inner) =
             Some(self.network.layer_firing_rates(&trace.layer_spikes, batch as u64));

@@ -12,12 +12,20 @@
 //! [`SdpNetwork::forward_batch_with`] or process-wide via
 //! [`set_kernel_path`]; the two paths produce bit-identical traces.
 //!
-//! At `B = 1` the default entries always take the dense drive. The sparse
-//! drive streams rows of `Wᵀ`, which it transposes once per call; one
+//! The sparse drive streams rows of `Wᵀ`. The per-call entries
+//! ([`SdpNetwork::forward_batch`] and its variants) transpose the weights
+//! once per call into the workspace, because a trainer changes them
+//! between calls. At `B = 1` those entries take the dense drive: one
 //! sample cannot amortize that transpose (3.7 MB for the paper's
 //! 3640×128 first layer), and keeping a `Wᵀ` buffer alive per
 //! single-sample workspace costs resident memory for nothing. A workspace
-//! therefore allocates `Wᵀ` only on its first sparse call.
+//! therefore allocates `Wᵀ` only on its first per-call sparse pass.
+//!
+//! A caller whose weights stay fixed across calls (a served model) builds
+//! [`TransposedWeights`] once with [`SdpNetwork::transposed_weights`] and
+//! runs [`SdpNetwork::forward_batch_transposed`], which takes the sparse
+//! drive at every `B`, `B = 1` included, and never touches the
+//! workspace's own `Wᵀ`.
 //!
 //! # Memory layout
 //!
@@ -62,8 +70,9 @@ use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Which kernel implementation the batched passes route through.
 ///
-/// The event-driven sparse path is the default for `B > 1`; the dense
-/// GEMM path runs every `B = 1` forward pass and is the bitwise reference
+/// The event-driven sparse path is the default for `B > 1` and for
+/// [`SdpNetwork::forward_batch_transposed`]; the dense GEMM path runs
+/// every `B = 1` pass of the per-call entries and is the bitwise reference
 /// the equivalence test battery compares against. The two produce
 /// bit-identical traces and gradients (see [`spikefolio_tensor::sparse`]),
 /// so which one runs is observable only in time and memory.
@@ -82,8 +91,8 @@ static DENSE_OVERRIDE: AtomicBool = AtomicBool::new(false);
 
 /// Routes every [`SdpNetwork::forward_batch`] /
 /// [`crate::stbp::backward_batch`] call in this process through `path`
-/// ([`KernelPath::Sparse`] is the default; a `B = 1` forward pass takes
-/// the dense drive either way).
+/// ([`KernelPath::Sparse`] is the default; a `B = 1` forward pass of the
+/// per-call entries takes the dense drive either way).
 ///
 /// Intended for equivalence testing of code that only exposes the default
 /// entry points (e.g. driving a full training run down the dense reference
@@ -100,6 +109,18 @@ pub fn kernel_path() -> KernelPath {
     } else {
         KernelPath::Sparse
     }
+}
+
+/// Every layer's weights transposed (`Wᵀ`, `in × out`, input-side
+/// first): the operand the event-driven drive streams, built once by
+/// [`SdpNetwork::transposed_weights`] for a network whose weights no
+/// longer change and passed to [`SdpNetwork::forward_batch_transposed`].
+///
+/// It is a snapshot: after the network's weights change it must be
+/// rebuilt, or the forward pass runs on the old weights.
+#[derive(Debug, Clone, PartialEq)]
+pub struct TransposedWeights {
+    layers: Vec<Matrix>,
 }
 
 /// Recorded history of one layer for a whole minibatch: stacked
@@ -218,11 +239,12 @@ pub(crate) struct BatchLayerBufs {
     pub(crate) adapt: Matrix,
     /// Drive scratch `W·o_in` for one timestep, `B × out`.
     pub(crate) drive: Matrix,
-    /// Transposed weights `Wᵀ`, `in × out` — refreshed once per sparse
-    /// forward call so the event-driven drive streams one contiguous
-    /// `out`-wide row per presynaptic event. Empty until the first sparse
-    /// call, so a workspace that only runs the dense drive (every `B = 1`
-    /// workspace) never holds it.
+    /// Transposed weights `Wᵀ`, `in × out` — refreshed once per per-call
+    /// sparse forward pass so the event-driven drive streams one
+    /// contiguous `out`-wide row per presynaptic event. Empty until the
+    /// first such pass, so a workspace that only runs the dense drive
+    /// (every `B = 1` workspace of the per-call entries) or
+    /// [`SdpNetwork::forward_batch_transposed`] never holds it.
     pub(crate) wt: Matrix,
     /// Backward scratch `δo(t)`, `B × out`.
     pub(crate) d_o: Matrix,
@@ -382,6 +404,52 @@ impl SdpNetwork {
         (0..bsz).map(|b| trace.action(b).to_vec()).collect()
     }
 
+    /// Transposes every layer's weights once, for
+    /// [`forward_batch_transposed`](Self::forward_batch_transposed).
+    pub fn transposed_weights(&self) -> TransposedWeights {
+        TransposedWeights { layers: self.layers.iter().map(|l| l.weights.transposed()).collect() }
+    }
+
+    /// [`SdpNetwork::forward_batch`] on weights transposed beforehand by
+    /// [`transposed_weights`](Self::transposed_weights): the event-driven
+    /// sparse drive at every batch size, `B = 1` included, reading `wt`
+    /// instead of transposing into `ws`. The result is bit-identical to
+    /// the dense reference as long as `wt` was built from this network's
+    /// current weights. The process-wide [`set_kernel_path`] switch still
+    /// routes it onto the dense reference.
+    ///
+    /// # Panics
+    ///
+    /// Panics on the same shape mismatches as
+    /// [`forward_batch`](Self::forward_batch), or if `wt` was built for a
+    /// network of another shape.
+    pub fn forward_batch_transposed<R: Rng>(
+        &self,
+        states: &Matrix,
+        rngs: &mut [R],
+        wt: &TransposedWeights,
+        ws: &mut BatchWorkspace,
+        trace: &mut BatchNetworkTrace,
+    ) {
+        assert_eq!(wt.layers.len(), self.layers.len(), "forward_batch: Wᵀ depth mismatch");
+        for (w, layer) in wt.layers.iter().zip(&self.layers) {
+            assert_eq!(
+                w.shape(),
+                (layer.in_dim(), layer.out_dim()),
+                "forward_batch: Wᵀ shape mismatch"
+            );
+        }
+        self.forward_batch_impl(
+            states,
+            rngs,
+            ws,
+            trace,
+            &mut NoopRecorder,
+            kernel_path(),
+            Some(wt),
+        );
+    }
+
     /// [`SdpNetwork::forward_batch`] routed through an explicit
     /// [`KernelPath`] instead of the process default — the entry point the
     /// equivalence test battery uses to compare the event-driven path
@@ -399,7 +467,7 @@ impl SdpNetwork {
         trace: &mut BatchNetworkTrace,
         path: KernelPath,
     ) {
-        self.forward_batch_impl(states, rngs, ws, trace, &mut NoopRecorder, path);
+        self.forward_batch_impl(states, rngs, ws, trace, &mut NoopRecorder, path, None);
     }
 
     /// [`SdpNetwork::forward_batch`] with phase profiling: the encode
@@ -420,9 +488,12 @@ impl SdpNetwork {
         rec: &mut dyn Recorder,
     ) {
         let path = if states.rows() == 1 { KernelPath::Dense } else { kernel_path() };
-        self.forward_batch_impl(states, rngs, ws, trace, rec, path);
+        self.forward_batch_impl(states, rngs, ws, trace, rec, path, None);
     }
 
+    /// The one engine behind every forward entry. The sparse drive reads
+    /// `wt` when given and otherwise transposes into the workspace.
+    #[allow(clippy::too_many_arguments)]
     fn forward_batch_impl<R: Rng>(
         &self,
         states: &Matrix,
@@ -431,6 +502,7 @@ impl SdpNetwork {
         trace: &mut BatchNetworkTrace,
         rec: &mut dyn Recorder,
         path: KernelPath,
+        wt: Option<&TransposedWeights>,
     ) {
         let bsz = states.rows();
         let t_max = self.config().timesteps;
@@ -468,9 +540,10 @@ impl SdpNetwork {
             lt.output_set.clear();
         }
         // The event-driven drive streams rows of Wᵀ; weights are constant
-        // over the simulation, so transpose once per call into the
-        // workspace (amortized over T·B drive rows).
-        if path == KernelPath::Sparse {
+        // over the simulation, so unless the caller holds them transposed,
+        // transpose once per call into the workspace (amortized over T·B
+        // drive rows).
+        if path == KernelPath::Sparse && wt.is_none() {
             for (lb, layer) in ws.layers.iter_mut().zip(&self.layers) {
                 if lb.wt.shape() != (layer.in_dim(), layer.out_dim()) {
                     lb.wt = Matrix::zeros(layer.in_dim(), layer.out_dim());
@@ -505,11 +578,12 @@ impl SdpNetwork {
                         // presynaptic columns, k-ascending — bitwise
                         // identical to the dense reference (see
                         // tensor::sparse).
+                        let layer_wt = wt.map_or(&lb.wt, |w| &w.layers[k]);
                         kernel_events += sparse::spike_drive(
                             input_block,
                             input_set,
                             t * bsz,
-                            lb.wt.as_slice(),
+                            layer_wt.as_slice(),
                             lb.drive.as_mut_slice(),
                             bsz,
                             in_dim,
@@ -783,6 +857,38 @@ mod tests {
         for (lb, layer) in ws.layers.iter().zip(&net.layers) {
             assert_eq!(lb.wt.shape(), (layer.in_dim(), layer.out_dim()));
         }
+    }
+
+    #[test]
+    fn transposed_entry_never_allocates_the_workspace_transpose() {
+        let net = SdpNetwork::new(SdpNetworkConfig::small(4, 3), &mut rng(23));
+        let wt = net.transposed_weights();
+        for batch in [1, 3] {
+            let st = states(&net, batch);
+            let mut ws = BatchWorkspace::new(&net, batch);
+            let mut trace = BatchNetworkTrace::new(&net, batch);
+            for _ in 0..2 {
+                let mut rngs: Vec<StdRng> = (0..batch).map(|b| rng(b as u64)).collect();
+                net.forward_batch_transposed(&st, &mut rngs, &wt, &mut ws, &mut trace);
+            }
+            assert!(ws.layers.iter().all(|lb| lb.wt.is_empty()), "B = {batch} built its own Wᵀ");
+            let mut dense = BatchNetworkTrace::new(&net, batch);
+            let mut rngs: Vec<StdRng> = (0..batch).map(|b| rng(b as u64)).collect();
+            net.forward_batch_with(&st, &mut rngs, &mut ws, &mut dense, KernelPath::Dense);
+            assert_eq!(trace, dense, "B = {batch} must match the dense reference");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "Wᵀ shape mismatch")]
+    fn transposed_weights_of_another_shape_panic() {
+        let net = SdpNetwork::new(SdpNetworkConfig::small(4, 3), &mut rng(3));
+        let other = SdpNetwork::new(SdpNetworkConfig::small(5, 3), &mut rng(3));
+        let st = states(&net, 1);
+        let mut ws = BatchWorkspace::new(&net, 1);
+        let mut trace = BatchNetworkTrace::new(&net, 1);
+        let wt = other.transposed_weights();
+        net.forward_batch_transposed(&st, &mut [rng(0)], &wt, &mut ws, &mut trace);
     }
 
     #[test]

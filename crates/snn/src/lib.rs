@@ -48,7 +48,7 @@ pub mod surrogate;
 
 pub use batch::{
     kernel_path, set_kernel_path, BatchLayerTrace, BatchNetworkTrace, BatchWorkspace, KernelPath,
-    SingleSample,
+    SingleSample, TransposedWeights,
 };
 pub use encoder::{Encoding, PopulationEncoder, PopulationEncoderConfig};
 pub use network::{SdpNetwork, SdpNetworkConfig};

@@ -4,7 +4,9 @@
 //!
 //! * **Network level** — batched forward traces and backward gradients at
 //!   b1/b8/b32 are *bitwise* equal between [`KernelPath::Dense`] and
-//!   [`KernelPath::Sparse`], for hard, soft, and adaptive (ALIF) networks.
+//!   [`KernelPath::Sparse`], for hard, soft, and adaptive (ALIF) networks,
+//!   and so are the traces of the serving entry that runs on weights
+//!   transposed beforehand (`forward_batch_transposed`).
 //! * **Training level** — thread-count invariance holds on the sparse
 //!   path, and a short seeded Table-3 slice trained end-to-end lands on
 //!   bit-identical final weights whichever path the trainer runs.
@@ -103,6 +105,26 @@ fn forward_traces_are_bitwise_equal_at_all_batch_sizes() {
             // sets, actions, stats, and the kernel event tally.
             assert_eq!(sparse_t, dense, "{kind} net, batch {batch}");
             assert!(sparse_t.kernel_events > 0, "{kind} net produced no events");
+        }
+    }
+}
+
+#[test]
+fn transposed_entry_traces_are_bitwise_equal_at_all_batch_sizes() {
+    for (kind, net) in nets() {
+        let wt = net.transposed_weights();
+        for batch in BATCHES {
+            let (dense, _) = forward_both(&net, batch, KernelPath::Dense);
+            let st = states(batch, net.config().state_dim);
+            let mut ws = BatchWorkspace::new(&net, batch);
+            let mut trace = BatchNetworkTrace::new(&net, batch);
+            let mut rngs: Vec<StdRng> =
+                (0..batch).map(|b| StdRng::seed_from_u64(1000 + b as u64)).collect();
+            net.forward_batch_transposed(&st, &mut rngs, &wt, &mut ws, &mut trace);
+            assert_eq!(trace.actions, dense.actions, "{kind} net, batch {batch}: actions");
+            assert_eq!(trace.kernel_events, dense.kernel_events, "{kind} net, batch {batch}");
+            assert_eq!(trace.stats, dense.stats, "{kind} net, batch {batch}: stats");
+            assert_eq!(trace, dense, "{kind} net, batch {batch}: whole trace");
         }
     }
 }
