@@ -13,14 +13,17 @@
 use crate::config::SdpConfig;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use spikefolio_ann::{Activation, Mlp};
+use spikefolio_ann::{Activation, Mlp, MlpTrace};
 use spikefolio_env::{DecisionContext, Policy, StateBuilder};
 use spikefolio_market::MarketData;
 
 /// The DDPG-style baseline agent: deterministic MLP-softmax actor plus a
 /// state-action critic, trained by
 /// [`Trainer::train_ddpg_with`](crate::training::Trainer::train_ddpg_with).
-#[derive(Debug, Clone)]
+///
+/// Every decision reuses the agent's state buffer and actor trace, so it
+/// allocates only the returned action. A clone starts without them.
+#[derive(Debug)]
 pub struct DdpgAgent {
     /// The policy network (same body as the DRL baseline).
     pub actor: Mlp,
@@ -28,6 +31,22 @@ pub struct DdpgAgent {
     /// vector (raw scalar head).
     pub critic: Mlp,
     state_builder: StateBuilder,
+    /// Scratch for [`StateBuilder::build_into`].
+    state: Vec<f64>,
+    /// Scratch for the actor's [`Mlp::forward_into`].
+    trace: MlpTrace,
+}
+
+impl Clone for DdpgAgent {
+    fn clone(&self) -> Self {
+        Self {
+            actor: self.actor.clone(),
+            critic: self.critic.clone(),
+            state_builder: self.state_builder,
+            state: Vec::new(),
+            trace: MlpTrace::default(),
+        }
+    }
 }
 
 impl DdpgAgent {
@@ -49,7 +68,7 @@ impl DdpgAgent {
         critic_dims.extend(&config.network.hidden);
         critic_dims.push(1);
         let critic = Mlp::value(&critic_dims, Activation::Relu, &mut rng);
-        Self { actor, critic, state_builder: sb }
+        Self { actor, critic, state_builder: sb, state: Vec::new(), trace: MlpTrace::default() }
     }
 
     /// The state feature builder in force.
@@ -82,8 +101,9 @@ impl DdpgAgent {
 
 impl Policy for DdpgAgent {
     fn rebalance(&mut self, ctx: &DecisionContext<'_>) -> Vec<f64> {
-        let state = self.state_builder.build(ctx.market, ctx.t, ctx.prev_weights);
-        self.actor.act(&state)
+        self.state_builder.build_into(ctx.market, ctx.t, ctx.prev_weights, &mut self.state);
+        self.actor.forward_into(&self.state, &mut self.trace);
+        self.trace.action().to_vec()
     }
 
     fn warmup_periods(&self) -> usize {

@@ -4,7 +4,7 @@
 use crate::config::SdpConfig;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use spikefolio_ann::{Activation, Mlp};
+use spikefolio_ann::{Activation, Mlp, MlpTrace};
 use spikefolio_env::{DecisionContext, Policy, StateBuilder};
 use spikefolio_market::MarketData;
 
@@ -12,11 +12,29 @@ use spikefolio_market::MarketData;
 /// compares against: identical state features, identical reward, identical
 /// optimizer — only the network body differs (MLP + softmax instead of the
 /// spiking encoder/LIF/decoder stack).
-#[derive(Debug, Clone)]
+///
+/// Every decision reuses the agent's state buffer and forward trace, so
+/// it allocates only the returned action. A clone starts without them.
+#[derive(Debug)]
 pub struct DrlAgent {
     /// The dense policy network.
     pub network: Mlp,
     state_builder: StateBuilder,
+    /// Scratch for [`StateBuilder::build_into`].
+    state: Vec<f64>,
+    /// Scratch for [`Mlp::forward_into`].
+    trace: MlpTrace,
+}
+
+impl Clone for DrlAgent {
+    fn clone(&self) -> Self {
+        Self {
+            network: self.network.clone(),
+            state_builder: self.state_builder,
+            state: Vec::new(),
+            trace: MlpTrace::default(),
+        }
+    }
 }
 
 impl DrlAgent {
@@ -31,7 +49,7 @@ impl DrlAgent {
         dims.extend(&config.network.hidden);
         dims.push(num_assets + 1);
         let network = Mlp::new(&dims, Activation::Relu, &mut rng);
-        Self { network, state_builder: sb }
+        Self { network, state_builder: sb, state: Vec::new(), trace: MlpTrace::default() }
     }
 
     /// The state feature builder in force.
@@ -52,8 +70,9 @@ impl DrlAgent {
 
 impl Policy for DrlAgent {
     fn rebalance(&mut self, ctx: &DecisionContext<'_>) -> Vec<f64> {
-        let state = self.state_builder.build(ctx.market, ctx.t, ctx.prev_weights);
-        self.network.act(&state)
+        self.state_builder.build_into(ctx.market, ctx.t, ctx.prev_weights, &mut self.state);
+        self.network.forward_into(&self.state, &mut self.trace);
+        self.trace.action().to_vec()
     }
 
     fn warmup_periods(&self) -> usize {
