@@ -1,40 +1,26 @@
-//! First-order optimizers operating on flat parameter buffers.
+//! First-order optimization over flat parameter buffers.
 //!
 //! Both the spiking (STBP) and dense (DRL baseline) trainers update their
-//! parameters through this module, so the two agents share identical
+//! parameters through this module's [`Adam`], so the two agents share identical
 //! optimization semantics — important when comparing them in Table 3/4.
-
-/// Plain SGD.
-///
-/// # Example
-///
-/// ```
-/// use spikefolio_tensor::optim::{Optimizer, Sgd};
-///
-/// let mut opt = Sgd::new(0.1);
-/// let mut w = vec![1.0];
-/// let slot = opt.register(1);
-/// opt.step(slot, &mut w, &[2.0]); // w -= 0.1 * 2.0
-/// assert!((w[0] - 0.8).abs() < 1e-12);
-/// ```
-#[derive(Debug, Clone)]
-pub struct Sgd {
-    lr: f64,
-    slot_lens: Vec<usize>,
-}
-
-impl Sgd {
-    /// SGD with learning rate `lr`.
-    pub fn new(lr: f64) -> Self {
-        Self { lr, slot_lens: Vec::new() }
-    }
-}
 
 /// Adam (Kingma & Ba, 2015) with bias correction.
 ///
 /// The paper trains SDP with a learning rate of `1e-5` (Table 2); Adam is
 /// the de-facto optimizer of both Jiang et al. and the PopSAN line of work
 /// the paper builds on.
+///
+/// # Example
+///
+/// ```
+/// use spikefolio_tensor::optim::{Adam, Optimizer};
+///
+/// let mut opt = Adam::new(0.1);
+/// let mut w = vec![1.0];
+/// let slot = opt.register(1);
+/// opt.step(slot, &mut w, &[2.0]); // bias-corrected first step: w -= 0.1 · sign(2.0)
+/// assert!((w[0] - 0.9).abs() < 1e-6);
+/// ```
 #[derive(Debug, Clone)]
 pub struct Adam {
     lr: f64,
@@ -117,29 +103,6 @@ pub trait Optimizer {
     fn set_learning_rate(&mut self, lr: f64);
 }
 
-impl Optimizer for Sgd {
-    fn register(&mut self, len: usize) -> ParamSlot {
-        self.slot_lens.push(len);
-        ParamSlot(self.slot_lens.len() - 1)
-    }
-
-    fn step(&mut self, slot: ParamSlot, params: &mut [f64], grads: &[f64]) {
-        assert_eq!(params.len(), grads.len(), "param/grad length mismatch");
-        assert_eq!(self.slot_lens[slot.0], params.len(), "slot length mismatch");
-        for (p, g) in params.iter_mut().zip(grads) {
-            *p -= self.lr * g;
-        }
-    }
-
-    fn learning_rate(&self) -> f64 {
-        self.lr
-    }
-
-    fn set_learning_rate(&mut self, lr: f64) {
-        self.lr = lr;
-    }
-}
-
 impl Optimizer for Adam {
     fn register(&mut self, len: usize) -> ParamSlot {
         self.state.push(AdamSlot { m: vec![0.0; len], v: vec![0.0; len], t: 0 });
@@ -188,13 +151,6 @@ mod tests {
     }
 
     #[test]
-    fn sgd_converges_on_quadratic() {
-        let mut opt = Sgd::new(0.1);
-        let x = run_quadratic(&mut opt, 100, 0.0);
-        assert!((x - 3.0).abs() < 1e-6, "x = {x}");
-    }
-
-    #[test]
     fn adam_converges_on_quadratic() {
         let mut opt = Adam::new(0.2);
         let x = run_quadratic(&mut opt, 300, 0.0);
@@ -228,7 +184,7 @@ mod tests {
 
     #[test]
     fn learning_rate_is_adjustable() {
-        let mut opt = Sgd::new(0.1);
+        let mut opt = Adam::new(0.1);
         opt.set_learning_rate(0.5);
         assert_eq!(opt.learning_rate(), 0.5);
     }
@@ -236,7 +192,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "length mismatch")]
     fn mismatched_grad_length_panics() {
-        let mut opt = Sgd::new(0.1);
+        let mut opt = Adam::new(0.1);
         let slot = opt.register(2);
         let mut x = vec![0.0];
         opt.step(slot, &mut x, &[1.0]);
