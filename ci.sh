@@ -64,6 +64,71 @@ cargo run --release -q --bin spikefolio -- checkpoint init target/serve_smoke.ck
 cargo run --release -q --bin spikefolio -- loadgen --smoke \
   --checkpoint target/serve_smoke.ckpt --seed 7
 
+echo "==> hostile-client smoke (oversized and deeply nested lines, then a loadgen client)"
+cargo run --release -q --bin spikefolio -- serve --checkpoint target/serve_smoke.ckpt \
+  --smoke --addr 127.0.0.1:0 > target/serve_hostile.log 2>&1 &
+SERVE_PID=$!
+trap 'kill "$SERVE_PID" 2>/dev/null || true' EXIT
+HOSTILE_ADDR=""
+for _ in $(seq 1 50); do
+  HOSTILE_ADDR=$(sed -n 's/^serving .* on \([0-9.]*:[0-9]*\) .*$/\1/p' target/serve_hostile.log | head -1)
+  [ -n "$HOSTILE_ADDR" ] && break
+  sleep 0.1
+done
+test -n "$HOSTILE_ADDR" || { echo "server never reported its address"; cat target/serve_hostile.log; exit 1; }
+# One client floods a 2 MiB line (twice MAX_LINE_BYTES) from a writer
+# thread, since the server may close before the write ends; another sends
+# a line nested 10,000 levels deep. Each must get its typed error.
+python3 - "$HOSTILE_ADDR" <<'PYEOF'
+import json, socket, sys, threading
+host, port = sys.argv[1].rsplit(":", 1)
+
+def reply_line(s):
+    buf = b""
+    while not buf.endswith(b"\n"):
+        chunk = s.recv(65536)
+        if not chunk:
+            break
+        buf += chunk
+    return json.loads(buf.decode())
+
+s = socket.create_connection((host, int(port)), timeout=10)
+def flood():
+    try:
+        s.sendall(b"[" * (2 << 20))
+    except OSError:
+        pass
+writer = threading.Thread(target=flood)
+writer.start()
+resp = reply_line(s)
+writer.join()
+s.close()
+assert resp.get("ok") is False and resp.get("error") == "line_too_long", f"oversized line: {resp}"
+
+s = socket.create_connection((host, int(port)), timeout=10)
+s.sendall(b"[" * 10000 + b"]" * 10000 + b"\n")
+resp = reply_line(s)
+s.close()
+assert resp.get("ok") is False and resp.get("error") == "parse", f"deep nesting: {resp}"
+assert "nesting deeper than" in resp.get("message", ""), f"deep nesting: {resp}"
+print("    oversized line -> line_too_long; 10,000-deep line -> parse")
+PYEOF
+cargo run --release -q --bin spikefolio -- loadgen --addr "$HOSTILE_ADDR" --requests 64 --seed 7 \
+  > target/loadgen_hostile.log
+grep -q "  errors 0$" target/loadgen_hostile.log \
+  || { echo "server answered the next client with errors"; cat target/loadgen_hostile.log; exit 1; }
+python3 - "$HOSTILE_ADDR" <<'PYEOF'
+import socket, sys
+host, port = sys.argv[1].rsplit(":", 1)
+s = socket.create_connection((host, int(port)), timeout=10)
+s.sendall(b'{"cmd":"shutdown"}\n')
+s.recv(4096)
+s.close()
+PYEOF
+wait "$SERVE_PID"
+trap - EXIT
+echo "    next client served: $(sed -n 's/^ *\(served .*\)$/\1/p' target/loadgen_hostile.log)"
+
 echo "==> observatory smoke (metrics verb schema + exact stage counts under load)"
 OBS_REQUESTS=192
 cargo run --release -q --bin spikefolio -- serve --checkpoint target/serve_smoke.ckpt \
