@@ -5,9 +5,10 @@
 //! transposed once per model, bitwise batch-composition invariant) and
 //! the Loihi-quantized emulation backend (eq. (14) quantization +
 //! fixed-point chip model), both constructed from the same
-//! shape-validated v1/v2 checkpoints the trainer writes. It also hosts the `spikefolio serve` / `spikefolio
-//! loadgen` subcommand implementations, including the CI smoke flow and
-//! the batching-vs-unbatched self benchmark.
+//! shape-validated v1/v2 checkpoints the trainer writes. It also hosts
+//! the `spikefolio serve` / `spikefolio loadgen` subcommand
+//! implementations, including the CI smoke flow and the
+//! batching-vs-unbatched self benchmark.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
