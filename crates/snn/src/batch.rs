@@ -118,7 +118,7 @@ pub fn kernel_path() -> KernelPath {
 ///
 /// It is a snapshot: after the network's weights change it must be
 /// rebuilt, or the forward pass runs on the old weights.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct TransposedWeights {
     layers: Vec<Matrix>,
 }
