@@ -16,7 +16,8 @@ pub mod bench_support {
     use rand::SeedableRng;
     use spikefolio_snn::network::{SdpNetwork, SdpNetworkConfig};
     use spikefolio_snn::stbp::{self, SdpGradients};
-    use spikefolio_snn::SingleSample;
+    use spikefolio_snn::{KernelPath, SingleSample};
+    use spikefolio_telemetry::NoopRecorder;
     use spikefolio_tensor::Matrix;
 
     /// Paper-scale state dimension: 11 assets × window 8 × 4 channels +
@@ -63,7 +64,8 @@ pub mod bench_support {
         d_action: &Matrix,
         rate_penalty: f64,
     ) -> SdpGradients {
-        stbp::backward_batch(net, &one.trace, d_action, rate_penalty, &mut one.ws)
+        let (trace, ws, rec) = (&one.trace, &mut one.ws, &mut NoopRecorder);
+        stbp::backward_batch(net, trace, d_action, rate_penalty, ws, KernelPath::Sparse, rec)
     }
 
     /// One deterministic encoder RNG per sample, seeded by sample index.

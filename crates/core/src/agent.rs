@@ -13,7 +13,8 @@ use spikefolio_snn::SingleSample;
 ///
 /// Wraps the [`SdpNetwork`] with the feature pipeline so it can be driven
 /// directly by the [`Backtester`](spikefolio_env::Backtester). Every
-/// decision runs [`SdpNetwork::forward_batch`] at `B = 1` on buffers the
+/// decision runs [`SdpNetwork::forward_batch`] at `B = 1` on the dense
+/// drive (its weights may change between decisions) and on buffers the
 /// agent builds at its first decision and reuses, so inference allocates
 /// only the returned action. A clone starts without them.
 #[derive(Debug)]

@@ -33,11 +33,12 @@ pub struct TrainingConfig {
     /// parameters are identical for any `parallelism >= 1`.
     pub parallelism: usize,
     /// Samples per batched SNN execution
-    /// ([`spikefolio_snn::SdpNetwork::forward_batch`]). Work units are
-    /// fixed-size micro-batches regardless of thread count, which is what
-    /// keeps training thread-count invariant. Larger values amortize more
-    /// weight-matrix traffic per GEMM; smaller values balance better
-    /// across workers.
+    /// ([`spikefolio_snn::SdpNetwork::forward_batch`] on the event-driven
+    /// drive, over one `Wᵀ` the step's micro-batches share). Work units
+    /// are fixed-size micro-batches regardless of thread count, which is
+    /// what keeps training thread-count invariant. Larger values amortize
+    /// more weight-matrix traffic per backward GEMM and per-call overhead;
+    /// smaller values balance better across workers.
     pub micro_batch: usize,
 }
 

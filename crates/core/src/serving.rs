@@ -78,9 +78,9 @@ fn candles_from_flat(flat: &[f64]) -> Result<Vec<Candle>, String> {
 /// served weights are independent of batch composition.
 ///
 /// A served model's weights never change, so the backend transposes them
-/// once, on its first inference, and runs every micro-batch through
-/// [`SdpNetwork::forward_batch_transposed`]: the event-driven sparse
-/// drive at every batch size, bitwise identical to the dense reference.
+/// once, on its first inference, and passes that `Wᵀ` to every
+/// [`SdpNetwork::forward_batch`]: the event-driven drive at every batch
+/// size, bitwise identical to the dense reference.
 #[derive(Debug)]
 pub struct FloatPolicyBackend {
     network: SdpNetwork,
@@ -152,7 +152,8 @@ impl InferenceBackend for FloatPolicyBackend {
             ),
         };
         let wt = self.transposed.get_or_init(|| self.network.transposed_weights());
-        self.network.forward_batch_transposed(&matrix, &mut rngs, wt, &mut ws, &mut trace);
+        let rec = &mut NoopRecorder;
+        self.network.forward_batch(&matrix, &mut rngs, Some(wt), &mut ws, &mut trace, rec);
         let actions = (0..batch).map(|b| trace.action(b).to_vec()).collect();
         *self.rates.lock().unwrap_or_else(std::sync::PoisonError::into_inner) =
             Some(self.network.layer_firing_rates(&trace.layer_spikes, batch as u64));
@@ -827,13 +828,8 @@ mod tests {
                         seeds.iter().map(|&s| StdRng::seed_from_u64(s)).collect();
                     let mut ws = BatchWorkspace::new(net, batch);
                     let mut trace = BatchNetworkTrace::new(net, batch);
-                    net.forward_batch_with(
-                        &matrix,
-                        &mut rngs,
-                        &mut ws,
-                        &mut trace,
-                        spikefolio_snn::KernelPath::Dense,
-                    );
+                    let rec = &mut NoopRecorder;
+                    net.forward_batch(&matrix, &mut rngs, None, &mut ws, &mut trace, rec);
                     for (b, reply) in replies.iter().enumerate() {
                         let bits = |a: &[f64]| a.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
                         assert_eq!(

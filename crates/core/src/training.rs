@@ -28,8 +28,12 @@ use spikefolio_env::CostModel;
 use spikefolio_market::MarketData;
 use spikefolio_snn::network::SpikeStats;
 use spikefolio_snn::stbp;
-use spikefolio_snn::{BatchNetworkTrace, BatchWorkspace, SdpNetwork};
-use spikefolio_telemetry::{labels, MemoryRecorder, Record, Recorder, Stopwatch, Value};
+use spikefolio_snn::{
+    BatchNetworkTrace, BatchWorkspace, KernelPath, SdpNetwork, TransposedWeights,
+};
+use spikefolio_telemetry::{
+    labels, MemoryRecorder, NoopRecorder, Record, Recorder, Stopwatch, Value,
+};
 use spikefolio_tensor::optim::{Adam, Gradients};
 use spikefolio_tensor::vector::dot;
 use spikefolio_tensor::Matrix;
@@ -215,6 +219,17 @@ struct MicroTelemetry {
 /// one processed micro-batch, and its measurements when observing.
 type MicroBatchResult = (Vec<(usize, Vec<f64>, f64)>, stbp::SdpGradients, Option<MicroTelemetry>);
 
+/// What every micro-batch of one optimizer step reads: the network, its
+/// weights transposed for the event-driven drive, and the reward inputs.
+#[derive(Clone, Copy)]
+struct StepInputs<'a> {
+    network: &'a SdpNetwork,
+    transposed: &'a TransposedWeights,
+    market: &'a MarketData,
+    costs: CostModel,
+    rate_penalty: f64,
+}
+
 /// Runs one micro-batch through the batched SNN engine: forward all
 /// samples together, differentiate the reward per sample, then one
 /// batched STBP backward pass. Returns `(t, action, reward)` per sample
@@ -223,14 +238,12 @@ type MicroBatchResult = (Vec<(usize, Vec<f64>, f64)>, stbp::SdpGradients, Option
 /// `observe` requests timing + spike-counter capture; it must not change
 /// any computed value (the observe-only telemetry contract).
 fn process_micro_batch(
-    network: &SdpNetwork,
-    market: &MarketData,
-    costs: &CostModel,
-    rate_penalty: f64,
+    step: StepInputs<'_>,
     items: &[SampleItem],
     cache: &mut BatchCache,
     observe: bool,
 ) -> MicroBatchResult {
+    let network = step.network;
     let bsz = items.len();
     let state_dim = items[0].state.len();
     let slot = match cache.iter().position(|(n, _, _)| *n == bsz) {
@@ -251,11 +264,13 @@ fn process_micro_batch(
     // sub-phase spans are captured into a local recorder per micro-batch
     // and folded into the epoch telemetry on the main thread.
     let mut micro_rec = observe.then(MemoryRecorder::new);
+    let mut noop = NoopRecorder;
+    let rec: &mut dyn Recorder = match micro_rec.as_mut() {
+        Some(m) => m,
+        None => &mut noop,
+    };
     let t0 = observe.then(Instant::now);
-    match micro_rec.as_mut() {
-        Some(m) => network.forward_batch_recorded(&states, &mut rngs, ws, trace, m),
-        None => network.forward_batch(&states, &mut rngs, ws, trace),
-    }
+    network.forward_batch(&states, &mut rngs, Some(step.transposed), ws, trace, rec);
     let forward_s = t0.map_or(0.0, |t| t.elapsed().as_secs_f64());
 
     let action_dim = trace.actions.shape().1;
@@ -263,9 +278,9 @@ fn process_micro_batch(
     let mut samples = Vec::with_capacity(bsz);
     for (b, item) in items.iter().enumerate() {
         let action = trace.action(b).to_vec();
-        let y_next = market.price_relatives_with_cash(item.t + 1);
+        let y_next = step.market.price_relatives_with_cash(item.t + 1);
         let d_action = d_actions.row_mut(b);
-        let r = reward_and_grad(&action, &y_next, &item.w_drifted, costs, d_action);
+        let r = reward_and_grad(&action, &y_next, &item.w_drifted, &step.costs, d_action);
         // Gradient *descent* on L = −r (+ optional rate penalty).
         for g in d_action.iter_mut() {
             *g = -*g;
@@ -273,10 +288,15 @@ fn process_micro_batch(
         samples.push((item.t, action, r));
     }
     let t1 = observe.then(Instant::now);
-    let grads = match micro_rec.as_mut() {
-        Some(m) => stbp::backward_batch_recorded(network, trace, &d_actions, rate_penalty, ws, m),
-        None => stbp::backward_batch(network, trace, &d_actions, rate_penalty, ws),
-    };
+    let grads = stbp::backward_batch(
+        network,
+        trace,
+        &d_actions,
+        step.rate_penalty,
+        ws,
+        KernelPath::Sparse,
+        rec,
+    );
     let telemetry = t1.map(|t| {
         // `observe` implies `micro_rec` above; an empty fallback keeps the
         // fold total-safe either way.
@@ -337,6 +357,9 @@ pub struct SdpTrainingSession<'m> {
     step_counter: u64,
     epochs_run: u64,
     worker_caches: Vec<BatchCache>,
+    /// The network's `Wᵀ`, rebuilt in place at the start of every step and
+    /// shared by all of that step's micro-batches and workers.
+    transposed: TransposedWeights,
 }
 
 /// Point-in-time copy of everything that determines an SDP session's
@@ -420,7 +443,9 @@ impl SdpTrainingSession<'_> {
     ///    micro-batches of `training.micro_batch` samples, assigned
     ///    round-robin to `training.parallelism` workers. Each micro-batch
     ///    is one batched forward + reward gradient + batched STBP
-    ///    backward, reusing the worker's cached workspace.
+    ///    backward, reusing the worker's cached workspace. Every forward
+    ///    takes the event-driven drive over one `Wᵀ` of the step's
+    ///    weights, rebuilt in place when the step starts.
     ///    As each micro-batch finishes, its gradients are accumulated and
     ///    its actions written back into the PVM, in micro-batch index
     ///    order, so the step holds one gradient sum rather than one per
@@ -436,7 +461,7 @@ impl SdpTrainingSession<'_> {
     ///
     /// Phase spans, queue gauges, and one `"epoch"` record flow into `rec`
     /// when it is enabled. With a
-    /// [`NoopRecorder`](spikefolio_telemetry::NoopRecorder) all measurement (clock
+    /// [`NoopRecorder`] all measurement (clock
     /// reads, spike-counter clones, per-layer norm sums) is skipped; every
     /// computed value is bitwise identical either way.
     ///
@@ -463,6 +488,10 @@ impl SdpTrainingSession<'_> {
         let mut epoch_layer_spikes: Vec<u64> = vec![0; agent.network.layers.len()];
         for _step in 0..tc.steps_per_epoch {
             self.step_counter += 1;
+            // The weights changed at the last step's apply (or a restore):
+            // every micro-batch of this step drives the event-driven
+            // kernels over one fresh transpose of them.
+            self.transposed.rebuild_from(&agent.network);
             // Phase 1 (sequential): sample periods, read the PVM, build
             // states, fix per-sample encoder seeds.
             let sample_watch = Stopwatch::start(rec);
@@ -495,17 +524,20 @@ impl SdpTrainingSession<'_> {
             // folded into the step's sums (gradients, rewards, PVM rows,
             // measurements) in micro-batch index order as soon as it
             // exists, so no more than the out-of-order results are held.
-            let network = &agent.network;
-            let market = self.market;
-            let costs = self.costs;
-            let rate_penalty = tc.rate_penalty;
+            let step = StepInputs {
+                network: &agent.network,
+                transposed: &self.transposed,
+                market: self.market,
+                costs: self.costs,
+                rate_penalty: tc.rate_penalty,
+            };
             let chunks: Vec<&[SampleItem]> = items.chunks(micro).collect();
             if observe {
                 rec.gauge(labels::GAUGE_QUEUE_MICRO_BATCHES, chunks.len() as f64);
                 rec.gauge(labels::GAUGE_QUEUE_WORKERS, workers as f64);
                 rec.gauge(labels::GAUGE_QUEUE_OCCUPANCY, chunks.len() as f64 / workers as f64);
             }
-            let mut grads = stbp::SdpGradients::zeros_like(network);
+            let mut grads = stbp::SdpGradients::zeros_like(step.network);
             let mut batch_reward = 0.0;
             let mut forward_s = 0.0;
             let mut backward_s = 0.0;
@@ -537,15 +569,7 @@ impl SdpTrainingSession<'_> {
             if workers == 1 {
                 let cache = &mut self.worker_caches[0];
                 for chunk in &chunks {
-                    fold(process_micro_batch(
-                        network,
-                        market,
-                        &costs,
-                        rate_penalty,
-                        chunk,
-                        cache,
-                        observe,
-                    ));
+                    fold(process_micro_batch(step, chunk, cache, observe));
                 }
             } else {
                 let chunks = &chunks;
@@ -555,15 +579,7 @@ impl SdpTrainingSession<'_> {
                         let tx = tx.clone();
                         scope.spawn(move || {
                             for (mb, chunk) in chunks.iter().enumerate().skip(w).step_by(workers) {
-                                let out = process_micro_batch(
-                                    network,
-                                    market,
-                                    &costs,
-                                    rate_penalty,
-                                    chunk,
-                                    cache,
-                                    observe,
-                                );
+                                let out = process_micro_batch(step, chunk, cache, observe);
                                 // The receiver lives until every sender
                                 // is gone, so a send cannot fail.
                                 let _ = tx.send((mb, out));
@@ -731,6 +747,7 @@ impl Trainer {
             step_counter: 0,
             epochs_run: 0,
             worker_caches: Vec::new(),
+            transposed: TransposedWeights::default(),
         }
     }
 

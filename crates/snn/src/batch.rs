@@ -1,31 +1,28 @@
 //! The SNN execution engine: rolls a batch of `B` states through the `T`
 //! simulation steps with one drive kernel per layer per step. It is the
 //! only forward path: training runs it on minibatches, serving on
-//! micro-batches, and single decisions (backtests, the desk gate, a
-//! singleton serve request) at `B = 1`.
+//! micro-batches, and single decisions (backtests, the desk gate) at
+//! `B = 1`.
 //!
-//! With `B > 1` the drive defaults to the **event-driven sparse path**
-//! ([`spikefolio_tensor::sparse`]): each spike stack carries a
-//! [`SpikeSet`] of its active indices, and the kernels touch only active
-//! presynaptic columns. The dense GEMM path ([`KernelPath::Dense`]) is
-//! the bitwise reference, selectable per call via
-//! [`SdpNetwork::forward_batch_with`] or process-wide via
-//! [`set_kernel_path`]; the two paths produce bit-identical traces.
+//! [`SdpNetwork::forward_batch`] is the one forward entry, and the caller
+//! picks its drive by what it holds:
 //!
-//! The sparse drive streams rows of `Wᵀ`. The per-call entries
-//! ([`SdpNetwork::forward_batch`] and its variants) transpose the weights
-//! once per call into the workspace, because a trainer changes them
-//! between calls. At `B = 1` those entries take the dense drive: one
-//! sample cannot amortize that transpose (3.7 MB for the paper's
-//! 3640×128 first layer), and keeping a `Wᵀ` buffer alive per
-//! single-sample workspace costs resident memory for nothing. A workspace
-//! therefore allocates `Wᵀ` only on its first per-call sparse pass.
+//! * **`Some(wt)`** — the caller holds the weights transposed
+//!   ([`TransposedWeights`], built by [`SdpNetwork::transposed_weights`]
+//!   or rebuilt in place by [`TransposedWeights::rebuild_from`]). The drive
+//!   is **event-driven** ([`spikefolio_tensor::sparse`]): each spike stack
+//!   carries a [`SpikeSet`] of its active indices, and each presynaptic
+//!   event streams one contiguous `out`-wide row of `Wᵀ`. A served model
+//!   builds `Wᵀ` once; a trainer rebuilds it once per optimizer step and
+//!   shares it across every micro-batch and worker of that step.
+//! * **`None`** — the dense GEMM drive on the untransposed weights. It is
+//!   the bitwise reference, and the drive of every single decision
+//!   ([`SingleSample`]), whose weights may change between calls and which
+//!   could not amortize a transpose (3.7 MB for the paper's 3640×128 first
+//!   layer) over one sample.
 //!
-//! A caller whose weights stay fixed across calls (a served model) builds
-//! [`TransposedWeights`] once with [`SdpNetwork::transposed_weights`] and
-//! runs [`SdpNetwork::forward_batch_transposed`], which takes the sparse
-//! drive at every `B`, `B = 1` included, and never touches the
-//! workspace's own `Wᵀ`.
+//! The two drives produce bit-identical traces, so which one runs is
+//! observable only in time and memory.
 //!
 //! # Memory layout
 //!
@@ -41,9 +38,9 @@
 //!
 //! [`BatchWorkspace`] preallocates every per-step buffer (layer states,
 //! drive scratch, backward deltas, the stacked `Δc` and upstream-gradient
-//! matrices). After construction, [`SdpNetwork::forward_batch`] and
-//! [`crate::stbp::backward_batch`] allocate only O(B) decoder-sized
-//! vectors outside the per-step hot loop.
+//! matrices); it never holds `Wᵀ`. After construction,
+//! [`SdpNetwork::forward_batch`] and [`crate::stbp::backward_batch`]
+//! allocate only O(B) decoder-sized vectors outside the per-step hot loop.
 //!
 //! # Determinism contract: batch-composition invariance
 //!
@@ -66,61 +63,44 @@ use spikefolio_telemetry::labels::{SPAN_PROFILE_SNN_ENCODE, SPAN_PROFILE_SNN_LIF
 use spikefolio_telemetry::{NoopRecorder, Recorder, Stopwatch};
 use spikefolio_tensor::sparse::{self, SpikeSet};
 use spikefolio_tensor::{gemm, Matrix};
-use std::sync::atomic::{AtomicBool, Ordering};
 
-/// Which kernel implementation the batched passes route through.
-///
-/// The event-driven sparse path is the default for `B > 1` and for
-/// [`SdpNetwork::forward_batch_transposed`]; the dense GEMM path runs
-/// every `B = 1` pass of the per-call entries and is the bitwise reference
-/// the equivalence test battery compares against. The two produce
-/// bit-identical traces and gradients (see [`spikefolio_tensor::sparse`]),
-/// so which one runs is observable only in time and memory.
+/// Which weight-gradient kernel [`crate::stbp::backward_batch`] runs,
+/// chosen per call: the trainer runs the event-driven one, and the
+/// equivalence battery runs both. The two produce bit-identical gradients
+/// (see [`spikefolio_tensor::sparse`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KernelPath {
-    /// Event-driven sparse kernels ([`sparse::spike_drive`] /
-    /// [`sparse::spike_outer_acc`]).
+    /// Event-driven [`sparse::spike_outer_acc`]: rank-1 updates over the
+    /// active input-spike columns only.
     Sparse,
-    /// Dense GEMM reference kernels ([`gemm::gemm_nt`] /
-    /// [`gemm::gemm_tn_acc`]).
+    /// Dense reference [`gemm::gemm_tn_acc`].
     Dense,
 }
 
-/// Process-global switch onto the dense reference path.
-static DENSE_OVERRIDE: AtomicBool = AtomicBool::new(false);
-
-/// Routes every [`SdpNetwork::forward_batch`] /
-/// [`crate::stbp::backward_batch`] call in this process through `path`
-/// ([`KernelPath::Sparse`] is the default; a `B = 1` forward pass of the
-/// per-call entries takes the dense drive either way).
-///
-/// Intended for equivalence testing of code that only exposes the default
-/// entry points (e.g. driving a full training run down the dense reference
-/// path). The switch is process-global: concurrent tests observe it too,
-/// which is safe precisely because the two paths are bit-identical.
-pub fn set_kernel_path(path: KernelPath) {
-    DENSE_OVERRIDE.store(path == KernelPath::Dense, Ordering::SeqCst);
-}
-
-/// The [`KernelPath`] the default entry points currently route through.
-pub fn kernel_path() -> KernelPath {
-    if DENSE_OVERRIDE.load(Ordering::SeqCst) {
-        KernelPath::Dense
-    } else {
-        KernelPath::Sparse
-    }
-}
-
 /// Every layer's weights transposed (`Wᵀ`, `in × out`, input-side
-/// first): the operand the event-driven drive streams, built once by
-/// [`SdpNetwork::transposed_weights`] for a network whose weights no
-/// longer change and passed to [`SdpNetwork::forward_batch_transposed`].
+/// first): the operand the event-driven drive streams. Passing it to
+/// [`SdpNetwork::forward_batch`] selects that drive.
 ///
 /// It is a snapshot: after the network's weights change it must be
-/// rebuilt, or the forward pass runs on the old weights.
-#[derive(Debug, Clone)]
+/// rebuilt ([`TransposedWeights::rebuild_from`]), or the forward pass runs
+/// on the old weights.
+#[derive(Debug, Clone, Default)]
 pub struct TransposedWeights {
     layers: Vec<Matrix>,
+}
+
+impl TransposedWeights {
+    /// Rewrites the snapshot from `net`'s current weights, in place: once
+    /// it has held a network of this shape, no allocation.
+    pub fn rebuild_from(&mut self, net: &SdpNetwork) {
+        self.layers.resize_with(net.layers.len(), || Matrix::zeros(0, 0));
+        for (wt, layer) in self.layers.iter_mut().zip(&net.layers) {
+            if wt.shape() != (layer.in_dim(), layer.out_dim()) {
+                *wt = Matrix::zeros(layer.in_dim(), layer.out_dim());
+            }
+            layer.weights.transpose_into(wt);
+        }
+    }
 }
 
 /// Recorded history of one layer for a whole minibatch: stacked
@@ -239,13 +219,6 @@ pub(crate) struct BatchLayerBufs {
     pub(crate) adapt: Matrix,
     /// Drive scratch `W·o_in` for one timestep, `B × out`.
     pub(crate) drive: Matrix,
-    /// Transposed weights `Wᵀ`, `in × out` — refreshed once per per-call
-    /// sparse forward pass so the event-driven drive streams one
-    /// contiguous `out`-wide row per presynaptic event. Empty until the
-    /// first such pass, so a workspace that only runs the dense drive
-    /// (every `B = 1` workspace of the per-call entries) or
-    /// [`SdpNetwork::forward_batch_transposed`] never holds it.
-    pub(crate) wt: Matrix,
     /// Backward scratch `δo(t)`, `B × out`.
     pub(crate) d_o: Matrix,
     /// Backward scratch `δv(t)`, `B × out`.
@@ -296,7 +269,6 @@ impl BatchWorkspace {
                     spikes: Matrix::zeros(batch, out),
                     adapt: Matrix::zeros(batch, out),
                     drive: Matrix::zeros(batch, out),
-                    wt: Matrix::zeros(0, 0),
                     d_o: Matrix::zeros(batch, out),
                     d_v: Matrix::zeros(batch, out),
                     dv_next: Matrix::zeros(batch, out),
@@ -341,8 +313,8 @@ impl SingleSample {
         }
     }
 
-    /// Runs `state` through `net` at `B = 1` with
-    /// [`SdpNetwork::forward_batch`] and returns the action.
+    /// Runs `state` through `net` at `B = 1` on the dense drive
+    /// ([`SdpNetwork::forward_batch`] without `Wᵀ`) and returns the action.
     ///
     /// # Panics
     ///
@@ -350,7 +322,14 @@ impl SingleSample {
     /// for, or `net` has another shape.
     pub fn forward<R: Rng>(&mut self, net: &SdpNetwork, state: &[f64], rng: &mut R) -> &[f64] {
         self.state.row_mut(0).copy_from_slice(state);
-        net.forward_batch(&self.state, std::slice::from_mut(rng), &mut self.ws, &mut self.trace);
+        net.forward_batch(
+            &self.state,
+            std::slice::from_mut(rng),
+            None,
+            &mut self.ws,
+            &mut self.trace,
+            &mut NoopRecorder,
+        );
         self.trace.action(0)
     }
 }
@@ -362,147 +341,37 @@ fn count_spikes(data: &[f64]) -> u64 {
 impl SdpNetwork {
     /// Forward pass (Algorithm 1): runs every row of `states`
     /// (`B × state_dim`) through the network simultaneously, one drive
-    /// kernel per layer per timestep — the dense one at `B = 1`, the
-    /// [`kernel_path`] default otherwise.
+    /// kernel per layer per timestep. With `wt` the drive is event-driven
+    /// over those transposed weights; without it, the dense GEMM reference
+    /// (see the [module docs](crate::batch)). Both give the same bits as
+    /// long as `wt` was built from this network's current weights.
     ///
     /// Sample `b` is encoded with `rngs[b]`, so with per-sample seeded RNGs
     /// the result is independent of how samples are grouped into batches:
-    /// each row is bit-identical to its own `B = 1` run (see the
-    /// [module docs](crate::batch)).
+    /// each row is bit-identical to its own `B = 1` run.
     ///
     /// `ws` and `trace` must have been built for this network at batch size
     /// `states.rows()`; both are fully overwritten.
     ///
+    /// The encode section and the LIF timestep loop are timed as
+    /// [`SPAN_PROFILE_SNN_ENCODE`] and [`SPAN_PROFILE_SNN_LIF`] spans on
+    /// `rec`. Observe-only: the recorder never influences the computation,
+    /// and with a disabled recorder (e.g. [`NoopRecorder`]) the
+    /// stopwatches never read the clock.
+    ///
     /// # Panics
     ///
-    /// Panics if shapes disagree (state width, batch size, RNG count, or a
-    /// workspace/trace built for a different network or batch size).
+    /// Panics if shapes disagree (state width, batch size, RNG count, a
+    /// workspace/trace built for a different network or batch size, or a
+    /// `wt` built for a network of another shape).
     pub fn forward_batch<R: Rng>(
         &self,
         states: &Matrix,
         rngs: &mut [R],
-        ws: &mut BatchWorkspace,
-        trace: &mut BatchNetworkTrace,
-    ) {
-        self.forward_batch_recorded(states, rngs, ws, trace, &mut NoopRecorder);
-    }
-
-    /// One-shot action selection for offline callers: allocates a
-    /// workspace and trace for `states.rows()` samples, runs
-    /// [`forward_batch`](Self::forward_batch), and returns each sample's
-    /// portfolio weight vector. Callers on a hot path keep their own
-    /// workspace and call `forward_batch` instead.
-    ///
-    /// # Panics
-    ///
-    /// Panics on the same shape mismatches as [`forward_batch`](Self::forward_batch).
-    pub fn act_batch<R: Rng>(&self, states: &Matrix, rngs: &mut [R]) -> Vec<Vec<f64>> {
-        let bsz = states.rows();
-        let mut ws = BatchWorkspace::new(self, bsz);
-        let mut trace = BatchNetworkTrace::new(self, bsz);
-        self.forward_batch(states, rngs, &mut ws, &mut trace);
-        (0..bsz).map(|b| trace.action(b).to_vec()).collect()
-    }
-
-    /// Transposes every layer's weights once, for
-    /// [`forward_batch_transposed`](Self::forward_batch_transposed).
-    pub fn transposed_weights(&self) -> TransposedWeights {
-        TransposedWeights { layers: self.layers.iter().map(|l| l.weights.transposed()).collect() }
-    }
-
-    /// [`SdpNetwork::forward_batch`] on weights transposed beforehand by
-    /// [`transposed_weights`](Self::transposed_weights): the event-driven
-    /// sparse drive at every batch size, `B = 1` included, reading `wt`
-    /// instead of transposing into `ws`. The result is bit-identical to
-    /// the dense reference as long as `wt` was built from this network's
-    /// current weights. The process-wide [`set_kernel_path`] switch still
-    /// routes it onto the dense reference.
-    ///
-    /// # Panics
-    ///
-    /// Panics on the same shape mismatches as
-    /// [`forward_batch`](Self::forward_batch), or if `wt` was built for a
-    /// network of another shape.
-    pub fn forward_batch_transposed<R: Rng>(
-        &self,
-        states: &Matrix,
-        rngs: &mut [R],
-        wt: &TransposedWeights,
-        ws: &mut BatchWorkspace,
-        trace: &mut BatchNetworkTrace,
-    ) {
-        assert_eq!(wt.layers.len(), self.layers.len(), "forward_batch: Wᵀ depth mismatch");
-        for (w, layer) in wt.layers.iter().zip(&self.layers) {
-            assert_eq!(
-                w.shape(),
-                (layer.in_dim(), layer.out_dim()),
-                "forward_batch: Wᵀ shape mismatch"
-            );
-        }
-        self.forward_batch_impl(
-            states,
-            rngs,
-            ws,
-            trace,
-            &mut NoopRecorder,
-            kernel_path(),
-            Some(wt),
-        );
-    }
-
-    /// [`SdpNetwork::forward_batch`] routed through an explicit
-    /// [`KernelPath`] instead of the process default — the entry point the
-    /// equivalence test battery uses to compare the event-driven path
-    /// against the dense reference on identical inputs.
-    ///
-    /// # Panics
-    ///
-    /// Panics on the same shape mismatches as
-    /// [`forward_batch`](Self::forward_batch).
-    pub fn forward_batch_with<R: Rng>(
-        &self,
-        states: &Matrix,
-        rngs: &mut [R],
-        ws: &mut BatchWorkspace,
-        trace: &mut BatchNetworkTrace,
-        path: KernelPath,
-    ) {
-        self.forward_batch_impl(states, rngs, ws, trace, &mut NoopRecorder, path, None);
-    }
-
-    /// [`SdpNetwork::forward_batch`] with phase profiling: the encode
-    /// section and the LIF timestep loop are timed as
-    /// [`SPAN_PROFILE_SNN_ENCODE`] and [`SPAN_PROFILE_SNN_LIF`] spans on
-    /// `rec`.
-    ///
-    /// Observe-only: the recorder never influences the computation, and
-    /// with a disabled recorder (e.g. [`NoopRecorder`]) the stopwatches
-    /// never read the clock — the cost over `forward_batch` is a few
-    /// predictable branches per call, not per element.
-    pub fn forward_batch_recorded<R: Rng>(
-        &self,
-        states: &Matrix,
-        rngs: &mut [R],
-        ws: &mut BatchWorkspace,
-        trace: &mut BatchNetworkTrace,
-        rec: &mut dyn Recorder,
-    ) {
-        let path = if states.rows() == 1 { KernelPath::Dense } else { kernel_path() };
-        self.forward_batch_impl(states, rngs, ws, trace, rec, path, None);
-    }
-
-    /// The one engine behind every forward entry. The sparse drive reads
-    /// `wt` when given and otherwise transposes into the workspace.
-    #[allow(clippy::too_many_arguments)]
-    fn forward_batch_impl<R: Rng>(
-        &self,
-        states: &Matrix,
-        rngs: &mut [R],
-        ws: &mut BatchWorkspace,
-        trace: &mut BatchNetworkTrace,
-        rec: &mut dyn Recorder,
-        path: KernelPath,
         wt: Option<&TransposedWeights>,
+        ws: &mut BatchWorkspace,
+        trace: &mut BatchNetworkTrace,
+        rec: &mut dyn Recorder,
     ) {
         let bsz = states.rows();
         let t_max = self.config().timesteps;
@@ -514,6 +383,16 @@ impl SdpNetwork {
         assert_eq!(trace.batch, bsz, "forward_batch: trace batch mismatch");
         assert_eq!(trace.encoder.cols(), enc_dim, "forward_batch: trace encoder width mismatch");
         assert_eq!(trace.layers.len(), self.layers.len(), "forward_batch: trace depth mismatch");
+        if let Some(wt) = wt {
+            assert_eq!(wt.layers.len(), self.layers.len(), "forward_batch: Wᵀ depth mismatch");
+            for (w, layer) in wt.layers.iter().zip(&self.layers) {
+                assert_eq!(
+                    w.shape(),
+                    (layer.in_dim(), layer.out_dim()),
+                    "forward_batch: Wᵀ shape mismatch"
+                );
+            }
+        }
 
         trace.stats = SpikeStats::default();
         trace.kernel_events = 0;
@@ -539,18 +418,6 @@ impl SdpNetwork {
         for lt in &mut trace.layers {
             lt.output_set.clear();
         }
-        // The event-driven drive streams rows of Wᵀ; weights are constant
-        // over the simulation, so unless the caller holds them transposed,
-        // transpose once per call into the workspace (amortized over T·B
-        // drive rows).
-        if path == KernelPath::Sparse && wt.is_none() {
-            for (lb, layer) in ws.layers.iter_mut().zip(&self.layers) {
-                if lb.wt.shape() != (layer.in_dim(), layer.out_dim()) {
-                    lb.wt = Matrix::zeros(layer.in_dim(), layer.out_dim());
-                }
-                layer.weights.transpose_into(&mut lb.wt);
-            }
-        }
 
         let mut kernel_events = 0u64;
         let lif_watch = Stopwatch::start(rec);
@@ -572,29 +439,28 @@ impl SdpNetwork {
                     )
                 };
                 let lb = &mut ws.layers[k];
-                match path {
-                    KernelPath::Sparse => {
+                match wt {
+                    Some(wt) => {
                         // Event-driven c-drive: touch only the active
                         // presynaptic columns, k-ascending — bitwise
                         // identical to the dense reference (see
                         // tensor::sparse).
-                        let layer_wt = wt.map_or(&lb.wt, |w| &w.layers[k]);
                         kernel_events += sparse::spike_drive(
                             input_block,
                             input_set,
                             t * bsz,
-                            layer_wt.as_slice(),
+                            wt.layers[k].as_slice(),
                             lb.drive.as_mut_slice(),
                             bsz,
                             in_dim,
                             out_dim,
                         );
                     }
-                    KernelPath::Dense => {
+                    None => {
                         // Dense reference: B k-ascending dots per neuron,
                         // bitwise identical to the sparse drive. Tally
                         // the events the sparse kernel would process so
-                        // traces stay comparable across paths.
+                        // traces stay comparable across drives.
                         gemm::gemm_nt(
                             input_block,
                             layer.weights.as_slice(),
@@ -665,17 +531,43 @@ impl SdpNetwork {
             trace.actions.row_mut(b).copy_from_slice(&dec.action);
         }
     }
+
+    /// One-shot action selection for offline callers: allocates a
+    /// workspace and trace for `states.rows()` samples, runs
+    /// [`forward_batch`](Self::forward_batch) on the dense drive, and
+    /// returns each sample's portfolio weight vector. Callers on a hot
+    /// path keep their own workspace and call `forward_batch` instead.
+    ///
+    /// # Panics
+    ///
+    /// Panics on the same shape mismatches as [`forward_batch`](Self::forward_batch).
+    pub fn act_batch<R: Rng>(&self, states: &Matrix, rngs: &mut [R]) -> Vec<Vec<f64>> {
+        let bsz = states.rows();
+        let mut ws = BatchWorkspace::new(self, bsz);
+        let mut trace = BatchNetworkTrace::new(self, bsz);
+        self.forward_batch(states, rngs, None, &mut ws, &mut trace, &mut NoopRecorder);
+        (0..bsz).map(|b| trace.action(b).to_vec()).collect()
+    }
+
+    /// Transposes every layer's weights into a fresh
+    /// [`TransposedWeights`], the operand of the event-driven drive.
+    pub fn transposed_weights(&self) -> TransposedWeights {
+        let mut wt = TransposedWeights::default();
+        wt.rebuild_from(self);
+        wt
+    }
 }
 
 #[cfg(test)]
 impl SdpNetwork {
     /// Runs one state through [`SdpNetwork::forward_batch`] at `B = 1` on
-    /// fresh buffers and returns the trace.
+    /// fresh buffers and the dense drive, and returns the trace.
     pub(crate) fn forward_one<R: Rng>(&self, state: &[f64], rng: &mut R) -> BatchNetworkTrace {
         let mut ws = BatchWorkspace::new(self, 1);
         let mut trace = BatchNetworkTrace::new(self, 1);
         let states = Matrix::from_rows(&[state]);
-        self.forward_batch(&states, std::slice::from_mut(rng), &mut ws, &mut trace);
+        let rngs = std::slice::from_mut(rng);
+        self.forward_batch(&states, rngs, None, &mut ws, &mut trace, &mut NoopRecorder);
         trace
     }
 }
@@ -692,13 +584,32 @@ mod tests {
         StdRng::seed_from_u64(seed)
     }
 
+    fn rngs(batch: usize, seed0: u64) -> Vec<StdRng> {
+        (0..batch).map(|b| rng(seed0 + b as u64)).collect()
+    }
+
     fn states(net: &SdpNetwork, batch: usize) -> Matrix {
         let dim = net.config().state_dim;
         Matrix::from_fn(batch, dim, |b, d| 0.8 + 0.05 * ((b * dim + d) % 9) as f64)
     }
 
+    /// Runs `batch` rows of [`states`] with per-sample seeds from `seed0`
+    /// on the drive `wt` selects, on fresh buffers.
+    fn run(
+        net: &SdpNetwork,
+        batch: usize,
+        seed0: u64,
+        wt: Option<&TransposedWeights>,
+    ) -> BatchNetworkTrace {
+        let mut ws = BatchWorkspace::new(net, batch);
+        let mut trace = BatchNetworkTrace::new(net, batch);
+        let st = states(net, batch);
+        net.forward_batch(&st, &mut rngs(batch, seed0), wt, &mut ws, &mut trace, &mut NoopRecorder);
+        trace
+    }
+
     // The "per-sample" reference of these pins is each row run alone at
-    // B = 1, which takes the dense drive; the batches take the sparse one.
+    // B = 1 on the dense drive; the batches take the event-driven one.
 
     #[test]
     fn forward_batch_is_bitwise_equal_to_per_sample_forward() {
@@ -708,10 +619,7 @@ mod tests {
             let net = SdpNetwork::new(cfg, &mut rng(7));
             let batch = 5;
             let st = states(&net, batch);
-            let mut ws = BatchWorkspace::new(&net, batch);
-            let mut trace = BatchNetworkTrace::new(&net, batch);
-            let mut rngs: Vec<StdRng> = (0..batch).map(|b| rng(100 + b as u64)).collect();
-            net.forward_batch(&st, &mut rngs, &mut ws, &mut trace);
+            let trace = run(&net, batch, 100, Some(&net.transposed_weights()));
             for b in 0..batch {
                 let one = net.forward_one(st.row(b), &mut rng(100 + b as u64));
                 assert_eq!(trace.action(b), one.action(0), "{encoding:?} sample {b}");
@@ -724,10 +632,7 @@ mod tests {
         let net = SdpNetwork::new(SdpNetworkConfig::small(4, 3), &mut rng(7));
         let batch = 4;
         let st = states(&net, batch);
-        let mut ws = BatchWorkspace::new(&net, batch);
-        let mut trace = BatchNetworkTrace::new(&net, batch);
-        let mut rngs: Vec<StdRng> = (0..batch).map(|b| rng(b as u64)).collect();
-        net.forward_batch(&st, &mut rngs, &mut ws, &mut trace);
+        let trace = run(&net, batch, 0, Some(&net.transposed_weights()));
         let mut expect = SpikeStats::default();
         for b in 0..batch {
             let s = net.forward_one(st.row(b), &mut rng(b as u64)).stats;
@@ -744,10 +649,7 @@ mod tests {
         let net = SdpNetwork::new(SdpNetworkConfig::small(4, 3), &mut rng(11));
         let batch = 4;
         let st = states(&net, batch);
-        let mut ws = BatchWorkspace::new(&net, batch);
-        let mut trace = BatchNetworkTrace::new(&net, batch);
-        let mut rngs: Vec<StdRng> = (0..batch).map(|b| rng(b as u64)).collect();
-        net.forward_batch(&st, &mut rngs, &mut ws, &mut trace);
+        let trace = run(&net, batch, 0, Some(&net.transposed_weights()));
         let mut expect = vec![0u64; net.layers.len()];
         for b in 0..batch {
             let t = net.forward_one(st.row(b), &mut rng(b as u64));
@@ -768,20 +670,19 @@ mod tests {
     #[test]
     fn workspace_and_trace_are_reusable_across_calls() {
         let net = SdpNetwork::new(SdpNetworkConfig::small(4, 3), &mut rng(9));
+        let wt = net.transposed_weights();
         let batch = 3;
         let mut ws = BatchWorkspace::new(&net, batch);
         let mut trace = BatchNetworkTrace::new(&net, batch);
         let st1 = states(&net, batch);
         let st2 = st1.map(|v| v + 0.01);
-        let mut rngs: Vec<StdRng> = (0..batch).map(|b| rng(b as u64)).collect();
-        net.forward_batch(&st1, &mut rngs, &mut ws, &mut trace);
+        let rec = &mut NoopRecorder;
+        net.forward_batch(&st1, &mut rngs(batch, 0), Some(&wt), &mut ws, &mut trace, rec);
         let first = trace.actions.clone();
         // Run different inputs through the same buffers, then the originals
         // again: stale state must not leak.
-        let mut rngs2: Vec<StdRng> = (0..batch).map(|b| rng(b as u64)).collect();
-        net.forward_batch(&st2, &mut rngs2, &mut ws, &mut trace);
-        let mut rngs3: Vec<StdRng> = (0..batch).map(|b| rng(b as u64)).collect();
-        net.forward_batch(&st1, &mut rngs3, &mut ws, &mut trace);
+        net.forward_batch(&st2, &mut rngs(batch, 0), Some(&wt), &mut ws, &mut trace, rec);
+        net.forward_batch(&st1, &mut rngs(batch, 0), Some(&wt), &mut ws, &mut trace, rec);
         assert_eq!(trace.actions, first, "workspace reuse must be stateless");
     }
 
@@ -792,10 +693,7 @@ mod tests {
         let net = SdpNetwork::new(cfg, &mut rng(21));
         let batch = 3;
         let st = states(&net, batch);
-        let mut ws = BatchWorkspace::new(&net, batch);
-        let mut trace = BatchNetworkTrace::new(&net, batch);
-        let mut rngs: Vec<StdRng> = (0..batch).map(|b| rng(b as u64)).collect();
-        net.forward_batch(&st, &mut rngs, &mut ws, &mut trace);
+        let trace = run(&net, batch, 0, Some(&net.transposed_weights()));
         for b in 0..batch {
             let one = net.forward_one(st.row(b), &mut rng(b as u64));
             assert_eq!(trace.action(b), one.action(0), "ALIF sample {b}");
@@ -806,17 +704,15 @@ mod tests {
     fn recorded_forward_is_bitwise_identical_and_emits_profile_spans() {
         use spikefolio_telemetry::MemoryRecorder;
         let net = SdpNetwork::new(SdpNetworkConfig::small(4, 3), &mut rng(7));
+        let wt = net.transposed_weights();
         let batch = 4;
         let st = states(&net, batch);
-        let mut ws = BatchWorkspace::new(&net, batch);
-        let mut plain = BatchNetworkTrace::new(&net, batch);
-        let mut rngs: Vec<StdRng> = (0..batch).map(|b| rng(b as u64)).collect();
-        net.forward_batch(&st, &mut rngs, &mut ws, &mut plain);
+        let plain = run(&net, batch, 0, Some(&wt));
 
         let mut rec = MemoryRecorder::default();
+        let mut ws = BatchWorkspace::new(&net, batch);
         let mut observed = BatchNetworkTrace::new(&net, batch);
-        let mut rngs2: Vec<StdRng> = (0..batch).map(|b| rng(b as u64)).collect();
-        net.forward_batch_recorded(&st, &mut rngs2, &mut ws, &mut observed, &mut rec);
+        net.forward_batch(&st, &mut rngs(batch, 0), Some(&wt), &mut ws, &mut observed, &mut rec);
 
         assert_eq!(observed, plain, "recording must not change the forward pass");
         let (enc_s, enc_n) = rec.span_total(SPAN_PROFILE_SNN_ENCODE);
@@ -828,55 +724,29 @@ mod tests {
     #[test]
     fn sparse_and_dense_paths_produce_identical_traces() {
         let net = SdpNetwork::new(SdpNetworkConfig::small(4, 3), &mut rng(17));
-        let batch = 4;
-        let st = states(&net, batch);
-        let mut ws = BatchWorkspace::new(&net, batch);
-        let mut dense = BatchNetworkTrace::new(&net, batch);
-        let mut rngs: Vec<StdRng> = (0..batch).map(|b| rng(b as u64)).collect();
-        net.forward_batch_with(&st, &mut rngs, &mut ws, &mut dense, KernelPath::Dense);
-        let mut sparse_t = BatchNetworkTrace::new(&net, batch);
-        let mut rngs2: Vec<StdRng> = (0..batch).map(|b| rng(b as u64)).collect();
-        net.forward_batch_with(&st, &mut rngs2, &mut ws, &mut sparse_t, KernelPath::Sparse);
-        assert_eq!(sparse_t, dense, "bitwise sparse trace must equal the dense reference");
-        assert!(sparse_t.kernel_events > 0, "workload should produce events");
-    }
-
-    #[test]
-    fn single_sample_runs_take_the_dense_drive_without_a_transpose_buffer() {
-        let net = SdpNetwork::new(SdpNetworkConfig::small(4, 3), &mut rng(19));
-        let st = states(&net, 1);
-        let mut ws = BatchWorkspace::new(&net, 1);
-        let mut default = BatchNetworkTrace::new(&net, 1);
-        net.forward_batch(&st, &mut [rng(3)], &mut ws, &mut default);
-        assert!(ws.layers.iter().all(|lb| lb.wt.is_empty()), "B = 1 must not build Wᵀ");
-        // An explicit sparse call still works at B = 1: it builds Wᵀ on
-        // first use and reproduces the dense trace bit for bit.
-        let mut sparse_t = BatchNetworkTrace::new(&net, 1);
-        net.forward_batch_with(&st, &mut [rng(3)], &mut ws, &mut sparse_t, KernelPath::Sparse);
-        assert_eq!(sparse_t, default);
-        for (lb, layer) in ws.layers.iter().zip(&net.layers) {
-            assert_eq!(lb.wt.shape(), (layer.in_dim(), layer.out_dim()));
-        }
-    }
-
-    #[test]
-    fn transposed_entry_never_allocates_the_workspace_transpose() {
-        let net = SdpNetwork::new(SdpNetworkConfig::small(4, 3), &mut rng(23));
         let wt = net.transposed_weights();
-        for batch in [1, 3] {
-            let st = states(&net, batch);
-            let mut ws = BatchWorkspace::new(&net, batch);
-            let mut trace = BatchNetworkTrace::new(&net, batch);
-            for _ in 0..2 {
-                let mut rngs: Vec<StdRng> = (0..batch).map(|b| rng(b as u64)).collect();
-                net.forward_batch_transposed(&st, &mut rngs, &wt, &mut ws, &mut trace);
-            }
-            assert!(ws.layers.iter().all(|lb| lb.wt.is_empty()), "B = {batch} built its own Wᵀ");
-            let mut dense = BatchNetworkTrace::new(&net, batch);
-            let mut rngs: Vec<StdRng> = (0..batch).map(|b| rng(b as u64)).collect();
-            net.forward_batch_with(&st, &mut rngs, &mut ws, &mut dense, KernelPath::Dense);
-            assert_eq!(trace, dense, "B = {batch} must match the dense reference");
+        for batch in [1, 4] {
+            let dense = run(&net, batch, 0, None);
+            let sparse_t = run(&net, batch, 0, Some(&wt));
+            assert_eq!(sparse_t, dense, "B = {batch}: sparse trace must equal the dense one");
+            assert!(sparse_t.kernel_events > 0, "workload should produce events");
         }
+    }
+
+    #[test]
+    fn transposed_weights_rebuilt_in_place_match_a_fresh_transpose() {
+        let mut net = SdpNetwork::new(SdpNetworkConfig::small(4, 3), &mut rng(23));
+        let mut wt = net.transposed_weights();
+        for layer in &mut net.layers {
+            for (i, w) in layer.weights.as_mut_slice().iter_mut().enumerate() {
+                *w += 0.01 * (i % 7) as f64 - 0.03;
+            }
+        }
+        let stale = wt.layers.clone();
+        wt.rebuild_from(&net);
+        assert_ne!(wt.layers, stale, "the weight change must reach Wᵀ");
+        assert_eq!(wt.layers, net.transposed_weights().layers);
+        assert_eq!(run(&net, 3, 0, Some(&wt)), run(&net, 3, 0, None));
     }
 
     #[test]
@@ -884,11 +754,7 @@ mod tests {
     fn transposed_weights_of_another_shape_panic() {
         let net = SdpNetwork::new(SdpNetworkConfig::small(4, 3), &mut rng(3));
         let other = SdpNetwork::new(SdpNetworkConfig::small(5, 3), &mut rng(3));
-        let st = states(&net, 1);
-        let mut ws = BatchWorkspace::new(&net, 1);
-        let mut trace = BatchNetworkTrace::new(&net, 1);
-        let wt = other.transposed_weights();
-        net.forward_batch_transposed(&st, &mut [rng(0)], &wt, &mut ws, &mut trace);
+        let _ = run(&net, 1, 0, Some(&other.transposed_weights()));
     }
 
     #[test]
@@ -896,24 +762,8 @@ mod tests {
         // The drive kernels tally events as they propagate spikes; the
         // stats recompute synops from the dense rasters. The two must agree.
         let net = SdpNetwork::new(SdpNetworkConfig::small(4, 3), &mut rng(29));
-        let batch = 6;
-        let st = states(&net, batch);
-        let mut ws = BatchWorkspace::new(&net, batch);
-        let mut trace = BatchNetworkTrace::new(&net, batch);
-        let mut rngs: Vec<StdRng> = (0..batch).map(|b| rng(b as u64)).collect();
-        net.forward_batch(&st, &mut rngs, &mut ws, &mut trace);
+        let trace = run(&net, 6, 0, Some(&net.transposed_weights()));
         assert_eq!(trace.kernel_events, trace.stats.synops);
-    }
-
-    #[test]
-    fn kernel_path_override_round_trips() {
-        // Dense and Sparse are bit-identical, so flipping the global
-        // switch mid-run is safe for concurrently running tests.
-        assert_eq!(kernel_path(), KernelPath::Sparse);
-        set_kernel_path(KernelPath::Dense);
-        assert_eq!(kernel_path(), KernelPath::Dense);
-        set_kernel_path(KernelPath::Sparse);
-        assert_eq!(kernel_path(), KernelPath::Sparse);
     }
 
     #[test]
@@ -923,7 +773,6 @@ mod tests {
         let st = states(&net, 2);
         let mut ws = BatchWorkspace::new(&net, 3);
         let mut trace = BatchNetworkTrace::new(&net, 2);
-        let mut rngs = vec![rng(0), rng(1)];
-        net.forward_batch(&st, &mut rngs, &mut ws, &mut trace);
+        net.forward_batch(&st, &mut rngs(2, 0), None, &mut ws, &mut trace, &mut NoopRecorder);
     }
 }

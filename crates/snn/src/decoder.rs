@@ -114,18 +114,23 @@ impl Decoder {
         DecoderTrace { firing_rates, action }
     }
 
-    /// Backward pass: given the forward trace and `∂L/∂a`, returns the
+    /// Backward pass: given the forward pass's `firing_rates` and `action`
+    /// (the fields of its [`DecoderTrace`]) and `∂L/∂a`, returns the
     /// parameter gradients and the per-step gradient on each last-layer
     /// spike (eq. 12 plus the softmax Jacobian).
     ///
     /// # Panics
     ///
     /// Panics if `d_action.len() != action_dim()`.
-    pub fn backward(&self, trace: &DecoderTrace, d_action: &[f64]) -> DecoderGradients {
+    pub fn backward(
+        &self,
+        firing_rates: &[f64],
+        action: &[f64],
+        d_action: &[f64],
+    ) -> DecoderGradients {
         assert_eq!(d_action.len(), self.action_dim(), "d_action length mismatch");
-        let dz = softmax_backward(&trace.action, d_action);
-        let d_weights: Vec<f64> =
-            dz.iter().zip(&trace.firing_rates).map(|(&dzi, &fr)| dzi * fr).collect();
+        let dz = softmax_backward(action, d_action);
+        let d_weights: Vec<f64> = dz.iter().zip(firing_rates).map(|(&dzi, &fr)| dzi * fr).collect();
         let d_bias = dz.clone();
         let denom = (self.timesteps * self.pop_out) as f64;
         let mut d_spikes_per_step = Vec::with_capacity(self.input_dim());
@@ -187,7 +192,7 @@ mod tests {
         let sums = [3.0, 2.0, 1.0, 4.0, 2.0, 2.0];
         let c = [1.0, -2.0, 0.5];
         let trace = d.decode(&sums);
-        let grads = d.backward(&trace, &c);
+        let grads = d.backward(&trace.firing_rates, &trace.action, &c);
         let eps = 1e-6;
         for i in 0..3 {
             let mut dp = d.clone();
@@ -212,7 +217,7 @@ mod tests {
         let sums = [1.0, 2.0, 3.0, 0.0];
         let c = [2.0, -1.0];
         let trace = d.decode(&sums);
-        let grads = d.backward(&trace, &c);
+        let grads = d.backward(&trace.firing_rates, &trace.action, &c);
         let eps = 1e-6;
         for i in 0..2 {
             let mut dp = d.clone();

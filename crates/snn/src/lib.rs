@@ -41,17 +41,14 @@ pub mod encoder;
 pub mod layer;
 pub mod network;
 pub mod neuron;
-pub mod raster;
-pub mod spikes;
 pub mod stbp;
 pub mod surrogate;
 
 pub use batch::{
-    kernel_path, set_kernel_path, BatchLayerTrace, BatchNetworkTrace, BatchWorkspace, KernelPath,
-    SingleSample, TransposedWeights,
+    BatchLayerTrace, BatchNetworkTrace, BatchWorkspace, KernelPath, SingleSample, TransposedWeights,
 };
 pub use encoder::{Encoding, PopulationEncoder, PopulationEncoderConfig};
 pub use network::{SdpNetwork, SdpNetworkConfig};
 pub use neuron::LifParams;
-pub use spikes::SpikeSet;
+pub use spikefolio_tensor::sparse::SpikeSet;
 pub use surrogate::Surrogate;

@@ -15,11 +15,10 @@
 //! exact (no surrogate) when the network uses the soft spike relaxation,
 //! which is how the recurrences are validated against finite differences.
 
-use crate::batch::{kernel_path, BatchNetworkTrace, BatchWorkspace, KernelPath};
-use crate::decoder::DecoderTrace;
+use crate::batch::{BatchNetworkTrace, BatchWorkspace, KernelPath};
 use crate::network::SdpNetwork;
 use spikefolio_telemetry::labels::SPAN_PROFILE_SNN_STBP;
-use spikefolio_telemetry::{NoopRecorder, Recorder, Stopwatch};
+use spikefolio_telemetry::{Recorder, Stopwatch};
 use spikefolio_tensor::optim::{Gradients, Optimizer, ParamSlot};
 use spikefolio_tensor::{gemm, sparse, vector, Matrix};
 
@@ -113,10 +112,14 @@ impl Gradients for SdpGradients {
 ///
 /// The reverse-time `δo/δv/δc` recurrences are evaluated elementwise per
 /// sample row, in the same order whatever the batch size; the weight
-/// gradient is then formed as a single kernel call per layer,
+/// gradient is then formed as a single `kernel` call per layer,
 /// `∇W += Σ_{t,b} δc(t,b)ᵀ · o_in(t,b)`, whose `(t, b)` summation order is
 /// the only floating-point difference from summing the rows' `B = 1`
-/// passes (≈1e-14 relative).
+/// passes (≈1e-14 relative). Both [`KernelPath`]s give the same bits.
+///
+/// The whole pass is timed as one [`SPAN_PROFILE_SNN_STBP`] span on
+/// `rec`. Observe-only: the recorder never influences the gradients, and
+/// with a disabled recorder the stopwatch never reads the clock.
 ///
 /// # Panics
 ///
@@ -128,60 +131,10 @@ pub fn backward_batch(
     d_actions: &Matrix,
     rate_penalty: f64,
     ws: &mut BatchWorkspace,
-) -> SdpGradients {
-    backward_batch_recorded(net, trace, d_actions, rate_penalty, ws, &mut NoopRecorder)
-}
-
-/// [`backward_batch`] routed through an explicit
-/// [`KernelPath`] instead of the process default — the entry point the
-/// equivalence test battery uses to compare the event-driven weight
-/// gradient against the dense reference on identical traces.
-///
-/// # Panics
-///
-/// As [`backward_batch`].
-pub fn backward_batch_with(
-    net: &SdpNetwork,
-    trace: &BatchNetworkTrace,
-    d_actions: &Matrix,
-    rate_penalty: f64,
-    ws: &mut BatchWorkspace,
-    path: KernelPath,
-) -> SdpGradients {
-    backward_batch_inner(net, trace, d_actions, rate_penalty, ws, path)
-}
-
-/// [`backward_batch`] with phase profiling: the whole batched STBP pass is
-/// timed as one [`SPAN_PROFILE_SNN_STBP`] span on `rec`.
-///
-/// Observe-only: the recorder never influences the gradients, and with a
-/// disabled recorder the stopwatch never reads the clock.
-///
-/// # Panics
-///
-/// As [`backward_batch`].
-pub fn backward_batch_recorded(
-    net: &SdpNetwork,
-    trace: &BatchNetworkTrace,
-    d_actions: &Matrix,
-    rate_penalty: f64,
-    ws: &mut BatchWorkspace,
+    kernel: KernelPath,
     rec: &mut dyn Recorder,
 ) -> SdpGradients {
     let watch = Stopwatch::start(rec);
-    let grads = backward_batch_inner(net, trace, d_actions, rate_penalty, ws, kernel_path());
-    watch.stop(rec, SPAN_PROFILE_SNN_STBP);
-    grads
-}
-
-fn backward_batch_inner(
-    net: &SdpNetwork,
-    trace: &BatchNetworkTrace,
-    d_actions: &Matrix,
-    rate_penalty: f64,
-    ws: &mut BatchWorkspace,
-    path: KernelPath,
-) -> SdpGradients {
     let bsz = trace.batch();
     let t_max = net.config().timesteps;
     assert_eq!(trace.layers.len(), net.depth(), "trace depth mismatch");
@@ -207,11 +160,8 @@ fn backward_batch_inner(
     // upstream-gradient stack for every timestep.
     let depth = net.depth();
     for b in 0..bsz {
-        let dt = DecoderTrace {
-            firing_rates: trace.firing_rates.row(b).to_vec(),
-            action: trace.actions.row(b).to_vec(),
-        };
-        let dg = net.decoder.backward(&dt, d_actions.row(b));
+        let dg =
+            net.decoder.backward(trace.firing_rates.row(b), trace.actions.row(b), d_actions.row(b));
         vector::axpy(&mut grads.d_decoder_weights, 1.0, &dg.d_weights);
         vector::axpy(&mut grads.d_decoder_bias, 1.0, &dg.d_bias);
         let last = &mut ws.layers[depth - 1];
@@ -297,7 +247,7 @@ fn backward_batch_inner(
         } else {
             (trace.layers[k - 1].outputs.as_slice(), &trace.layers[k - 1].output_set)
         };
-        match path {
+        match kernel {
             KernelPath::Sparse => {
                 sparse::spike_outer_acc(
                     1.0,
@@ -324,6 +274,7 @@ fn backward_batch_inner(
             vector::axpy(&mut grads.layers[k].d_bias, 1.0, lb.dc_stack.row(r));
         }
     }
+    watch.stop(rec, SPAN_PROFILE_SNN_STBP);
     grads
 }
 
@@ -335,7 +286,8 @@ fn backward_batch_inner(
 /// use rand::SeedableRng;
 /// use spikefolio_snn::network::{SdpNetwork, SdpNetworkConfig};
 /// use spikefolio_snn::stbp::{self, SdpTrainer};
-/// use spikefolio_snn::SingleSample;
+/// use spikefolio_snn::{KernelPath, SingleSample};
+/// use spikefolio_telemetry::NoopRecorder;
 /// use spikefolio_tensor::optim::Adam;
 /// use spikefolio_tensor::Matrix;
 ///
@@ -347,7 +299,15 @@ fn backward_batch_inner(
 /// one.forward(&net, &[1.0, 0.9, 1.1, 1.0], &mut rng);
 /// // Descend on L = -a[0] (make action 0 more likely).
 /// let d_actions = Matrix::from_rows(&[&[-1.0, 0.0, 0.0]]);
-/// let mut grads = stbp::backward_batch(&net, &one.trace, &d_actions, 0.0, &mut one.ws);
+/// let mut grads = stbp::backward_batch(
+///     &net,
+///     &one.trace,
+///     &d_actions,
+///     0.0,
+///     &mut one.ws,
+///     KernelPath::Sparse,
+///     &mut NoopRecorder,
+/// );
 /// trainer.apply(&mut net, &mut grads);
 /// ```
 #[derive(Debug, Clone)]
@@ -472,6 +432,7 @@ mod tests {
     use crate::network::{SdpNetwork, SdpNetworkConfig};
     use crate::neuron::SpikeFn;
     use rand::SeedableRng;
+    use spikefolio_telemetry::NoopRecorder;
 
     fn rng() -> rand::rngs::StdRng {
         rand::rngs::StdRng::seed_from_u64(123)
@@ -485,7 +446,9 @@ mod tests {
         rate_penalty: f64,
     ) -> SdpGradients {
         let mut ws = BatchWorkspace::new(net, 1);
-        backward_batch(net, trace, &Matrix::from_rows(&[d_action]), rate_penalty, &mut ws)
+        let d_actions = Matrix::from_rows(&[d_action]);
+        let rec = &mut NoopRecorder;
+        backward_batch(net, trace, &d_actions, rate_penalty, &mut ws, KernelPath::Sparse, rec)
     }
 
     fn act(net: &SdpNetwork, state: &[f64]) -> Vec<f64> {
@@ -766,11 +729,12 @@ mod tests {
         let mut trace = BatchNetworkTrace::new(&net, bsz);
         let mut rngs: Vec<rand::rngs::StdRng> =
             (0..bsz).map(|b| rand::rngs::StdRng::seed_from_u64(40 + b as u64)).collect();
-        net.forward_batch(&states, &mut rngs, &mut ws, &mut trace);
+        let rec = &mut NoopRecorder;
+        net.forward_batch(&states, &mut rngs, None, &mut ws, &mut trace, rec);
         let d_actions = Matrix::from_fn(bsz, 3, |b, a| if a == b % 3 { -1.0 } else { 0.5 });
-        let dense = backward_batch_with(&net, &trace, &d_actions, 0.3, &mut ws, KernelPath::Dense);
+        let dense = backward_batch(&net, &trace, &d_actions, 0.3, &mut ws, KernelPath::Dense, rec);
         let sparse =
-            backward_batch_with(&net, &trace, &d_actions, 0.3, &mut ws, KernelPath::Sparse);
+            backward_batch(&net, &trace, &d_actions, 0.3, &mut ws, KernelPath::Sparse, rec);
         assert_eq!(flat_grads(&sparse), flat_grads(&dense));
     }
 

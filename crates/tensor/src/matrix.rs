@@ -410,8 +410,8 @@ impl Matrix {
 
     /// Writes the transpose of `self` into `out` without allocating.
     ///
-    /// Used by the event-driven forward path, which re-transposes the
-    /// weights into a reusable workspace buffer once per batched call.
+    /// Used to rebuild a network's transposed weights in place, the
+    /// operand of the event-driven forward drive.
     ///
     /// # Panics
     ///

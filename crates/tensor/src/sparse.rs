@@ -225,45 +225,16 @@ pub fn spike_drive(
     );
     out.iter_mut().for_each(|v| *v = 0.0);
     let mut events = 0u64;
-    // Strategy: the per-sample event walk is branch-free (the event list
-    // IS the iteration space) and optimal while the transposed weights
-    // stay cache-resident. Once `wt` overflows the fast caches, walking
-    // it per sample re-streams the whole matrix `bsz` times — there the
-    // column-major merge below pulls each `wt` row through the cache once
-    // per timestep instead. Both orders apply every sample's events with
-    // `k` ascending, so they are bitwise interchangeable.
-    const KMAJOR_MIN_WT_BYTES: usize = 1 << 20;
-    let kmajor = bsz >= 4 && core::mem::size_of_val(wt) > KMAJOR_MIN_WT_BYTES;
-    if !kmajor {
-        for b in 0..bsz {
-            let active = set.row(row0 + b);
-            events += active.len() as u64;
-            let vrow = &vals[b * k..(b + 1) * k];
-            let orow = &mut out[b * n..(b + 1) * n];
-            for &ki in active {
-                let ki = ki as usize;
-                axpy_lanes(vrow[ki], &wt[ki * n..(ki + 1) * n], orow);
-            }
-        }
-        return events.saturating_mul(n as u64);
-    }
-    // Column-major merge: every sample's row is ascending, so walking a
-    // shared `ki` front with one cursor per sample applies each sample's
-    // events in exactly the per-sample order.
-    let active: Vec<&[u32]> = (0..bsz).map(|b| set.row(row0 + b)).collect();
-    let mut cur = vec![0usize; bsz];
-    for ki in 0..k {
-        let kw = ki as u32;
-        let wrow = &wt[ki * n..(ki + 1) * n];
-        for b in 0..bsz {
-            let row = active[b];
-            let c = cur[b];
-            if c >= row.len() || row[c] != kw {
-                continue;
-            }
-            cur[b] = c + 1;
-            events += 1;
-            axpy_lanes(vals[b * k + ki], wrow, &mut out[b * n..(b + 1) * n]);
+    // Per sample, the event list is the iteration space: no scan, no
+    // data-dependent branch per presynaptic neuron.
+    for b in 0..bsz {
+        let active = set.row(row0 + b);
+        events += active.len() as u64;
+        let vrow = &vals[b * k..(b + 1) * k];
+        let orow = &mut out[b * n..(b + 1) * n];
+        for &ki in active {
+            let ki = ki as usize;
+            axpy_lanes(vrow[ki], &wt[ki * n..(ki + 1) * n], orow);
         }
     }
     events.saturating_mul(n as u64)

@@ -12,7 +12,8 @@ use spikefolio_snn::encoder::Encoding;
 use spikefolio_snn::network::{SdpNetwork, SdpNetworkConfig, SpikeStats};
 use spikefolio_snn::neuron::SpikeFn;
 use spikefolio_snn::stbp;
-use spikefolio_snn::{BatchNetworkTrace, BatchWorkspace, SingleSample};
+use spikefolio_snn::{BatchNetworkTrace, BatchWorkspace, KernelPath, SingleSample};
+use spikefolio_telemetry::NoopRecorder;
 use spikefolio_tensor::optim::Gradients;
 use spikefolio_tensor::Matrix;
 
@@ -34,9 +35,12 @@ fn states(batch: usize, dim: usize) -> Matrix {
 /// per-sample reference, each row alone at B = 1 with the same encoder
 /// seed. Actions must match bit for bit, the summed event counters
 /// exactly, and every gradient block within `TOL`. B = 1 takes the dense
-/// drive and the batches the sparse one, so the pin crosses both kernels.
+/// drive and the batches the event-driven one, so the pin crosses both
+/// kernels.
 fn check_equivalence(encoding: Encoding) {
     let net = small_net(encoding);
+    let wt = net.transposed_weights();
+    let rec = &mut NoopRecorder;
     let dim = net.config().state_dim;
     let rate_penalty = 0.05;
     for &batch in &[3usize, 5, 32] {
@@ -47,8 +51,16 @@ fn check_equivalence(encoding: Encoding) {
         let mut trace = BatchNetworkTrace::new(&net, batch);
         let mut rngs: Vec<StdRng> =
             (0..batch).map(|b| StdRng::seed_from_u64(1000 + b as u64)).collect();
-        net.forward_batch(&st, &mut rngs, &mut ws, &mut trace);
-        let batched = stbp::backward_batch(&net, &trace, &d_actions, rate_penalty, &mut ws);
+        net.forward_batch(&st, &mut rngs, Some(&wt), &mut ws, &mut trace, rec);
+        let batched = stbp::backward_batch(
+            &net,
+            &trace,
+            &d_actions,
+            rate_penalty,
+            &mut ws,
+            KernelPath::Sparse,
+            rec,
+        );
 
         let mut reference = stbp::SdpGradients::zeros_like(&net);
         let mut stats = SpikeStats::default();
@@ -68,7 +80,15 @@ fn check_equivalence(encoding: Encoding) {
             stats.synops += s.synops;
             stats.neuron_updates += s.neuron_updates;
             let d1 = Matrix::from_rows(&[d_actions.row(b)]);
-            let g = stbp::backward_batch(&net, &one.trace, &d1, rate_penalty, &mut one.ws);
+            let g = stbp::backward_batch(
+                &net,
+                &one.trace,
+                &d1,
+                rate_penalty,
+                &mut one.ws,
+                KernelPath::Sparse,
+                rec,
+            );
             reference.accumulate(&g);
         }
         assert_eq!(trace.stats, stats, "batch {batch}: summed stats ({encoding:?})");
@@ -113,7 +133,7 @@ fn batched_loss(net: &SdpNetwork, st: &Matrix, c: &Matrix) -> f64 {
     let mut ws = BatchWorkspace::new(net, batch);
     let mut trace = BatchNetworkTrace::new(net, batch);
     let mut rngs: Vec<StdRng> = (0..batch).map(|b| StdRng::seed_from_u64(b as u64)).collect();
-    net.forward_batch(st, &mut rngs, &mut ws, &mut trace);
+    net.forward_batch(st, &mut rngs, None, &mut ws, &mut trace, &mut NoopRecorder);
     (0..batch).map(|b| trace.action(b).iter().zip(c.row(b)).map(|(x, y)| x * y).sum::<f64>()).sum()
 }
 
@@ -137,8 +157,9 @@ fn backward_batch_matches_finite_differences_on_soft_network() {
     let mut ws = BatchWorkspace::new(&net, batch);
     let mut trace = BatchNetworkTrace::new(&net, batch);
     let mut rngs: Vec<StdRng> = (0..batch).map(|b| StdRng::seed_from_u64(b as u64)).collect();
-    net.forward_batch(&st, &mut rngs, &mut ws, &mut trace);
-    let grads = stbp::backward_batch(&net, &trace, &c, 0.0, &mut ws);
+    let rec = &mut NoopRecorder;
+    net.forward_batch(&st, &mut rngs, Some(&net.transposed_weights()), &mut ws, &mut trace, rec);
+    let grads = stbp::backward_batch(&net, &trace, &c, 0.0, &mut ws, KernelPath::Sparse, rec);
     let analytic = stbp::flat_grads(&grads);
     let params = stbp::flat_params(&net);
     assert_eq!(analytic.len(), params.len());
@@ -194,7 +215,8 @@ proptest! {
         let mut trace = BatchNetworkTrace::new(&net, batch);
         let mut rngs: Vec<StdRng> =
             (0..batch).map(|b| StdRng::seed_from_u64(seed ^ b as u64)).collect();
-        net.forward_batch(&st, &mut rngs, &mut ws, &mut trace);
+        let wt = net.transposed_weights();
+        net.forward_batch(&st, &mut rngs, Some(&wt), &mut ws, &mut trace, &mut NoopRecorder);
         for b in 0..batch {
             prop_assert!(
                 spikefolio_tensor::simplex::is_on_simplex(trace.action(b), 1e-9),
@@ -228,7 +250,8 @@ fn checkpoint_roundtrip_preserves_batched_forward_bitwise() {
         let mut ws = BatchWorkspace::new(net, batch);
         let mut trace = BatchNetworkTrace::new(net, batch);
         let mut rngs: Vec<StdRng> = (0..batch).map(|b| StdRng::seed_from_u64(b as u64)).collect();
-        net.forward_batch(&st, &mut rngs, &mut ws, &mut trace);
+        let wt = net.transposed_weights();
+        net.forward_batch(&st, &mut rngs, Some(&wt), &mut ws, &mut trace, &mut NoopRecorder);
         (0..batch).map(|b| trace.action(b).to_vec()).collect()
     };
     let original = run(&agent.network);

@@ -1,15 +1,14 @@
 //! Equivalence battery for the event-driven sparse spike kernels.
 //!
-//! Locks the sparse path to the dense reference at three levels:
+//! Locks the event-driven drive to the dense reference at three levels:
 //!
-//! * **Network level** — batched forward traces and backward gradients at
-//!   b1/b8/b32 are *bitwise* equal between [`KernelPath::Dense`] and
-//!   [`KernelPath::Sparse`], for hard, soft, and adaptive (ALIF) networks,
-//!   and so are the traces of the serving entry that runs on weights
-//!   transposed beforehand (`forward_batch_transposed`).
-//! * **Training level** — thread-count invariance holds on the sparse
-//!   path, and a short seeded Table-3 slice trained end-to-end lands on
-//!   bit-identical final weights whichever path the trainer runs.
+//! * **Network level** — batched forward traces at b1/b8/b32 are
+//!   *bitwise* equal whether [`SdpNetwork::forward_batch`] gets the
+//!   network's `Wᵀ` (event-driven drive) or not (dense drive), for hard,
+//!   probabilistic, soft, and adaptive (ALIF) networks, and so are the
+//!   backward gradients of both [`KernelPath`]s.
+//! * **Training level** — thread-count invariance holds on the
+//!   event-driven drive the trainer runs.
 //! * **Kernel level** — a proptest battery over adversarial spike
 //!   patterns (all-zero timesteps, fully-dense timesteps, single-neuron
 //!   spikes, ragged per-sample sparsity) pins `spike_drive` /
@@ -31,7 +30,7 @@ use spikefolio_snn::encoder::Encoding;
 use spikefolio_snn::network::{SdpNetwork, SdpNetworkConfig};
 use spikefolio_snn::neuron::SpikeFn;
 use spikefolio_snn::{
-    set_kernel_path, stbp, BatchNetworkTrace, BatchWorkspace, KernelPath, SpikeSet,
+    stbp, BatchNetworkTrace, BatchWorkspace, KernelPath, SpikeSet, TransposedWeights,
 };
 use spikefolio_telemetry::NoopRecorder;
 use spikefolio_tensor::{gemm, sparse, Matrix};
@@ -79,19 +78,22 @@ fn nets() -> Vec<(&'static str, SdpNetwork)> {
     vec![("hard", hard), ("probabilistic", prob), ("soft", soft), ("alif", alif)]
 }
 
-/// Runs forward on both paths with identical seeded RNGs and returns the
-/// two traces.
-fn forward_both(
+fn rngs(batch: usize) -> Vec<StdRng> {
+    (0..batch).map(|b| StdRng::seed_from_u64(1000 + b as u64)).collect()
+}
+
+/// Runs the pinned states forward with fixed seeded RNGs on the drive `wt`
+/// selects (event-driven with it, dense without) and returns the trace
+/// and its workspace.
+fn forward(
     net: &SdpNetwork,
     batch: usize,
-    path: KernelPath,
+    wt: Option<&TransposedWeights>,
 ) -> (BatchNetworkTrace, BatchWorkspace) {
     let st = states(batch, net.config().state_dim);
     let mut ws = BatchWorkspace::new(net, batch);
     let mut trace = BatchNetworkTrace::new(net, batch);
-    let mut rngs: Vec<StdRng> =
-        (0..batch).map(|b| StdRng::seed_from_u64(1000 + b as u64)).collect();
-    net.forward_batch_with(&st, &mut rngs, &mut ws, &mut trace, path);
+    net.forward_batch(&st, &mut rngs(batch), wt, &mut ws, &mut trace, &mut NoopRecorder);
     (trace, ws)
 }
 
@@ -99,8 +101,8 @@ fn forward_both(
 fn forward_traces_are_bitwise_equal_at_all_batch_sizes() {
     for (kind, net) in nets() {
         for batch in BATCHES {
-            let (dense, _) = forward_both(&net, batch, KernelPath::Dense);
-            let (sparse_t, _) = forward_both(&net, batch, KernelPath::Sparse);
+            let (dense, _) = forward(&net, batch, None);
+            let (sparse_t, _) = forward(&net, batch, Some(&net.transposed_weights()));
             // Whole-trace equality: voltages, thresholds, spikes, spike
             // sets, actions, stats, and the kernel event tally.
             assert_eq!(sparse_t, dense, "{kind} net, batch {batch}");
@@ -111,16 +113,19 @@ fn forward_traces_are_bitwise_equal_at_all_batch_sizes() {
 
 #[test]
 fn transposed_entry_traces_are_bitwise_equal_at_all_batch_sizes() {
+    // The serving pattern: one `Wᵀ` built once and shared by every batch
+    // size, each workspace driven twice (other states first).
     for (kind, net) in nets() {
         let wt = net.transposed_weights();
         for batch in BATCHES {
-            let (dense, _) = forward_both(&net, batch, KernelPath::Dense);
+            let (dense, _) = forward(&net, batch, None);
             let st = states(batch, net.config().state_dim);
+            let other = st.map(|v| v + 0.13);
             let mut ws = BatchWorkspace::new(&net, batch);
             let mut trace = BatchNetworkTrace::new(&net, batch);
-            let mut rngs: Vec<StdRng> =
-                (0..batch).map(|b| StdRng::seed_from_u64(1000 + b as u64)).collect();
-            net.forward_batch_transposed(&st, &mut rngs, &wt, &mut ws, &mut trace);
+            let rec = &mut NoopRecorder;
+            net.forward_batch(&other, &mut rngs(batch), Some(&wt), &mut ws, &mut trace, rec);
+            net.forward_batch(&st, &mut rngs(batch), Some(&wt), &mut ws, &mut trace, rec);
             assert_eq!(trace.actions, dense.actions, "{kind} net, batch {batch}: actions");
             assert_eq!(trace.kernel_events, dense.kernel_events, "{kind} net, batch {batch}");
             assert_eq!(trace.stats, dense.stats, "{kind} net, batch {batch}: stats");
@@ -133,25 +138,20 @@ fn transposed_entry_traces_are_bitwise_equal_at_all_batch_sizes() {
 fn backward_gradients_are_bitwise_equal_at_all_batch_sizes() {
     for (kind, net) in nets() {
         for batch in BATCHES {
-            let (trace, mut ws) = forward_both(&net, batch, KernelPath::Sparse);
+            let (trace, mut ws) = forward(&net, batch, Some(&net.transposed_weights()));
             let d_actions =
                 Matrix::from_fn(batch, 3, |b, a| 0.2 - 0.1 * a as f64 + 0.01 * b as f64);
-            let dense = stbp::backward_batch_with(
-                &net,
-                &trace,
-                &d_actions,
-                0.05,
-                &mut ws,
-                KernelPath::Dense,
-            );
-            let sparse_g = stbp::backward_batch_with(
-                &net,
-                &trace,
-                &d_actions,
-                0.05,
-                &mut ws,
-                KernelPath::Sparse,
-            );
+            let [dense, sparse_g] = [KernelPath::Dense, KernelPath::Sparse].map(|kernel| {
+                stbp::backward_batch(
+                    &net,
+                    &trace,
+                    &d_actions,
+                    0.05,
+                    &mut ws,
+                    kernel,
+                    &mut NoopRecorder,
+                )
+            });
             assert_eq!(
                 stbp::flat_grads(&sparse_g),
                 stbp::flat_grads(&dense),
@@ -185,34 +185,10 @@ fn training_is_thread_count_invariant_on_the_sparse_path() {
 }
 
 #[test]
-fn trained_model_regression_sparse_equals_dense_on_table3_slice() {
-    // Drive a full end-to-end training run (short seeded Table-3 slice)
-    // down each kernel path via the process-global override — the only
-    // lever for code that exposes just the default entry points. Safe
-    // concurrently: both paths are bit-identical.
-    let (train, _) = ExperimentPreset::experiment1().shrunk(30, 8).generate_split(11);
-    let mut cfg = SdpConfig::smoke();
-    cfg.training.epochs = 2;
-    cfg.training.steps_per_epoch = 5;
-    cfg.training.batch_size = 6;
-    let run = |path: KernelPath| {
-        set_kernel_path(path);
-        let mut agent = SdpAgent::new(&cfg, train.num_assets(), 3);
-        let log = Trainer::new(&cfg).train_sdp_with(&mut agent, &train, &mut NoopRecorder);
-        set_kernel_path(KernelPath::Sparse);
-        (stbp::flat_params(&agent.network), log.epoch_rewards)
-    };
-    let (dense_params, dense_rewards) = run(KernelPath::Dense);
-    let (sparse_params, sparse_rewards) = run(KernelPath::Sparse);
-    assert_eq!(sparse_rewards, dense_rewards, "training curves must match bitwise");
-    assert_eq!(sparse_params, dense_params, "final weights must match bitwise");
-}
-
-#[test]
 fn kernel_event_tally_matches_cost_model_synops() {
     let net = SdpNetwork::new(SdpNetworkConfig::small(16, 4), &mut StdRng::seed_from_u64(2016));
     let batch = 32;
-    let (trace, _) = forward_both(&net, batch, KernelPath::Sparse);
+    let (trace, _) = forward(&net, batch, Some(&net.transposed_weights()));
     // Three independent tallies of the same quantity: the kernels' own
     // running count, the stats recomputation from the dense rasters, and
     // the cost model fed by per-layer spike counts.
