@@ -28,10 +28,14 @@ cargo test -q -p spikefolio --test sparse_kernels
 # The release build vectorizes the tiled kernels (target-cpu=native), the
 # debug build does not, so a kernel whose bits depended on vector width
 # would only fail here. batched_snn pins each batch row against its own
-# B = 1 run, the path every single decision takes.
-echo "==> bitwise pins in the release build (trained weights, sparse kernels, batch composition)"
+# B = 1 run, the path every single decision takes. The serving reply pins
+# are the only ones that drive paper-scale micro-batches of 4 and 8
+# through the event-driven drive.
+echo "==> bitwise pins in the release build (trained weights, sparse kernels, batch composition, served replies)"
 cargo test -q --release -p spikefolio --test end_to_end_training --test sparse_kernels \
   --test batched_snn
+cargo test -q --release -p spikefolio --lib -- --exact \
+  serving::tests::float_backend_replies_are_pinned serving::tests::loihi_backend_replies_are_pinned
 
 echo "==> cargo bench --no-run (benches must keep compiling)"
 cargo bench --no-run --workspace
