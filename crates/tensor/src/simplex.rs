@@ -2,7 +2,8 @@
 //!
 //! Portfolio weight vectors live on the simplex `Δ^n = {w : w_i ≥ 0,
 //! Σ w_i = 1}`. The [ONS baseline] needs Euclidean projection onto `Δ^n`
-//! ([`project_to_simplex`], the algorithm of Duchi et al. 2008), and several
+//! ([`project_to_simplex`], the algorithm of Duchi et al. 2008; its
+//! buffer-reusing form [`project_to_simplex_into`]), and several
 //! strategies start from the uniform point ([`uniform_simplex`]).
 //!
 //! [ONS baseline]: https://doi.org/10.1145/1143844.1143846
@@ -27,7 +28,8 @@ pub fn uniform_simplex(n: usize) -> Vec<f64> {
 ///
 /// Implements the `O(n log n)` sort-based algorithm of Duchi, Shalev-Shwartz,
 /// Singer & Chandra (ICML 2008). The result is the unique point on the
-/// simplex closest to `v` in L2 distance.
+/// simplex closest to `v` in L2 distance. Allocating wrapper over
+/// [`project_to_simplex_into`].
 ///
 /// # Panics
 ///
@@ -40,19 +42,34 @@ pub fn uniform_simplex(n: usize) -> Vec<f64> {
 /// assert!((w.iter().sum::<f64>() - 1.0).abs() < 1e-12);
 /// ```
 pub fn project_to_simplex(v: &[f64]) -> Vec<f64> {
+    let mut out = Vec::with_capacity(v.len());
+    project_to_simplex_into(v, &mut Vec::with_capacity(v.len()), &mut out);
+    out
+}
+
+/// [`project_to_simplex`] into `out`, sorting a copy of `v` in `scratch`.
+/// Both buffers are cleared first, so whatever they held is ignored and
+/// a caller can reuse them across calls without allocating.
+///
+/// # Panics
+///
+/// Panics if `v` is empty.
+pub fn project_to_simplex_into(v: &[f64], scratch: &mut Vec<f64>, out: &mut Vec<f64>) {
     assert!(!v.is_empty(), "project_to_simplex: empty input");
-    let mut u = v.to_vec();
-    u.sort_by(|a, b| b.partial_cmp(a).unwrap_or(std::cmp::Ordering::Equal));
+    scratch.clear();
+    scratch.extend_from_slice(v);
+    scratch.sort_by(|a, b| b.partial_cmp(a).unwrap_or(std::cmp::Ordering::Equal));
     let mut css = 0.0;
     let mut theta = 0.0;
-    for (i, &ui) in u.iter().enumerate() {
+    for (i, &ui) in scratch.iter().enumerate() {
         css += ui;
         let t = (css - 1.0) / (i + 1) as f64;
         if ui - t > 0.0 {
             theta = t;
         }
     }
-    v.iter().map(|&x| (x - theta).max(0.0)).collect()
+    out.clear();
+    out.extend(v.iter().map(|&x| (x - theta).max(0.0)));
 }
 
 /// Checks whether `w` lies on the probability simplex within tolerance
@@ -87,6 +104,47 @@ pub fn renormalize(w: &mut [f64]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// `v` reshaped by `mode`: 0 as drawn, 1 snapped to a coarse grid (so
+    /// entries tie), 2 all negative, 3 scaled to large magnitudes.
+    fn shaped(v: &[f64], mode: u32) -> Vec<f64> {
+        v.iter()
+            .map(|&x| match mode {
+                0 => x,
+                1 => (x * 2.0).round() / 2.0,
+                2 => -x.abs() - 1e-3,
+                _ => x * 1e12,
+            })
+            .collect()
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Buffers left dirty by another length and other values, then
+        /// reused call after call, give a fresh projection's bits.
+        #[test]
+        fn reused_dirty_buffers_project_like_fresh_ones(
+            first in proptest::collection::vec(-2.0f64..2.0, 1..12),
+            second in proptest::collection::vec(-2.0f64..2.0, 1..12),
+            mode in 0u32..4,
+            junk in proptest::collection::vec(-1e6f64..1e6, 0..16),
+        ) {
+            let mut scratch = junk.clone();
+            let mut out = junk;
+            out.push(f64::NAN);
+            for v in [shaped(&first, mode), shaped(&second, mode), shaped(&first[..1], mode)] {
+                project_to_simplex_into(&v, &mut scratch, &mut out);
+                let fresh = project_to_simplex(&v);
+                prop_assert!(bits(&out) == bits(&fresh), "{v:?}: reused {out:?}, fresh {fresh:?}");
+            }
+        }
+    }
 
     #[test]
     fn uniform_is_on_simplex() {
