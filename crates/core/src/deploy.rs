@@ -129,7 +129,10 @@ impl LoihiDeployment {
     pub fn infer<R: Rng + ?Sized>(&self, state: &[f64], rng: &mut R) -> (Vec<f64>, LoihiRunStats) {
         let raster = self.encoder.encode(state, self.timesteps, rng);
         let (sums, stats) = self.chip_net.infer(&raster);
-        (self.decoder.decode(&sums).action, stats)
+        let mut rates = vec![0.0; self.action_dim()];
+        let mut action = vec![0.0; self.action_dim()];
+        self.decoder.decode_into(&sums, &mut rates, &mut action);
+        (action, stats)
     }
 
     /// [`infer`](Self::infer) with the deployment's own RNG, accumulating

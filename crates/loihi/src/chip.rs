@@ -316,7 +316,9 @@ mod tests {
             let s = [0.8 + 0.04 * i as f64, 1.0, 1.2 - 0.03 * i as f64, 0.9 + 0.02 * i as f64];
             let enc = net.encoder.encode(&s, net.config().timesteps, &mut r);
             let (sums, _) = mapped.infer(&enc);
-            let chip_action = net.decoder.decode(&sums).action;
+            let mut rates = vec![0.0; net.decoder.action_dim()];
+            let mut chip_action = vec![0.0; net.decoder.action_dim()];
+            net.decoder.decode_into(&sums, &mut rates, &mut chip_action);
             let float_action =
                 net.act_batch(&Matrix::from_rows(&[&s]), std::slice::from_mut(&mut r)).remove(0);
             let same_argmax = spikefolio_tensor::vector::argmax(&chip_action)

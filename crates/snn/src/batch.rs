@@ -39,8 +39,10 @@
 //! [`BatchWorkspace`] preallocates every per-step buffer (layer states,
 //! drive scratch, backward deltas, the stacked `Δc` and upstream-gradient
 //! matrices); it never holds `Wᵀ`. After construction,
-//! [`SdpNetwork::forward_batch`] and [`crate::stbp::backward_batch`]
-//! allocate only O(B) decoder-sized vectors outside the per-step hot loop.
+//! [`SdpNetwork::forward_batch`] allocates only in the encoder (per
+//! sample) and decodes straight into the trace's rows, and
+//! [`crate::stbp::backward_batch`] allocates only O(B) decoder-sized
+//! gradient vectors outside the per-step hot loop.
 //!
 //! # Determinism contract: batch-composition invariance
 //!
@@ -526,9 +528,11 @@ impl SdpNetwork {
             }
         }
         for b in 0..bsz {
-            let dec = self.decoder.decode(ws.spike_sums.row(b));
-            trace.firing_rates.row_mut(b).copy_from_slice(&dec.firing_rates);
-            trace.actions.row_mut(b).copy_from_slice(&dec.action);
+            self.decoder.decode_into(
+                ws.spike_sums.row(b),
+                trace.firing_rates.row_mut(b),
+                trace.actions.row_mut(b),
+            );
         }
     }
 

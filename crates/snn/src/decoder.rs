@@ -14,7 +14,7 @@
 //! guarantees the action lies on the probability simplex.
 
 use rand::Rng;
-use spikefolio_tensor::ops::{softmax, softmax_backward};
+use spikefolio_tensor::ops::{softmax_backward, softmax_in_place};
 
 /// The decoder of eqs. (8)–(10).
 #[derive(Debug, Clone, PartialEq)]
@@ -27,15 +27,6 @@ pub struct Decoder {
     pub pop_out: usize,
     /// Simulation length `T` the rates are averaged over.
     pub timesteps: usize,
-}
-
-/// Forward byproducts of the decoder needed for its backward pass.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DecoderTrace {
-    /// Mean firing rate per action (eq. 8).
-    pub firing_rates: Vec<f64>,
-    /// The softmax output (the action itself).
-    pub action: Vec<f64>,
 }
 
 /// Gradients of the decoder parameters plus the gradient flowing back into
@@ -91,31 +82,41 @@ impl Decoder {
         self.action_dim() * self.pop_out
     }
 
-    /// Decodes summed spikes into an action.
+    /// Decodes summed spikes into an action, writing each action's mean
+    /// firing rate (eq. 8) into `firing_rates_out` and the action into
+    /// `action_out`, where the softmax runs in place. Allocates nothing.
     ///
     /// `spike_sums[j]` is `Σ_t o_j(t)` for last-layer neuron `j`.
     ///
     /// # Panics
     ///
-    /// Panics if `spike_sums.len() != input_dim()`.
-    pub fn decode(&self, spike_sums: &[f64]) -> DecoderTrace {
+    /// Panics if `spike_sums.len() != input_dim()` or either output is not
+    /// `action_dim()` long.
+    pub fn decode_into(
+        &self,
+        spike_sums: &[f64],
+        firing_rates_out: &mut [f64],
+        action_out: &mut [f64],
+    ) {
         assert_eq!(spike_sums.len(), self.input_dim(), "spike sum length mismatch");
+        assert_eq!(firing_rates_out.len(), self.action_dim(), "firing rate length mismatch");
+        assert_eq!(action_out.len(), self.action_dim(), "action length mismatch");
         let denom = (self.timesteps * self.pop_out) as f64;
-        let firing_rates: Vec<f64> = spike_sums
+        let params = self.weights.iter().zip(&self.bias);
+        for (((pop, fr), z), (&w, &b)) in spike_sums
             .chunks_exact(self.pop_out)
-            .map(|pop| pop.iter().sum::<f64>() / denom)
-            .collect();
-        let z: Vec<f64> = firing_rates
-            .iter()
-            .zip(self.weights.iter().zip(&self.bias))
-            .map(|(&fr, (&w, &b))| w * fr + b)
-            .collect();
-        let action = softmax(&z);
-        DecoderTrace { firing_rates, action }
+            .zip(firing_rates_out.iter_mut())
+            .zip(action_out.iter_mut())
+            .zip(params)
+        {
+            *fr = pop.iter().sum::<f64>() / denom;
+            *z = w * *fr + b;
+        }
+        softmax_in_place(action_out);
     }
 
     /// Backward pass: given the forward pass's `firing_rates` and `action`
-    /// (the fields of its [`DecoderTrace`]) and `∂L/∂a`, returns the
+    /// (the outputs of [`decode_into`](Self::decode_into)) and `∂L/∂a`, returns the
     /// parameter gradients and the per-step gradient on each last-layer
     /// spike (eq. 12 plus the softmax Jacobian).
     ///
@@ -146,12 +147,20 @@ impl Decoder {
 mod tests {
     use super::*;
 
+    /// `(firing_rates, action)` of [`Decoder::decode_into`] on fresh buffers.
+    fn decode(d: &Decoder, sums: &[f64]) -> (Vec<f64>, Vec<f64>) {
+        let mut rates = vec![0.0; d.action_dim()];
+        let mut action = vec![0.0; d.action_dim()];
+        d.decode_into(sums, &mut rates, &mut action);
+        (rates, action)
+    }
+
     #[test]
     fn uniform_rates_give_uniform_action() {
         let d = Decoder::new(4, 3, 5);
-        let trace = d.decode(&[5.0; 12]); // every neuron spiked each step
-        assert!(trace.action.iter().all(|&a| (a - 0.25).abs() < 1e-12));
-        assert!(trace.firing_rates.iter().all(|&f| (f - 1.0).abs() < 1e-12));
+        let (rates, action) = decode(&d, &[5.0; 12]); // every neuron spiked each step
+        assert!(action.iter().all(|&a| (a - 0.25).abs() < 1e-12));
+        assert!(rates.iter().all(|&f| (f - 1.0).abs() < 1e-12));
     }
 
     #[test]
@@ -159,18 +168,18 @@ mod tests {
         let d = Decoder::new(3, 2, 5);
         // Population 1 spikes twice as much as the others.
         let sums = [2.0, 2.0, 4.0, 4.0, 2.0, 2.0];
-        let trace = d.decode(&sums);
-        assert!(trace.action[1] > trace.action[0]);
-        assert!(trace.action[1] > trace.action[2]);
-        assert!((trace.action.iter().sum::<f64>() - 1.0).abs() < 1e-12);
+        let (_, action) = decode(&d, &sums);
+        assert!(action[1] > action[0]);
+        assert!(action[1] > action[2]);
+        assert!((action.iter().sum::<f64>() - 1.0).abs() < 1e-12);
     }
 
     #[test]
     fn firing_rates_average_over_population_and_time() {
         let d = Decoder::new(2, 2, 10);
-        let trace = d.decode(&[10.0, 0.0, 5.0, 5.0]);
-        assert!((trace.firing_rates[0] - 0.5).abs() < 1e-12);
-        assert!((trace.firing_rates[1] - 0.5).abs() < 1e-12);
+        let (rates, _) = decode(&d, &[10.0, 0.0, 5.0, 5.0]);
+        assert!((rates[0] - 0.5).abs() < 1e-12);
+        assert!((rates[1] - 0.5).abs() < 1e-12);
     }
 
     #[test]
@@ -178,7 +187,7 @@ mod tests {
         let d = Decoder::new(5, 4, 5);
         for scale in [0.0, 1.0, 3.0, 20.0] {
             let sums: Vec<f64> = (0..20).map(|j| (j % 5) as f64 * scale).collect();
-            let a = d.decode(&sums).action;
+            let (_, a) = decode(&d, &sums);
             assert!(spikefolio_tensor::simplex::is_on_simplex(&a, 1e-9), "scale {scale}");
         }
     }
@@ -191,16 +200,16 @@ mod tests {
         d.bias = vec![0.1, -0.1, 0.0];
         let sums = [3.0, 2.0, 1.0, 4.0, 2.0, 2.0];
         let c = [1.0, -2.0, 0.5];
-        let trace = d.decode(&sums);
-        let grads = d.backward(&trace.firing_rates, &trace.action, &c);
+        let (rates, action) = decode(&d, &sums);
+        let grads = d.backward(&rates, &action, &c);
         let eps = 1e-6;
         for i in 0..3 {
             let mut dp = d.clone();
             dp.weights[i] += eps;
             let mut dm = d.clone();
             dm.weights[i] -= eps;
-            let lp: f64 = dp.decode(&sums).action.iter().zip(&c).map(|(a, b)| a * b).sum();
-            let lm: f64 = dm.decode(&sums).action.iter().zip(&c).map(|(a, b)| a * b).sum();
+            let lp: f64 = decode(&dp, &sums).1.iter().zip(&c).map(|(a, b)| a * b).sum();
+            let lm: f64 = decode(&dm, &sums).1.iter().zip(&c).map(|(a, b)| a * b).sum();
             let num = (lp - lm) / (2.0 * eps);
             assert!(
                 (grads.d_weights[i] - num).abs() < 1e-6,
@@ -216,16 +225,16 @@ mod tests {
         d.weights = vec![0.9, 1.1];
         let sums = [1.0, 2.0, 3.0, 0.0];
         let c = [2.0, -1.0];
-        let trace = d.decode(&sums);
-        let grads = d.backward(&trace.firing_rates, &trace.action, &c);
+        let (rates, action) = decode(&d, &sums);
+        let grads = d.backward(&rates, &action, &c);
         let eps = 1e-6;
         for i in 0..2 {
             let mut dp = d.clone();
             dp.bias[i] += eps;
             let mut dm = d.clone();
             dm.bias[i] -= eps;
-            let lp: f64 = dp.decode(&sums).action.iter().zip(&c).map(|(a, b)| a * b).sum();
-            let lm: f64 = dm.decode(&sums).action.iter().zip(&c).map(|(a, b)| a * b).sum();
+            let lp: f64 = decode(&dp, &sums).1.iter().zip(&c).map(|(a, b)| a * b).sum();
+            let lm: f64 = decode(&dm, &sums).1.iter().zip(&c).map(|(a, b)| a * b).sum();
             assert!((grads.d_bias[i] - (lp - lm) / (2.0 * eps)).abs() < 1e-6);
         }
         // Spike-sum gradient: perturb one spike sum. d_spikes_per_step is the
@@ -235,8 +244,8 @@ mod tests {
             sp[j] += eps;
             let mut sm = sums;
             sm[j] -= eps;
-            let lp: f64 = d.decode(&sp).action.iter().zip(&c).map(|(a, b)| a * b).sum();
-            let lm: f64 = d.decode(&sm).action.iter().zip(&c).map(|(a, b)| a * b).sum();
+            let lp: f64 = decode(&d, &sp).1.iter().zip(&c).map(|(a, b)| a * b).sum();
+            let lm: f64 = decode(&d, &sm).1.iter().zip(&c).map(|(a, b)| a * b).sum();
             let num = (lp - lm) / (2.0 * eps);
             assert!(
                 (grads.d_spikes_per_step[j] - num).abs() < 1e-6,
@@ -250,6 +259,6 @@ mod tests {
     #[should_panic(expected = "length mismatch")]
     fn wrong_spike_sum_length_panics() {
         let d = Decoder::new(2, 2, 3);
-        let _ = d.decode(&[1.0, 2.0, 3.0]);
+        let _ = decode(&d, &[1.0, 2.0, 3.0]);
     }
 }

@@ -198,9 +198,11 @@ proptest! {
     ) {
         let net = small_net(Encoding::Deterministic);
         // small(6, 3) with pop_out 4 → 12 output-population neurons.
-        let trace = net.decoder.decode(&sums);
-        prop_assert!(spikefolio_tensor::simplex::is_on_simplex(&trace.action, 1e-9),
-            "decoded action off the simplex: {:?}", trace.action);
+        let mut rates = vec![0.0; net.decoder.action_dim()];
+        let mut action = vec![0.0; net.decoder.action_dim()];
+        net.decoder.decode_into(&sums, &mut rates, &mut action);
+        prop_assert!(spikefolio_tensor::simplex::is_on_simplex(&action, 1e-9),
+            "decoded action off the simplex: {action:?}");
     }
 
     /// Batched forward actions stay on the simplex for arbitrary state
