@@ -3,7 +3,7 @@
 
 use spikefolio_env::{DecisionContext, Policy};
 use spikefolio_tensor::simplex::renormalize;
-use spikefolio_tensor::vector::mean;
+use spikefolio_tensor::vector::{center, centered_correlation};
 
 /// ANTICOR with window `w`.
 ///
@@ -31,9 +31,9 @@ use spikefolio_tensor::vector::mean;
 /// object (which restarts at `t = 2w`, never past the previous run's
 /// last `t`) never reads the previous market's relatives. Calling
 /// `rebalance` by hand on a different market at the next `t` would.
-/// Correlations are formed exactly as
-/// [`correlation`](spikefolio_tensor::vector::correlation) forms them,
-/// from windows centered once per decision.
+/// Each window is [`center`]ed once per decision, so every correlation
+/// has the bits [`correlation`](spikefolio_tensor::vector::correlation)
+/// would give.
 ///
 /// [`Backtester`]: spikefolio_env::Backtester
 #[derive(Debug, Clone)]
@@ -120,12 +120,7 @@ impl Anticor {
         self.means.clear();
         self.sum_sq.clear();
         for win in self.centered.chunks_exact_mut(w) {
-            let mu = mean(win);
-            let mut sq = 0.0;
-            for x in win.iter_mut() {
-                *x -= mu;
-                sq += *x * *x;
-            }
+            let (mu, sq) = center(win);
             self.means.push(mu);
             self.sum_sq.push(sq);
         }
@@ -135,16 +130,7 @@ impl Anticor {
     fn correlation(&self, r1: usize, r2: usize) -> f64 {
         let w = self.window;
         let (x, y) = (&self.centered[r1 * w..][..w], &self.centered[r2 * w..][..w]);
-        let mut cov = 0.0;
-        for (&cx, &cy) in x.iter().zip(y) {
-            cov += cx * cy;
-        }
-        let (vx, vy) = (self.sum_sq[r1], self.sum_sq[r2]);
-        if vx <= 0.0 || vy <= 0.0 {
-            0.0
-        } else {
-            cov / (vx.sqrt() * vy.sqrt())
-        }
+        centered_correlation(x, y, self.sum_sq[r1], self.sum_sq[r2])
     }
 }
 

@@ -92,7 +92,9 @@ pub fn argmax(a: &[f64]) -> Option<usize> {
 }
 
 /// Pearson correlation of two equal-length samples; 0.0 if either side has
-/// zero variance.
+/// zero variance. [`center`] and [`centered_correlation`] hold its
+/// arithmetic, so a caller that correlates one sample with many others
+/// can center each sample once and get the same bits.
 ///
 /// # Panics
 ///
@@ -102,19 +104,40 @@ pub fn correlation(a: &[f64], b: &[f64]) -> f64 {
     if a.len() < 2 {
         return 0.0;
     }
-    let (ma, mb) = (mean(a), mean(b));
-    let mut cov = 0.0;
-    let mut va = 0.0;
-    let mut vb = 0.0;
-    for (&x, &y) in a.iter().zip(b) {
-        cov += (x - ma) * (y - mb);
-        va += (x - ma) * (x - ma);
-        vb += (y - mb) * (y - mb);
+    let (mut x, mut y) = (a.to_vec(), b.to_vec());
+    let ((_, sxx), (_, syy)) = (center(&mut x), center(&mut y));
+    centered_correlation(&x, &y, sxx, syy)
+}
+
+/// Subtracts the mean from every entry of `v` in place and returns
+/// `(mean, Σ centered²)`, the sum taken in index order.
+pub fn center(v: &mut [f64]) -> (f64, f64) {
+    let m = mean(v);
+    let mut sq = 0.0;
+    for x in v.iter_mut() {
+        *x -= m;
+        sq += *x * *x;
     }
-    if va <= 0.0 || vb <= 0.0 {
+    (m, sq)
+}
+
+/// Pearson correlation of two samples already [`center`]ed, given their
+/// sums of squares `sxx` and `syy`; 0.0 if either is not positive. The
+/// covariance is summed in index order.
+///
+/// # Panics
+///
+/// Panics if the slices have different lengths.
+pub fn centered_correlation(x: &[f64], y: &[f64], sxx: f64, syy: f64) -> f64 {
+    assert_eq!(x.len(), y.len(), "correlation: length mismatch");
+    let mut cov = 0.0;
+    for (&cx, &cy) in x.iter().zip(y) {
+        cov += cx * cy;
+    }
+    if sxx <= 0.0 || syy <= 0.0 {
         0.0
     } else {
-        cov / (va.sqrt() * vb.sqrt())
+        cov / (sxx.sqrt() * syy.sqrt())
     }
 }
 
