@@ -30,10 +30,11 @@ cargo test -q -p spikefolio --test sparse_kernels
 # would only fail here. batched_snn pins each batch row against its own
 # B = 1 run, the path every single decision takes. The serving reply pins
 # are the only ones that drive paper-scale micro-batches of 4 and 8
-# through the event-driven drive.
-echo "==> bitwise pins in the release build (trained weights, sparse kernels, batch composition, served replies)"
+# through the event-driven drive. strategy_invariants pins every weight
+# ANTICOR and ONS choose on the scenario matrix's smoke windows.
+echo "==> bitwise pins in the release build (trained weights, sparse kernels, batch composition, classical weights, served replies)"
 cargo test -q --release -p spikefolio --test end_to_end_training --test sparse_kernels \
-  --test batched_snn
+  --test batched_snn --test strategy_invariants
 cargo test -q --release -p spikefolio --lib -- --exact \
   serving::tests::float_backend_replies_are_pinned serving::tests::loihi_backend_replies_are_pinned
 
