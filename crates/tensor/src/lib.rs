@@ -31,7 +31,7 @@ pub mod sparse;
 pub mod vector;
 
 pub use matrix::Matrix;
-pub use ops::{log_sum_exp, softmax, softmax_in_place};
+pub use ops::{log_sum_exp, softmax_in_place};
 pub use simplex::{project_to_simplex, uniform_simplex};
 
 /// Error type for shape mismatches in tensor operations.

@@ -22,25 +22,19 @@ pub fn log_sum_exp(x: &[f64]) -> f64 {
     m + s.ln()
 }
 
-/// Numerically stable softmax: `exp(x_i) / Σ exp(x_j)`.
+/// Numerically stable softmax in place: `x_i ← exp(x_i) / Σ exp(x_j)`.
 ///
 /// This is the paper's decoder normalization (eq. 10 applied to the
-/// exponentiated `tempAction` of Algorithm 1). The output always sums to 1
-/// and lies on the probability simplex.
+/// exponentiated `tempAction` of Algorithm 1). The result always sums to
+/// 1 and lies on the probability simplex.
 ///
 /// # Example
 ///
 /// ```
-/// let w = spikefolio_tensor::softmax(&[1.0, 1.0, 1.0]);
+/// let mut w = [1.0, 1.0, 1.0];
+/// spikefolio_tensor::softmax_in_place(&mut w);
 /// assert!(w.iter().all(|&v| (v - 1.0 / 3.0).abs() < 1e-12));
 /// ```
-pub fn softmax(x: &[f64]) -> Vec<f64> {
-    let mut out = x.to_vec();
-    softmax_in_place(&mut out);
-    out
-}
-
-/// In-place variant of [`softmax`].
 pub fn softmax_in_place(x: &mut [f64]) {
     if x.is_empty() {
         return;
@@ -105,6 +99,13 @@ mod tests {
     #[test]
     fn log_sum_exp_empty_is_neg_inf() {
         assert_eq!(log_sum_exp(&[]), f64::NEG_INFINITY);
+    }
+
+    /// [`softmax_in_place`] on a copy of `x`.
+    fn softmax(x: &[f64]) -> Vec<f64> {
+        let mut y = x.to_vec();
+        softmax_in_place(&mut y);
+        y
     }
 
     #[test]
