@@ -19,7 +19,9 @@ use spikefolio::config::SdpConfig;
 use spikefolio::{parse_fault_spec, run_desk, DeskOptions, DeskReport};
 use spikefolio_market::experiments::ExperimentPreset;
 use spikefolio_market::io::to_csv;
+use spikefolio_resilience::crc32;
 use spikefolio_snn::stbp::flat_params;
+use spikefolio_telemetry::value::Value;
 use spikefolio_telemetry::{labels, MemoryRecorder, NoopRecorder};
 use std::path::PathBuf;
 
@@ -178,6 +180,132 @@ fn stalled_csv_feed_trips_watchdog_and_keeps_last_good() {
     // Last-good stays up: version 1 (the warmup incumbent) serves on.
     assert_eq!(report.final_version, 1);
     assert_eq!(report.gate_passed_versions, vec![1]);
+}
+
+/// CRC-32s of everything one desk run leaves behind, by artifact name.
+/// Wall-clock fields are dropped from the telemetry records and the
+/// test's temp dir is blanked out of the triage manifests, so every
+/// entry is a pure function of the seed, options and fault script.
+fn desk_artifact_crcs(opts: DeskOptions) -> (Vec<String>, Vec<(&'static str, u32)>) {
+    let dir = opts.dir.clone();
+    let mut rec = MemoryRecorder::new();
+    let report = run_desk(opts, &mut rec).expect("desk run completes");
+    let read = |name: &str| std::fs::read(dir.join(name)).unwrap_or_default();
+
+    let mut manifests: Vec<PathBuf> = std::fs::read_dir(dir.join("quarantine"))
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.extension().is_some_and(|x| x == "json"))
+        .collect();
+    manifests.sort();
+    let dir_str = dir.to_string_lossy().into_owned();
+    let mut manifest_bytes = Vec::new();
+    for path in &manifests {
+        let name = path.file_name().unwrap().to_string_lossy().into_owned();
+        let raw = std::fs::read_to_string(path).unwrap().replace(&dir_str, "<dir>");
+        manifest_bytes.extend_from_slice(name.as_bytes());
+        manifest_bytes.extend_from_slice(raw.as_bytes());
+    }
+
+    let mut records = String::new();
+    for r in rec.records() {
+        let mut fields = vec![("kind".to_string(), Value::Str(r.kind().to_string()))];
+        fields.extend(r.fields().iter().filter(|(k, _)| k != "wall_s").cloned());
+        records.push_str(&Value::Map(fields).to_json());
+        records.push('\n');
+    }
+    let counters: String =
+        rec.counters().iter().map(|(label, n)| format!("{label}={n}\n")).collect();
+
+    let outcomes = report.rounds.iter().map(|r| r.outcome.clone()).collect();
+    let crcs = vec![
+        ("report", crc32(report.to_json().as_bytes())),
+        ("lineage", crc32(&read("lineage.jsonl"))),
+        ("blackbox", crc32(&read("blackbox.json"))),
+        ("desk_top", crc32(&read("desk-top.json"))),
+        ("manifests", crc32(&manifest_bytes)),
+        ("records", crc32(records.as_bytes())),
+        ("counters", crc32(counters.as_bytes())),
+    ];
+    let _ = std::fs::remove_dir_all(&dir);
+    (outcomes, crcs)
+}
+
+/// `fast_opts` with the blackbox, lineage ledger and status file armed.
+fn armed_opts(name: &str) -> DeskOptions {
+    let mut opts = fast_opts(name);
+    opts.blackbox = Some(opts.dir.join("blackbox.json"));
+    opts.lineage = Some(opts.dir.join("lineage.jsonl"));
+    opts.status = Some(opts.dir.join("desk-top.json"));
+    opts
+}
+
+#[test]
+fn desk_artifacts_are_pinned_bitwise() {
+    // Generator feed: every fault kind the desk absorbs, a heal that is
+    // re-rotted, and a swap write failing through a 2-retry budget on a
+    // round whose candidate passed the gate.
+    let mut opts = armed_opts("pin-generator");
+    opts.rounds = 5;
+    opts.guard.io_retries = 2;
+    opts.faults = parse_fault_spec(
+        "stall@0x2,val@0,corrupt@1,corrupt@1,swapio@2,nan@3,panic@3,corrupt@4",
+        opts.seed,
+    )
+    .unwrap();
+    let (outcomes, crcs) = desk_artifact_crcs(opts);
+    assert_eq!(
+        outcomes,
+        [
+            "promoted",
+            "rejected:integrity",
+            "swap_failed",
+            "rejected:validation",
+            "rejected:validation"
+        ]
+    );
+    assert_eq!(
+        crcs,
+        [
+            ("report", 0x682c2684),
+            ("lineage", 0xda6b237d),
+            ("blackbox", 0xd4357f9e),
+            ("desk_top", 0x159d5908),
+            ("manifests", 0x8e10adfc),
+            ("records", 0x119fee18),
+            ("counters", 0x16a5afdc),
+        ],
+        "generator-feed desk artifacts moved"
+    );
+
+    // CSV feed: 52 periods on disk cover the warmup and the first two
+    // rounds, then the feed goes quiet and round 2 stalls. A zero drift
+    // bound quarantines both gated rounds, so the manifests carry the
+    // feed's path.
+    let mut opts = armed_opts("pin-csv");
+    std::fs::create_dir_all(&opts.dir).unwrap();
+    let market = ExperimentPreset::experiment1().shrunk(26, 0).generate(7);
+    let csv_path = opts.dir.join("feed.csv");
+    std::fs::write(&csv_path, to_csv(&market)).unwrap();
+    opts.rounds = 3;
+    opts.csv = Some(csv_path);
+    opts.max_stall_polls = 2;
+    opts.drift_threshold = 0.0;
+    let (outcomes, crcs) = desk_artifact_crcs(opts);
+    assert_eq!(outcomes, ["rejected:drift", "rejected:drift", "stalled"]);
+    assert_eq!(
+        crcs,
+        [
+            ("report", 0x87c8bc2f),
+            ("lineage", 0x5b763383),
+            ("blackbox", 0x70784c99),
+            ("desk_top", 0xdf359d18),
+            ("manifests", 0x23c71785),
+            ("records", 0x6d1ca975),
+            ("counters", 0x74bd694e),
+        ],
+        "CSV-feed desk artifacts moved"
+    );
 }
 
 proptest! {
