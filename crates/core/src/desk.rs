@@ -34,7 +34,7 @@
 //! `tests/live_desk.rs` via [`DeskReport::final_weights_crc`].
 
 use std::collections::BTreeMap;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -116,6 +116,12 @@ pub struct DeskOptions {
 }
 
 impl DeskOptions {
+    /// Periods the desk asks its feed for over the whole run: the warmup
+    /// window plus every round's reveal.
+    fn feed_periods(&self) -> usize {
+        self.warmup + self.rounds * self.reveal_per_round
+    }
+
     /// A fast, deterministic configuration for tests and the CI smoke:
     /// smoke-sized model, four rounds of six periods over a 40-period
     /// warmup, no sleeps.
@@ -305,7 +311,7 @@ impl DeskReport {
 }
 
 /// Where new periods come from.
-enum Feed {
+pub(crate) enum Feed {
     /// Pre-generated seeded market revealed `reveal_per_round` periods
     /// at a time — the deterministic chaos-test mode.
     Generator {
@@ -323,18 +329,21 @@ enum Feed {
 }
 
 impl Feed {
-    fn open(opts: &DeskOptions) -> Result<Self, String> {
-        match &opts.csv {
+    /// The feed geometry, in one place for the desk and for `desk
+    /// triage`'s rebuild: a CSV tailed as 2 periods per day from
+    /// 2016-01-01, or the seeded generator sized to deliver `periods`.
+    pub(crate) fn open(csv: Option<&Path>, periods: usize, seed: u64) -> Self {
+        match csv {
             Some(path) => {
-                Ok(Self::Csv { tail: CsvTail::new(path, Date::new(2016, 1, 1), 2), last: None })
+                Self::Csv { tail: CsvTail::new(path, Date::new(2016, 1, 1), 2), last: None }
             }
             None => {
-                let total = opts.warmup + opts.rounds * opts.reveal_per_round;
                 // The shrunk presets emit 2 periods per day; over-generate
                 // by a day so the last round never runs dry.
-                let days = (total / 2 + 2) as i64;
-                let market = ExperimentPreset::experiment1().shrunk(days, 0).generate(opts.seed);
-                Ok(Self::Generator { market })
+                let days = (periods / 2 + 2) as i64;
+                Self::Generator {
+                    market: ExperimentPreset::experiment1().shrunk(days, 0).generate(seed),
+                }
             }
         }
     }
@@ -526,14 +535,6 @@ fn corrupt_file(path: &PathBuf, faults: &mut FaultPlan) -> Result<(), String> {
     std::fs::write(path, &bytes).map_err(|e| format!("corrupt {}: {e}", path.display()))
 }
 
-/// Loads the candidate checkpoint into a fresh skeleton — the same
-/// full validation ([`checkpoint::load_sdp`]: CRC, syntax, shape) the
-/// serving loader applies.
-fn probe_checkpoint(opts: &DeskOptions, num_assets: usize, path: &PathBuf) -> bool {
-    let mut probe = SdpAgent::new(&opts.config, num_assets, 0);
-    checkpoint::load_sdp(&mut probe, path).is_ok()
-}
-
 /// The desk's on-disk layout inside [`DeskOptions::dir`].
 struct DeskPaths {
     serving: PathBuf,
@@ -557,11 +558,6 @@ struct Observatory {
     status: Option<PathBuf>,
     seed: u64,
     rounds_total: usize,
-    /// Quarantine tally by typed reason, for the status file.
-    quarantines_by_kind: BTreeMap<String, u64>,
-    /// Per-round `(reward margin, entropy drift)` history for the
-    /// desk-top sparklines (NaN margin = round never reached the gate).
-    margins: Vec<(f64, f64)>,
     /// Monotone status-file revision, so pollers can detect staleness.
     status_seq: u64,
 }
@@ -577,17 +573,15 @@ impl Observatory {
             status: opts.status.clone(),
             seed: opts.seed,
             rounds_total: opts.rounds,
-            quarantines_by_kind: BTreeMap::new(),
-            margins: Vec::new(),
             status_seq: 0,
         }
     }
 
     /// Records one flight-recorder event (no-op when the blackbox is
     /// unarmed).
-    fn event(&self, stage: &str, fields: Vec<(String, Value)>) {
+    fn event<const N: usize>(&self, stage: &str, fields: [(&str, Value); N]) {
         if let Some((flight, _)) = &self.flight {
-            flight.record(stage, fields);
+            flight.record(stage, fields.into_iter().map(|(k, v)| (k.to_string(), v)).collect());
         }
     }
 
@@ -606,16 +600,30 @@ impl Observatory {
     }
 
     /// Atomically rewrites the desk-top status snapshot, best-effort.
+    /// The quarantine tally and the sparkline margins derive from the
+    /// report rows: a quarantine books as `rejected:<kind>`, and every
+    /// round but a stalled one reached the gate and has a
+    /// `(reward margin, entropy drift)` pair (NaN margin = the rewards
+    /// were never computed).
     fn write_status(&mut self, report: &DeskReport, served_version: u64, done: bool) {
         let Some(path) = &self.status else { return };
         self.status_seq += 1;
         let last = report.rounds.last();
-        let by_kind =
-            self.quarantines_by_kind.iter().map(|(k, &n)| (k.clone(), Value::U64(n))).collect();
-        let margins = self
-            .margins
+        let mut by_kind: BTreeMap<&str, u64> = BTreeMap::new();
+        for kind in report.rounds.iter().filter_map(|r| r.outcome.strip_prefix("rejected:")) {
+            *by_kind.entry(kind).or_insert(0) += 1;
+        }
+        let by_kind = by_kind.into_iter().map(|(k, n)| (k.to_string(), Value::U64(n))).collect();
+        let margins = report
+            .rounds
             .iter()
-            .map(|&(m, d)| Value::List(vec![Value::F64(m), Value::F64(d)]))
+            .filter(|r| r.outcome != "stalled")
+            .map(|r| {
+                Value::List(vec![
+                    Value::F64(r.candidate_reward - r.incumbent_reward),
+                    Value::F64(r.entropy_drift),
+                ])
+            })
             .collect();
         let v = Value::Map(vec![
             ("schema".to_string(), Value::Str(DESK_STATUS_SCHEMA.to_string())),
@@ -664,8 +672,6 @@ struct RoundInfo {
     parent_version: u64,
     /// First period index of this round's training window.
     window_from: usize,
-    /// Asset count of the feed (for the triage manifest).
-    num_assets: usize,
     /// Fine-tune wall seconds (0 when the round never trained).
     fine_tune_wall_s: f64,
     /// When the round started, for the whole-round trace span.
@@ -696,11 +702,15 @@ enum RoundDecision {
     SwapFailed(GateNumbers),
 }
 
-/// Read-only round context shared by the record helper.
+/// Read-only desk context shared by the fine-tune, the gate and the
+/// round booking.
 struct DeskCtx<'a> {
     store: &'a ModelStore,
     paths: &'a DeskPaths,
     opts: &'a DeskOptions,
+    trainer: &'a Trainer,
+    /// Asset count of the feed (for probes and the triage manifest).
+    num_assets: usize,
 }
 
 /// Writes the `spikefolio.triage.v1` manifest next to a quarantined
@@ -730,11 +740,8 @@ fn write_triage_manifest(
         ("reason".to_string(), Value::Str(reason.to_string())),
         ("revealed".to_string(), Value::U64(info.revealed as u64)),
         ("window_from".to_string(), Value::U64(info.window_from as u64)),
-        ("num_assets".to_string(), Value::U64(info.num_assets as u64)),
-        (
-            "feed_periods".to_string(),
-            Value::U64((opts.warmup + opts.rounds * opts.reveal_per_round) as u64),
-        ),
+        ("num_assets".to_string(), Value::U64(ctx.num_assets as u64)),
+        ("feed_periods".to_string(), Value::U64(opts.feed_periods() as u64)),
         ("val_fraction".to_string(), Value::F64(opts.val_fraction)),
         ("drift_threshold".to_string(), Value::F64(opts.drift_threshold)),
         (
@@ -763,10 +770,269 @@ fn write_triage_manifest(
     );
 }
 
-/// Books a finished round: quarantine side effects (forensic copy,
-/// triage manifest, store rejection, counters), the `desk_round`
-/// telemetry record and trace spans, the lineage-ledger entry, the
-/// desk-top status snapshot, the report row, and the rolling
+/// Fine-tunes a candidate from the incumbent on `fit` under the epoch
+/// guard. A scheduled NaN epoch is recovered inside
+/// [`train_sdp_guarded`] (bit-exact rollback + replay); a scheduled
+/// panic loses the whole attempt, so the desk discards it and retrains
+/// from the incumbent — training is deterministic, so the retry
+/// converges on the fault-free result. Returns the candidate, whether
+/// the trainer aborted, and the faults absorbed.
+fn fine_tune(
+    ctx: &DeskCtx,
+    incumbent: &SdpAgent,
+    fit: &MarketData,
+    round: usize,
+    scheduled: &[PipelineFaultKind],
+    rec: &mut dyn Recorder,
+) -> (SdpAgent, bool, u64) {
+    let opts = ctx.opts;
+    let mut recoveries = 0u64;
+    let panics = scheduled.iter().filter(|k| **k == PipelineFaultKind::TrainerPanic).count();
+    for _ in 0..panics {
+        let mut scratch = incumbent.clone();
+        let mut topts = ResilienceOptions { guard: opts.guard, ..Default::default() };
+        let _ = train_sdp_guarded(ctx.trainer, &mut scratch, fit, &mut topts, rec);
+        drop(scratch); // the panicked worker's half-finished state
+        recoveries += 1;
+        rec.counter(labels::COUNTER_DESK_RECOVERIES, 1);
+        if rec.enabled() {
+            rec.emit(
+                Record::new("desk_fault")
+                    .field("round", round as u64)
+                    .field("fault", "trainer_panic")
+                    .field("action", "retrain"),
+            );
+        }
+    }
+    let train_plan = if scheduled.contains(&PipelineFaultKind::TrainerNan) {
+        FaultPlan::new(opts.seed ^ round as u64).grad_fault_at(0, GradFault::NaN)
+    } else {
+        FaultPlan::default()
+    };
+    let mut candidate = incumbent.clone();
+    let mut topts =
+        ResilienceOptions { guard: opts.guard, faults: train_plan, ..Default::default() };
+    let outcome = train_sdp_guarded(ctx.trainer, &mut candidate, fit, &mut topts, rec);
+    recoveries += outcome.recoveries;
+    if outcome.recoveries > 0 {
+        rec.counter(labels::COUNTER_DESK_RECOVERIES, outcome.recoveries);
+    }
+    (candidate, outcome.aborted, recoveries)
+}
+
+/// A fine-tuned candidate and the data its round judges it on: the
+/// held-out `val` slice, and the `window` it is rebuilt from (at
+/// `val_from`) when poisoned.
+struct Trial<'a> {
+    round: usize,
+    scheduled: &'a [PipelineFaultKind],
+    window: &'a MarketData,
+    val: MarketData,
+    val_from: usize,
+    candidate: &'a SdpAgent,
+    /// The trainer gave up (an epoch unhealthy through the retry budget).
+    aborted: bool,
+    /// Faults absorbed so far this round.
+    recoveries: u64,
+}
+
+/// The gate and the swap for one candidate: the validation slice's
+/// finiteness check (a poisoned slice is rebuilt once from the pristine
+/// window), then the three stages of the [module docs](self) in order,
+/// then the hot swap. One [`GateNumbers`] fills in as the stages run,
+/// and the first stage that fails returns its quarantine.
+///
+/// # Errors
+///
+/// IO failures outside the fault model: corrupting, healing or reading
+/// back the candidate file.
+fn run_gate(
+    ctx: &DeskCtx,
+    trial: Trial,
+    incumbent: &SdpAgent,
+    faults: &mut FaultPlan,
+    obs: &Observatory,
+    rec: &mut dyn Recorder,
+) -> Result<RoundDecision, String> {
+    let Trial { round, scheduled, window, mut val, val_from, candidate, aborted, recoveries } =
+        trial;
+    let (opts, paths) = (ctx.opts, ctx.paths);
+    // Loads the candidate file into a fresh skeleton: the same full
+    // validation (CRC, syntax, shape) the serving loader applies.
+    let probe = || {
+        let mut skeleton = SdpAgent::new(&opts.config, ctx.num_assets, 0);
+        checkpoint::load_sdp(&mut skeleton, &paths.candidate).is_ok()
+    };
+    let reject = |kind: &'static str, reason: String, g: GateNumbers| {
+        Ok(RoundDecision::Quarantined { kind, reason, g })
+    };
+    let mut g = GateNumbers {
+        candidate_reward: f64::NAN,
+        incumbent_reward: f64::NAN,
+        entropy_drift: 0.0,
+        recoveries,
+        degraded: true,
+        integrity: None,
+        reward_evaluated: false,
+        drift_evaluated: false,
+    };
+
+    // A poisoned slice is detected by the finiteness scan and rebuilt
+    // from the pristine window before any reward is computed, so fault
+    // and fault-free runs evaluate identical slices.
+    if scheduled.contains(&PipelineFaultKind::ValData) {
+        let p = val.num_periods() / 2;
+        let nan = f64::NAN;
+        let poisoned = Candle { open: nan, high: nan, low: nan, close: nan, ..val.candle(p, 0) };
+        val.set_candle_unchecked(p, 0, poisoned);
+    }
+    if !market_is_finite(&val) {
+        val = window.slice(val_from, window.num_periods());
+        g.recoveries += 1;
+        rec.counter(labels::COUNTER_DESK_RECOVERIES, 1);
+    }
+    if !market_is_finite(&val) {
+        // Even the pristine window is unevaluable: refuse to gate on
+        // garbage, keep serving last-good.
+        return reject("validation", "validation slice non-finite even after rebuild".into(), g);
+    }
+    g.incumbent_reward = out_of_sample_reward(ctx.trainer, incumbent, &val);
+    if aborted {
+        let reason = "trainer aborted: epoch stayed unhealthy through the retry budget";
+        return reject("integrity", reason.into(), g);
+    }
+    g.candidate_reward = out_of_sample_reward(ctx.trainer, candidate, &val);
+    g.reward_evaluated = true;
+
+    // Integrity: persist the candidate and prove the on-disk bytes
+    // round-trip. A corrupted file is healed from the in-memory
+    // candidate and re-probed once; corruption that persists through
+    // the heal quarantines the candidate.
+    g.integrity = Some(false);
+    if let Err(e) = checkpoint::save_sdp(candidate, &paths.candidate) {
+        return reject("integrity", format!("candidate write failed: {e}"), g);
+    }
+    let mut corruptions =
+        scheduled.iter().filter(|k| **k == PipelineFaultKind::CorruptCandidate).count();
+    if corruptions > 0 {
+        corrupt_file(&paths.candidate, faults)?;
+        corruptions -= 1;
+    }
+    let mut integrity_ok = probe();
+    if !integrity_ok {
+        rec.counter(labels::COUNTER_RESILIENCE_CORRUPTIONS, 1);
+        let healed = checkpoint::heal_sdp(candidate, &paths.candidate)
+            .map_err(|e| format!("heal {}: {e}", paths.candidate.display()))?;
+        if healed {
+            g.recoveries += 1;
+            rec.counter(labels::COUNTER_DESK_RECOVERIES, 1);
+        }
+        if corruptions > 0 {
+            // A persistent corruptor (e.g. bad disk) re-rots the file.
+            corrupt_file(&paths.candidate, faults)?;
+        }
+        integrity_ok = probe();
+    }
+    obs.event(
+        "gate/integrity",
+        [("round", Value::U64(round as u64)), ("ok", Value::Bool(integrity_ok))],
+    );
+    if !integrity_ok {
+        let reason = "candidate checkpoint failed its integrity probe even after healing";
+        return reject("integrity", reason.into(), g);
+    }
+    g.integrity = Some(true);
+    g.degraded = false;
+
+    // Reward floor: never swap in a model that is out-of-sample worse
+    // than what is serving.
+    obs.event(
+        "gate/reward",
+        [
+            ("round", Value::U64(round as u64)),
+            ("candidate", Value::F64(g.candidate_reward)),
+            ("incumbent", Value::F64(g.incumbent_reward)),
+        ],
+    );
+    if !g.candidate_reward.is_finite() || g.candidate_reward < g.incumbent_reward {
+        let reason = format!(
+            "candidate reward {:.6} below incumbent {:.6} on the held-out slice",
+            g.candidate_reward, g.incumbent_reward
+        );
+        return reject("validation", reason, g);
+    }
+
+    // Drift bound on the entropy baseline probe.
+    let inc_entropy = policy_entropy(incumbent);
+    let cand_entropy = policy_entropy(candidate);
+    g.entropy_drift = (cand_entropy - inc_entropy).abs() / inc_entropy.abs().max(1e-6);
+    g.drift_evaluated = true;
+    obs.event(
+        "gate/drift",
+        [
+            ("round", Value::U64(round as u64)),
+            ("drift", Value::F64(g.entropy_drift)),
+            ("bound", Value::F64(opts.drift_threshold)),
+        ],
+    );
+    if !g.entropy_drift.is_finite() || g.entropy_drift > opts.drift_threshold {
+        let reason =
+            format!("entropy drift {:.4} over bound {:.4}", g.entropy_drift, opts.drift_threshold);
+        return reject("drift", reason, g);
+    }
+
+    // Swap: republish the gate-passed bytes at the serving path (atomic
+    // write, bounded retry; scheduled SwapIo faults fail the first
+    // attempts) and hot-swap the store.
+    if scheduled.contains(&PipelineFaultKind::SwapIo) {
+        *faults = std::mem::take(faults).fail_writes(DESK_SWAP_IO_LABEL, 2);
+    }
+    let bytes = std::fs::read(&paths.candidate)
+        .map_err(|e| format!("read {}: {e}", paths.candidate.display()))?;
+    let attempt = retry_io(opts.guard.io_retries, opts.guard.backoff_base_ms, || {
+        atomic_write_faulted(&paths.serving, &bytes, DESK_SWAP_IO_LABEL, Some(&mut *faults))
+    });
+    if attempt.retries > 0 {
+        g.recoveries += attempt.retries as u64;
+        rec.counter(labels::COUNTER_RESILIENCE_IO_RETRIES, attempt.retries as u64);
+        rec.counter(labels::COUNTER_DESK_RECOVERIES, attempt.retries as u64);
+    }
+    // A reload error keeps last-good; the store counted the failure.
+    let swap_started = Instant::now();
+    let swapped = match attempt.result {
+        Ok(()) => ctx.store.reload(&paths.serving.to_string_lossy()).ok(),
+        Err(_) => None,
+    };
+    obs.event(
+        "swap",
+        [
+            ("round", Value::U64(round as u64)),
+            ("version", swapped.map_or(Value::Null, Value::U64)),
+            ("retries", Value::U64(attempt.retries as u64)),
+        ],
+    );
+    let Some(version) = swapped else {
+        // The swap write/reload stayed broken through the retry budget:
+        // serving continues on last-good, desk degraded.
+        g.degraded = true;
+        return Ok(RoundDecision::SwapFailed(g));
+    };
+    if rec.enabled() {
+        // The version-tagged swap span is the trace key that joins a desk
+        // round to the serving model it shipped (and onward to
+        // `serve/req/*` request tracks).
+        rec.span(
+            &format!("desk/round/{round:03}/swap/v{version}"),
+            swap_started.elapsed().as_secs_f64(),
+        );
+    }
+    Ok(RoundDecision::Promoted(g))
+}
+
+/// Books a finished round: promotion or quarantine side effects
+/// (forensic copy, triage manifest, store rejection, counters), the
+/// `desk_round` telemetry record and trace spans, the lineage-ledger
+/// entry, the desk-top status snapshot, the report row, and the rolling
 /// degraded/recovery totals.
 fn finish_round(
     report: &mut DeskReport,
@@ -776,8 +1042,14 @@ fn finish_round(
     info: RoundInfo,
     decision: RoundDecision,
 ) {
+    let served_version = ctx.store.version();
     let (outcome, quarantine, serving_reward, g) = match decision {
-        RoundDecision::Promoted(g) => ("promoted".to_string(), None, g.candidate_reward, g),
+        RoundDecision::Promoted(g) => {
+            report.gate_passed_versions.push(served_version);
+            report.promotions += 1;
+            rec.counter(labels::COUNTER_DESK_PROMOTIONS, 1);
+            ("promoted".to_string(), None, g.candidate_reward, g)
+        }
         RoundDecision::Quarantined { kind, reason, g } => {
             let qpath = ctx.paths.quarantine_dir.join(format!("round-{}-{kind}.ckpt", info.round));
             // Keep the rejected bytes for forensics; a missing candidate
@@ -788,7 +1060,6 @@ fn finish_round(
             rec.counter(labels::COUNTER_SERVE_SWAP_REJECTED, 1);
             rec.counter(labels::COUNTER_DESK_QUARANTINES, 1);
             report.quarantines += 1;
-            *obs.quarantines_by_kind.entry(kind.to_string()).or_insert(0) += 1;
             if rec.enabled() {
                 rec.emit(
                     Record::new("desk_quarantine")
@@ -797,11 +1068,10 @@ fn finish_round(
                         .field("reason", reason.as_str()),
                 );
             }
-            (format!("rejected:{kind}"), Some((kind, reason)), g.incumbent_reward, g)
+            (format!("rejected:{kind}"), Some((kind.to_string(), reason)), g.incumbent_reward, g)
         }
         RoundDecision::SwapFailed(g) => ("swap_failed".to_string(), None, g.incumbent_reward, g),
     };
-    let served_version = ctx.store.version();
     if rec.enabled() {
         rec.span(&format!("desk/round/{:03}/fine_tune", info.round), info.fine_tune_wall_s);
         rec.span(&format!("desk/round/{:03}", info.round), info.started.elapsed().as_secs_f64());
@@ -821,19 +1091,17 @@ fn finish_round(
     }
     obs.event(
         "round/outcome",
-        vec![
-            ("round".to_string(), Value::U64(info.round as u64)),
-            ("outcome".to_string(), Value::Str(outcome.clone())),
-            ("served_version".to_string(), Value::U64(served_version)),
-            ("candidate_reward".to_string(), Value::F64(g.candidate_reward)),
-            ("incumbent_reward".to_string(), Value::F64(g.incumbent_reward)),
-            ("entropy_drift".to_string(), Value::F64(g.entropy_drift)),
+        [
+            ("round", Value::U64(info.round as u64)),
+            ("outcome", Value::Str(outcome.clone())),
+            ("served_version", Value::U64(served_version)),
+            ("candidate_reward", Value::F64(g.candidate_reward)),
+            ("incumbent_reward", Value::F64(g.incumbent_reward)),
+            ("entropy_drift", Value::F64(g.entropy_drift)),
         ],
     );
-    let (kind, reason) = match &quarantine {
-        Some((kind, reason)) => (Some((*kind).to_string()), Some(reason.clone())),
-        None => (None, None),
-    };
+    let quarantined = quarantine.is_some();
+    let (kind, reason) = quarantine.unzip();
     obs.lineage_append(&LineageEntry {
         round: info.round as u64,
         parent_version: info.parent_version,
@@ -846,15 +1114,10 @@ fn finish_round(
         incumbent_reward: g.incumbent_reward,
         entropy_drift: g.entropy_drift,
         drift_bound: ctx.opts.drift_threshold,
-        outcome: match outcome.as_str() {
-            "promoted" => "promoted".to_string(),
-            "swap_failed" => "swap_failed".to_string(),
-            _ => "quarantined".to_string(),
-        },
+        outcome: if quarantined { "quarantined".to_string() } else { outcome.clone() },
         kind,
         reason,
     });
-    obs.margins.push((g.candidate_reward - g.incumbent_reward, g.entropy_drift));
     report.rounds.push(RoundRecord {
         round: info.round,
         revealed: info.revealed,
@@ -871,7 +1134,7 @@ fn finish_round(
     report.degraded = g.degraded;
     report.recoveries += g.recoveries;
     obs.write_status(report, served_version, false);
-    if quarantine.is_some() || g.recoveries > 0 {
+    if quarantined || g.recoveries > 0 {
         // A faulted round is a dump trigger: flush the evidence while
         // it is fresh (a later hard crash must not cost us this round).
         obs.dump();
@@ -894,7 +1157,6 @@ pub fn run_desk(mut opts: DeskOptions, rec: &mut dyn Recorder) -> Result<DeskRep
     };
     std::fs::create_dir_all(&paths.quarantine_dir)
         .map_err(|e| format!("create {}: {e}", paths.quarantine_dir.display()))?;
-    let serving_str = paths.serving.to_string_lossy().into_owned();
     let mut faults = std::mem::take(&mut opts.faults);
     let mut obs = Observatory::new(&opts);
     if let Some((flight, path)) = &obs.flight {
@@ -919,7 +1181,7 @@ pub fn run_desk(mut opts: DeskOptions, rec: &mut dyn Recorder) -> Result<DeskRep
 
     // Warmup: train the first incumbent on the initial window and open
     // the store on it (version 1).
-    let mut feed = Feed::open(&opts)?;
+    let mut feed = Feed::open(opts.csv.as_deref(), opts.feed_periods(), opts.seed);
     let data = feed
         .advance_to(opts.warmup, 0, &opts, &mut report.feed_stalls, rec)?
         .ok_or_else(|| format!("feed never delivered the {}-period warmup window", opts.warmup))?;
@@ -938,15 +1200,15 @@ pub fn run_desk(mut opts: DeskOptions, rec: &mut dyn Recorder) -> Result<DeskRep
     checkpoint::save_sdp(&incumbent, &paths.serving)
         .map_err(|e| format!("write {}: {e}", paths.serving.display()))?;
     let loader = CheckpointBackendLoader::new(opts.config.clone(), num_assets, opts.backend);
-    let store = ModelStore::open(Box::new(loader), &serving_str)?;
+    let store = ModelStore::open(Box::new(loader), &paths.serving.to_string_lossy())?;
     obs.event(
         "warmup",
-        vec![
-            ("revealed".to_string(), Value::U64(data.num_periods() as u64)),
-            ("version".to_string(), Value::U64(store.version())),
+        [
+            ("revealed", Value::U64(data.num_periods() as u64)),
+            ("version", Value::U64(store.version())),
         ],
     );
-    let ctx = DeskCtx { store: &store, paths: &paths, opts: &opts };
+    let ctx = DeskCtx { store: &store, paths: &paths, opts: &opts, trainer: &trainer, num_assets };
 
     for round in 0..opts.rounds {
         let round_started = Instant::now();
@@ -973,6 +1235,8 @@ pub fn run_desk(mut opts: DeskOptions, rec: &mut dyn Recorder) -> Result<DeskRep
         let Some(data) =
             feed.advance_to(target, injected_stalls, &opts, &mut report.feed_stalls, rec)?
         else {
+            // A stalled round never reached the gate: it books a report
+            // row and the status file, but no lineage entry or margin.
             report.rounds.push(RoundRecord {
                 round,
                 revealed: 0,
@@ -991,10 +1255,7 @@ pub fn run_desk(mut opts: DeskOptions, rec: &mut dyn Recorder) -> Result<DeskRep
             report.degraded = true;
             obs.event(
                 "feed/stalled",
-                vec![
-                    ("round".to_string(), Value::U64(round as u64)),
-                    ("target".to_string(), Value::U64(target as u64)),
-                ],
+                [("round", Value::U64(round as u64)), ("target", Value::U64(target as u64))],
             );
             obs.write_status(&report, store.version(), false);
             obs.dump();
@@ -1003,344 +1264,66 @@ pub fn run_desk(mut opts: DeskOptions, rec: &mut dyn Recorder) -> Result<DeskRep
         let revealed = data.num_periods();
         obs.event(
             "feed",
-            vec![
-                ("round".to_string(), Value::U64(round as u64)),
-                ("revealed".to_string(), Value::U64(revealed as u64)),
-                ("stalls".to_string(), Value::U64(u64::from(injected_stalls))),
+            [
+                ("round", Value::U64(round as u64)),
+                ("revealed", Value::U64(revealed as u64)),
+                ("stalls", Value::U64(u64::from(injected_stalls))),
             ],
         );
         if scheduled.contains(&PipelineFaultKind::Crash) {
             // A scripted hard crash: flush what we have (belt) and let
             // the chained panic hook append the panic event (suspenders).
-            obs.event("fault/crash", vec![("round".to_string(), Value::U64(round as u64))]);
+            obs.event("fault/crash", [("round", Value::U64(round as u64))]);
             obs.dump();
             panic!("injected crash fault (round {round})");
         }
         let from = if opts.window > 0 { revealed.saturating_sub(opts.window) } else { 0 };
         let window = data.slice(from, revealed);
-        let (fit, mut val, val_from) = fit_val_split(&window, opts.val_fraction, min_period);
+        let (fit, val, val_from) = fit_val_split(&window, opts.val_fraction, min_period);
 
-        // 2. Train the candidate under the epoch guard. A scheduled NaN
-        // epoch is recovered inside `train_sdp_guarded` (bit-exact
-        // rollback + replay); a scheduled panic loses the whole attempt,
-        // so the desk discards it and retrains from the incumbent —
-        // training is deterministic, so the retry converges on the
-        // fault-free result.
+        // 2. Fine-tune the candidate from the incumbent.
         let fine_tune_started = Instant::now();
-        let nan_scheduled = scheduled.contains(&PipelineFaultKind::TrainerNan);
-        let panics = scheduled.iter().filter(|k| **k == PipelineFaultKind::TrainerPanic).count();
-        for _ in 0..panics {
-            let mut scratch = incumbent.clone();
-            let mut topts = ResilienceOptions { guard: opts.guard, ..Default::default() };
-            let _ = train_sdp_guarded(&trainer, &mut scratch, &fit, &mut topts, rec);
-            drop(scratch); // the panicked worker's half-finished state
-            recoveries += 1;
-            rec.counter(labels::COUNTER_DESK_RECOVERIES, 1);
-            if rec.enabled() {
-                rec.emit(
-                    Record::new("desk_fault")
-                        .field("round", round as u64)
-                        .field("fault", "trainer_panic")
-                        .field("action", "retrain"),
-                );
-            }
-        }
-        let train_plan = if nan_scheduled {
-            FaultPlan::new(opts.seed ^ round as u64).grad_fault_at(0, GradFault::NaN)
-        } else {
-            FaultPlan::default()
-        };
-        let mut candidate = incumbent.clone();
-        let mut topts =
-            ResilienceOptions { guard: opts.guard, faults: train_plan, ..Default::default() };
-        let outcome = train_sdp_guarded(&trainer, &mut candidate, &fit, &mut topts, rec);
-        recoveries += outcome.recoveries;
-        if outcome.recoveries > 0 {
-            rec.counter(labels::COUNTER_DESK_RECOVERIES, outcome.recoveries);
-        }
+        let (candidate, aborted, absorbed) =
+            fine_tune(&ctx, &incumbent, &fit, round, &scheduled, rec);
+        recoveries += absorbed;
         let fine_tune_wall_s = fine_tune_started.elapsed().as_secs_f64();
         obs.event(
             "fine_tune",
-            vec![
-                ("round".to_string(), Value::U64(round as u64)),
-                ("parent_version".to_string(), Value::U64(parent_version)),
-                ("recoveries".to_string(), Value::U64(recoveries)),
-                ("aborted".to_string(), Value::Bool(outcome.aborted)),
+            [
+                ("round", Value::U64(round as u64)),
+                ("parent_version", Value::U64(parent_version)),
+                ("recoveries", Value::U64(recoveries)),
+                ("aborted", Value::Bool(aborted)),
             ],
         );
 
-        // 3. Validation data: a poisoned slice is detected by the
-        // finiteness scan and rebuilt from the pristine window before
-        // any reward is computed, so fault and fault-free runs evaluate
-        // identical slices.
-        if scheduled.contains(&PipelineFaultKind::ValData) {
-            let p = val.num_periods() / 2;
-            let c = val.candle(p, 0);
-            val.set_candle_unchecked(
-                p,
-                0,
-                Candle {
-                    open: f64::NAN,
-                    high: f64::NAN,
-                    low: f64::NAN,
-                    close: f64::NAN,
-                    volume: c.volume,
-                },
-            );
-        }
-        if !market_is_finite(&val) {
-            val = window.slice(val_from, window.num_periods());
-            recoveries += 1;
-            rec.counter(labels::COUNTER_DESK_RECOVERIES, 1);
+        // 3. Gate the candidate and swap it in if it passes.
+        let trial = Trial {
+            round,
+            scheduled: &scheduled,
+            window: &window,
+            val,
+            val_from,
+            candidate: &candidate,
+            aborted,
+            recoveries,
+        };
+        let decision = run_gate(&ctx, trial, &incumbent, &mut faults, &obs, rec)?;
+        if matches!(decision, RoundDecision::Promoted(_)) {
+            incumbent = candidate;
         }
 
+        // 4. Book the round.
         let info = RoundInfo {
             round,
             revealed,
             faults: fault_labels,
             parent_version,
             window_from: from,
-            num_assets,
             fine_tune_wall_s,
             started: round_started,
         };
-        if !market_is_finite(&val) {
-            // Even the pristine window is unevaluable: refuse to gate on
-            // garbage, keep serving last-good.
-            let g = GateNumbers {
-                candidate_reward: f64::NAN,
-                incumbent_reward: f64::NAN,
-                entropy_drift: 0.0,
-                recoveries,
-                degraded: true,
-                integrity: None,
-                reward_evaluated: false,
-                drift_evaluated: false,
-            };
-            let reason = "validation slice non-finite even after rebuild".to_string();
-            let decision = RoundDecision::Quarantined { kind: "validation", reason, g };
-            finish_round(&mut report, rec, &mut obs, &ctx, info, decision);
-            continue;
-        }
-        let incumbent_reward = out_of_sample_reward(&trainer, &incumbent, &val);
-        if outcome.aborted {
-            let g = GateNumbers {
-                candidate_reward: f64::NAN,
-                incumbent_reward,
-                entropy_drift: 0.0,
-                recoveries,
-                degraded: true,
-                integrity: None,
-                reward_evaluated: false,
-                drift_evaluated: false,
-            };
-            let reason =
-                "trainer aborted: epoch stayed unhealthy through the retry budget".to_string();
-            let decision = RoundDecision::Quarantined { kind: "integrity", reason, g };
-            finish_round(&mut report, rec, &mut obs, &ctx, info, decision);
-            continue;
-        }
-        let candidate_reward = out_of_sample_reward(&trainer, &candidate, &val);
-
-        // 4. Gate stage 1 — integrity. Persist the candidate and prove
-        // the on-disk bytes round-trip. A corrupted file is healed from
-        // the in-memory candidate and re-probed once; corruption that
-        // persists through the heal quarantines the candidate.
-        if let Err(e) = checkpoint::save_sdp(&candidate, &paths.candidate) {
-            let g = GateNumbers {
-                candidate_reward,
-                incumbent_reward,
-                entropy_drift: 0.0,
-                recoveries,
-                degraded: true,
-                integrity: Some(false),
-                reward_evaluated: true,
-                drift_evaluated: false,
-            };
-            let reason = format!("candidate write failed: {e}");
-            let decision = RoundDecision::Quarantined { kind: "integrity", reason, g };
-            finish_round(&mut report, rec, &mut obs, &ctx, info, decision);
-            continue;
-        }
-        let mut corruptions =
-            scheduled.iter().filter(|k| **k == PipelineFaultKind::CorruptCandidate).count();
-        if corruptions > 0 {
-            corrupt_file(&paths.candidate, &mut faults)?;
-            corruptions -= 1;
-        }
-        let mut integrity_ok = probe_checkpoint(&opts, num_assets, &paths.candidate);
-        if !integrity_ok {
-            rec.counter(labels::COUNTER_RESILIENCE_CORRUPTIONS, 1);
-            let healed = checkpoint::heal_sdp(&candidate, &paths.candidate)
-                .map_err(|e| format!("heal {}: {e}", paths.candidate.display()))?;
-            if healed {
-                recoveries += 1;
-                rec.counter(labels::COUNTER_DESK_RECOVERIES, 1);
-            }
-            if corruptions > 0 {
-                // A persistent corruptor (e.g. bad disk) re-rots the file.
-                corrupt_file(&paths.candidate, &mut faults)?;
-            }
-            integrity_ok = probe_checkpoint(&opts, num_assets, &paths.candidate);
-        }
-        obs.event(
-            "gate/integrity",
-            vec![
-                ("round".to_string(), Value::U64(round as u64)),
-                ("ok".to_string(), Value::Bool(integrity_ok)),
-            ],
-        );
-        if !integrity_ok {
-            let g = GateNumbers {
-                candidate_reward,
-                incumbent_reward,
-                entropy_drift: 0.0,
-                recoveries,
-                degraded: true,
-                integrity: Some(false),
-                reward_evaluated: true,
-                drift_evaluated: false,
-            };
-            let reason =
-                "candidate checkpoint failed its integrity probe even after healing".to_string();
-            let decision = RoundDecision::Quarantined { kind: "integrity", reason, g };
-            finish_round(&mut report, rec, &mut obs, &ctx, info, decision);
-            continue;
-        }
-
-        // 5. Gate stage 2 — reward floor: never swap in a model that is
-        // out-of-sample worse than what is serving.
-        obs.event(
-            "gate/reward",
-            vec![
-                ("round".to_string(), Value::U64(round as u64)),
-                ("candidate".to_string(), Value::F64(candidate_reward)),
-                ("incumbent".to_string(), Value::F64(incumbent_reward)),
-            ],
-        );
-        if !candidate_reward.is_finite() || candidate_reward < incumbent_reward {
-            let g = GateNumbers {
-                candidate_reward,
-                incumbent_reward,
-                entropy_drift: 0.0,
-                recoveries,
-                degraded: false,
-                integrity: Some(true),
-                reward_evaluated: true,
-                drift_evaluated: false,
-            };
-            let reason = format!(
-                "candidate reward {candidate_reward:.6} below incumbent \
-                 {incumbent_reward:.6} on the held-out slice"
-            );
-            let decision = RoundDecision::Quarantined { kind: "validation", reason, g };
-            finish_round(&mut report, rec, &mut obs, &ctx, info, decision);
-            continue;
-        }
-
-        // 6. Gate stage 3 — drift bound on the entropy baseline probe.
-        let inc_entropy = policy_entropy(&incumbent);
-        let cand_entropy = policy_entropy(&candidate);
-        let entropy_drift = (cand_entropy - inc_entropy).abs() / inc_entropy.abs().max(1e-6);
-        obs.event(
-            "gate/drift",
-            vec![
-                ("round".to_string(), Value::U64(round as u64)),
-                ("drift".to_string(), Value::F64(entropy_drift)),
-                ("bound".to_string(), Value::F64(opts.drift_threshold)),
-            ],
-        );
-        if !entropy_drift.is_finite() || entropy_drift > opts.drift_threshold {
-            let g = GateNumbers {
-                candidate_reward,
-                incumbent_reward,
-                entropy_drift,
-                recoveries,
-                degraded: false,
-                integrity: Some(true),
-                reward_evaluated: true,
-                drift_evaluated: true,
-            };
-            let reason =
-                format!("entropy drift {entropy_drift:.4} over bound {:.4}", opts.drift_threshold);
-            let decision = RoundDecision::Quarantined { kind: "drift", reason, g };
-            finish_round(&mut report, rec, &mut obs, &ctx, info, decision);
-            continue;
-        }
-
-        // 7. Swap: republish the gate-passed bytes at the serving path
-        // (atomic write, bounded retry; scheduled SwapIo faults fail the
-        // first attempts) and hot-swap the store.
-        if scheduled.contains(&PipelineFaultKind::SwapIo) {
-            faults = faults.fail_writes(DESK_SWAP_IO_LABEL, 2);
-        }
-        let bytes = std::fs::read(&paths.candidate)
-            .map_err(|e| format!("read {}: {e}", paths.candidate.display()))?;
-        let attempt = retry_io(opts.guard.io_retries, opts.guard.backoff_base_ms, || {
-            atomic_write_faulted(&paths.serving, &bytes, DESK_SWAP_IO_LABEL, Some(&mut faults))
-        });
-        if attempt.retries > 0 {
-            recoveries += attempt.retries as u64;
-            rec.counter(labels::COUNTER_RESILIENCE_IO_RETRIES, attempt.retries as u64);
-            rec.counter(labels::COUNTER_DESK_RECOVERIES, attempt.retries as u64);
-        }
-        // A reload error keeps last-good; the store counted the failure.
-        let swap_started = Instant::now();
-        let swapped = match attempt.result {
-            Ok(()) => store.reload(&serving_str).ok(),
-            Err(_) => None,
-        };
-        obs.event(
-            "swap",
-            vec![
-                ("round".to_string(), Value::U64(round as u64)),
-                ("version".to_string(), swapped.map_or(Value::Null, Value::U64)),
-                ("retries".to_string(), Value::U64(attempt.retries as u64)),
-            ],
-        );
-        match swapped {
-            Some(version) => {
-                incumbent = candidate;
-                report.gate_passed_versions.push(version);
-                report.promotions += 1;
-                rec.counter(labels::COUNTER_DESK_PROMOTIONS, 1);
-                if rec.enabled() {
-                    // The version-tagged swap span is the trace key that
-                    // joins a desk round to the serving model it shipped
-                    // (and onward to `serve/req/*` request tracks).
-                    rec.span(
-                        &format!("desk/round/{round:03}/swap/v{version}"),
-                        swap_started.elapsed().as_secs_f64(),
-                    );
-                }
-                let g = GateNumbers {
-                    candidate_reward,
-                    incumbent_reward,
-                    entropy_drift,
-                    recoveries,
-                    degraded: false,
-                    integrity: Some(true),
-                    reward_evaluated: true,
-                    drift_evaluated: true,
-                };
-                finish_round(&mut report, rec, &mut obs, &ctx, info, RoundDecision::Promoted(g));
-            }
-            None => {
-                // The swap write/reload stayed broken through the retry
-                // budget: serving continues on last-good, desk degraded.
-                let g = GateNumbers {
-                    candidate_reward,
-                    incumbent_reward,
-                    entropy_drift,
-                    recoveries,
-                    degraded: true,
-                    integrity: Some(true),
-                    reward_evaluated: true,
-                    drift_evaluated: true,
-                };
-                finish_round(&mut report, rec, &mut obs, &ctx, info, RoundDecision::SwapFailed(g));
-            }
-        }
+        finish_round(&mut report, rec, &mut obs, &ctx, info, decision);
     }
 
     // Serving evidence: drive one deterministic probe batch through the
@@ -1349,7 +1332,7 @@ pub fn run_desk(mut opts: DeskOptions, rec: &mut dyn Recorder) -> Result<DeskRep
     let _ = probe_baseline(model.backend.as_ref(), &HealthConfig::default(), model.version);
     report.final_version = model.version;
     report.final_weights_crc = weights_crc(&incumbent);
-    obs.event("serve/probe", vec![("version".to_string(), Value::U64(model.version))]);
+    obs.event("serve/probe", [("version", Value::U64(model.version))]);
     obs.write_status(&report, model.version, true);
     obs.dump();
     Ok(report)
