@@ -18,14 +18,15 @@
 
 use std::path::{Path, PathBuf};
 
-use spikefolio_market::experiments::ExperimentPreset;
-use spikefolio_market::{CsvTail, Date, MarketData};
+use spikefolio_market::MarketData;
 use spikefolio_telemetry::value::{parse, Value};
 
 use crate::agent::SdpAgent;
 use crate::checkpoint;
 use crate::config::SdpConfig;
-use crate::desk::{fit_val_split, out_of_sample_reward, policy_entropy, TRIAGE_MANIFEST_SCHEMA};
+use crate::desk::{
+    fit_val_split, out_of_sample_reward, policy_entropy, Feed, TRIAGE_MANIFEST_SCHEMA,
+};
 use crate::training::Trainer;
 
 /// Configuration of one triage replay.
@@ -272,24 +273,31 @@ fn find_manifest(dir: &Path, round: Option<u64>) -> Result<(PathBuf, Value), Str
     }
 }
 
-/// Rebuilds the feed exactly as the desk saw it at quarantine time: the
-/// seeded generator regenerated from the manifest's geometry, or the CSV
-/// feed re-read and cut back to the recorded reveal point.
+/// Rebuilds the feed exactly as the desk saw it at quarantine time,
+/// through the desk's own [`Feed::open`]: the seeded generator
+/// regenerated from the manifest's geometry, or the CSV feed re-read and
+/// cut back to the recorded reveal point.
 fn rebuild_feed(manifest: &Value, revealed: usize) -> Result<MarketData, String> {
-    let data = match manifest.get("csv") {
-        Some(Value::Str(path)) => {
-            let mut tail = CsvTail::new(Path::new(path), Date::new(2016, 1, 1), 2);
+    let seed = req_u64(manifest, "seed")?;
+    let feed_periods = req_u64(manifest, "feed_periods")? as usize;
+    let csv = match manifest.get("csv") {
+        Some(Value::Str(path)) => Some(path.as_str()),
+        _ => None,
+    };
+    // A generator desk reveals at most the periods it asked for; a CSV
+    // file may hold more than that from the first poll on.
+    if csv.is_none() && revealed > feed_periods {
+        return Err(format!(
+            "manifest revealed {revealed} exceeds its generator's feed_periods {feed_periods}"
+        ));
+    }
+    let data = match Feed::open(csv.map(Path::new), feed_periods, seed) {
+        Feed::Generator { market } => market,
+        Feed::Csv { mut tail, .. } => {
+            let path = csv.unwrap_or_default();
             tail.poll()
                 .map_err(|e| format!("csv feed {path}: {e}"))?
                 .ok_or_else(|| format!("csv feed {path} holds no complete periods"))?
-        }
-        _ => {
-            let seed = req_u64(manifest, "seed")?;
-            let feed_periods = req_u64(manifest, "feed_periods")? as usize;
-            // Mirror the desk's generator geometry: 2 periods per day,
-            // over-generated by a day so the last round never runs dry.
-            let days = (feed_periods / 2 + 2) as i64;
-            ExperimentPreset::experiment1().shrunk(days, 0).generate(seed)
         }
     };
     if data.num_periods() < revealed {
@@ -306,10 +314,13 @@ fn rebuild_feed(manifest: &Value, revealed: usize) -> Result<MarketData, String>
 ///
 /// # Errors
 ///
-/// Missing/corrupt manifest, a feed that can no longer be rebuilt, or an
-/// incumbent snapshot that fails to load (the incumbent was serving, so
-/// its snapshot must be intact — a corrupt one is an environment error,
-/// not a replayable outcome).
+/// Missing/corrupt manifest, manifest geometry the desk never writes (a
+/// window starting past the reveal point, a validation fraction outside
+/// (0, 1), an asset count the rebuilt feed does not have, or a
+/// validation slice too short to backtest), a feed that can no longer
+/// be rebuilt, or an incumbent snapshot that fails to load (the
+/// incumbent was serving, so its snapshot must be intact — a corrupt
+/// one is an environment error, not a replayable outcome).
 pub fn run_triage(opts: &TriageOptions) -> Result<TriageReport, String> {
     let (manifest_path, manifest) = find_manifest(&opts.dir, opts.round)?;
     let round = req_u64(&manifest, "round")?;
@@ -317,6 +328,12 @@ pub fn run_triage(opts: &TriageOptions) -> Result<TriageReport, String> {
     let window_from = req_u64(&manifest, "window_from")? as usize;
     let num_assets = req_u64(&manifest, "num_assets")? as usize;
     let val_fraction = req_f64(&manifest, "val_fraction")?;
+    if window_from > revealed {
+        return Err(format!("manifest window_from {window_from} lies past revealed {revealed}"));
+    }
+    if val_fraction.is_nan() || val_fraction <= 0.0 || val_fraction >= 1.0 {
+        return Err(format!("manifest val_fraction {val_fraction} lies outside (0, 1)"));
+    }
     let integrity_recorded = match manifest.get("integrity") {
         Some(Value::Str(s)) => Some(s == "pass"),
         _ => None,
@@ -329,12 +346,26 @@ pub fn run_triage(opts: &TriageOptions) -> Result<TriageReport, String> {
 
     // Rebuild the validation slice the gate judged on.
     let data = rebuild_feed(&manifest, revealed)?;
+    if num_assets != data.num_assets() {
+        return Err(format!(
+            "manifest num_assets {num_assets} does not match the rebuilt feed's {}",
+            data.num_assets()
+        ));
+    }
     let window = data.slice(window_from, revealed);
     let mut incumbent = SdpAgent::new(&opts.config, num_assets, 0);
     checkpoint::load_sdp(&mut incumbent, &incumbent_path)
         .map_err(|e| format!("incumbent snapshot {}: {e}", incumbent_path.display()))?;
     let min_period = incumbent.state_builder().min_period();
     let (_, val, _) = fit_val_split(&window, val_fraction, min_period);
+    // The backtest needs a full state window plus one trade.
+    if val.num_periods() < min_period + 2 {
+        return Err(format!(
+            "validation slice of {} periods is too short to backtest (needs {})",
+            val.num_periods(),
+            min_period + 2
+        ));
+    }
 
     // Integrity replay: the same full-validation load the desk probe ran.
     let mut candidate = SdpAgent::new(&opts.config, num_assets, 0);

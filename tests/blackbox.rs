@@ -12,6 +12,7 @@
 
 use spikefolio::{
     render_ancestry, render_desk_top, run_desk, run_triage, DeskOptions, TriageOptions,
+    TriageReport,
 };
 use spikefolio_blackbox::read_ledger;
 use spikefolio_resilience::FaultPlan;
@@ -124,6 +125,68 @@ fn triage_reproduces_an_integrity_quarantine_as_a_failing_load() {
     assert_eq!(t.candidate_reward.bitwise_match(), None, "{t:?}");
     assert_eq!(t.incumbent_reward.bitwise_match(), Some(true), "{t:?}");
     assert!(t.reproduced(), "{t:?}");
+}
+
+/// Runs a one-round desk whose zero drift bound quarantines round 0,
+/// sets one field of the real triage manifest it wrote to `value`, and
+/// triages that round.
+fn triage_edited_manifest(name: &str, key: &str, value: Value) -> Result<TriageReport, String> {
+    let mut opts = fast_opts(name);
+    opts.rounds = 1;
+    opts.drift_threshold = 0.0;
+    let dir = opts.dir.clone();
+    let config = opts.config.clone();
+    let report = run_desk(opts, &mut NoopRecorder).expect("desk completes");
+    assert_eq!(report.rounds[0].outcome, "rejected:drift", "{report:?}");
+    let path = dir.join("quarantine").join("round-0-drift.json");
+    let raw = std::fs::read_to_string(&path).expect("manifest written");
+    let Value::Map(mut fields) = parse(raw.trim()).expect("manifest parses") else {
+        panic!("manifest is not a map: {raw}");
+    };
+    fields.iter_mut().find(|(k, _)| k == key).expect("manifest field").1 = value;
+    std::fs::write(&path, Value::Map(fields).to_json()).unwrap();
+    let result = run_triage(&TriageOptions { config, dir: dir.clone(), round: Some(0) });
+    let _ = std::fs::remove_dir_all(&dir);
+    result
+}
+
+#[test]
+fn triage_rejects_a_window_starting_past_the_reveal() {
+    let err = triage_edited_manifest("hostile-window-from", "window_from", Value::U64(999))
+        .expect_err("window_from past revealed");
+    assert!(err.contains("window_from"), "{err}");
+}
+
+#[test]
+fn triage_rejects_a_validation_fraction_outside_the_unit_interval() {
+    for (i, bad) in [-1.0, 0.0, 1.0, f64::NAN].into_iter().enumerate() {
+        let name = format!("hostile-val-fraction-{i}");
+        let err = triage_edited_manifest(&name, "val_fraction", Value::F64(bad))
+            .expect_err("val_fraction outside (0, 1)");
+        assert!(err.contains("val_fraction"), "{bad}: {err}");
+    }
+}
+
+#[test]
+fn triage_rejects_a_validation_slice_too_short_to_backtest() {
+    let err = triage_edited_manifest("hostile-revealed", "revealed", Value::U64(1))
+        .expect_err("one revealed period");
+    assert!(err.contains("validation slice"), "{err}");
+}
+
+#[test]
+fn triage_rejects_a_reveal_past_the_generated_feed() {
+    // The one-round smoke desk asks its generator for 46 periods.
+    let err = triage_edited_manifest("hostile-feed-periods", "revealed", Value::U64(47))
+        .expect_err("revealed past feed_periods");
+    assert!(err.contains("feed_periods"), "{err}");
+}
+
+#[test]
+fn triage_rejects_an_asset_count_the_feed_does_not_have() {
+    let err = triage_edited_manifest("hostile-num-assets", "num_assets", Value::U64(3))
+        .expect_err("3 assets against an 11-asset feed");
+    assert!(err.contains("num_assets"), "{err}");
 }
 
 #[test]
