@@ -8,7 +8,7 @@
 //! `w_{t−1}` is appended, giving the policy awareness of transaction costs.
 
 use serde::{Deserialize, Serialize};
-use spikefolio_market::MarketData;
+use spikefolio_market::{Candle, MarketData};
 
 /// Configuration of the state feature layout.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -116,24 +116,7 @@ impl StateBuilder {
     ) {
         assert!(t >= self.min_period(), "period {t} has no full window");
         assert!(t < data.num_periods(), "period {t} out of range");
-        let n = data.num_assets();
-        state.clear();
-        for a in 0..n {
-            let latest_close = data.close(t, a);
-            for k in 0..self.config.window {
-                let c = data.candle(t - k, a);
-                state.push(c.close / latest_close);
-                state.push(c.high / latest_close);
-                state.push(c.low / latest_close);
-                if self.config.include_open {
-                    state.push(c.open / latest_close);
-                }
-            }
-        }
-        if self.config.include_weights {
-            assert_eq!(prev_weights.len(), n + 1, "prev_weights must have length num_assets + 1");
-            state.extend_from_slice(prev_weights);
-        }
+        self.fill(data.num_assets(), |k, a| data.candle(t - k, a), prev_weights, state);
     }
 
     /// Builds the state vector from a raw OHLC window instead of a full
@@ -151,7 +134,7 @@ impl StateBuilder {
     /// `prev_weights.len() != num_assets + 1` when weights are included.
     pub fn build_from_window(
         &self,
-        candles: &[spikefolio_market::Candle],
+        candles: &[Candle],
         num_assets: usize,
         prev_weights: &[f64],
     ) -> Result<Vec<f64>, String> {
@@ -177,10 +160,27 @@ impl StateBuilder {
         }
         let last = self.config.window - 1;
         let mut state = Vec::with_capacity(self.state_dim(num_assets));
-        for a in 0..num_assets {
-            let latest_close = candles[last * num_assets + a].close;
+        let candle = |k, a| candles[(last - k) * num_assets + a];
+        self.fill(num_assets, candle, prev_weights, &mut state);
+        Ok(state)
+    }
+
+    /// The one state formula behind both builders: clears `state`, then
+    /// for each of the `n` assets `a` and lag `k < window` pushes the
+    /// close, high, low (and open) of `candle(k, a)` normalized by
+    /// `candle(0, a)`'s close, then appends `prev_weights` if included.
+    fn fill(
+        &self,
+        n: usize,
+        candle: impl Fn(usize, usize) -> Candle,
+        prev_weights: &[f64],
+        state: &mut Vec<f64>,
+    ) {
+        state.clear();
+        for a in 0..n {
+            let latest_close = candle(0, a).close;
             for k in 0..self.config.window {
-                let c = &candles[(last - k) * num_assets + a];
+                let c = candle(k, a);
                 state.push(c.close / latest_close);
                 state.push(c.high / latest_close);
                 state.push(c.low / latest_close);
@@ -190,9 +190,9 @@ impl StateBuilder {
             }
         }
         if self.config.include_weights {
+            assert_eq!(prev_weights.len(), n + 1, "prev_weights must have length num_assets + 1");
             state.extend_from_slice(prev_weights);
         }
-        Ok(state)
     }
 }
 
