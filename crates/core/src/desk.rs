@@ -220,40 +220,37 @@ impl DeskReport {
             .rounds
             .iter()
             .map(|r| {
-                Value::Map(vec![
-                    ("round".to_string(), Value::U64(r.round as u64)),
-                    ("revealed".to_string(), Value::U64(r.revealed as u64)),
-                    ("outcome".to_string(), Value::Str(r.outcome.clone())),
-                    (
-                        "faults".to_string(),
-                        Value::List(r.faults.iter().cloned().map(Value::Str).collect()),
-                    ),
-                    ("candidate_reward".to_string(), Value::F64(r.candidate_reward)),
-                    ("incumbent_reward".to_string(), Value::F64(r.incumbent_reward)),
-                    ("serving_reward".to_string(), Value::F64(r.serving_reward)),
-                    ("served_version".to_string(), Value::U64(r.served_version)),
-                    ("entropy_drift".to_string(), Value::F64(r.entropy_drift)),
-                    ("recoveries".to_string(), Value::U64(r.recoveries)),
-                    ("degraded".to_string(), Value::Bool(r.degraded)),
+                map([
+                    ("round", Value::U64(r.round as u64)),
+                    ("revealed", Value::U64(r.revealed as u64)),
+                    ("outcome", Value::Str(r.outcome.clone())),
+                    ("faults", Value::List(r.faults.iter().cloned().map(Value::Str).collect())),
+                    ("candidate_reward", Value::F64(r.candidate_reward)),
+                    ("incumbent_reward", Value::F64(r.incumbent_reward)),
+                    ("serving_reward", Value::F64(r.serving_reward)),
+                    ("served_version", Value::U64(r.served_version)),
+                    ("entropy_drift", Value::F64(r.entropy_drift)),
+                    ("recoveries", Value::U64(r.recoveries)),
+                    ("degraded", Value::Bool(r.degraded)),
                 ])
             })
             .collect();
-        Value::Map(vec![
-            ("schema".to_string(), Value::Str("spikefolio.desk.v1".to_string())),
-            ("seed".to_string(), Value::U64(self.seed)),
-            ("promotions".to_string(), Value::U64(self.promotions)),
-            ("quarantines".to_string(), Value::U64(self.quarantines)),
-            ("recoveries".to_string(), Value::U64(self.recoveries)),
-            ("feed_stalls".to_string(), Value::U64(self.feed_stalls)),
-            ("final_version".to_string(), Value::U64(self.final_version)),
-            ("final_weights_crc".to_string(), Value::U64(self.final_weights_crc as u64)),
+        map([
+            ("schema", Value::Str("spikefolio.desk.v1".to_string())),
+            ("seed", Value::U64(self.seed)),
+            ("promotions", Value::U64(self.promotions)),
+            ("quarantines", Value::U64(self.quarantines)),
+            ("recoveries", Value::U64(self.recoveries)),
+            ("feed_stalls", Value::U64(self.feed_stalls)),
+            ("final_version", Value::U64(self.final_version)),
+            ("final_weights_crc", Value::U64(self.final_weights_crc as u64)),
             (
-                "gate_passed_versions".to_string(),
+                "gate_passed_versions",
                 Value::List(self.gate_passed_versions.iter().map(|&v| Value::U64(v)).collect()),
             ),
-            ("degraded".to_string(), Value::Bool(self.degraded)),
-            ("ended_early".to_string(), Value::Bool(self.ended_early)),
-            ("rounds".to_string(), Value::List(rounds)),
+            ("degraded", Value::Bool(self.degraded)),
+            ("ended_early", Value::Bool(self.ended_early)),
+            ("rounds", Value::List(rounds)),
         ])
     }
 
@@ -308,6 +305,16 @@ impl DeskReport {
         );
         out
     }
+}
+
+/// `fields` with owned keys, in order.
+fn owned_keys<const N: usize>(fields: [(&str, Value); N]) -> Vec<(String, Value)> {
+    fields.into_iter().map(|(k, v)| (k.to_string(), v)).collect()
+}
+
+/// A [`Value::Map`] of `fields`, in order.
+pub(crate) fn map<const N: usize>(fields: [(&str, Value); N]) -> Value {
+    Value::Map(owned_keys(fields))
 }
 
 /// Where new periods come from.
@@ -581,7 +588,7 @@ impl Observatory {
     /// unarmed).
     fn event<const N: usize>(&self, stage: &str, fields: [(&str, Value); N]) {
         if let Some((flight, _)) = &self.flight {
-            flight.record(stage, fields.into_iter().map(|(k, v)| (k.to_string(), v)).collect());
+            flight.record(stage, owned_keys(fields));
         }
     }
 
@@ -625,39 +632,27 @@ impl Observatory {
                 ])
             })
             .collect();
-        let v = Value::Map(vec![
-            ("schema".to_string(), Value::Str(DESK_STATUS_SCHEMA.to_string())),
-            ("seq".to_string(), Value::U64(self.status_seq)),
-            ("seed".to_string(), Value::U64(self.seed)),
-            ("rounds_total".to_string(), Value::U64(self.rounds_total as u64)),
-            ("rounds_done".to_string(), Value::U64(report.rounds.len() as u64)),
-            ("done".to_string(), Value::Bool(done)),
-            ("served_version".to_string(), Value::U64(served_version)),
-            ("promotions".to_string(), Value::U64(report.promotions)),
-            ("quarantines".to_string(), Value::U64(report.quarantines)),
-            ("quarantines_by_kind".to_string(), Value::Map(by_kind)),
-            ("recoveries".to_string(), Value::U64(report.recoveries)),
-            ("feed_stalls".to_string(), Value::U64(report.feed_stalls)),
-            ("degraded".to_string(), Value::Bool(report.degraded)),
-            ("last_round".to_string(), last.map_or(Value::Null, |r| Value::U64(r.round as u64))),
-            (
-                "last_outcome".to_string(),
-                last.map_or(Value::Null, |r| Value::Str(r.outcome.clone())),
-            ),
-            (
-                "last_revealed".to_string(),
-                last.map_or(Value::Null, |r| Value::U64(r.revealed as u64)),
-            ),
-            (
-                "last_candidate_reward".to_string(),
-                last.map_or(Value::Null, |r| Value::F64(r.candidate_reward)),
-            ),
-            (
-                "last_incumbent_reward".to_string(),
-                last.map_or(Value::Null, |r| Value::F64(r.incumbent_reward)),
-            ),
-            ("last_drift".to_string(), last.map_or(Value::Null, |r| Value::F64(r.entropy_drift))),
-            ("margins".to_string(), Value::List(margins)),
+        let v = map([
+            ("schema", Value::Str(DESK_STATUS_SCHEMA.to_string())),
+            ("seq", Value::U64(self.status_seq)),
+            ("seed", Value::U64(self.seed)),
+            ("rounds_total", Value::U64(self.rounds_total as u64)),
+            ("rounds_done", Value::U64(report.rounds.len() as u64)),
+            ("done", Value::Bool(done)),
+            ("served_version", Value::U64(served_version)),
+            ("promotions", Value::U64(report.promotions)),
+            ("quarantines", Value::U64(report.quarantines)),
+            ("quarantines_by_kind", Value::Map(by_kind)),
+            ("recoveries", Value::U64(report.recoveries)),
+            ("feed_stalls", Value::U64(report.feed_stalls)),
+            ("degraded", Value::Bool(report.degraded)),
+            ("last_round", last.map_or(Value::Null, |r| Value::U64(r.round as u64))),
+            ("last_outcome", last.map_or(Value::Null, |r| Value::Str(r.outcome.clone()))),
+            ("last_revealed", last.map_or(Value::Null, |r| Value::U64(r.revealed as u64))),
+            ("last_candidate_reward", last.map_or(Value::Null, |r| Value::F64(r.candidate_reward))),
+            ("last_incumbent_reward", last.map_or(Value::Null, |r| Value::F64(r.incumbent_reward))),
+            ("last_drift", last.map_or(Value::Null, |r| Value::F64(r.entropy_drift))),
+            ("margins", Value::List(margins)),
         ]);
         let _ = spikefolio_resilience::atomic_write(path, v.to_json().as_bytes());
     }
@@ -732,37 +727,37 @@ fn write_triage_manifest(
     // changes on promotion); snapshot it before later rounds advance it.
     let _ = std::fs::copy(&ctx.paths.serving, ctx.paths.quarantine_dir.join(&incumbent_name));
     let bits = |x: f64| Value::U64(x.to_bits());
-    let v = Value::Map(vec![
-        ("schema".to_string(), Value::Str(TRIAGE_MANIFEST_SCHEMA.to_string())),
-        ("seed".to_string(), Value::U64(opts.seed)),
-        ("round".to_string(), Value::U64(info.round as u64)),
-        ("kind".to_string(), Value::Str(kind.to_string())),
-        ("reason".to_string(), Value::Str(reason.to_string())),
-        ("revealed".to_string(), Value::U64(info.revealed as u64)),
-        ("window_from".to_string(), Value::U64(info.window_from as u64)),
-        ("num_assets".to_string(), Value::U64(ctx.num_assets as u64)),
-        ("feed_periods".to_string(), Value::U64(opts.feed_periods() as u64)),
-        ("val_fraction".to_string(), Value::F64(opts.val_fraction)),
-        ("drift_threshold".to_string(), Value::F64(opts.drift_threshold)),
+    let v = map([
+        ("schema", Value::Str(TRIAGE_MANIFEST_SCHEMA.to_string())),
+        ("seed", Value::U64(opts.seed)),
+        ("round", Value::U64(info.round as u64)),
+        ("kind", Value::Str(kind.to_string())),
+        ("reason", Value::Str(reason.to_string())),
+        ("revealed", Value::U64(info.revealed as u64)),
+        ("window_from", Value::U64(info.window_from as u64)),
+        ("num_assets", Value::U64(ctx.num_assets as u64)),
+        ("feed_periods", Value::U64(opts.feed_periods() as u64)),
+        ("val_fraction", Value::F64(opts.val_fraction)),
+        ("drift_threshold", Value::F64(opts.drift_threshold)),
         (
-            "csv".to_string(),
+            "csv",
             opts.csv.as_ref().map_or(Value::Null, |p| Value::Str(p.to_string_lossy().into_owned())),
         ),
         (
-            "integrity".to_string(),
+            "integrity",
             g.integrity
                 .map_or(Value::Null, |ok| Value::Str(if ok { "pass" } else { "fail" }.to_string())),
         ),
-        ("reward_evaluated".to_string(), Value::Bool(g.reward_evaluated)),
-        ("drift_evaluated".to_string(), Value::Bool(g.drift_evaluated)),
-        ("candidate_reward".to_string(), Value::F64(g.candidate_reward)),
-        ("candidate_reward_bits".to_string(), bits(g.candidate_reward)),
-        ("incumbent_reward".to_string(), Value::F64(g.incumbent_reward)),
-        ("incumbent_reward_bits".to_string(), bits(g.incumbent_reward)),
-        ("entropy_drift".to_string(), Value::F64(g.entropy_drift)),
-        ("entropy_drift_bits".to_string(), bits(g.entropy_drift)),
-        ("candidate_ckpt".to_string(), Value::Str(format!("{stem}.ckpt"))),
-        ("incumbent_ckpt".to_string(), Value::Str(incumbent_name)),
+        ("reward_evaluated", Value::Bool(g.reward_evaluated)),
+        ("drift_evaluated", Value::Bool(g.drift_evaluated)),
+        ("candidate_reward", Value::F64(g.candidate_reward)),
+        ("candidate_reward_bits", bits(g.candidate_reward)),
+        ("incumbent_reward", Value::F64(g.incumbent_reward)),
+        ("incumbent_reward_bits", bits(g.incumbent_reward)),
+        ("entropy_drift", Value::F64(g.entropy_drift)),
+        ("entropy_drift_bits", bits(g.entropy_drift)),
+        ("candidate_ckpt", Value::Str(format!("{stem}.ckpt"))),
+        ("incumbent_ckpt", Value::Str(incumbent_name)),
     ]);
     let _ = spikefolio_resilience::atomic_write(
         ctx.paths.quarantine_dir.join(format!("{stem}.json")),

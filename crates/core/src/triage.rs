@@ -25,7 +25,7 @@ use crate::agent::SdpAgent;
 use crate::checkpoint;
 use crate::config::SdpConfig;
 use crate::desk::{
-    fit_val_split, out_of_sample_reward, policy_entropy, Feed, TRIAGE_MANIFEST_SCHEMA,
+    fit_val_split, map, out_of_sample_reward, policy_entropy, Feed, TRIAGE_MANIFEST_SCHEMA,
 };
 use crate::training::Trainer;
 
@@ -119,32 +119,29 @@ impl TriageReport {
     /// The report as a JSON-ready [`Value`] tree.
     pub fn to_value(&self) -> Value {
         let pair = |p: &GatePair| {
-            Value::Map(vec![
-                ("recorded".to_string(), Value::F64(p.recorded)),
-                ("recorded_bits".to_string(), Value::U64(p.recorded_bits)),
-                ("replayed".to_string(), p.replayed.map_or(Value::Null, Value::F64)),
-                ("bitwise_match".to_string(), p.bitwise_match().map_or(Value::Null, Value::Bool)),
+            map([
+                ("recorded", Value::F64(p.recorded)),
+                ("recorded_bits", Value::U64(p.recorded_bits)),
+                ("replayed", p.replayed.map_or(Value::Null, Value::F64)),
+                ("bitwise_match", p.bitwise_match().map_or(Value::Null, Value::Bool)),
             ])
         };
-        Value::Map(vec![
-            ("schema".to_string(), Value::Str("spikefolio.triage-replay.v1".to_string())),
-            ("round".to_string(), Value::U64(self.round)),
-            ("kind".to_string(), Value::Str(self.kind.clone())),
-            ("reason".to_string(), Value::Str(self.reason.clone())),
-            ("seed".to_string(), Value::U64(self.seed)),
-            ("revealed".to_string(), Value::U64(self.revealed)),
-            ("window_from".to_string(), Value::U64(self.window_from)),
-            (
-                "integrity_recorded".to_string(),
-                self.integrity_recorded.map_or(Value::Null, Value::Bool),
-            ),
-            ("integrity_replayed".to_string(), Value::Bool(self.integrity_replayed)),
-            ("reward_evaluated".to_string(), Value::Bool(self.reward_evaluated)),
-            ("drift_evaluated".to_string(), Value::Bool(self.drift_evaluated)),
-            ("candidate_reward".to_string(), pair(&self.candidate_reward)),
-            ("incumbent_reward".to_string(), pair(&self.incumbent_reward)),
-            ("entropy_drift".to_string(), pair(&self.entropy_drift)),
-            ("reproduced".to_string(), Value::Bool(self.reproduced())),
+        map([
+            ("schema", Value::Str("spikefolio.triage-replay.v1".to_string())),
+            ("round", Value::U64(self.round)),
+            ("kind", Value::Str(self.kind.clone())),
+            ("reason", Value::Str(self.reason.clone())),
+            ("seed", Value::U64(self.seed)),
+            ("revealed", Value::U64(self.revealed)),
+            ("window_from", Value::U64(self.window_from)),
+            ("integrity_recorded", self.integrity_recorded.map_or(Value::Null, Value::Bool)),
+            ("integrity_replayed", Value::Bool(self.integrity_replayed)),
+            ("reward_evaluated", Value::Bool(self.reward_evaluated)),
+            ("drift_evaluated", Value::Bool(self.drift_evaluated)),
+            ("candidate_reward", pair(&self.candidate_reward)),
+            ("incumbent_reward", pair(&self.incumbent_reward)),
+            ("entropy_drift", pair(&self.entropy_drift)),
+            ("reproduced", Value::Bool(self.reproduced())),
         ])
     }
 
@@ -221,20 +218,10 @@ impl TriageReport {
     }
 }
 
-/// Required-field accessors over the manifest [`Value`] tree.
-fn req_u64(v: &Value, key: &str) -> Result<u64, String> {
-    v.get(key).and_then(Value::as_u64).ok_or_else(|| format!("manifest is missing '{key}'"))
-}
-
-fn req_f64(v: &Value, key: &str) -> Result<f64, String> {
-    v.get(key).and_then(Value::as_f64).ok_or_else(|| format!("manifest is missing '{key}'"))
-}
-
-fn req_str(v: &Value, key: &str) -> Result<String, String> {
-    v.get(key)
-        .and_then(Value::as_str)
-        .map(str::to_owned)
-        .ok_or_else(|| format!("manifest is missing '{key}'"))
+/// A required field of the manifest [`Value`] tree, read through `get`
+/// (e.g. [`Value::as_u64`]).
+fn req<'v, T>(v: &'v Value, key: &str, get: fn(&'v Value) -> Option<T>) -> Result<T, String> {
+    v.get(key).and_then(get).ok_or_else(|| format!("manifest is missing '{key}'"))
 }
 
 /// Finds the triage manifest for `round` (or the highest-round one)
@@ -278,33 +265,30 @@ fn find_manifest(dir: &Path, round: Option<u64>) -> Result<(PathBuf, Value), Str
 /// regenerated from the manifest's geometry, or the CSV feed re-read and
 /// cut back to the recorded reveal point.
 fn rebuild_feed(manifest: &Value, revealed: usize) -> Result<MarketData, String> {
-    let seed = req_u64(manifest, "seed")?;
-    let feed_periods = req_u64(manifest, "feed_periods")? as usize;
+    let seed = req(manifest, "seed", Value::as_u64)?;
+    let feed_periods = req(manifest, "feed_periods", Value::as_u64)? as usize;
     let csv = match manifest.get("csv") {
         Some(Value::Str(path)) => Some(path.as_str()),
         _ => None,
     };
-    // A generator desk reveals at most the periods it asked for; a CSV
-    // file may hold more than that from the first poll on.
-    if csv.is_none() && revealed > feed_periods {
-        return Err(format!(
-            "manifest revealed {revealed} exceeds its generator's feed_periods {feed_periods}"
-        ));
-    }
-    let data = match Feed::open(csv.map(Path::new), feed_periods, seed) {
-        Feed::Generator { market } => market,
+    // A generator desk reveals at most the feed_periods it asked for; a
+    // CSV file may hold more than that from the first poll on.
+    let (data, delivers) = match Feed::open(csv.map(Path::new), feed_periods, seed) {
+        Feed::Generator { market } => (market, feed_periods),
         Feed::Csv { mut tail, .. } => {
             let path = csv.unwrap_or_default();
-            tail.poll()
+            let data = tail
+                .poll()
                 .map_err(|e| format!("csv feed {path}: {e}"))?
-                .ok_or_else(|| format!("csv feed {path} holds no complete periods"))?
+                .ok_or_else(|| format!("csv feed {path} holds no complete periods"))?;
+            let n = data.num_periods();
+            (data, n)
         }
     };
-    if data.num_periods() < revealed {
+    if revealed > delivers {
         return Err(format!(
-            "rebuilt feed holds {} periods but the quarantine saw {revealed} — \
-             feed shrank since the desk ran",
-            data.num_periods()
+            "rebuilt feed delivers {delivers} periods but the quarantine saw {revealed} — \
+             an edited manifest, or a feed that shrank since the desk ran"
         ));
     }
     Ok(data.slice(0, revealed))
@@ -323,11 +307,11 @@ fn rebuild_feed(manifest: &Value, revealed: usize) -> Result<MarketData, String>
 /// one is an environment error, not a replayable outcome).
 pub fn run_triage(opts: &TriageOptions) -> Result<TriageReport, String> {
     let (manifest_path, manifest) = find_manifest(&opts.dir, opts.round)?;
-    let round = req_u64(&manifest, "round")?;
-    let revealed = req_u64(&manifest, "revealed")? as usize;
-    let window_from = req_u64(&manifest, "window_from")? as usize;
-    let num_assets = req_u64(&manifest, "num_assets")? as usize;
-    let val_fraction = req_f64(&manifest, "val_fraction")?;
+    let round = req(&manifest, "round", Value::as_u64)?;
+    let revealed = req(&manifest, "revealed", Value::as_u64)? as usize;
+    let window_from = req(&manifest, "window_from", Value::as_u64)? as usize;
+    let num_assets = req(&manifest, "num_assets", Value::as_u64)? as usize;
+    let val_fraction = req(&manifest, "val_fraction", Value::as_f64)?;
     if window_from > revealed {
         return Err(format!("manifest window_from {window_from} lies past revealed {revealed}"));
     }
@@ -341,8 +325,8 @@ pub fn run_triage(opts: &TriageOptions) -> Result<TriageReport, String> {
     let reward_evaluated = matches!(manifest.get("reward_evaluated"), Some(Value::Bool(true)));
     let drift_evaluated = matches!(manifest.get("drift_evaluated"), Some(Value::Bool(true)));
     let qdir = opts.dir.join("quarantine");
-    let candidate_path = qdir.join(req_str(&manifest, "candidate_ckpt")?);
-    let incumbent_path = qdir.join(req_str(&manifest, "incumbent_ckpt")?);
+    let candidate_path = qdir.join(req(&manifest, "candidate_ckpt", Value::as_str)?);
+    let incumbent_path = qdir.join(req(&manifest, "incumbent_ckpt", Value::as_str)?);
 
     // Rebuild the validation slice the gate judged on.
     let data = rebuild_feed(&manifest, revealed)?;
@@ -387,9 +371,9 @@ pub fn run_triage(opts: &TriageOptions) -> Result<TriageReport, String> {
     Ok(TriageReport {
         manifest: manifest_path,
         round,
-        kind: req_str(&manifest, "kind")?,
-        reason: req_str(&manifest, "reason")?,
-        seed: req_u64(&manifest, "seed")?,
+        kind: req(&manifest, "kind", Value::as_str)?.to_string(),
+        reason: req(&manifest, "reason", Value::as_str)?.to_string(),
+        seed: req(&manifest, "seed", Value::as_u64)?,
         revealed: revealed as u64,
         window_from: window_from as u64,
         integrity_recorded,
@@ -398,18 +382,18 @@ pub fn run_triage(opts: &TriageOptions) -> Result<TriageReport, String> {
         reward_evaluated,
         drift_evaluated,
         candidate_reward: GatePair {
-            recorded: req_f64(&manifest, "candidate_reward").unwrap_or(f64::NAN),
-            recorded_bits: req_u64(&manifest, "candidate_reward_bits")?,
+            recorded: req(&manifest, "candidate_reward", Value::as_f64).unwrap_or(f64::NAN),
+            recorded_bits: req(&manifest, "candidate_reward_bits", Value::as_u64)?,
             replayed: candidate_replayed,
         },
         incumbent_reward: GatePair {
-            recorded: req_f64(&manifest, "incumbent_reward").unwrap_or(f64::NAN),
-            recorded_bits: req_u64(&manifest, "incumbent_reward_bits")?,
+            recorded: req(&manifest, "incumbent_reward", Value::as_f64).unwrap_or(f64::NAN),
+            recorded_bits: req(&manifest, "incumbent_reward_bits", Value::as_u64)?,
             replayed: Some(incumbent_replayed),
         },
         entropy_drift: GatePair {
-            recorded: req_f64(&manifest, "entropy_drift").unwrap_or(f64::NAN),
-            recorded_bits: req_u64(&manifest, "entropy_drift_bits")?,
+            recorded: req(&manifest, "entropy_drift", Value::as_f64).unwrap_or(f64::NAN),
+            recorded_bits: req(&manifest, "entropy_drift_bits", Value::as_u64)?,
             replayed: drift_replayed,
         },
     })

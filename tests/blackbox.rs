@@ -179,7 +179,7 @@ fn triage_rejects_a_reveal_past_the_generated_feed() {
     // The one-round smoke desk asks its generator for 46 periods.
     let err = triage_edited_manifest("hostile-feed-periods", "revealed", Value::U64(47))
         .expect_err("revealed past feed_periods");
-    assert!(err.contains("feed_periods"), "{err}");
+    assert!(err.contains("delivers 46 periods"), "{err}");
 }
 
 #[test]
