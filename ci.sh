@@ -31,12 +31,15 @@ cargo test -q -p spikefolio --test sparse_kernels
 # B = 1 run, the path every single decision takes. The serving reply pins
 # are the only ones that drive paper-scale micro-batches of 4 and 8
 # through the event-driven drive. strategy_invariants pins every weight
-# ANTICOR and ONS choose on the scenario matrix's smoke windows.
-echo "==> bitwise pins in the release build (trained weights, sparse kernels, batch composition, classical weights, served replies)"
+# ANTICOR and ONS choose on the scenario matrix's smoke windows. The desk
+# artifact pin covers every round outcome the desk books, in the release
+# code perfbench's desk-rounds workload runs.
+echo "==> bitwise pins in the release build (trained weights, sparse kernels, batch composition, classical weights, served replies, desk artifacts)"
 cargo test -q --release -p spikefolio --test end_to_end_training --test sparse_kernels \
   --test batched_snn --test strategy_invariants
 cargo test -q --release -p spikefolio --lib -- --exact \
   serving::tests::float_backend_replies_are_pinned serving::tests::loihi_backend_replies_are_pinned
+cargo test -q --release -p spikefolio --test live_desk -- --exact desk_artifacts_are_pinned_bitwise
 
 echo "==> cargo bench --no-run (benches must keep compiling)"
 cargo bench --no-run --workspace
