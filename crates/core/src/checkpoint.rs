@@ -277,6 +277,44 @@ mod tests {
         p
     }
 
+    /// Bytewise CRC-32 (IEEE, reflected), kept here so the pins below do
+    /// not depend on the crc32 they help to check.
+    fn reference_crc32(bytes: &[u8]) -> u32 {
+        let mut crc = 0xFFFF_FFFFu32;
+        for &b in bytes {
+            crc ^= b as u32;
+            for _ in 0..8 {
+                crc = if crc & 1 != 0 { (crc >> 1) ^ 0xEDB8_8320 } else { crc >> 1 };
+            }
+        }
+        !crc
+    }
+
+    #[test]
+    fn checkpoint_files_are_pinned_bitwise() {
+        // (config, file length, CRC-32 of the whole file) of `save_sdp` for
+        // an 11-asset agent with init seed 7.
+        let cases = [
+            ("smoke", SdpConfig::smoke(), 256_533, 0x1c89_f78bu32),
+            ("paper", SdpConfig::paper(), 8_474_946, 0x0992_22f7u32),
+        ];
+        for (name, cfg, len, crc) in cases {
+            let agent = SdpAgent::new(&cfg, 11, 7);
+            let path = tmp(&format!("pin-{name}.ckpt"));
+            save_sdp(&agent, &path).unwrap();
+            let bytes = std::fs::read(&path).unwrap();
+            assert_eq!(bytes.len(), len, "{name}: file length");
+            assert_eq!(reference_crc32(&bytes), crc, "{name}: file CRC-32");
+            let mut restored = SdpAgent::new(&cfg, 11, 999);
+            load_sdp(&mut restored, &path).unwrap();
+            let bits = |a: &SdpAgent| -> Vec<u64> {
+                flat_params(&a.network).iter().map(|p| p.to_bits()).collect()
+            };
+            assert_eq!(bits(&restored), bits(&agent), "{name}: reloaded bits");
+            std::fs::remove_file(path).ok();
+        }
+    }
+
     #[test]
     fn sdp_round_trip_is_bit_exact() {
         let cfg = SdpConfig::smoke();
