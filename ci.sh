@@ -33,12 +33,20 @@ cargo test -q -p spikefolio --test sparse_kernels
 # through the event-driven drive. strategy_invariants pins every weight
 # ANTICOR and ONS choose on the scenario matrix's smoke windows. The desk
 # artifact pin covers every round outcome the desk books, in the release
-# code perfbench's desk-rounds workload runs.
-echo "==> bitwise pins in the release build (trained weights, sparse kernels, batch composition, classical weights, served replies, desk artifacts)"
+# code perfbench's desk-rounds workload runs. The checkpoint pin and the
+# codec's differential tests (table-driven CRC-32 and hex against bytewise
+# references) run here too, since the release build is what vectorizes
+# those loops.
+echo "==> bitwise pins in the release build (trained weights, sparse kernels, batch composition, classical weights, served replies, checkpoint bytes, desk artifacts)"
 cargo test -q --release -p spikefolio --test end_to_end_training --test sparse_kernels \
   --test batched_snn --test strategy_invariants
 cargo test -q --release -p spikefolio --lib -- --exact \
-  serving::tests::float_backend_replies_are_pinned serving::tests::loihi_backend_replies_are_pinned
+  serving::tests::float_backend_replies_are_pinned serving::tests::loihi_backend_replies_are_pinned \
+  checkpoint::tests::checkpoint_files_are_pinned_bitwise \
+  checkpoint::tests::decoder_matches_reference_on_damaged_real_files \
+  checkpoint::tests::decoder_matches_reference_on_unusual_tokens_and_separators \
+  checkpoint::tests::decoder_matches_reference_on_every_ascii_byte_at_every_digit
+cargo test -q --release -p spikefolio-resilience --lib -- crc::tests::
 cargo test -q --release -p spikefolio --test live_desk -- --exact desk_artifacts_are_pinned_bitwise
 
 echo "==> cargo bench --no-run (benches must keep compiling)"

@@ -1,6 +1,7 @@
 //! Hardened checkpoint IO benchmarks: v2 encode + CRC + atomic write,
-//! load + verify, and the guarded training loop's overhead over the
-//! plain one on a fault-free run.
+//! load + verify, and CRC-32 alone, at a 64×64 shape and at the paper's
+//! shape; and the guarded training loop's overhead over the plain one on
+//! a fault-free run.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use spikefolio::checkpoint::{load_sdp, save_sdp};
@@ -17,24 +18,31 @@ fn medium_agent() -> SdpAgent {
     SdpAgent::new(&cfg, 11, 7)
 }
 
-fn bench_checkpoint_io(c: &mut Criterion) {
-    let agent = medium_agent();
-    let path = std::env::temp_dir().join(format!("spikefolio-bench-{}.ckpt", std::process::id()));
+/// The paper's network over 11 assets: an 8.5 MB checkpoint, the size a
+/// serving hot swap reads.
+fn paper_agent() -> SdpAgent {
+    SdpAgent::new(&SdpConfig::paper(), 11, 7)
+}
 
+fn bench_checkpoint_io(c: &mut Criterion) {
+    let path = std::env::temp_dir().join(format!("spikefolio-bench-{}.ckpt", std::process::id()));
     let mut group = c.benchmark_group("checkpoint");
     group.sample_size(20);
-    group.bench_function("save_v2_atomic", |b| {
-        b.iter(|| save_sdp(&agent, &path).expect("save"));
-    });
-    save_sdp(&agent, &path).expect("save");
-    group.bench_function("load_v2_verify", |b| {
-        let mut target = medium_agent();
-        b.iter(|| load_sdp(&mut target, &path).expect("load"));
-    });
-    let bytes = std::fs::read(&path).expect("read checkpoint");
-    group.bench_function("crc32_checkpoint_bytes", |b| {
-        b.iter(|| crc32(&bytes));
-    });
+    for (suffix, make_agent) in [("", medium_agent as fn() -> SdpAgent), ("_paper", paper_agent)] {
+        let agent = make_agent();
+        group.bench_function(format!("save_v2_atomic{suffix}"), |b| {
+            b.iter(|| save_sdp(&agent, &path).expect("save"));
+        });
+        save_sdp(&agent, &path).expect("save");
+        group.bench_function(format!("load_v2_verify{suffix}"), |b| {
+            let mut target = make_agent();
+            b.iter(|| load_sdp(&mut target, &path).expect("load"));
+        });
+        let bytes = std::fs::read(&path).expect("read checkpoint");
+        group.bench_function(format!("crc32_checkpoint_bytes{suffix}"), |b| {
+            b.iter(|| crc32(&bytes));
+        });
+    }
     group.finish();
     std::fs::remove_file(&path).ok();
 }

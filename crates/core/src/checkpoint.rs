@@ -13,7 +13,7 @@ use crate::agent::SdpAgent;
 use spikefolio_resilience::io::atomic_write_faulted;
 use spikefolio_resilience::{crc32, FaultPlan};
 use spikefolio_snn::stbp::{flat_params, set_flat_params};
-use std::fmt::Write as _;
+use std::io::Read as _;
 use std::path::Path;
 
 /// Magic tag of the legacy (un-checksummed) checkpoint format.
@@ -40,6 +40,12 @@ pub enum LoadCheckpointError {
         /// Checksum of the bytes actually present.
         found: u32,
     },
+    /// The file is longer than any checkpoint of the target network
+    /// could be; reading stopped at `limit` bytes.
+    TooLarge {
+        /// The read limit, in bytes.
+        limit: u64,
+    },
     /// Parameter counts do not match the target network.
     Shape {
         /// Parameters in the file.
@@ -56,6 +62,9 @@ impl std::fmt::Display for LoadCheckpointError {
             LoadCheckpointError::Parse(m) => write!(f, "invalid checkpoint syntax: {m}"),
             LoadCheckpointError::Corrupt { expected, found } => {
                 write!(f, "checkpoint corrupted: stored crc32={expected:08x}, computed {found:08x}")
+            }
+            LoadCheckpointError::TooLarge { limit } => {
+                write!(f, "checkpoint file exceeds the {limit}-byte read limit")
             }
             LoadCheckpointError::Shape { found, expected } => {
                 write!(f, "checkpoint has {found} parameters, network expects {expected}")
@@ -79,18 +88,99 @@ impl From<std::io::Error> for LoadCheckpointError {
     }
 }
 
-fn encode(kind: &str, params: &[f64]) -> String {
-    let mut s = String::with_capacity(params.len() * 18 + 96);
-    let _ = writeln!(s, "{MAGIC_V2} kind={kind} params={}", params.len());
+/// Lowercase hex digit of each nibble value.
+const HEX_DIGITS: &[u8; 16] = b"0123456789abcdef";
+
+/// Nibble value of each byte that is a lowercase hex digit; every other
+/// byte maps to `0xFF`, whose high bits mark the token as not canonical.
+static NIBBLE_VALUES: [u8; 256] = {
+    let mut table = [0xFFu8; 256];
+    let mut i = 0;
+    while i < 16 {
+        table[HEX_DIGITS[i] as usize] = i as u8;
+        i += 1;
+    }
+    table
+};
+
+fn encode(kind: &str, params: &[f64]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(params.len() * 18 + 96);
+    out.extend_from_slice(format!("{MAGIC_V2} kind={kind} params={}\n", params.len()).as_bytes());
     for chunk in params.chunks(64) {
         for p in chunk {
-            let _ = write!(s, "{:016x} ", p.to_bits());
+            let bits = p.to_bits();
+            let mut word = [b' '; 17];
+            for (i, digit) in word[..16].iter_mut().enumerate() {
+                *digit = HEX_DIGITS[((bits >> (60 - 4 * i)) & 0xF) as usize];
+            }
+            out.extend_from_slice(&word);
         }
-        s.push('\n');
+        out.push(b'\n');
     }
-    let crc = crc32(s.as_bytes());
-    let _ = writeln!(s, "crc32={crc:08x} len={}", s.len());
-    s
+    let crc = crc32(&out);
+    let trailer = format!("crc32={crc:08x} len={}\n", out.len());
+    out.extend_from_slice(trailer.as_bytes());
+    out
+}
+
+/// Value of 16 lowercase hex digits, or `None` if any byte is not one.
+/// Every digit goes through [`NIBBLE_VALUES`] with no branch on its
+/// value, so random digits cost no mispredictions.
+fn canonical_word(digits: &[u8; 16]) -> Option<u64> {
+    let (mut bits, mut invalid) = (0u64, 0u8);
+    for &b in digits {
+        let nibble = NIBBLE_VALUES[b as usize];
+        invalid |= nibble;
+        bits = (bits << 4) | u64::from(nibble & 0xF);
+    }
+    (invalid & 0xF0 == 0).then_some(bits)
+}
+
+/// Parses one value token. A canonical token (16 lowercase hex digits,
+/// as [`encode`] writes) goes through [`canonical_word`]; any other token
+/// goes through `u64::from_str_radix`, which gives every canonical token
+/// the same value.
+fn parse_hex_token(tok: &str) -> Result<u64, LoadCheckpointError> {
+    if let Some(bits) = <&[u8; 16]>::try_from(tok.as_bytes()).ok().and_then(canonical_word) {
+        return Ok(bits);
+    }
+    u64::from_str_radix(tok, 16)
+        .map_err(|_| LoadCheckpointError::Parse(format!("bad hex token {tok:?}")))
+}
+
+/// Appends the value of every token of one payload line, splitting it as
+/// `str::split_whitespace` does. An ASCII line is scanned bytewise: at a
+/// token start, 16 canonical digits and a whitespace byte are one whole
+/// token, parsed in place; anything else is cut at the next whitespace
+/// byte and parsed by [`parse_hex_token`].
+fn push_line_values(line: &str, out: &mut Vec<f64>) -> Result<(), LoadCheckpointError> {
+    if !line.is_ascii() {
+        for tok in line.split_whitespace() {
+            out.push(f64::from_bits(parse_hex_token(tok)?));
+        }
+        return Ok(());
+    }
+    // The ASCII characters `char::is_whitespace` accepts.
+    let is_space = |b: u8| matches!(b, b'\t'..=b'\r' | b' ');
+    let bytes = line.as_bytes();
+    let mut i = 0;
+    while i < bytes.len() {
+        if is_space(bytes[i]) {
+            i += 1;
+            continue;
+        }
+        if let Some((digits, &[sep, ..])) = bytes[i..].split_first_chunk::<16>() {
+            if let Some(bits) = canonical_word(digits).filter(|_| is_space(sep)) {
+                out.push(f64::from_bits(bits));
+                i += 17;
+                continue;
+            }
+        }
+        let end = bytes[i..].iter().position(|&b| is_space(b)).map_or(bytes.len(), |n| i + n);
+        out.push(f64::from_bits(parse_hex_token(&line[i..end])?));
+        i = end;
+    }
+    Ok(())
 }
 
 /// Splits a v2 file into `(payload, trailer)` and verifies the checksum.
@@ -125,13 +215,34 @@ fn verify_v2(text: &str) -> Result<&str, LoadCheckpointError> {
     Ok(payload)
 }
 
-/// Reads a checkpoint leniently: bitrot can make the file invalid UTF-8,
+/// Largest checkpoint file [`load_sdp`] reads for a network of `params`
+/// parameters: twice the canonical v2 size (17 bytes per value and a
+/// newline per 64 values, so under 18 per value), plus 4 KiB for the
+/// header and trailer. The path may name any file, so the read is bounded
+/// by what a loadable checkpoint could plausibly take.
+pub fn read_limit(params: usize) -> u64 {
+    2 * 18 * params as u64 + 4096
+}
+
+/// Reads at most `limit` bytes of a checkpoint; a longer file is
+/// [`LoadCheckpointError::TooLarge`].
+fn read_checkpoint_text(path: impl AsRef<Path>, limit: u64) -> Result<String, LoadCheckpointError> {
+    let file = std::fs::File::open(path)?;
+    let size_hint = file.metadata().map_or(0, |m| m.len()).min(limit + 1);
+    let mut bytes = Vec::with_capacity(usize::try_from(size_hint).unwrap_or(0));
+    file.take(limit + 1).read_to_end(&mut bytes)?;
+    if bytes.len() as u64 > limit {
+        return Err(LoadCheckpointError::TooLarge { limit });
+    }
+    Ok(checkpoint_text(bytes))
+}
+
+/// Decodes file bytes leniently: bitrot can make the file invalid UTF-8,
 /// which must classify as corruption (via the CRC mismatch downstream),
 /// not as an opaque IO error. Lossy decoding guarantees the damaged bytes
-/// change the checksummed payload.
-fn read_checkpoint_text(path: impl AsRef<Path>) -> Result<String, LoadCheckpointError> {
-    let bytes = std::fs::read(path)?;
-    Ok(String::from_utf8_lossy(&bytes).into_owned())
+/// change the checksummed payload. Valid UTF-8 is kept without a copy.
+fn checkpoint_text(bytes: Vec<u8>) -> String {
+    String::from_utf8(bytes).unwrap_or_else(|e| String::from_utf8_lossy(e.as_bytes()).into_owned())
 }
 
 fn decode(text: &str, kind: &str) -> Result<Vec<f64>, LoadCheckpointError> {
@@ -160,11 +271,7 @@ fn decode(text: &str, kind: &str) -> Result<Vec<f64>, LoadCheckpointError> {
     // present (each value takes at least one digit and one separator).
     let mut out = Vec::with_capacity(count.min(payload.len() / 2));
     for line in lines {
-        for tok in line.split_whitespace() {
-            let bits = u64::from_str_radix(tok, 16)
-                .map_err(|_| LoadCheckpointError::Parse(format!("bad hex token {tok:?}")))?;
-            out.push(f64::from_bits(bits));
-        }
+        push_line_values(line, &mut out)?;
     }
     if out.len() != count {
         return Err(LoadCheckpointError::Parse(format!(
@@ -197,8 +304,8 @@ pub fn save_sdp_faulted(
     path: impl AsRef<Path>,
     faults: Option<&mut FaultPlan>,
 ) -> std::io::Result<()> {
-    let text = encode("sdp", &flat_params(&agent.network));
-    atomic_write_faulted(path, text.as_bytes(), CHECKPOINT_IO_LABEL, faults)
+    let bytes = encode("sdp", &flat_params(&agent.network));
+    atomic_write_faulted(path, &bytes, CHECKPOINT_IO_LABEL, faults)
 }
 
 /// Restores an SDP agent's parameters in place.
@@ -229,9 +336,9 @@ pub fn load_sdp_faulted(
     if let Some(err) = faults.and_then(|p| p.take_read_fault(CHECKPOINT_IO_LABEL)) {
         return Err(err.into());
     }
-    let text = read_checkpoint_text(path)?;
+    let expected = agent.network.num_params();
+    let text = read_checkpoint_text(path, read_limit(expected))?;
     let params = decode(&text, "sdp")?;
-    let expected = flat_params(&agent.network).len();
     if params.len() != expected {
         return Err(LoadCheckpointError::Shape { found: params.len(), expected });
     }
@@ -270,6 +377,7 @@ mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used)]
     use super::*;
     use crate::config::SdpConfig;
+    use proptest::prelude::*;
 
     fn tmp(name: &str) -> std::path::PathBuf {
         let mut p = std::env::temp_dir();
@@ -288,6 +396,266 @@ mod tests {
             }
         }
         !crc
+    }
+
+    /// The decoder as it stood before the table-driven codec (with its
+    /// trailer check), kept as the reference the differential tests hold
+    /// [`decode`] to.
+    mod reference {
+        use super::super::{LoadCheckpointError, MAGIC_V1, MAGIC_V2};
+        use super::reference_crc32;
+
+        fn verify_v2(text: &str) -> Result<&str, LoadCheckpointError> {
+            let body = text.strip_suffix('\n').unwrap_or(text);
+            let trailer_start = match body.rfind('\n') {
+                Some(i) => i + 1,
+                None => return Err(LoadCheckpointError::Parse("missing v2 trailer".into())),
+            };
+            let trailer = &body[trailer_start..];
+            let payload = &text[..trailer_start];
+            let mut fields = trailer.split_whitespace();
+            let expected = fields
+                .next()
+                .and_then(|f| f.strip_prefix("crc32="))
+                .and_then(|h| u32::from_str_radix(h, 16).ok())
+                .ok_or_else(|| {
+                    LoadCheckpointError::Parse("bad v2 trailer (crc32= field)".into())
+                })?;
+            let len: usize = fields
+                .next()
+                .and_then(|f| f.strip_prefix("len="))
+                .and_then(|n| n.parse().ok())
+                .ok_or_else(|| LoadCheckpointError::Parse("bad v2 trailer (len= field)".into()))?;
+            if payload.len() != len {
+                let found = reference_crc32(payload.as_bytes());
+                return Err(LoadCheckpointError::Corrupt { expected, found });
+            }
+            let found = reference_crc32(payload.as_bytes());
+            if found != expected {
+                return Err(LoadCheckpointError::Corrupt { expected, found });
+            }
+            Ok(payload)
+        }
+
+        pub(super) fn decode(bytes: &[u8], kind: &str) -> Result<Vec<f64>, LoadCheckpointError> {
+            let text = String::from_utf8_lossy(bytes).into_owned();
+            let magic = text.split_whitespace().next().unwrap_or_default();
+            let payload = match magic {
+                m if m == MAGIC_V2 => verify_v2(&text)?,
+                m if m == MAGIC_V1 => &text,
+                _ => return Err(LoadCheckpointError::Parse("bad magic".into())),
+            };
+            let mut lines = payload.lines();
+            let header =
+                lines.next().ok_or_else(|| LoadCheckpointError::Parse("empty file".into()))?;
+            let mut fields = header.split_whitespace();
+            let _magic = fields.next();
+            let kind_field = fields.next().unwrap_or_default();
+            if kind_field != format!("kind={kind}") {
+                return Err(LoadCheckpointError::Parse(format!(
+                    "expected kind={kind}, found {kind_field}"
+                )));
+            }
+            let count: usize = fields
+                .next()
+                .and_then(|f| f.strip_prefix("params="))
+                .and_then(|n| n.parse().ok())
+                .ok_or_else(|| LoadCheckpointError::Parse("missing params= field".into()))?;
+            let mut out = Vec::with_capacity(count.min(payload.len() / 2));
+            for line in lines {
+                for tok in line.split_whitespace() {
+                    let bits = u64::from_str_radix(tok, 16).map_err(|_| {
+                        LoadCheckpointError::Parse(format!("bad hex token {tok:?}"))
+                    })?;
+                    out.push(f64::from_bits(bits));
+                }
+            }
+            if out.len() != count {
+                return Err(LoadCheckpointError::Parse(format!(
+                    "header promised {count} values, found {}",
+                    out.len()
+                )));
+            }
+            Ok(out)
+        }
+    }
+
+    /// Asserts that `bytes` decode as the reference decodes them: the same
+    /// value bits, or the same error (variant and message).
+    fn assert_decodes_like_reference(bytes: &[u8], what: &str) {
+        let got = decode(&checkpoint_text(bytes.to_vec()), "sdp");
+        let want = reference::decode(bytes, "sdp");
+        match (got, want) {
+            (Ok(g), Ok(w)) => {
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&g), bits(&w), "{what}: decoded bits differ");
+            }
+            (Err(g), Err(w)) => {
+                assert_eq!(
+                    std::mem::discriminant(&g),
+                    std::mem::discriminant(&w),
+                    "{what}: error {g} != {w}"
+                );
+                assert_eq!(g.to_string(), w.to_string(), "{what}: error message");
+            }
+            (g, w) => panic!("{what}: got {g:?}, reference {w:?}"),
+        }
+    }
+
+    /// Deterministic xorshift stream for building test inputs.
+    struct Stream(u64);
+
+    impl Stream {
+        fn next(&mut self) -> u64 {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            self.0
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+    }
+
+    /// The first `n` parameters of a real smoke agent.
+    fn real_params(n: usize) -> Vec<f64> {
+        let mut params = flat_params(&SdpAgent::new(&SdpConfig::smoke(), 11, 7).network);
+        params.truncate(n);
+        params
+    }
+
+    /// `bytes` as a v1 file: v2 magic replaced, trailer dropped.
+    fn as_v1(v2: &[u8]) -> Vec<u8> {
+        let text = String::from_utf8_lossy(v2);
+        let end = text.rfind("crc32=").unwrap_or(text.len());
+        text[..end].replacen(MAGIC_V2, MAGIC_V1, 1).into_bytes()
+    }
+
+    /// `payload` with a v2 trailer that matches it, so the parser sees it.
+    fn with_trailer(mut payload: Vec<u8>) -> Vec<u8> {
+        let trailer = format!("crc32={:08x} len={}\n", reference_crc32(&payload), payload.len());
+        payload.extend_from_slice(trailer.as_bytes());
+        payload
+    }
+
+    /// A payload whose tokens and separators take the forms
+    /// `u64::from_str_radix` and `split_whitespace` treat specially. Half
+    /// the payloads are pure ASCII; the others add Unicode separators and
+    /// may hold an invalid UTF-8 byte. Half hold one bad token, and some
+    /// promise one value too many.
+    fn unusual_payload(s: &mut Stream) -> Vec<u8> {
+        const ASCII_SEPARATORS: [&str; 8] =
+            [" ", "  ", "\t", "\n", "\r\n", "\r", "\u{0B}", "\u{0C}"];
+        const UNICODE_SEPARATORS: [&str; 4] = ["\u{85}", "\u{A0}", "\u{2009}", "\u{3000}"];
+        let ascii = s.below(2) == 0;
+        let values: Vec<u64> = (0..s.below(200)).map(|_| s.next() >> s.below(64)).collect();
+        let bad_at = (s.below(2) == 0).then(|| s.below(values.len() + 1));
+        let count = values.len() + usize::from(s.below(8) == 0);
+        let magic = if s.below(2) == 0 { MAGIC_V1 } else { MAGIC_V2 };
+        let mut out = format!("{magic} kind=sdp params={count}\n").into_bytes();
+        for (i, v) in values.into_iter().enumerate() {
+            let canonical = format!("{v:016x}");
+            let tok = if bad_at == Some(i) {
+                let bad = ["g", "G", "z", "_", "-", "+", "\u{1C}", "\u{200B}", "\u{FFFD}"];
+                match s.below(3) {
+                    0 => canonical.replacen(&canonical[..1], bad[s.below(bad.len())], 1),
+                    1 => format!("{canonical}{}", bad[s.below(bad.len())]),
+                    _ => format!("1{canonical}"),
+                }
+            } else {
+                match s.below(10) {
+                    0 => format!("{v:016X}"),
+                    1 => canonical.replacen('a', "A", 1),
+                    2 => format!("+{v:x}"),
+                    3 => format!("+{v:015x}"),
+                    4 => format!("{v:x}"),
+                    5 => format!("{canonical:0>width$}", width = 17 + s.below(8)),
+                    _ => canonical,
+                }
+            };
+            out.extend_from_slice(tok.as_bytes());
+            let sep = if ascii || s.below(4) != 0 {
+                ASCII_SEPARATORS[s.below(ASCII_SEPARATORS.len())]
+            } else {
+                UNICODE_SEPARATORS[s.below(UNICODE_SEPARATORS.len())]
+            };
+            out.extend_from_slice(sep.as_bytes());
+        }
+        if !ascii && s.below(4) == 0 {
+            let at = s.below(out.len() + 1);
+            out.insert(at, [0xFF, 0xC3, 0x80][s.below(3)]);
+        }
+        out
+    }
+
+    #[test]
+    fn decoder_matches_reference_on_every_ascii_byte_at_every_digit() {
+        for pos in 0..16 {
+            for byte in 0..128u8 {
+                let mut tok = *b"0123456789abcdef";
+                tok[pos] = byte;
+                let mut file = format!("{MAGIC_V1} kind=sdp params=1\n").into_bytes();
+                file.extend_from_slice(&tok);
+                file.extend_from_slice(b" \n");
+                assert_decodes_like_reference(&file, &format!("byte {byte:#04x} at {pos}"));
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn decoder_matches_reference_on_damaged_real_files(seed in 1u64..u64::MAX) {
+            let mut s = Stream(seed);
+            let v2 = encode("sdp", &real_params(1 + s.below(300)));
+            let payload_len = String::from_utf8_lossy(&v2).rfind("crc32=").unwrap();
+            let v1 = as_v1(&v2);
+            for (name, file) in [("v2", &v2), ("v1", &v1)] {
+                assert_decodes_like_reference(file, name);
+                let cut = s.below(file.len());
+                assert_decodes_like_reference(&file[..cut], &format!("{name} cut at {cut}"));
+                let mut flipped = file.clone();
+                let pos = s.below(payload_len);
+                flipped[pos] ^= 1 << s.below(8);
+                assert_decodes_like_reference(&flipped, &format!("{name} flipped at {pos}"));
+            }
+            // Re-sealed, a flipped v2 payload gets past the CRC to the parser.
+            let mut payload = v2[..payload_len].to_vec();
+            let pos = s.below(payload_len);
+            payload[pos] ^= 1 << s.below(8);
+            assert_decodes_like_reference(&with_trailer(payload), &format!("resealed flip at {pos}"));
+        }
+
+        #[test]
+        fn decoder_matches_reference_on_unusual_tokens_and_separators(seed in 1u64..u64::MAX) {
+            let mut s = Stream(seed);
+            let payload = unusual_payload(&mut s);
+            assert_decodes_like_reference(&payload, "unsealed");
+            assert_decodes_like_reference(&with_trailer(payload), "sealed");
+        }
+    }
+
+    #[test]
+    fn files_over_the_read_limit_are_refused_unread() {
+        // A v1 file padded with spaces loads at the limit and is refused
+        // one byte over it.
+        let cfg = SdpConfig::smoke();
+        let agent = SdpAgent::new(&cfg, 11, 7);
+        let limit = read_limit(agent.network.num_params());
+        let mut file = as_v1(&encode("sdp", &flat_params(&agent.network)));
+        file.resize(usize::try_from(limit).unwrap(), b' ');
+        let path = tmp("limit.ckpt");
+        std::fs::write(&path, &file).unwrap();
+        let mut restored = SdpAgent::new(&cfg, 11, 999);
+        load_sdp(&mut restored, &path).unwrap();
+        assert_eq!(flat_params(&restored.network), flat_params(&agent.network));
+        file.push(b' ');
+        std::fs::write(&path, &file).unwrap();
+        let err = load_sdp(&mut restored, &path).unwrap_err();
+        assert!(matches!(err, LoadCheckpointError::TooLarge { limit: l } if l == limit), "{err}");
+        std::fs::remove_file(path).ok();
     }
 
     #[test]
@@ -333,7 +701,8 @@ mod tests {
         let agent = SdpAgent::new(&cfg, 5, 7);
         let path = tmp("kind.ckpt");
         save_sdp(&agent, &path).unwrap();
-        let err = decode(&read_checkpoint_text(&path).unwrap(), "drl").unwrap_err();
+        let text = read_checkpoint_text(&path, read_limit(agent.network.num_params())).unwrap();
+        let err = decode(&text, "drl").unwrap_err();
         assert!(matches!(err, LoadCheckpointError::Parse(_)), "{err}");
         std::fs::remove_file(path).ok();
     }
@@ -374,7 +743,7 @@ mod tests {
     #[test]
     fn special_values_survive_round_trip() {
         let params = vec![0.0, -0.0, f64::MIN_POSITIVE, 1e300, -1e-300, std::f64::consts::PI];
-        let text = encode("sdp", &params);
+        let text = String::from_utf8(encode("sdp", &params)).unwrap();
         let back = decode(&text, "sdp").unwrap();
         for (a, b) in params.iter().zip(&back) {
             assert_eq!(a.to_bits(), b.to_bits());
@@ -387,7 +756,7 @@ mod tests {
         let cfg = SdpConfig::smoke();
         let agent = SdpAgent::new(&cfg, 5, 7);
         let params = flat_params(&agent.network);
-        let v2 = encode("sdp", &params);
+        let v2 = String::from_utf8(encode("sdp", &params)).unwrap();
         let payload_end = v2.rfind("crc32=").unwrap();
         let v1 = v2[..payload_end].replacen(MAGIC_V2, MAGIC_V1, 1);
         let path = tmp("legacy.ckpt");

@@ -258,6 +258,9 @@ proptest! {
             Err(LoadCheckpointError::Io(e)) => {
                 return Err(format!("bitrot misclassified as IO error: {e}"));
             }
+            Err(e @ LoadCheckpointError::TooLarge { .. }) => {
+                return Err(format!("a flipped byte cannot grow the file: {e}"));
+            }
             Ok(()) => return Err(format!("flipped byte at {pos} loaded silently")),
         }
     }

@@ -552,3 +552,53 @@ fn oversized_line_is_refused_and_the_next_client_is_served() {
     assert!(join.join().expect("server thread").is_ok());
     assert!(handle.is_stopped());
 }
+
+#[test]
+fn oversized_checkpoint_reload_is_refused_and_the_old_version_keeps_serving() {
+    use spikefolio::checkpoint::read_limit;
+    use spikefolio::SdpAgent;
+    let ckpt = temp_ckpt("oversized_live", 8);
+    let (addr, handle, join) = start_tcp_server(&ckpt, ServiceConfig::default());
+    let mut reader = BufReader::new(TcpStream::connect(&addr).expect("connect"));
+
+    // A valid v1 checkpoint (v2 magic swapped, trailer dropped) padded with
+    // spaces to one byte over the read limit: it would load but for its size.
+    let params = SdpAgent::new(&SdpConfig::smoke(), ASSETS, 0).network.num_params();
+    let limit = usize::try_from(read_limit(params)).expect("limit fits usize");
+    let v2 = std::fs::read_to_string(temp_ckpt("oversized_src", 9)).expect("read checkpoint");
+    let mut file = v2[..v2.rfind("crc32=").expect("v2 trailer")]
+        .replacen("spikefolio-checkpoint-v2", "spikefolio-checkpoint-v1", 1)
+        .into_bytes();
+    file.resize(limit + 1, b' ');
+    let path =
+        std::env::temp_dir().join(format!("spikefolio_oversized_{}.ckpt", std::process::id()));
+    std::fs::write(&path, &file).expect("write oversized file");
+    let path = path.to_string_lossy().into_owned();
+
+    let reload = format!(r#"{{"cmd":"reload","path":"{path}"}}"#);
+    let refused = send_line(&mut reader, &reload);
+    assert!(!is_true(&refused, "ok"), "{refused:?}");
+    assert_eq!(refused.get("error").and_then(Value::as_str), Some("reload_failed"), "{refused:?}");
+    let message = refused.get("message").and_then(Value::as_str).unwrap_or_default();
+    assert!(message.contains("read limit"), "{refused:?}");
+
+    // The old version still serves.
+    let info = send_line(&mut reader, r#"{"cmd":"info"}"#);
+    assert_eq!(info.get("model_version").and_then(Value::as_u64), Some(1), "{info:?}");
+    let dim = info.get("state_dim").and_then(Value::as_u64).expect("state_dim") as usize;
+    let state = fixed_state(dim).iter().map(|x| format!("{x}")).collect::<Vec<_>>().join(",");
+    let served = send_line(&mut reader, &format!(r#"{{"id":1,"state":[{state}],"seed":7}}"#));
+    assert!(is_true(&served, "ok"), "{served:?}");
+
+    // One byte shorter, the same file is within the limit and swaps in.
+    file.pop();
+    std::fs::write(&path, &file).expect("rewrite at the limit");
+    let swapped = send_line(&mut reader, &reload);
+    assert_eq!(swapped.get("model_version").and_then(Value::as_u64), Some(2), "{swapped:?}");
+
+    let ack = send_line(&mut reader, r#"{"cmd":"shutdown"}"#);
+    assert!(is_true(&ack, "ok"), "{ack:?}");
+    assert!(join.join().expect("server thread").is_ok());
+    assert!(handle.is_stopped());
+    std::fs::remove_file(&path).ok();
+}
