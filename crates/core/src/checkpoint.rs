@@ -7,7 +7,8 @@
 //! writes go through temp-file + fsync + atomic rename, so a crash
 //! mid-write can never leave a truncated checkpoint behind and bitrot is
 //! detected at load time as a typed [`LoadCheckpointError::Corrupt`]
-//! instead of a parse panic. v1 files (no trailer) still load.
+//! instead of a parse panic. v1 files (no trailer) still load. A load
+//! reads at most [`read_limit`] bytes, whatever file the path names.
 
 use crate::agent::SdpAgent;
 use spikefolio_resilience::io::atomic_write_faulted;
@@ -136,14 +137,10 @@ fn canonical_word(digits: &[u8; 16]) -> Option<u64> {
     (invalid & 0xF0 == 0).then_some(bits)
 }
 
-/// Parses one value token. A canonical token (16 lowercase hex digits,
-/// as [`encode`] writes) goes through [`canonical_word`]; any other token
-/// goes through `u64::from_str_radix`, which gives every canonical token
-/// the same value.
+/// Parses a value token the fast path in [`push_line_values`] did not
+/// take. `u64::from_str_radix` gives a canonical word the same value as
+/// [`canonical_word`], so the two paths agree on every token.
 fn parse_hex_token(tok: &str) -> Result<u64, LoadCheckpointError> {
-    if let Some(bits) = <&[u8; 16]>::try_from(tok.as_bytes()).ok().and_then(canonical_word) {
-        return Ok(bits);
-    }
     u64::from_str_radix(tok, 16)
         .map_err(|_| LoadCheckpointError::Parse(format!("bad hex token {tok:?}")))
 }
@@ -151,8 +148,9 @@ fn parse_hex_token(tok: &str) -> Result<u64, LoadCheckpointError> {
 /// Appends the value of every token of one payload line, splitting it as
 /// `str::split_whitespace` does. An ASCII line is scanned bytewise: at a
 /// token start, 16 canonical digits and a whitespace byte are one whole
-/// token, parsed in place; anything else is cut at the next whitespace
-/// byte and parsed by [`parse_hex_token`].
+/// token, parsed by [`canonical_word`]; anything else is cut at the next
+/// whitespace byte and parsed by [`parse_hex_token`]. A line that is not
+/// ASCII (only a damaged file has one) is split by `split_whitespace`.
 fn push_line_values(line: &str, out: &mut Vec<f64>) -> Result<(), LoadCheckpointError> {
     if !line.is_ascii() {
         for tok in line.split_whitespace() {
@@ -316,8 +314,9 @@ pub fn save_sdp_faulted(
 ///
 /// # Errors
 ///
-/// Returns [`LoadCheckpointError`] on I/O failure, syntax errors,
-/// checksum mismatch, or a parameter-count mismatch.
+/// Returns [`LoadCheckpointError`] on I/O failure, a file longer than
+/// [`read_limit`] allows, syntax errors, checksum mismatch, or a
+/// parameter-count mismatch.
 pub fn load_sdp(agent: &mut SdpAgent, path: impl AsRef<Path>) -> Result<(), LoadCheckpointError> {
     load_sdp_faulted(agent, path, None)
 }

@@ -3,9 +3,9 @@
 //! external crate.
 //!
 //! [`crc32`] folds eight bytes per step through eight 256-entry tables
-//! (slicing-by-8), about four times the bytewise loop's speed on a
-//! checkpoint; the bytewise loop finishes the last `len % 8` bytes. Both
-//! compute the same CRC.
+//! (slicing-by-8); the bytewise loop finishes the last `len % 8` bytes.
+//! Both compute the same CRC, and on checkpoint-sized buffers the sliced
+//! loop runs 4–7× as fast (`benches/checkpoint_io.rs`).
 
 const fn build_table() -> [u32; 256] {
     let mut table = [0u32; 256];
