@@ -8,13 +8,12 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use spikefolio_bench::bench_support;
 use spikefolio_snn::stbp;
-use spikefolio_snn::{BatchNetworkTrace, BatchWorkspace, KernelPath};
+use spikefolio_snn::{BatchNetworkTrace, BatchWorkspace};
 use spikefolio_telemetry::{MemoryRecorder, NoopRecorder};
 use spikefolio_tensor::optim::Gradients;
 
 fn bench_profile_overhead(c: &mut Criterion) {
     let net = bench_support::paper_network(9);
-    let wt = net.transposed_weights();
     let batch = 8;
     let states = bench_support::pinned_states(batch, bench_support::PAPER_STATE_DIM);
     let d_actions = bench_support::pinned_d_actions(batch, bench_support::PAPER_ACTION_DIM);
@@ -28,7 +27,7 @@ fn bench_profile_overhead(c: &mut Criterion) {
         let mut rec = NoopRecorder;
         b.iter(|| {
             let mut rngs = bench_support::sample_rngs(batch);
-            net.forward_batch(&states, &mut rngs, Some(&wt), &mut ws, &mut trace, &mut rec);
+            net.forward_batch(&states, &mut rngs, &mut ws, &mut trace, &mut rec);
             std::hint::black_box(trace.action(0)[0])
         })
     });
@@ -36,7 +35,7 @@ fn bench_profile_overhead(c: &mut Criterion) {
         b.iter(|| {
             let mut rec = MemoryRecorder::new();
             let mut rngs = bench_support::sample_rngs(batch);
-            net.forward_batch(&states, &mut rngs, Some(&wt), &mut ws, &mut trace, &mut rec);
+            net.forward_batch(&states, &mut rngs, &mut ws, &mut trace, &mut rec);
             std::hint::black_box(trace.action(0)[0])
         })
     });
@@ -45,16 +44,14 @@ fn bench_profile_overhead(c: &mut Criterion) {
     group.bench_function("backward_noop_recorder_b8", |b| {
         let mut rec = NoopRecorder;
         b.iter(|| {
-            let kernel = KernelPath::Sparse;
-            let g = stbp::backward_batch(&net, &trace, &d_actions, 0.0, &mut ws, kernel, &mut rec);
+            let g = stbp::backward_batch(&net, &trace, &d_actions, 0.0, &mut ws, &mut rec);
             std::hint::black_box(g.global_norm())
         })
     });
     group.bench_function("backward_memory_recorder_b8", |b| {
         b.iter(|| {
             let mut rec = MemoryRecorder::new();
-            let kernel = KernelPath::Sparse;
-            let g = stbp::backward_batch(&net, &trace, &d_actions, 0.0, &mut ws, kernel, &mut rec);
+            let g = stbp::backward_batch(&net, &trace, &d_actions, 0.0, &mut ws, &mut rec);
             std::hint::black_box(g.global_norm())
         })
     });

@@ -7,7 +7,6 @@ use spikefolio_bench::bench_support;
 use spikefolio_loihi::quantize::quantize_network;
 use spikefolio_loihi::LoihiChip;
 use spikefolio_snn::SingleSample;
-use spikefolio_tensor::Matrix;
 
 fn bench_forward(c: &mut Criterion) {
     let mut rng = rand::rngs::StdRng::seed_from_u64(9);
@@ -35,13 +34,6 @@ fn bench_forward(c: &mut Criterion) {
     });
     group.bench_function("small_float", |b| {
         b.iter(|| std::hint::black_box(small_one.forward(&small_net, &small_state, &mut rng)[0]))
-    });
-    // The same pass through the allocating one-shot entry.
-    let paper_row = Matrix::from_rows(&[&paper_state]);
-    group.bench_function("paper_scale_one_shot", |b| {
-        b.iter(|| {
-            std::hint::black_box(paper_net.act_batch(&paper_row, std::slice::from_mut(&mut rng)))
-        })
     });
     group.bench_function("paper_scale_chip_fixed_point", |b| {
         let raster = paper_net.encoder.encode(&paper_state, 5, &mut rng);

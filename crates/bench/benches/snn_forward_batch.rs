@@ -13,7 +13,6 @@ use spikefolio_telemetry::NoopRecorder;
 fn bench_forward_batch(c: &mut Criterion) {
     // Paper scale: 364-dim state, hidden 128 × 128, T = 5.
     let net = bench_support::paper_network(9);
-    let wt = net.transposed_weights();
 
     let mut group = c.benchmark_group("snn/forward_batch");
     group.sample_size(20);
@@ -34,7 +33,7 @@ fn bench_forward_batch(c: &mut Criterion) {
             b.iter(|| {
                 let mut rngs = bench_support::sample_rngs(batch);
                 let rec = &mut NoopRecorder;
-                net.forward_batch(&st, &mut rngs, Some(&wt), &mut ws, &mut trace, rec);
+                net.forward_batch(&st, &mut rngs, &mut ws, &mut trace, rec);
                 std::hint::black_box(trace.action(0)[0])
             })
         });

@@ -8,14 +8,13 @@ use rand::SeedableRng;
 use spikefolio_bench::bench_support;
 use spikefolio_snn::stbp;
 use spikefolio_snn::SingleSample;
-use spikefolio_snn::{BatchNetworkTrace, BatchWorkspace, KernelPath};
+use spikefolio_snn::{BatchNetworkTrace, BatchWorkspace};
 use spikefolio_telemetry::NoopRecorder;
 use spikefolio_tensor::optim::Gradients;
 use spikefolio_tensor::Matrix;
 
 fn bench_backward_batch(c: &mut Criterion) {
     let net = bench_support::paper_network(13);
-    let wt = net.transposed_weights();
 
     let mut group = c.benchmark_group("stbp/backward_batch");
     group.sample_size(20);
@@ -46,11 +45,11 @@ fn bench_backward_batch(c: &mut Criterion) {
         let mut trace = BatchNetworkTrace::new(&net, batch);
         let mut rngs = bench_support::sample_rngs(batch);
         let rec = &mut NoopRecorder;
-        net.forward_batch(&states, &mut rngs, Some(&wt), &mut ws, &mut trace, rec);
+        net.forward_batch(&states, &mut rngs, &mut ws, &mut trace, rec);
         group.bench_function(format!("batched_b{batch}"), |b| {
             b.iter(|| {
-                let (kernel, rec) = (KernelPath::Sparse, &mut NoopRecorder);
-                let g = stbp::backward_batch(&net, &trace, &d_actions, 0.0, &mut ws, kernel, rec);
+                let rec = &mut NoopRecorder;
+                let g = stbp::backward_batch(&net, &trace, &d_actions, 0.0, &mut ws, rec);
                 std::hint::black_box(g.global_norm())
             })
         });

@@ -16,7 +16,7 @@ pub mod bench_support {
     use rand::SeedableRng;
     use spikefolio_snn::network::{SdpNetwork, SdpNetworkConfig};
     use spikefolio_snn::stbp::{self, SdpGradients};
-    use spikefolio_snn::{KernelPath, SingleSample};
+    use spikefolio_snn::SingleSample;
     use spikefolio_telemetry::NoopRecorder;
     use spikefolio_tensor::Matrix;
 
@@ -65,7 +65,7 @@ pub mod bench_support {
         rate_penalty: f64,
     ) -> SdpGradients {
         let (trace, ws, rec) = (&one.trace, &mut one.ws, &mut NoopRecorder);
-        stbp::backward_batch(net, trace, d_action, rate_penalty, ws, KernelPath::Sparse, rec)
+        stbp::backward_batch(net, trace, d_action, rate_penalty, ws, rec)
     }
 
     /// One deterministic encoder RNG per sample, seeded by sample index.
@@ -91,7 +91,7 @@ pub mod bench_support {
         fn networks_are_seed_deterministic() {
             let a = paper_network(9);
             let b = paper_network(9);
-            assert_eq!(a.layers[0].weights.as_slice(), b.layers[0].weights.as_slice());
+            assert_eq!(stbp::flat_params(&a), stbp::flat_params(&b));
         }
     }
 }

@@ -13,10 +13,11 @@ use spikefolio_snn::SingleSample;
 ///
 /// Wraps the [`SdpNetwork`] with the feature pipeline so it can be driven
 /// directly by the [`Backtester`](spikefolio_env::Backtester). Every
-/// decision runs [`SdpNetwork::forward_batch`] at `B = 1` on the dense
-/// drive (its weights may change between decisions) and on buffers the
-/// agent builds at its first decision and reuses, so inference allocates
-/// only the returned action. A clone starts without them.
+/// decision runs [`SdpNetwork::forward_batch`] at `B = 1`, the
+/// event-driven drive on the `Wᵀ` the network keeps in step with its
+/// weights, and on buffers the agent builds at its first decision and
+/// reuses, so inference allocates only the returned action. A clone
+/// starts without those buffers.
 #[derive(Debug)]
 pub struct SdpAgent {
     /// The policy network (public so trainers and the deployment pipeline
@@ -83,12 +84,6 @@ impl SdpAgent {
         let network = &self.network;
         let one = self.single.get_or_insert_with(|| Box::new(SingleSample::new(network)));
         one.forward(network, state, &mut self.rng).to_vec()
-    }
-
-    /// Mutable access to the agent's RNG (used by the trainer so the
-    /// training stream stays reproducible).
-    pub fn rng_mut(&mut self) -> &mut StdRng {
-        &mut self.rng
     }
 }
 

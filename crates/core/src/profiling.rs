@@ -28,7 +28,6 @@ use spikefolio_market::experiments::ExperimentPreset;
 use spikefolio_profile::trace::render_phase_tree;
 use spikefolio_profile::{BenchBaseline, BenchEntry, ChromeTraceRecorder, CostReport};
 use spikefolio_snn::network::SdpNetworkConfig;
-use spikefolio_snn::KernelPath::Sparse;
 use spikefolio_snn::{stbp, BatchNetworkTrace, BatchWorkspace, SdpNetwork};
 use spikefolio_telemetry::{labels, MemoryRecorder, NoopRecorder};
 use spikefolio_tensor::{gemm, Matrix};
@@ -89,7 +88,7 @@ fn per_sample_rngs(seed: u64, batch: usize) -> Vec<StdRng> {
 
 /// Dense MACs of one batched forward pass of `net` at `batch` samples.
 fn forward_dense_macs(net: &SdpNetwork, batch: usize) -> u64 {
-    net.layers
+    net.layers()
         .iter()
         .map(|l| gemm::dense_mac_count(l.in_dim(), l.out_dim(), 1))
         .fold(0u64, |acc, m| acc.saturating_add(m))
@@ -108,10 +107,6 @@ pub fn run_bench_workloads(opts: &WorkloadOptions) -> BenchBaseline {
         let states = bench_states(batch, net.config().state_dim);
         let mut ws = BatchWorkspace::new(&net, batch);
         let mut trace = BatchNetworkTrace::new(&net, batch);
-        // Each size runs the drive the product runs at it: a single
-        // decision the dense one, a micro-batch the event-driven one over
-        // weights transposed before the timed loop.
-        let wt = (batch > 1).then(|| net.transposed_weights());
 
         let mut wall_fwd = f64::INFINITY;
         for _ in 0..reps {
@@ -119,14 +114,7 @@ pub fn run_bench_workloads(opts: &WorkloadOptions) -> BenchBaseline {
             // counts) identical.
             let mut rngs = per_sample_rngs(opts.seed, batch);
             let t0 = Instant::now();
-            net.forward_batch(
-                &states,
-                &mut rngs,
-                wt.as_ref(),
-                &mut ws,
-                &mut trace,
-                &mut NoopRecorder,
-            );
+            net.forward_batch(&states, &mut rngs, &mut ws, &mut trace, &mut NoopRecorder);
             wall_fwd = wall_fwd.min(t0.elapsed().as_secs_f64());
         }
         let mut ops = BTreeMap::new();
@@ -156,7 +144,7 @@ pub fn run_bench_workloads(opts: &WorkloadOptions) -> BenchBaseline {
         for _ in 0..reps {
             let t0 = Instant::now();
             let rec = &mut NoopRecorder;
-            let _ = stbp::backward_batch(&net, &trace, &d_actions, 0.0, &mut ws, Sparse, rec);
+            let _ = stbp::backward_batch(&net, &trace, &d_actions, 0.0, &mut ws, rec);
             wall_bwd = wall_bwd.min(t0.elapsed().as_secs_f64());
         }
         entries.push(BenchEntry {
@@ -254,10 +242,9 @@ pub fn run_profile_workload(opts: &WorkloadOptions) -> ProfileReport {
     let mut ws = BatchWorkspace::new(net, batch);
     let mut trace = BatchNetworkTrace::new(net, batch);
     let mut rngs = per_sample_rngs(opts.seed, batch);
-    let wt = net.transposed_weights();
-    net.forward_batch(&states, &mut rngs, Some(&wt), &mut ws, &mut trace, &mut rec);
+    net.forward_batch(&states, &mut rngs, &mut ws, &mut trace, &mut rec);
     let shapes: Vec<(usize, usize)> =
-        net.layers.iter().map(|l| (l.in_dim(), l.out_dim())).collect();
+        net.layers().iter().map(|l| (l.in_dim(), l.out_dim())).collect();
     let cost = CostReport::from_workload(
         &shapes,
         net.config().timesteps,

@@ -138,7 +138,7 @@ const LEARNED: usize = 4;
 
 /// One universe's trained agent, in scorecard strategy order.
 enum Learned {
-    Sdp(SdpAgent),
+    Sdp(Box<SdpAgent>),
     Drl(DrlAgent),
     Eiie(EiieAgent),
     Ddpg(DdpgAgent),
@@ -149,7 +149,7 @@ impl Learned {
     /// from the same state.
     fn policy(&self) -> Box<dyn Policy> {
         match self {
-            Self::Sdp(agent) => Box::new(agent.clone()),
+            Self::Sdp(agent) => agent.clone(),
             Self::Drl(agent) => Box::new(agent.clone()),
             Self::Eiie(agent) => Box::new(agent.clone()),
             Self::Ddpg(agent) => Box::new(agent.clone()),
@@ -304,7 +304,7 @@ fn run_matrix(
             &|tape| {
                 let mut agent = SdpAgent::new(&ucfg, n, agent_seed);
                 trainer.train_sdp_with(&mut agent, &train, tape);
-                Learned::Sdp(agent)
+                Learned::Sdp(Box::new(agent))
             },
             &|tape| {
                 let mut agent = DrlAgent::new(&ucfg, n, agent_seed ^ 0xd71);

@@ -1,8 +1,8 @@
 //! Concrete serving backends and CLI drivers behind `spikefolio-serve`.
 //!
 //! The serve crate is policy-agnostic; this module plugs the repo's real
-//! policies into it: the float SNN backend (the batched engine on weights
-//! transposed once per model, bitwise batch-composition invariant) and
+//! policies into it: the float SNN backend (the batched engine, bitwise
+//! batch-composition invariant) and
 //! the Loihi-quantized emulation backend (eq. (14) quantization +
 //! fixed-point chip model), both constructed from the same
 //! shape-validated v1/v2 checkpoints the trainer writes. It also hosts
@@ -13,7 +13,7 @@
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::str::FromStr;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use rand::rngs::StdRng;
@@ -26,7 +26,7 @@ use spikefolio_serve::{
     run_loadgen, InferenceBackend, LoadReport, LoadgenOptions, ModelLoader, ModelStore, Server,
     ServerHandle, ServerOptions, Service, ServiceConfig,
 };
-use spikefolio_snn::{BatchNetworkTrace, BatchWorkspace, SdpNetwork, TransposedWeights};
+use spikefolio_snn::{BatchNetworkTrace, BatchWorkspace, SdpNetwork};
 use spikefolio_telemetry::value::{parse, Value};
 use spikefolio_telemetry::NoopRecorder;
 use spikefolio_tensor::Matrix;
@@ -77,17 +77,14 @@ fn candles_from_flat(flat: &[f64]) -> Result<Vec<Candle>, String> {
 /// included, each sample encoded with its own request-seeded RNG, so
 /// served weights are independent of batch composition.
 ///
-/// A served model's weights never change, so the backend transposes them
-/// once, on its first inference, and passes that `Wᵀ` to every
-/// [`SdpNetwork::forward_batch`]: the event-driven drive at every batch
-/// size, bitwise identical to the dense reference.
+/// Every micro-batch runs [`SdpNetwork::forward_batch`], the event-driven
+/// drive, on the `Wᵀ` the network builds at its first inference rather
+/// than at load, so a hot swap holds no second `Wᵀ` while the old model
+/// drains.
 #[derive(Debug)]
 pub struct FloatPolicyBackend {
     network: SdpNetwork,
     state_builder: StateBuilder,
-    // The network's `Wᵀ`, built on first use rather than at load, so a
-    // hot swap does not hold a second copy while the old model drains.
-    transposed: OnceLock<TransposedWeights>,
     // Recycled forward buffers: at paper scale the (T·B)×dim stack
     // allocations cost as much as the batched GEMMs save, so the last
     // workspace is parked here between micro-batches. The forward pass
@@ -110,13 +107,7 @@ impl Clone for FloatPolicyBackend {
 impl FloatPolicyBackend {
     /// Wraps a trained network and its state layout.
     pub fn new(network: SdpNetwork, state_builder: StateBuilder) -> Self {
-        Self {
-            network,
-            state_builder,
-            transposed: OnceLock::new(),
-            scratch: Mutex::new(None),
-            rates: Mutex::new(None),
-        }
+        Self { network, state_builder, scratch: Mutex::new(None), rates: Mutex::new(None) }
     }
 }
 
@@ -151,9 +142,7 @@ impl InferenceBackend for FloatPolicyBackend {
                 BatchNetworkTrace::new(&self.network, batch),
             ),
         };
-        let wt = self.transposed.get_or_init(|| self.network.transposed_weights());
-        let rec = &mut NoopRecorder;
-        self.network.forward_batch(&matrix, &mut rngs, Some(wt), &mut ws, &mut trace, rec);
+        self.network.forward_batch(&matrix, &mut rngs, &mut ws, &mut trace, &mut NoopRecorder);
         let actions = (0..batch).map(|b| trace.action(b).to_vec()).collect();
         *self.rates.lock().unwrap_or_else(std::sync::PoisonError::into_inner) =
             Some(self.network.layer_firing_rates(&trace.layer_spikes, batch as u64));
@@ -765,11 +754,11 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(5);
         let states: Vec<f64> = (0..2 * dim).map(|_| rng.gen_range(0.8..1.2)).collect();
         let out = backend.infer_batch(&states, &[42, 43]);
+        let mut one = spikefolio_snn::SingleSample::new(&agent.network);
         for (b, &seed) in [42u64, 43].iter().enumerate() {
-            let mut sample_rng = StdRng::seed_from_u64(seed);
-            let state = Matrix::from_rows(&[&states[b * dim..(b + 1) * dim]]);
-            let direct = agent.network.act_batch(&state, std::slice::from_mut(&mut sample_rng));
-            assert_eq!(out[b], direct[0], "sample {b} must match its own B = 1 run");
+            let state = &states[b * dim..(b + 1) * dim];
+            let direct = one.forward(&agent.network, state, &mut StdRng::seed_from_u64(seed));
+            assert_eq!(out[b], direct, "sample {b} must match its own B = 1 run");
         }
     }
 
@@ -799,8 +788,9 @@ mod tests {
     #[test]
     fn float_backend_replies_are_pinned() {
         // Micro-batches of 1, 2, 3, 4 and 8 seeded requests through one
-        // backend: every reply must equal the dense reference run of its
-        // micro-batch bit for bit, and the replies' bits are pinned by CRC.
+        // backend: every reply must equal a run of its micro-batch on the
+        // agent's own network bit for bit, and the replies' bits are pinned
+        // by CRC.
         let cases = [
             ("smoke", SdpConfig::smoke(), 3, [0x76d4_a46d, 0xf8d2_d34b]),
             ("paper", SdpConfig::paper(), 11, [0xd571_f64c, 0x0e27_9b23]),
@@ -829,7 +819,7 @@ mod tests {
                     let mut ws = BatchWorkspace::new(net, batch);
                     let mut trace = BatchNetworkTrace::new(net, batch);
                     let rec = &mut NoopRecorder;
-                    net.forward_batch(&matrix, &mut rngs, None, &mut ws, &mut trace, rec);
+                    net.forward_batch(&matrix, &mut rngs, &mut ws, &mut trace, rec);
                     for (b, reply) in replies.iter().enumerate() {
                         let bits = |a: &[f64]| a.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
                         assert_eq!(

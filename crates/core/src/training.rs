@@ -28,9 +28,7 @@ use spikefolio_env::CostModel;
 use spikefolio_market::MarketData;
 use spikefolio_snn::network::SpikeStats;
 use spikefolio_snn::stbp;
-use spikefolio_snn::{
-    BatchNetworkTrace, BatchWorkspace, KernelPath, SdpNetwork, TransposedWeights,
-};
+use spikefolio_snn::{BatchNetworkTrace, BatchWorkspace, SdpNetwork};
 use spikefolio_telemetry::{
     labels, MemoryRecorder, NoopRecorder, Record, Recorder, Stopwatch, Value,
 };
@@ -219,12 +217,11 @@ struct MicroTelemetry {
 /// one processed micro-batch, and its measurements when observing.
 type MicroBatchResult = (Vec<(usize, Vec<f64>, f64)>, stbp::SdpGradients, Option<MicroTelemetry>);
 
-/// What every micro-batch of one optimizer step reads: the network, its
-/// weights transposed for the event-driven drive, and the reward inputs.
+/// What every micro-batch of one optimizer step reads: the network and
+/// the reward inputs.
 #[derive(Clone, Copy)]
 struct StepInputs<'a> {
     network: &'a SdpNetwork,
-    transposed: &'a TransposedWeights,
     market: &'a MarketData,
     costs: CostModel,
     rate_penalty: f64,
@@ -270,7 +267,7 @@ fn process_micro_batch(
         None => &mut noop,
     };
     let t0 = observe.then(Instant::now);
-    network.forward_batch(&states, &mut rngs, Some(step.transposed), ws, trace, rec);
+    network.forward_batch(&states, &mut rngs, ws, trace, rec);
     let forward_s = t0.map_or(0.0, |t| t.elapsed().as_secs_f64());
 
     let action_dim = trace.actions.shape().1;
@@ -288,15 +285,7 @@ fn process_micro_batch(
         samples.push((item.t, action, r));
     }
     let t1 = observe.then(Instant::now);
-    let grads = stbp::backward_batch(
-        network,
-        trace,
-        &d_actions,
-        step.rate_penalty,
-        ws,
-        KernelPath::Sparse,
-        rec,
-    );
+    let grads = stbp::backward_batch(network, trace, &d_actions, step.rate_penalty, ws, rec);
     let telemetry = t1.map(|t| {
         // `observe` implies `micro_rec` above; an empty fallback keeps the
         // fold total-safe either way.
@@ -357,9 +346,6 @@ pub struct SdpTrainingSession<'m> {
     step_counter: u64,
     epochs_run: u64,
     worker_caches: Vec<BatchCache>,
-    /// The network's `Wᵀ`, rebuilt in place at the start of every step and
-    /// shared by all of that step's micro-batches and workers.
-    transposed: TransposedWeights,
 }
 
 /// Point-in-time copy of everything that determines an SDP session's
@@ -444,8 +430,8 @@ impl SdpTrainingSession<'_> {
     ///    round-robin to `training.parallelism` workers. Each micro-batch
     ///    is one batched forward + reward gradient + batched STBP
     ///    backward, reusing the worker's cached workspace. Every forward
-    ///    takes the event-driven drive over one `Wᵀ` of the step's
-    ///    weights, rebuilt in place when the step starts.
+    ///    drives the network's one `Wᵀ`, which the previous step's apply
+    ///    rebuilt in place.
     ///    As each micro-batch finishes, its gradients are accumulated and
     ///    its actions written back into the PVM, in micro-batch index
     ///    order, so the step holds one gradient sum rather than one per
@@ -485,13 +471,9 @@ impl SdpTrainingSession<'_> {
         let mut layer_grad_norm_sums: Vec<f64> = Vec::new();
         let mut update_mag_sum = 0.0;
         let mut epoch_spikes = SpikeStats::default();
-        let mut epoch_layer_spikes: Vec<u64> = vec![0; agent.network.layers.len()];
+        let mut epoch_layer_spikes: Vec<u64> = vec![0; agent.network.depth()];
         for _step in 0..tc.steps_per_epoch {
             self.step_counter += 1;
-            // The weights changed at the last step's apply (or a restore):
-            // every micro-batch of this step drives the event-driven
-            // kernels over one fresh transpose of them.
-            self.transposed.rebuild_from(&agent.network);
             // Phase 1 (sequential): sample periods, read the PVM, build
             // states, fix per-sample encoder seeds.
             let sample_watch = Stopwatch::start(rec);
@@ -526,7 +508,6 @@ impl SdpTrainingSession<'_> {
             // exists, so no more than the out-of-order results are held.
             let step = StepInputs {
                 network: &agent.network,
-                transposed: &self.transposed,
                 market: self.market,
                 costs: self.costs,
                 rate_penalty: tc.rate_penalty,
@@ -648,7 +629,7 @@ impl SdpTrainingSession<'_> {
             // executed for this epoch's forwards vs the spike-driven synops
             // actually performed (counted in the forward pass).
             let dense_macs = net
-                .layers
+                .layers()
                 .iter()
                 .map(|l| spikefolio_tensor::gemm::dense_mac_count(l.in_dim(), l.out_dim(), 1))
                 .fold(0u64, |acc, m| acc.saturating_add(m))
@@ -747,7 +728,6 @@ impl Trainer {
             step_counter: 0,
             epochs_run: 0,
             worker_caches: Vec::new(),
-            transposed: TransposedWeights::default(),
         }
     }
 

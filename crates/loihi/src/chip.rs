@@ -309,6 +309,7 @@ mod tests {
         // Quantization preserves behaviour: actions decoded from chip spike
         // sums should be close to the float network's.
         let (net, mapped) = mapped_small();
+        let mut one = spikefolio_snn::SingleSample::new(&net);
         let mut r = rng();
         let mut agree = 0;
         let total = 20;
@@ -319,10 +320,9 @@ mod tests {
             let mut rates = vec![0.0; net.decoder.action_dim()];
             let mut chip_action = vec![0.0; net.decoder.action_dim()];
             net.decoder.decode_into(&sums, &mut rates, &mut chip_action);
-            let float_action =
-                net.act_batch(&Matrix::from_rows(&[&s]), std::slice::from_mut(&mut r)).remove(0);
+            let float_action = one.forward(&net, &s, &mut r);
             let same_argmax = spikefolio_tensor::vector::argmax(&chip_action)
-                == spikefolio_tensor::vector::argmax(&float_action);
+                == spikefolio_tensor::vector::argmax(float_action);
             if same_argmax {
                 agree += 1;
             }

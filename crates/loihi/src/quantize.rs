@@ -178,10 +178,10 @@ pub fn try_quantize_network(
     net: &SdpNetwork,
     opts: &QuantizeOptions,
 ) -> Result<(QuantizedNetwork, QuantizationReport), QuantizeError> {
-    if net.layers.iter().any(|l| l.adaptation.is_some()) {
+    if net.layers().iter().any(|l| l.adaptation.is_some()) {
         return Err(QuantizeError::AdaptiveThresholds);
     }
-    let mut layers = Vec::with_capacity(net.layers.len());
+    let mut layers = Vec::with_capacity(net.layers().len());
     let mut report = QuantizationReport {
         ratios: Vec::new(),
         max_errors: Vec::new(),
@@ -189,7 +189,7 @@ pub fn try_quantize_network(
         saturated_counts: Vec::new(),
         saturated_fractions: Vec::new(),
     };
-    for (k, layer) in net.layers.iter().enumerate() {
+    for (k, layer) in net.layers().iter().enumerate() {
         let mut mags: Vec<f64> =
             layer.weights.as_slice().iter().chain(layer.bias.iter()).map(|w| w.abs()).collect();
         let w_ref = reference_magnitude(&mut mags, opts.ratio_percentile);

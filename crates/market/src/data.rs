@@ -125,12 +125,6 @@ impl MarketData {
         self.candles[t * self.num_assets + a] = candle;
     }
 
-    /// Cross-section of all assets' candles at period `t`.
-    pub fn cross_section(&self, t: usize) -> &[Candle] {
-        assert!(t < self.num_periods(), "period {t} out of bounds");
-        &self.candles[t * self.num_assets..(t + 1) * self.num_assets]
-    }
-
     /// Closing price of asset `a` at period `t`.
     pub fn close(&self, t: usize, a: usize) -> f64 {
         self.candle(t, a).close

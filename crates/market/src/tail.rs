@@ -240,11 +240,6 @@ impl CsvTail {
         }
     }
 
-    /// Complete data rows accumulated so far (header excluded).
-    pub fn rows_seen(&self) -> usize {
-        self.lines.len()
-    }
-
     /// Drains every [`TailWarning`] accumulated since the last drain.
     pub fn take_warnings(&mut self) -> Vec<TailWarning> {
         std::mem::take(&mut self.warnings)

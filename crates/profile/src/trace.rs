@@ -98,11 +98,6 @@ impl ChromeTraceRecorder {
         &self.records
     }
 
-    /// Number of timeline events captured so far.
-    pub fn num_events(&self) -> usize {
-        self.events.len()
-    }
-
     /// Records a completed span on an explicit track. The default
     /// [`Recorder::span`] path keeps everything on `tid` 1; per-request
     /// serving traces give each sampled request its own `tid` (its

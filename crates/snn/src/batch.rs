@@ -4,25 +4,17 @@
 //! micro-batches, and single decisions (backtests, the desk gate) at
 //! `B = 1`.
 //!
-//! [`SdpNetwork::forward_batch`] is the one forward entry, and the caller
-//! picks its drive by what it holds:
+//! [`SdpNetwork::forward_batch`] is the one forward entry, and its drive
+//! is **event-driven** ([`spikefolio_tensor::sparse`]): each spike stack
+//! carries a [`SpikeSet`] of its active indices, and each presynaptic
+//! event streams one contiguous `out`-wide row of the layer's `Wᵀ`, the
+//! per-event work a neuromorphic core does. The network owns that `Wᵀ`
+//! ([`SdpNetwork`]): the first forward pass builds it and every weight
+//! write rebuilds it in place, so no caller holds a transpose and none can
+//! hold a stale one.
 //!
-//! * **`Some(wt)`** — the caller holds the weights transposed
-//!   ([`TransposedWeights`], built by [`SdpNetwork::transposed_weights`]
-//!   or rebuilt in place by [`TransposedWeights::rebuild_from`]). The drive
-//!   is **event-driven** ([`spikefolio_tensor::sparse`]): each spike stack
-//!   carries a [`SpikeSet`] of its active indices, and each presynaptic
-//!   event streams one contiguous `out`-wide row of `Wᵀ`. A served model
-//!   builds `Wᵀ` once; a trainer rebuilds it once per optimizer step and
-//!   shares it across every micro-batch and worker of that step.
-//! * **`None`** — the dense GEMM drive on the untransposed weights. It is
-//!   the bitwise reference, and the drive of every single decision
-//!   ([`SingleSample`]), whose weights may change between calls and which
-//!   could not amortize a transpose (3.7 MB for the paper's 3640×128 first
-//!   layer) over one sample.
-//!
-//! The two drives produce bit-identical traces, so which one runs is
-//! observable only in time and memory.
+//! The dense GEMM drive survives only as the tests' bitwise reference:
+//! the two produce bit-identical traces.
 //!
 //! # Memory layout
 //!
@@ -64,46 +56,7 @@ use rand::Rng;
 use spikefolio_telemetry::labels::{SPAN_PROFILE_SNN_ENCODE, SPAN_PROFILE_SNN_LIF};
 use spikefolio_telemetry::{NoopRecorder, Recorder, Stopwatch};
 use spikefolio_tensor::sparse::{self, SpikeSet};
-use spikefolio_tensor::{gemm, Matrix};
-
-/// Which weight-gradient kernel [`crate::stbp::backward_batch`] runs,
-/// chosen per call: the trainer runs the event-driven one, and the
-/// equivalence battery runs both. The two produce bit-identical gradients
-/// (see [`spikefolio_tensor::sparse`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum KernelPath {
-    /// Event-driven [`sparse::spike_outer_acc`]: rank-1 updates over the
-    /// active input-spike columns only.
-    Sparse,
-    /// Dense reference [`gemm::gemm_tn_acc`].
-    Dense,
-}
-
-/// Every layer's weights transposed (`Wᵀ`, `in × out`, input-side
-/// first): the operand the event-driven drive streams. Passing it to
-/// [`SdpNetwork::forward_batch`] selects that drive.
-///
-/// It is a snapshot: after the network's weights change it must be
-/// rebuilt ([`TransposedWeights::rebuild_from`]), or the forward pass runs
-/// on the old weights.
-#[derive(Debug, Clone, Default)]
-pub struct TransposedWeights {
-    layers: Vec<Matrix>,
-}
-
-impl TransposedWeights {
-    /// Rewrites the snapshot from `net`'s current weights, in place: once
-    /// it has held a network of this shape, no allocation.
-    pub fn rebuild_from(&mut self, net: &SdpNetwork) {
-        self.layers.resize_with(net.layers.len(), || Matrix::zeros(0, 0));
-        for (wt, layer) in self.layers.iter_mut().zip(&net.layers) {
-            if wt.shape() != (layer.in_dim(), layer.out_dim()) {
-                *wt = Matrix::zeros(layer.in_dim(), layer.out_dim());
-            }
-            layer.weights.transpose_into(wt);
-        }
-    }
-}
+use spikefolio_tensor::Matrix;
 
 /// Recorded history of one layer for a whole minibatch: stacked
 /// `(T·B) × out_dim` matrices, row `r = t·B + b`.
@@ -171,7 +124,7 @@ impl BatchNetworkTrace {
             encoder: Matrix::zeros(rows, net.encoder.output_dim()),
             encoder_set: SpikeSet::new(net.encoder.output_dim()),
             layers: net
-                .layers
+                .layers()
                 .iter()
                 .map(|l| BatchLayerTrace {
                     voltages: Matrix::zeros(rows, l.out_dim()),
@@ -183,7 +136,7 @@ impl BatchNetworkTrace {
             firing_rates: Matrix::zeros(batch, action_dim),
             actions: Matrix::zeros(batch, action_dim),
             stats: SpikeStats::default(),
-            layer_spikes: vec![0; net.layers.len()],
+            layer_spikes: vec![0; net.layers().len()],
             kernel_events: 0,
         }
     }
@@ -261,7 +214,7 @@ impl BatchWorkspace {
         assert!(batch > 0, "batch size must be positive");
         let t_max = net.config().timesteps;
         let layers = net
-            .layers
+            .layers()
             .iter()
             .map(|l| {
                 let out = l.out_dim();
@@ -281,7 +234,7 @@ impl BatchWorkspace {
                 }
             })
             .collect();
-        let out_last = net.layers.last().map_or(0, |l| l.out_dim());
+        let out_last = net.layers().last().map_or(0, |l| l.out_dim());
         Self { batch, layers, spike_sums: Matrix::zeros(batch, out_last) }
     }
 
@@ -315,8 +268,8 @@ impl SingleSample {
         }
     }
 
-    /// Runs `state` through `net` at `B = 1` on the dense drive
-    /// ([`SdpNetwork::forward_batch`] without `Wᵀ`) and returns the action.
+    /// Runs `state` through `net` at `B = 1` ([`SdpNetwork::forward_batch`])
+    /// and returns the action.
     ///
     /// # Panics
     ///
@@ -324,14 +277,8 @@ impl SingleSample {
     /// for, or `net` has another shape.
     pub fn forward<R: Rng>(&mut self, net: &SdpNetwork, state: &[f64], rng: &mut R) -> &[f64] {
         self.state.row_mut(0).copy_from_slice(state);
-        net.forward_batch(
-            &self.state,
-            std::slice::from_mut(rng),
-            None,
-            &mut self.ws,
-            &mut self.trace,
-            &mut NoopRecorder,
-        );
+        let rngs = std::slice::from_mut(rng);
+        net.forward_batch(&self.state, rngs, &mut self.ws, &mut self.trace, &mut NoopRecorder);
         self.trace.action(0)
     }
 }
@@ -342,11 +289,9 @@ fn count_spikes(data: &[f64]) -> u64 {
 
 impl SdpNetwork {
     /// Forward pass (Algorithm 1): runs every row of `states`
-    /// (`B × state_dim`) through the network simultaneously, one drive
-    /// kernel per layer per timestep. With `wt` the drive is event-driven
-    /// over those transposed weights; without it, the dense GEMM reference
-    /// (see the [module docs](crate::batch)). Both give the same bits as
-    /// long as `wt` was built from this network's current weights.
+    /// (`B × state_dim`) through the network simultaneously, one
+    /// event-driven drive per layer per timestep over the network's `Wᵀ`
+    /// (built on the first call; see the [module docs](crate::batch)).
     ///
     /// Sample `b` is encoded with `rngs[b]`, so with per-sample seeded RNGs
     /// the result is independent of how samples are grouped into batches:
@@ -363,18 +308,42 @@ impl SdpNetwork {
     ///
     /// # Panics
     ///
-    /// Panics if shapes disagree (state width, batch size, RNG count, a
-    /// workspace/trace built for a different network or batch size, or a
-    /// `wt` built for a network of another shape).
+    /// Panics if shapes disagree (state width, batch size, RNG count, or a
+    /// workspace/trace built for a different network or batch size).
     pub fn forward_batch<R: Rng>(
         &self,
         states: &Matrix,
         rngs: &mut [R],
-        wt: Option<&TransposedWeights>,
         ws: &mut BatchWorkspace,
         trace: &mut BatchNetworkTrace,
         rec: &mut dyn Recorder,
     ) {
+        let wt = self.transposed();
+        let bsz = states.rows();
+        self.forward_with(states, rngs, ws, trace, rec, |k, input, input_set, row0, drive| {
+            // Touch only the active presynaptic rows of Wᵀ, k-ascending:
+            // bitwise identical to the dense reference (see tensor::sparse).
+            let (in_dim, out_dim) = wt[k].shape();
+            let wt = wt[k].as_slice();
+            sparse::spike_drive(input, input_set, row0, wt, drive, bsz, in_dim, out_dim)
+        });
+    }
+
+    /// The forward pass around one drive kernel:
+    /// `drive(k, input_block, input_set, first_row, out)` writes layer
+    /// `k`'s synaptic drive for one timestep's `B` input rows (stack rows
+    /// `first_row..first_row + B`) into `out` and returns the synaptic
+    /// events it processed.
+    fn forward_with<R: Rng>(
+        &self,
+        states: &Matrix,
+        rngs: &mut [R],
+        ws: &mut BatchWorkspace,
+        trace: &mut BatchNetworkTrace,
+        rec: &mut dyn Recorder,
+        mut drive: impl FnMut(usize, &[f64], &SpikeSet, usize, &mut [f64]) -> u64,
+    ) {
+        let layers = self.layers();
         let bsz = states.rows();
         let t_max = self.config().timesteps;
         let enc_dim = self.encoder.output_dim();
@@ -384,17 +353,7 @@ impl SdpNetwork {
         assert_eq!(ws.batch, bsz, "forward_batch: workspace batch mismatch");
         assert_eq!(trace.batch, bsz, "forward_batch: trace batch mismatch");
         assert_eq!(trace.encoder.cols(), enc_dim, "forward_batch: trace encoder width mismatch");
-        assert_eq!(trace.layers.len(), self.layers.len(), "forward_batch: trace depth mismatch");
-        if let Some(wt) = wt {
-            assert_eq!(wt.layers.len(), self.layers.len(), "forward_batch: Wᵀ depth mismatch");
-            for (w, layer) in wt.layers.iter().zip(&self.layers) {
-                assert_eq!(
-                    w.shape(),
-                    (layer.in_dim(), layer.out_dim()),
-                    "forward_batch: Wᵀ shape mismatch"
-                );
-            }
-        }
+        assert_eq!(trace.layers.len(), layers.len(), "forward_batch: trace depth mismatch");
 
         trace.stats = SpikeStats::default();
         trace.kernel_events = 0;
@@ -424,8 +383,7 @@ impl SdpNetwork {
         let mut kernel_events = 0u64;
         let lif_watch = Stopwatch::start(rec);
         for t in 0..t_max {
-            for (k, layer) in self.layers.iter().enumerate() {
-                let out_dim = layer.out_dim();
+            for (k, layer) in layers.iter().enumerate() {
                 let in_dim = layer.in_dim();
                 let (done, rest) = trace.layers.split_at_mut(k);
                 let lt = &mut rest[0];
@@ -441,42 +399,7 @@ impl SdpNetwork {
                     )
                 };
                 let lb = &mut ws.layers[k];
-                match wt {
-                    Some(wt) => {
-                        // Event-driven c-drive: touch only the active
-                        // presynaptic columns, k-ascending — bitwise
-                        // identical to the dense reference (see
-                        // tensor::sparse).
-                        kernel_events += sparse::spike_drive(
-                            input_block,
-                            input_set,
-                            t * bsz,
-                            wt.layers[k].as_slice(),
-                            lb.drive.as_mut_slice(),
-                            bsz,
-                            in_dim,
-                            out_dim,
-                        );
-                    }
-                    None => {
-                        // Dense reference: B k-ascending dots per neuron,
-                        // bitwise identical to the sparse drive. Tally
-                        // the events the sparse kernel would process so
-                        // traces stay comparable across drives.
-                        gemm::gemm_nt(
-                            input_block,
-                            layer.weights.as_slice(),
-                            lb.drive.as_mut_slice(),
-                            bsz,
-                            in_dim,
-                            out_dim,
-                        );
-                        for b in 0..bsz {
-                            kernel_events +=
-                                input_set.row(t * bsz + b).len() as u64 * out_dim as u64;
-                        }
-                    }
-                }
+                kernel_events += drive(k, input_block, input_set, t * bsz, lb.drive.as_mut_slice());
                 for b in 0..bsz {
                     let r = t * bsz + b;
                     layer.update(
@@ -502,7 +425,7 @@ impl SdpNetwork {
         lif_watch.stop(rec, SPAN_PROFILE_SNN_LIF);
 
         // Event counters (summed over the batch, matching B single-sample runs).
-        for (k, layer) in self.layers.iter().enumerate() {
+        for (k, layer) in layers.iter().enumerate() {
             let inputs = if k == 0 {
                 trace.encoder.as_slice()
             } else {
@@ -535,43 +458,46 @@ impl SdpNetwork {
             );
         }
     }
-
-    /// One-shot action selection for offline callers: allocates a
-    /// workspace and trace for `states.rows()` samples, runs
-    /// [`forward_batch`](Self::forward_batch) on the dense drive, and
-    /// returns each sample's portfolio weight vector. Callers on a hot
-    /// path keep their own workspace and call `forward_batch` instead.
-    ///
-    /// # Panics
-    ///
-    /// Panics on the same shape mismatches as [`forward_batch`](Self::forward_batch).
-    pub fn act_batch<R: Rng>(&self, states: &Matrix, rngs: &mut [R]) -> Vec<Vec<f64>> {
-        let bsz = states.rows();
-        let mut ws = BatchWorkspace::new(self, bsz);
-        let mut trace = BatchNetworkTrace::new(self, bsz);
-        self.forward_batch(states, rngs, None, &mut ws, &mut trace, &mut NoopRecorder);
-        (0..bsz).map(|b| trace.action(b).to_vec()).collect()
-    }
-
-    /// Transposes every layer's weights into a fresh
-    /// [`TransposedWeights`], the operand of the event-driven drive.
-    pub fn transposed_weights(&self) -> TransposedWeights {
-        let mut wt = TransposedWeights::default();
-        wt.rebuild_from(self);
-        wt
-    }
 }
 
 #[cfg(test)]
 impl SdpNetwork {
-    /// Runs one state through [`SdpNetwork::forward_batch`] at `B = 1` on
-    /// fresh buffers and the dense drive, and returns the trace.
+    /// The dense reference of [`SdpNetwork::forward_batch`]: the same pass
+    /// with a GEMM drive on the untransposed weights (`B` k-ascending dots
+    /// per neuron). It tallies the events the event-driven drive would
+    /// process, so whole traces compare bitwise across the two drives.
+    pub(crate) fn forward_batch_dense<R: Rng>(
+        &self,
+        states: &Matrix,
+        rngs: &mut [R],
+        ws: &mut BatchWorkspace,
+        trace: &mut BatchNetworkTrace,
+    ) {
+        let bsz = states.rows();
+        let rec = &mut NoopRecorder;
+        self.forward_with(states, rngs, ws, trace, rec, |k, input, input_set, row0, drive| {
+            let layer = &self.layers()[k];
+            let (in_dim, out_dim) = (layer.in_dim(), layer.out_dim());
+            spikefolio_tensor::gemm::gemm_nt(
+                input,
+                layer.weights.as_slice(),
+                drive,
+                bsz,
+                in_dim,
+                out_dim,
+            );
+            (row0..row0 + bsz).map(|r| input_set.row(r).len() as u64).sum::<u64>() * out_dim as u64
+        });
+    }
+
+    /// Runs one state through [`SdpNetwork::forward_batch_dense`] at
+    /// `B = 1` on fresh buffers, and returns the trace: the per-sample
+    /// reference of the engine's tests.
     pub(crate) fn forward_one<R: Rng>(&self, state: &[f64], rng: &mut R) -> BatchNetworkTrace {
         let mut ws = BatchWorkspace::new(self, 1);
         let mut trace = BatchNetworkTrace::new(self, 1);
         let states = Matrix::from_rows(&[state]);
-        let rngs = std::slice::from_mut(rng);
-        self.forward_batch(&states, rngs, None, &mut ws, &mut trace, &mut NoopRecorder);
+        self.forward_batch_dense(&states, std::slice::from_mut(rng), &mut ws, &mut trace);
         trace
     }
 }
@@ -581,6 +507,8 @@ mod tests {
     use super::*;
     use crate::encoder::Encoding;
     use crate::network::SdpNetworkConfig;
+    use crate::neuron::{AdaptiveParams, SpikeFn};
+    use crate::stbp;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -598,17 +526,20 @@ mod tests {
     }
 
     /// Runs `batch` rows of [`states`] with per-sample seeds from `seed0`
-    /// on the drive `wt` selects, on fresh buffers.
-    fn run(
-        net: &SdpNetwork,
-        batch: usize,
-        seed0: u64,
-        wt: Option<&TransposedWeights>,
-    ) -> BatchNetworkTrace {
+    /// on fresh buffers.
+    fn run(net: &SdpNetwork, batch: usize, seed0: u64) -> BatchNetworkTrace {
         let mut ws = BatchWorkspace::new(net, batch);
         let mut trace = BatchNetworkTrace::new(net, batch);
         let st = states(net, batch);
-        net.forward_batch(&st, &mut rngs(batch, seed0), wt, &mut ws, &mut trace, &mut NoopRecorder);
+        net.forward_batch(&st, &mut rngs(batch, seed0), &mut ws, &mut trace, &mut NoopRecorder);
+        trace
+    }
+
+    /// [`run`] on the dense reference drive.
+    fn run_dense(net: &SdpNetwork, batch: usize, seed0: u64) -> BatchNetworkTrace {
+        let mut ws = BatchWorkspace::new(net, batch);
+        let mut trace = BatchNetworkTrace::new(net, batch);
+        net.forward_batch_dense(&states(net, batch), &mut rngs(batch, seed0), &mut ws, &mut trace);
         trace
     }
 
@@ -623,7 +554,7 @@ mod tests {
             let net = SdpNetwork::new(cfg, &mut rng(7));
             let batch = 5;
             let st = states(&net, batch);
-            let trace = run(&net, batch, 100, Some(&net.transposed_weights()));
+            let trace = run(&net, batch, 100);
             for b in 0..batch {
                 let one = net.forward_one(st.row(b), &mut rng(100 + b as u64));
                 assert_eq!(trace.action(b), one.action(0), "{encoding:?} sample {b}");
@@ -636,7 +567,7 @@ mod tests {
         let net = SdpNetwork::new(SdpNetworkConfig::small(4, 3), &mut rng(7));
         let batch = 4;
         let st = states(&net, batch);
-        let trace = run(&net, batch, 0, Some(&net.transposed_weights()));
+        let trace = run(&net, batch, 0);
         let mut expect = SpikeStats::default();
         for b in 0..batch {
             let s = net.forward_one(st.row(b), &mut rng(b as u64)).stats;
@@ -653,8 +584,8 @@ mod tests {
         let net = SdpNetwork::new(SdpNetworkConfig::small(4, 3), &mut rng(11));
         let batch = 4;
         let st = states(&net, batch);
-        let trace = run(&net, batch, 0, Some(&net.transposed_weights()));
-        let mut expect = vec![0u64; net.layers.len()];
+        let trace = run(&net, batch, 0);
+        let mut expect = vec![0u64; net.depth()];
         for b in 0..batch {
             let t = net.forward_one(st.row(b), &mut rng(b as u64));
             assert_eq!(t.layer_spikes.iter().sum::<u64>(), t.stats.neuron_spikes);
@@ -665,7 +596,7 @@ mod tests {
         assert_eq!(trace.layer_spikes, expect);
         assert_eq!(trace.layer_spikes.iter().sum::<u64>(), trace.stats.neuron_spikes);
         let rates = net.layer_firing_rates(&trace.layer_spikes, batch as u64);
-        assert_eq!(rates.len(), net.layers.len());
+        assert_eq!(rates.len(), net.depth());
         for r in &rates {
             assert!((0.0..=1.0).contains(r), "firing rate {r} out of [0, 1]");
         }
@@ -674,30 +605,29 @@ mod tests {
     #[test]
     fn workspace_and_trace_are_reusable_across_calls() {
         let net = SdpNetwork::new(SdpNetworkConfig::small(4, 3), &mut rng(9));
-        let wt = net.transposed_weights();
         let batch = 3;
         let mut ws = BatchWorkspace::new(&net, batch);
         let mut trace = BatchNetworkTrace::new(&net, batch);
         let st1 = states(&net, batch);
         let st2 = st1.map(|v| v + 0.01);
         let rec = &mut NoopRecorder;
-        net.forward_batch(&st1, &mut rngs(batch, 0), Some(&wt), &mut ws, &mut trace, rec);
+        net.forward_batch(&st1, &mut rngs(batch, 0), &mut ws, &mut trace, rec);
         let first = trace.actions.clone();
         // Run different inputs through the same buffers, then the originals
         // again: stale state must not leak.
-        net.forward_batch(&st2, &mut rngs(batch, 0), Some(&wt), &mut ws, &mut trace, rec);
-        net.forward_batch(&st1, &mut rngs(batch, 0), Some(&wt), &mut ws, &mut trace, rec);
+        net.forward_batch(&st2, &mut rngs(batch, 0), &mut ws, &mut trace, rec);
+        net.forward_batch(&st1, &mut rngs(batch, 0), &mut ws, &mut trace, rec);
         assert_eq!(trace.actions, first, "workspace reuse must be stateless");
     }
 
     #[test]
     fn adaptive_network_matches_per_sample_path() {
         let mut cfg = SdpNetworkConfig::small(4, 3);
-        cfg.adaptation = Some(crate::neuron::AdaptiveParams { beta: 0.6, rho: 0.85 });
+        cfg.adaptation = Some(AdaptiveParams { beta: 0.6, rho: 0.85 });
         let net = SdpNetwork::new(cfg, &mut rng(21));
         let batch = 3;
         let st = states(&net, batch);
-        let trace = run(&net, batch, 0, Some(&net.transposed_weights()));
+        let trace = run(&net, batch, 0);
         for b in 0..batch {
             let one = net.forward_one(st.row(b), &mut rng(b as u64));
             assert_eq!(trace.action(b), one.action(0), "ALIF sample {b}");
@@ -708,15 +638,14 @@ mod tests {
     fn recorded_forward_is_bitwise_identical_and_emits_profile_spans() {
         use spikefolio_telemetry::MemoryRecorder;
         let net = SdpNetwork::new(SdpNetworkConfig::small(4, 3), &mut rng(7));
-        let wt = net.transposed_weights();
         let batch = 4;
         let st = states(&net, batch);
-        let plain = run(&net, batch, 0, Some(&wt));
+        let plain = run(&net, batch, 0);
 
         let mut rec = MemoryRecorder::default();
         let mut ws = BatchWorkspace::new(&net, batch);
         let mut observed = BatchNetworkTrace::new(&net, batch);
-        net.forward_batch(&st, &mut rngs(batch, 0), Some(&wt), &mut ws, &mut observed, &mut rec);
+        net.forward_batch(&st, &mut rngs(batch, 0), &mut ws, &mut observed, &mut rec);
 
         assert_eq!(observed, plain, "recording must not change the forward pass");
         let (enc_s, enc_n) = rec.span_total(SPAN_PROFILE_SNN_ENCODE);
@@ -728,10 +657,9 @@ mod tests {
     #[test]
     fn sparse_and_dense_paths_produce_identical_traces() {
         let net = SdpNetwork::new(SdpNetworkConfig::small(4, 3), &mut rng(17));
-        let wt = net.transposed_weights();
         for batch in [1, 4] {
-            let dense = run(&net, batch, 0, None);
-            let sparse_t = run(&net, batch, 0, Some(&wt));
+            let dense = run_dense(&net, batch, 0);
+            let sparse_t = run(&net, batch, 0);
             assert_eq!(sparse_t, dense, "B = {batch}: sparse trace must equal the dense one");
             assert!(sparse_t.kernel_events > 0, "workload should produce events");
         }
@@ -740,25 +668,18 @@ mod tests {
     #[test]
     fn transposed_weights_rebuilt_in_place_match_a_fresh_transpose() {
         let mut net = SdpNetwork::new(SdpNetworkConfig::small(4, 3), &mut rng(23));
-        let mut wt = net.transposed_weights();
-        for layer in &mut net.layers {
-            for (i, w) in layer.weights.as_mut_slice().iter_mut().enumerate() {
-                *w += 0.01 * (i % 7) as f64 - 0.03;
-            }
-        }
-        let stale = wt.layers.clone();
-        wt.rebuild_from(&net);
-        assert_ne!(wt.layers, stale, "the weight change must reach Wᵀ");
-        assert_eq!(wt.layers, net.transposed_weights().layers);
-        assert_eq!(run(&net, 3, 0, Some(&wt)), run(&net, 3, 0, None));
-    }
-
-    #[test]
-    #[should_panic(expected = "Wᵀ shape mismatch")]
-    fn transposed_weights_of_another_shape_panic() {
-        let net = SdpNetwork::new(SdpNetworkConfig::small(4, 3), &mut rng(3));
-        let other = SdpNetwork::new(SdpNetworkConfig::small(5, 3), &mut rng(3));
-        let _ = run(&net, 1, 0, Some(&other.transposed_weights()));
+        let _ = run(&net, 3, 0); // builds Wᵀ
+        let stale = net.transposed().to_vec();
+        let params: Vec<f64> = stbp::flat_params(&net)
+            .iter()
+            .enumerate()
+            .map(|(i, w)| w + 0.01 * (i % 7) as f64 - 0.03)
+            .collect();
+        stbp::set_flat_params(&mut net, &params);
+        let fresh: Vec<Matrix> = net.layers().iter().map(|l| l.weights.transposed()).collect();
+        assert_ne!(net.transposed(), &stale[..], "the weight change must reach Wᵀ");
+        assert_eq!(net.transposed(), &fresh[..]);
+        assert_eq!(run(&net, 3, 0), run_dense(&net, 3, 0));
     }
 
     #[test]
@@ -766,7 +687,7 @@ mod tests {
         // The drive kernels tally events as they propagate spikes; the
         // stats recompute synops from the dense rasters. The two must agree.
         let net = SdpNetwork::new(SdpNetworkConfig::small(4, 3), &mut rng(29));
-        let trace = run(&net, 6, 0, Some(&net.transposed_weights()));
+        let trace = run(&net, 6, 0);
         assert_eq!(trace.kernel_events, trace.stats.synops);
     }
 
@@ -777,6 +698,78 @@ mod tests {
         let st = states(&net, 2);
         let mut ws = BatchWorkspace::new(&net, 3);
         let mut trace = BatchNetworkTrace::new(&net, 2);
-        net.forward_batch(&st, &mut rngs(2, 0), None, &mut ws, &mut trace, &mut NoopRecorder);
+        net.forward_batch(&st, &mut rngs(2, 0), &mut ws, &mut trace, &mut NoopRecorder);
+    }
+
+    // The dense-vs-event battery: hard, probabilistic, soft and ALIF nets
+    // at b1/b8/b32, forward traces and backward gradients bitwise.
+
+    const BATCHES: [usize; 3] = [1, 8, 32];
+
+    fn battery_nets() -> Vec<(&'static str, SdpNetwork)> {
+        let mut r = rng(7);
+        let base = SdpNetworkConfig::small(6, 3);
+        let hard = SdpNetworkConfig { hidden: vec![12, 9], ..base.clone() };
+        let mut prob = base.clone();
+        prob.encoder.encoding = Encoding::Probabilistic;
+        let soft =
+            SdpNetworkConfig { spike_fn: SpikeFn::Soft { temperature: 0.4 }, ..base.clone() };
+        let alif = SdpNetworkConfig {
+            adaptation: Some(AdaptiveParams { beta: 0.6, rho: 0.85 }),
+            ..base.clone()
+        };
+        [("hard", hard), ("probabilistic", prob), ("soft", soft), ("alif", alif)]
+            .into_iter()
+            .map(|(kind, cfg)| (kind, SdpNetwork::new(cfg, &mut r)))
+            .collect()
+    }
+
+    fn battery_states(batch: usize, dim: usize) -> Matrix {
+        Matrix::from_fn(batch, dim, |b, d| 0.7 + 0.04 * ((b * dim + d) % 17) as f64)
+    }
+
+    #[test]
+    fn forward_traces_are_bitwise_equal_at_all_batch_sizes() {
+        // Each workspace is driven twice, other states first, as a served
+        // model's buffers are.
+        for (kind, net) in battery_nets() {
+            for batch in BATCHES {
+                let st = battery_states(batch, net.config().state_dim);
+                let mut ws = BatchWorkspace::new(&net, batch);
+                let mut dense = BatchNetworkTrace::new(&net, batch);
+                net.forward_batch_dense(&st, &mut rngs(batch, 1000), &mut ws, &mut dense);
+                let mut trace = BatchNetworkTrace::new(&net, batch);
+                let rec = &mut NoopRecorder;
+                let other = st.map(|v| v + 0.13);
+                net.forward_batch(&other, &mut rngs(batch, 1000), &mut ws, &mut trace, rec);
+                net.forward_batch(&st, &mut rngs(batch, 1000), &mut ws, &mut trace, rec);
+                // Whole-trace equality: voltages, thresholds, spikes, spike
+                // sets, actions, stats, and the kernel event tally.
+                assert_eq!(trace, dense, "{kind} net, batch {batch}");
+                assert!(trace.kernel_events > 0, "{kind} net produced no events");
+            }
+        }
+    }
+
+    #[test]
+    fn backward_gradients_are_bitwise_equal_at_all_batch_sizes() {
+        for (kind, net) in battery_nets() {
+            for batch in BATCHES {
+                let st = battery_states(batch, net.config().state_dim);
+                let mut ws = BatchWorkspace::new(&net, batch);
+                let mut trace = BatchNetworkTrace::new(&net, batch);
+                let rec = &mut NoopRecorder;
+                net.forward_batch(&st, &mut rngs(batch, 1000), &mut ws, &mut trace, rec);
+                let d_actions =
+                    Matrix::from_fn(batch, 3, |b, a| 0.2 - 0.1 * a as f64 + 0.01 * b as f64);
+                let dense = stbp::backward_batch_dense(&net, &trace, &d_actions, 0.05, &mut ws);
+                let sparse_g = stbp::backward_batch(&net, &trace, &d_actions, 0.05, &mut ws, rec);
+                assert_eq!(
+                    stbp::flat_grads(&sparse_g),
+                    stbp::flat_grads(&dense),
+                    "{kind} net, batch {batch}"
+                );
+            }
+        }
     }
 }

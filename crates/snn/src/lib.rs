@@ -21,15 +21,15 @@
 //! ```
 //! use rand::SeedableRng;
 //! use spikefolio_snn::network::{SdpNetwork, SdpNetworkConfig};
-//! use spikefolio_tensor::Matrix;
+//! use spikefolio_snn::SingleSample;
 //!
 //! let cfg = SdpNetworkConfig::small(6, 3); // 6 state dims, 3 actions
 //! let mut rng = rand::rngs::StdRng::seed_from_u64(1);
 //! let net = SdpNetwork::new(cfg, &mut rng);
-//! // One state row; each sample is encoded with its own RNG.
-//! let states = Matrix::from_rows(&[&[0.9, 1.0, 1.1, 1.0, 0.95, 1.05]]);
-//! let actions = net.act_batch(&states, std::slice::from_mut(&mut rng));
-//! assert!((actions[0].iter().sum::<f64>() - 1.0).abs() < 1e-9);
+//! // One decision: a batch of one state, encoded with its own RNG.
+//! let mut one = SingleSample::new(&net);
+//! let action = one.forward(&net, &[0.9, 1.0, 1.1, 1.0, 0.95, 1.05], &mut rng);
+//! assert!((action.iter().sum::<f64>() - 1.0).abs() < 1e-9);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -44,9 +44,7 @@ pub mod neuron;
 pub mod stbp;
 pub mod surrogate;
 
-pub use batch::{
-    BatchLayerTrace, BatchNetworkTrace, BatchWorkspace, KernelPath, SingleSample, TransposedWeights,
-};
+pub use batch::{BatchLayerTrace, BatchNetworkTrace, BatchWorkspace, SingleSample};
 pub use encoder::{Encoding, PopulationEncoder, PopulationEncoderConfig};
 pub use network::{SdpNetwork, SdpNetworkConfig};
 pub use neuron::LifParams;

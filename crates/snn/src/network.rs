@@ -7,6 +7,8 @@ use crate::layer::LifLayer;
 use crate::neuron::{AdaptiveParams, LifParams, SpikeFn};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
+use spikefolio_tensor::Matrix;
+use std::sync::OnceLock;
 
 /// Configuration of an [`SdpNetwork`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -112,16 +114,37 @@ impl SpikeStats {
 
 /// The spiking deterministic policy network of Fig. 1.
 ///
+/// The network owns its weights transposed (`Wᵀ`, `in × out` per layer),
+/// the operand of the event-driven drive: the first forward pass builds
+/// it, and the only weight writers ([`crate::stbp::SdpTrainer::apply`]
+/// and [`crate::stbp::set_flat_params`]) rebuild a built one in place. A
+/// network that never runs forward never transposes; a clone carries the
+/// `Wᵀ` of the weights it copies.
+///
 /// See the [crate docs](crate) for an end-to-end example.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct SdpNetwork {
     /// Population encoder (eqs. 2–4).
     pub encoder: PopulationEncoder,
     /// LIF layers, hidden then output (`action_dim × pop_out` wide).
-    pub layers: Vec<LifLayer>,
+    layers: Vec<LifLayer>,
     /// Rate decoder (eqs. 8–10).
     pub decoder: Decoder,
     config: SdpNetworkConfig,
+    /// Every layer's `Wᵀ`, input-side first, once a forward pass built it.
+    transposed: OnceLock<Vec<Matrix>>,
+}
+
+/// Rewrites `wt` as the transposes of `layers`' weights, in place: once it
+/// has held layers of these shapes, no allocation.
+fn transpose_into(layers: &[LifLayer], wt: &mut Vec<Matrix>) {
+    wt.resize_with(layers.len(), || Matrix::zeros(0, 0));
+    for (w, layer) in wt.iter_mut().zip(layers) {
+        if w.shape() != (layer.in_dim(), layer.out_dim()) {
+            *w = Matrix::zeros(layer.in_dim(), layer.out_dim());
+        }
+        layer.weights.transpose_into(w);
+    }
 }
 
 impl SdpNetwork {
@@ -151,7 +174,32 @@ impl SdpNetwork {
             .collect();
         let decoder =
             Decoder::new_randomized(config.action_dim, config.pop_out, config.timesteps, rng);
-        Self { encoder, layers, decoder, config }
+        Self { encoder, layers, decoder, config, transposed: OnceLock::new() }
+    }
+
+    /// The LIF layers, hidden then output (`action_dim × pop_out` wide).
+    pub fn layers(&self) -> &[LifLayer] {
+        &self.layers
+    }
+
+    /// Every layer's `Wᵀ` (input-side first), built on the first call.
+    pub(crate) fn transposed(&self) -> &[Matrix] {
+        self.transposed.get_or_init(|| {
+            let mut wt = Vec::new();
+            transpose_into(&self.layers, &mut wt);
+            wt
+        })
+    }
+
+    /// Runs `write` on the layers, then rebuilds a built `Wᵀ` in place so
+    /// the next forward pass drives the new weights. The one way to change
+    /// layer parameters; `write` must not change a layer's shape.
+    pub(crate) fn write_layers<T>(&mut self, write: impl FnOnce(&mut [LifLayer]) -> T) -> T {
+        let out = write(&mut self.layers);
+        if let Some(wt) = self.transposed.get_mut() {
+            transpose_into(&self.layers, wt);
+        }
+        out
     }
 
     /// Borrow the configuration.

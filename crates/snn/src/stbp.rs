@@ -15,7 +15,7 @@
 //! exact (no surrogate) when the network uses the soft spike relaxation,
 //! which is how the recurrences are validated against finite differences.
 
-use crate::batch::{BatchNetworkTrace, BatchWorkspace, KernelPath};
+use crate::batch::{BatchNetworkTrace, BatchWorkspace};
 use crate::network::SdpNetwork;
 use spikefolio_telemetry::labels::SPAN_PROFILE_SNN_STBP;
 use spikefolio_telemetry::{Recorder, Stopwatch};
@@ -47,7 +47,7 @@ impl SdpGradients {
     pub fn zeros_like(net: &SdpNetwork) -> Self {
         Self {
             layers: net
-                .layers
+                .layers()
                 .iter()
                 .map(|l| LayerGradients {
                     d_weights: Matrix::zeros(l.out_dim(), l.in_dim()),
@@ -112,10 +112,11 @@ impl Gradients for SdpGradients {
 ///
 /// The reverse-time `δo/δv/δc` recurrences are evaluated elementwise per
 /// sample row, in the same order whatever the batch size; the weight
-/// gradient is then formed as a single `kernel` call per layer,
-/// `∇W += Σ_{t,b} δc(t,b)ᵀ · o_in(t,b)`, whose `(t, b)` summation order is
-/// the only floating-point difference from summing the rows' `B = 1`
-/// passes (≈1e-14 relative). Both [`KernelPath`]s give the same bits.
+/// gradient is then formed as one event-driven kernel call per layer,
+/// `∇W += Σ_{t,b} δc(t,b)ᵀ · o_in(t,b)` over the active input spikes only,
+/// whose `(t, b)` summation order is the only floating-point difference
+/// from summing the rows' `B = 1` passes (≈1e-14 relative). It gives the
+/// same bits as the dense GEMM, which the tests keep as its reference.
 ///
 /// The whole pass is timed as one [`SPAN_PROFILE_SNN_STBP`] span on
 /// `rec`. Observe-only: the recorder never influences the gradients, and
@@ -131,10 +132,28 @@ pub fn backward_batch(
     d_actions: &Matrix,
     rate_penalty: f64,
     ws: &mut BatchWorkspace,
-    kernel: KernelPath,
     rec: &mut dyn Recorder,
 ) -> SdpGradients {
     let watch = Stopwatch::start(rec);
+    let grads =
+        backward_with(net, trace, d_actions, rate_penalty, ws, |dc, o_in, set, dw, rows, m, n| {
+            sparse::spike_outer_acc(1.0, dc, o_in, set, dw, rows, m, n);
+        });
+    watch.stop(rec, SPAN_PROFILE_SNN_STBP);
+    grads
+}
+
+/// The backward pass around one weight-gradient kernel:
+/// `weight_grad(δc, o_in, input_set, ∇W, rows, out, in)` accumulates
+/// `∇W += δcᵀ · o_in` over the `rows = T·B` rows of the stacks.
+fn backward_with(
+    net: &SdpNetwork,
+    trace: &BatchNetworkTrace,
+    d_actions: &Matrix,
+    rate_penalty: f64,
+    ws: &mut BatchWorkspace,
+    weight_grad: impl Fn(&[f64], &[f64], &sparse::SpikeSet, &mut [f64], usize, usize, usize),
+) -> SdpGradients {
     let bsz = trace.batch();
     let t_max = net.config().timesteps;
     assert_eq!(trace.layers.len(), net.depth(), "trace depth mismatch");
@@ -146,7 +165,7 @@ pub fn backward_batch(
         "d_actions must be batch x action_dim"
     );
     assert!(rate_penalty >= 0.0, "rate penalty must be non-negative");
-    let n_hidden: usize = net.layers[..net.depth() - 1].iter().map(|l| l.out_dim()).sum();
+    let n_hidden: usize = net.layers()[..net.depth() - 1].iter().map(|l| l.out_dim()).sum();
     let rate_grad = if n_hidden > 0 && rate_penalty > 0.0 {
         rate_penalty / (t_max as f64 * n_hidden as f64)
     } else {
@@ -170,12 +189,12 @@ pub fn backward_batch(
         }
     }
 
-    for (k, layer) in net.layers.iter().enumerate().rev() {
+    for (k, layer) in net.layers().iter().enumerate().rev() {
         let lt = &trace.layers[k];
         let out_dim = layer.out_dim();
         let in_dim = layer.in_dim();
         let p = &layer.params;
-        let hidden_rate = k + 1 < net.layers.len() && rate_grad > 0.0;
+        let hidden_rate = k + 1 < net.layers().len() && rate_grad > 0.0;
 
         let (lower, rest) = ws.layers.split_at_mut(k);
         let lb = &mut rest[0];
@@ -238,7 +257,7 @@ pub fn backward_batch(
 
         // Parameter gradients (eq. 13) over the whole stack:
         // ∇W += Σ_{t,b} δc ⊗ o_in, ∇b = column sums of the δc stack. The
-        // event-driven path restricts each rank-1 update to the active
+        // event-driven kernel restricts each rank-1 update to the active
         // input-spike columns of that row — bitwise identical to the dense
         // reference (skipped zero addends cannot flip accumulator bits;
         // see `spikefolio_tensor::sparse`).
@@ -247,35 +266,29 @@ pub fn backward_batch(
         } else {
             (trace.layers[k - 1].outputs.as_slice(), &trace.layers[k - 1].output_set)
         };
-        match kernel {
-            KernelPath::Sparse => {
-                sparse::spike_outer_acc(
-                    1.0,
-                    lb.dc_stack.as_slice(),
-                    inputs,
-                    input_set,
-                    grads.layers[k].d_weights.as_mut_slice(),
-                    t_max * bsz,
-                    out_dim,
-                    in_dim,
-                );
-            }
-            KernelPath::Dense => gemm::gemm_tn_acc(
-                1.0,
-                lb.dc_stack.as_slice(),
-                inputs,
-                grads.layers[k].d_weights.as_mut_slice(),
-                t_max * bsz,
-                out_dim,
-                in_dim,
-            ),
-        }
+        let d_weights = grads.layers[k].d_weights.as_mut_slice();
+        let dc = lb.dc_stack.as_slice();
+        weight_grad(dc, inputs, input_set, d_weights, t_max * bsz, out_dim, in_dim);
         for r in 0..t_max * bsz {
             vector::axpy(&mut grads.layers[k].d_bias, 1.0, lb.dc_stack.row(r));
         }
     }
-    watch.stop(rec, SPAN_PROFILE_SNN_STBP);
     grads
+}
+
+/// The dense reference of [`backward_batch`]: the same pass with the
+/// [`gemm::gemm_tn_acc`] weight gradient over every input column.
+#[cfg(test)]
+pub(crate) fn backward_batch_dense(
+    net: &SdpNetwork,
+    trace: &BatchNetworkTrace,
+    d_actions: &Matrix,
+    rate_penalty: f64,
+    ws: &mut BatchWorkspace,
+) -> SdpGradients {
+    backward_with(net, trace, d_actions, rate_penalty, ws, |dc, o_in, _, dw, rows, m, n| {
+        gemm::gemm_tn_acc(1.0, dc, o_in, dw, rows, m, n);
+    })
 }
 
 /// Trainer: owns the optimizer state for one [`SdpNetwork`].
@@ -286,7 +299,7 @@ pub fn backward_batch(
 /// use rand::SeedableRng;
 /// use spikefolio_snn::network::{SdpNetwork, SdpNetworkConfig};
 /// use spikefolio_snn::stbp::{self, SdpTrainer};
-/// use spikefolio_snn::{KernelPath, SingleSample};
+/// use spikefolio_snn::SingleSample;
 /// use spikefolio_telemetry::NoopRecorder;
 /// use spikefolio_tensor::optim::Adam;
 /// use spikefolio_tensor::Matrix;
@@ -299,15 +312,8 @@ pub fn backward_batch(
 /// one.forward(&net, &[1.0, 0.9, 1.1, 1.0], &mut rng);
 /// // Descend on L = -a[0] (make action 0 more likely).
 /// let d_actions = Matrix::from_rows(&[&[-1.0, 0.0, 0.0]]);
-/// let mut grads = stbp::backward_batch(
-///     &net,
-///     &one.trace,
-///     &d_actions,
-///     0.0,
-///     &mut one.ws,
-///     KernelPath::Sparse,
-///     &mut NoopRecorder,
-/// );
+/// let mut grads =
+///     stbp::backward_batch(&net, &one.trace, &d_actions, 0.0, &mut one.ws, &mut NoopRecorder);
 /// trainer.apply(&mut net, &mut grads);
 /// ```
 #[derive(Debug, Clone)]
@@ -325,9 +331,9 @@ impl<O: Optimizer> SdpTrainer<O> {
     /// Registers all of `net`'s parameter buffers with `optimizer`.
     pub fn new(net: &SdpNetwork, mut optimizer: O) -> Self {
         let layer_weight_slots =
-            net.layers.iter().map(|l| optimizer.register(l.weights.len())).collect();
+            net.layers().iter().map(|l| optimizer.register(l.weights.len())).collect();
         let layer_bias_slots =
-            net.layers.iter().map(|l| optimizer.register(l.bias.len())).collect();
+            net.layers().iter().map(|l| optimizer.register(l.bias.len())).collect();
         let decoder_weight_slot = optimizer.register(net.decoder.weights.len());
         let decoder_bias_slot = optimizer.register(net.decoder.bias.len());
         Self {
@@ -350,14 +356,16 @@ impl<O: Optimizer> SdpTrainer<O> {
         if let Some(max) = self.max_grad_norm {
             grads.clip_global_norm(max);
         }
-        for (k, lg) in grads.layers.iter().enumerate() {
-            self.optimizer.step(
-                self.layer_weight_slots[k],
-                net.layers[k].weights.as_mut_slice(),
-                lg.d_weights.as_slice(),
-            );
-            self.optimizer.step(self.layer_bias_slots[k], &mut net.layers[k].bias, &lg.d_bias);
-        }
+        net.write_layers(|layers| {
+            for ((layer, lg), (&w_slot, &b_slot)) in layers
+                .iter_mut()
+                .zip(&grads.layers)
+                .zip(self.layer_weight_slots.iter().zip(&self.layer_bias_slots))
+            {
+                self.optimizer.step(w_slot, layer.weights.as_mut_slice(), lg.d_weights.as_slice());
+                self.optimizer.step(b_slot, &mut layer.bias, &lg.d_bias);
+            }
+        });
         self.optimizer.step(
             self.decoder_weight_slot,
             &mut net.decoder.weights,
@@ -381,7 +389,7 @@ impl<O: Optimizer> SdpTrainer<O> {
 /// (test/diagnostic helper; order matches [`set_flat_params`]).
 pub fn flat_params(net: &SdpNetwork) -> Vec<f64> {
     let mut v = Vec::new();
-    for l in &net.layers {
+    for l in net.layers() {
         v.extend_from_slice(l.weights.as_slice());
         v.extend_from_slice(&l.bias);
     }
@@ -396,15 +404,18 @@ pub fn flat_params(net: &SdpNetwork) -> Vec<f64> {
 ///
 /// Panics if `flat.len()` does not match the parameter count.
 pub fn set_flat_params(net: &mut SdpNetwork, flat: &[f64]) {
-    let mut idx = 0;
-    for l in &mut net.layers {
-        let wlen = l.weights.len();
-        l.weights.as_mut_slice().copy_from_slice(&flat[idx..idx + wlen]);
-        idx += wlen;
-        let blen = l.bias.len();
-        l.bias.copy_from_slice(&flat[idx..idx + blen]);
-        idx += blen;
-    }
+    let mut idx = net.write_layers(|layers| {
+        let mut idx = 0;
+        for l in layers {
+            let wlen = l.weights.len();
+            l.weights.as_mut_slice().copy_from_slice(&flat[idx..idx + wlen]);
+            idx += wlen;
+            let blen = l.bias.len();
+            l.bias.copy_from_slice(&flat[idx..idx + blen]);
+            idx += blen;
+        }
+        idx
+    });
     let dwlen = net.decoder.weights.len();
     net.decoder.weights.copy_from_slice(&flat[idx..idx + dwlen]);
     idx += dwlen;
@@ -448,7 +459,7 @@ mod tests {
         let mut ws = BatchWorkspace::new(net, 1);
         let d_actions = Matrix::from_rows(&[d_action]);
         let rec = &mut NoopRecorder;
-        backward_batch(net, trace, &d_actions, rate_penalty, &mut ws, KernelPath::Sparse, rec)
+        backward_batch(net, trace, &d_actions, rate_penalty, &mut ws, rec)
     }
 
     fn act(net: &SdpNetwork, state: &[f64]) -> Vec<f64> {
@@ -597,8 +608,8 @@ mod tests {
         cfg.spike_fn = SpikeFn::Soft { temperature: 0.4 };
         cfg.adaptation = Some(crate::neuron::AdaptiveParams { beta: 0.5, rho: 0.8 });
         let net = SdpNetwork::new(cfg, &mut rng());
-        assert!(net.layers[0].adaptation.is_some(), "hidden layer adapts");
-        assert!(net.layers[1].adaptation.is_none(), "output layer stays plain");
+        assert!(net.layers()[0].adaptation.is_some(), "hidden layer adapts");
+        assert!(net.layers()[1].adaptation.is_none(), "output layer stays plain");
 
         let state = [0.9, 1.1, 1.0];
         let c = [1.0, -2.0];
@@ -664,7 +675,7 @@ mod tests {
             // Hidden layers are all but the last.
             let hidden = &tr.layers[..n.depth() - 1];
             let t = n.config().timesteps as f64;
-            let n_hidden: usize = n.layers[..n.depth() - 1].iter().map(|l| l.out_dim()).sum();
+            let n_hidden: usize = n.layers()[..n.depth() - 1].iter().map(|l| l.out_dim()).sum();
             let total: f64 = hidden.iter().flat_map(|lt| lt.outputs.as_slice()).sum();
             base + lambda * total / (t * n_hidden as f64)
         };
@@ -730,11 +741,10 @@ mod tests {
         let mut rngs: Vec<rand::rngs::StdRng> =
             (0..bsz).map(|b| rand::rngs::StdRng::seed_from_u64(40 + b as u64)).collect();
         let rec = &mut NoopRecorder;
-        net.forward_batch(&states, &mut rngs, None, &mut ws, &mut trace, rec);
+        net.forward_batch(&states, &mut rngs, &mut ws, &mut trace, rec);
         let d_actions = Matrix::from_fn(bsz, 3, |b, a| if a == b % 3 { -1.0 } else { 0.5 });
-        let dense = backward_batch(&net, &trace, &d_actions, 0.3, &mut ws, KernelPath::Dense, rec);
-        let sparse =
-            backward_batch(&net, &trace, &d_actions, 0.3, &mut ws, KernelPath::Sparse, rec);
+        let dense = backward_batch_dense(&net, &trace, &d_actions, 0.3, &mut ws);
+        let sparse = backward_batch(&net, &trace, &d_actions, 0.3, &mut ws, rec);
         assert_eq!(flat_grads(&sparse), flat_grads(&dense));
     }
 

@@ -8,13 +8,17 @@ use rand::{Rng, SeedableRng};
 use spikefolio::agent::SdpAgent;
 use spikefolio::checkpoint;
 use spikefolio::config::SdpConfig;
+use spikefolio::guarded::{train_sdp_guarded, ResilienceOptions};
+use spikefolio::training::Trainer;
+use spikefolio_market::experiments::ExperimentPreset;
+use spikefolio_resilience::{FaultPlan, GradFault, GuardConfig};
 use spikefolio_snn::encoder::Encoding;
 use spikefolio_snn::network::{SdpNetwork, SdpNetworkConfig, SpikeStats};
 use spikefolio_snn::neuron::SpikeFn;
 use spikefolio_snn::stbp;
-use spikefolio_snn::{BatchNetworkTrace, BatchWorkspace, KernelPath, SingleSample};
+use spikefolio_snn::{BatchNetworkTrace, BatchWorkspace, SingleSample};
 use spikefolio_telemetry::NoopRecorder;
-use spikefolio_tensor::optim::Gradients;
+use spikefolio_tensor::optim::{Adam, Gradients};
 use spikefolio_tensor::Matrix;
 
 const TOL: f64 = 1e-12;
@@ -34,12 +38,9 @@ fn states(batch: usize, dim: usize) -> Matrix {
 /// Batch-composition pin: runs a batch forward + backward and, as the
 /// per-sample reference, each row alone at B = 1 with the same encoder
 /// seed. Actions must match bit for bit, the summed event counters
-/// exactly, and every gradient block within `TOL`. B = 1 takes the dense
-/// drive and the batches the event-driven one, so the pin crosses both
-/// kernels.
+/// exactly, and every gradient block within `TOL`.
 fn check_equivalence(encoding: Encoding) {
     let net = small_net(encoding);
-    let wt = net.transposed_weights();
     let rec = &mut NoopRecorder;
     let dim = net.config().state_dim;
     let rate_penalty = 0.05;
@@ -51,16 +52,8 @@ fn check_equivalence(encoding: Encoding) {
         let mut trace = BatchNetworkTrace::new(&net, batch);
         let mut rngs: Vec<StdRng> =
             (0..batch).map(|b| StdRng::seed_from_u64(1000 + b as u64)).collect();
-        net.forward_batch(&st, &mut rngs, Some(&wt), &mut ws, &mut trace, rec);
-        let batched = stbp::backward_batch(
-            &net,
-            &trace,
-            &d_actions,
-            rate_penalty,
-            &mut ws,
-            KernelPath::Sparse,
-            rec,
-        );
+        net.forward_batch(&st, &mut rngs, &mut ws, &mut trace, rec);
+        let batched = stbp::backward_batch(&net, &trace, &d_actions, rate_penalty, &mut ws, rec);
 
         let mut reference = stbp::SdpGradients::zeros_like(&net);
         let mut stats = SpikeStats::default();
@@ -80,15 +73,7 @@ fn check_equivalence(encoding: Encoding) {
             stats.synops += s.synops;
             stats.neuron_updates += s.neuron_updates;
             let d1 = Matrix::from_rows(&[d_actions.row(b)]);
-            let g = stbp::backward_batch(
-                &net,
-                &one.trace,
-                &d1,
-                rate_penalty,
-                &mut one.ws,
-                KernelPath::Sparse,
-                rec,
-            );
+            let g = stbp::backward_batch(&net, &one.trace, &d1, rate_penalty, &mut one.ws, rec);
             reference.accumulate(&g);
         }
         assert_eq!(trace.stats, stats, "batch {batch}: summed stats ({encoding:?})");
@@ -133,7 +118,7 @@ fn batched_loss(net: &SdpNetwork, st: &Matrix, c: &Matrix) -> f64 {
     let mut ws = BatchWorkspace::new(net, batch);
     let mut trace = BatchNetworkTrace::new(net, batch);
     let mut rngs: Vec<StdRng> = (0..batch).map(|b| StdRng::seed_from_u64(b as u64)).collect();
-    net.forward_batch(st, &mut rngs, None, &mut ws, &mut trace, &mut NoopRecorder);
+    net.forward_batch(st, &mut rngs, &mut ws, &mut trace, &mut NoopRecorder);
     (0..batch).map(|b| trace.action(b).iter().zip(c.row(b)).map(|(x, y)| x * y).sum::<f64>()).sum()
 }
 
@@ -158,8 +143,8 @@ fn backward_batch_matches_finite_differences_on_soft_network() {
     let mut trace = BatchNetworkTrace::new(&net, batch);
     let mut rngs: Vec<StdRng> = (0..batch).map(|b| StdRng::seed_from_u64(b as u64)).collect();
     let rec = &mut NoopRecorder;
-    net.forward_batch(&st, &mut rngs, Some(&net.transposed_weights()), &mut ws, &mut trace, rec);
-    let grads = stbp::backward_batch(&net, &trace, &c, 0.0, &mut ws, KernelPath::Sparse, rec);
+    net.forward_batch(&st, &mut rngs, &mut ws, &mut trace, rec);
+    let grads = stbp::backward_batch(&net, &trace, &c, 0.0, &mut ws, rec);
     let analytic = stbp::flat_grads(&grads);
     let params = stbp::flat_params(&net);
     assert_eq!(analytic.len(), params.len());
@@ -217,8 +202,7 @@ proptest! {
         let mut trace = BatchNetworkTrace::new(&net, batch);
         let mut rngs: Vec<StdRng> =
             (0..batch).map(|b| StdRng::seed_from_u64(seed ^ b as u64)).collect();
-        let wt = net.transposed_weights();
-        net.forward_batch(&st, &mut rngs, Some(&wt), &mut ws, &mut trace, &mut NoopRecorder);
+        net.forward_batch(&st, &mut rngs, &mut ws, &mut trace, &mut NoopRecorder);
         for b in 0..batch {
             prop_assert!(
                 spikefolio_tensor::simplex::is_on_simplex(trace.action(b), 1e-9),
@@ -252,8 +236,7 @@ fn checkpoint_roundtrip_preserves_batched_forward_bitwise() {
         let mut ws = BatchWorkspace::new(net, batch);
         let mut trace = BatchNetworkTrace::new(net, batch);
         let mut rngs: Vec<StdRng> = (0..batch).map(|b| StdRng::seed_from_u64(b as u64)).collect();
-        let wt = net.transposed_weights();
-        net.forward_batch(&st, &mut rngs, Some(&wt), &mut ws, &mut trace, &mut NoopRecorder);
+        net.forward_batch(&st, &mut rngs, &mut ws, &mut trace, &mut NoopRecorder);
         (0..batch).map(|b| trace.action(b).to_vec()).collect()
     };
     let original = run(&agent.network);
@@ -261,4 +244,86 @@ fn checkpoint_roundtrip_preserves_batched_forward_bitwise() {
     // The checkpoint stores exact f64 bits, so the restored agent's
     // batched outputs must be bit-identical, not merely close.
     assert_eq!(original, reloaded);
+}
+
+/// A forward pass on `net` must equal, bitwise, one on a fresh network
+/// built from the same parameters, whose `Wᵀ` this call builds.
+fn assert_drives_current_weights(net: &SdpNetwork, after: &str) {
+    let mut fresh = SdpNetwork::new(net.config().clone(), &mut StdRng::seed_from_u64(0));
+    stbp::set_flat_params(&mut fresh, &stbp::flat_params(net));
+    let batch = 4;
+    let st = states(batch, net.config().state_dim);
+    let run = |n: &SdpNetwork| {
+        let mut ws = BatchWorkspace::new(n, batch);
+        let mut trace = BatchNetworkTrace::new(n, batch);
+        let mut rngs: Vec<StdRng> = (0..batch).map(|b| StdRng::seed_from_u64(b as u64)).collect();
+        n.forward_batch(&st, &mut rngs, &mut ws, &mut trace, &mut NoopRecorder);
+        trace
+    };
+    assert_eq!(run(net), run(&fresh), "forward pass after {after} ran on stale weights");
+}
+
+#[test]
+fn transposed_weights_follow_every_weight_write() {
+    let mut cfg = SdpConfig::smoke();
+    cfg.training.epochs = 1;
+    cfg.training.steps_per_epoch = 2;
+    cfg.training.batch_size = 4;
+    let market = ExperimentPreset::experiment1().shrunk(30, 0).generate(5);
+    // Each agent decides once first, so its network holds a built `Wᵀ`
+    // when the write lands.
+    let decided = |seed: u64| {
+        let mut agent = SdpAgent::new(&cfg, market.num_assets(), seed);
+        agent.act(&vec![1.0; agent.network.config().state_dim]);
+        agent
+    };
+
+    let mut agent = decided(1);
+    let mut one = SingleSample::new(&agent.network);
+    one.forward(
+        &agent.network,
+        &vec![1.0; agent.network.config().state_dim],
+        &mut StdRng::seed_from_u64(1),
+    );
+    let d_action = Matrix::from_fn(1, agent.network.config().action_dim, |_, a| 0.5 - a as f64);
+    let mut grads = stbp::backward_batch(
+        &agent.network,
+        &one.trace,
+        &d_action,
+        0.0,
+        &mut one.ws,
+        &mut NoopRecorder,
+    );
+    let mut sgd = stbp::SdpTrainer::new(&agent.network, Adam::new(1e-2));
+    sgd.apply(&mut agent.network, &mut grads);
+    assert_drives_current_weights(&agent.network, "SdpTrainer::apply");
+
+    let path = tmp("follow.ckpt");
+    checkpoint::save_sdp(&decided(2), &path).unwrap();
+    let mut loaded = decided(3);
+    checkpoint::load_sdp(&mut loaded, &path).unwrap();
+    std::fs::remove_file(&path).ok();
+    assert_drives_current_weights(&loaded.network, "load_sdp");
+
+    let trainer = Trainer::new(&cfg);
+    let mut agent = decided(4);
+    let mut session = trainer.sdp_session(&agent, &market);
+    let snap = session.snapshot(&agent);
+    session.run_epoch(&mut agent, &mut NoopRecorder);
+    session.restore(&mut agent, &snap);
+    assert_drives_current_weights(&agent.network, "session restore");
+
+    // A NaN gradient fault with no retry budget: the guard writes NaN
+    // weights, then restores the last good ones.
+    let mut agent = decided(5);
+    let mut opts = ResilienceOptions {
+        guard: GuardConfig { max_retries: 0, ..GuardConfig::default() },
+        checkpoint_path: None,
+        faults: FaultPlan::new(1).grad_fault_at(0, GradFault::NaN),
+    };
+    let outcome = train_sdp_guarded(&trainer, &mut agent, &market, &mut opts, &mut NoopRecorder);
+    assert!(outcome.aborted, "the fault must exhaust the retry budget");
+    assert_drives_current_weights(&agent.network, "guarded grad-fault injection");
+
+    assert_drives_current_weights(&agent.network.clone(), "clone");
 }

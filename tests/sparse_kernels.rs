@@ -1,12 +1,10 @@
 //! Equivalence battery for the event-driven sparse spike kernels.
 //!
-//! Locks the event-driven drive to the dense reference at three levels:
+//! The network-level battery (forward traces and backward gradients of
+//! hard, probabilistic, soft and ALIF networks at b1/b8/b32, bitwise
+//! against the dense reference drive) lives in `spikefolio-snn`'s unit
+//! tests, beside the test-only dense reference. This file holds:
 //!
-//! * **Network level** — batched forward traces at b1/b8/b32 are
-//!   *bitwise* equal whether [`SdpNetwork::forward_batch`] gets the
-//!   network's `Wᵀ` (event-driven drive) or not (dense drive), for hard,
-//!   probabilistic, soft, and adaptive (ALIF) networks, and so are the
-//!   backward gradients of both [`KernelPath`]s.
 //! * **Training level** — thread-count invariance holds on the
 //!   event-driven drive the trainer runs.
 //! * **Kernel level** — a proptest battery over adversarial spike
@@ -26,140 +24,10 @@ use spikefolio::config::SdpConfig;
 use spikefolio::training::Trainer;
 use spikefolio_market::experiments::ExperimentPreset;
 use spikefolio_profile::CostReport;
-use spikefolio_snn::encoder::Encoding;
 use spikefolio_snn::network::{SdpNetwork, SdpNetworkConfig};
-use spikefolio_snn::neuron::SpikeFn;
-use spikefolio_snn::{
-    stbp, BatchNetworkTrace, BatchWorkspace, KernelPath, SpikeSet, TransposedWeights,
-};
+use spikefolio_snn::{stbp, BatchNetworkTrace, BatchWorkspace, SpikeSet};
 use spikefolio_telemetry::NoopRecorder;
 use spikefolio_tensor::{gemm, sparse, Matrix};
-
-const BATCHES: [usize; 3] = [1, 8, 32];
-
-fn states(batch: usize, dim: usize) -> Matrix {
-    Matrix::from_fn(batch, dim, |b, d| 0.7 + 0.04 * ((b * dim + d) % 17) as f64)
-}
-
-fn nets() -> Vec<(&'static str, SdpNetwork)> {
-    let mut rng = StdRng::seed_from_u64(7);
-    let hard = SdpNetwork::new(
-        {
-            let mut c = SdpNetworkConfig::small(6, 3);
-            c.hidden = vec![12, 9];
-            c
-        },
-        &mut rng,
-    );
-    let prob = SdpNetwork::new(
-        {
-            let mut c = SdpNetworkConfig::small(6, 3);
-            c.encoder.encoding = Encoding::Probabilistic;
-            c
-        },
-        &mut rng,
-    );
-    let soft = SdpNetwork::new(
-        {
-            let mut c = SdpNetworkConfig::small(6, 3);
-            c.spike_fn = SpikeFn::Soft { temperature: 0.4 };
-            c
-        },
-        &mut rng,
-    );
-    let alif = SdpNetwork::new(
-        {
-            let mut c = SdpNetworkConfig::small(6, 3);
-            c.adaptation = Some(spikefolio_snn::neuron::AdaptiveParams { beta: 0.6, rho: 0.85 });
-            c
-        },
-        &mut rng,
-    );
-    vec![("hard", hard), ("probabilistic", prob), ("soft", soft), ("alif", alif)]
-}
-
-fn rngs(batch: usize) -> Vec<StdRng> {
-    (0..batch).map(|b| StdRng::seed_from_u64(1000 + b as u64)).collect()
-}
-
-/// Runs the pinned states forward with fixed seeded RNGs on the drive `wt`
-/// selects (event-driven with it, dense without) and returns the trace
-/// and its workspace.
-fn forward(
-    net: &SdpNetwork,
-    batch: usize,
-    wt: Option<&TransposedWeights>,
-) -> (BatchNetworkTrace, BatchWorkspace) {
-    let st = states(batch, net.config().state_dim);
-    let mut ws = BatchWorkspace::new(net, batch);
-    let mut trace = BatchNetworkTrace::new(net, batch);
-    net.forward_batch(&st, &mut rngs(batch), wt, &mut ws, &mut trace, &mut NoopRecorder);
-    (trace, ws)
-}
-
-#[test]
-fn forward_traces_are_bitwise_equal_at_all_batch_sizes() {
-    for (kind, net) in nets() {
-        for batch in BATCHES {
-            let (dense, _) = forward(&net, batch, None);
-            let (sparse_t, _) = forward(&net, batch, Some(&net.transposed_weights()));
-            // Whole-trace equality: voltages, thresholds, spikes, spike
-            // sets, actions, stats, and the kernel event tally.
-            assert_eq!(sparse_t, dense, "{kind} net, batch {batch}");
-            assert!(sparse_t.kernel_events > 0, "{kind} net produced no events");
-        }
-    }
-}
-
-#[test]
-fn transposed_entry_traces_are_bitwise_equal_at_all_batch_sizes() {
-    // The serving pattern: one `Wᵀ` built once and shared by every batch
-    // size, each workspace driven twice (other states first).
-    for (kind, net) in nets() {
-        let wt = net.transposed_weights();
-        for batch in BATCHES {
-            let (dense, _) = forward(&net, batch, None);
-            let st = states(batch, net.config().state_dim);
-            let other = st.map(|v| v + 0.13);
-            let mut ws = BatchWorkspace::new(&net, batch);
-            let mut trace = BatchNetworkTrace::new(&net, batch);
-            let rec = &mut NoopRecorder;
-            net.forward_batch(&other, &mut rngs(batch), Some(&wt), &mut ws, &mut trace, rec);
-            net.forward_batch(&st, &mut rngs(batch), Some(&wt), &mut ws, &mut trace, rec);
-            assert_eq!(trace.actions, dense.actions, "{kind} net, batch {batch}: actions");
-            assert_eq!(trace.kernel_events, dense.kernel_events, "{kind} net, batch {batch}");
-            assert_eq!(trace.stats, dense.stats, "{kind} net, batch {batch}: stats");
-            assert_eq!(trace, dense, "{kind} net, batch {batch}: whole trace");
-        }
-    }
-}
-
-#[test]
-fn backward_gradients_are_bitwise_equal_at_all_batch_sizes() {
-    for (kind, net) in nets() {
-        for batch in BATCHES {
-            let (trace, mut ws) = forward(&net, batch, Some(&net.transposed_weights()));
-            let d_actions =
-                Matrix::from_fn(batch, 3, |b, a| 0.2 - 0.1 * a as f64 + 0.01 * b as f64);
-            let [dense, sparse_g] = [KernelPath::Dense, KernelPath::Sparse].map(|kernel| {
-                stbp::backward_batch(
-                    &net,
-                    &trace,
-                    &d_actions,
-                    0.05,
-                    &mut ws,
-                    kernel,
-                    &mut NoopRecorder,
-                )
-            });
-            assert_eq!(
-                stbp::flat_grads(&sparse_g),
-                stbp::flat_grads(&dense),
-                "{kind} net, batch {batch}"
-            );
-        }
-    }
-}
 
 #[test]
 fn training_is_thread_count_invariant_on_the_sparse_path() {
@@ -188,13 +56,18 @@ fn training_is_thread_count_invariant_on_the_sparse_path() {
 fn kernel_event_tally_matches_cost_model_synops() {
     let net = SdpNetwork::new(SdpNetworkConfig::small(16, 4), &mut StdRng::seed_from_u64(2016));
     let batch = 32;
-    let (trace, _) = forward(&net, batch, Some(&net.transposed_weights()));
+    let st = Matrix::from_fn(batch, 16, |b, d| 0.7 + 0.04 * ((b * 16 + d) % 17) as f64);
+    let mut rngs: Vec<StdRng> =
+        (0..batch).map(|b| StdRng::seed_from_u64(1000 + b as u64)).collect();
+    let mut ws = BatchWorkspace::new(&net, batch);
+    let mut trace = BatchNetworkTrace::new(&net, batch);
+    net.forward_batch(&st, &mut rngs, &mut ws, &mut trace, &mut NoopRecorder);
     // Three independent tallies of the same quantity: the kernels' own
     // running count, the stats recomputation from the dense rasters, and
     // the cost model fed by per-layer spike counts.
     assert_eq!(trace.kernel_events, trace.stats.synops);
     let shapes: Vec<(usize, usize)> =
-        net.layers.iter().map(|l| (l.in_dim(), l.out_dim())).collect();
+        net.layers().iter().map(|l| (l.in_dim(), l.out_dim())).collect();
     let cost = CostReport::from_workload(
         &shapes,
         net.config().timesteps,
