@@ -398,7 +398,7 @@ impl Feed {
                     }
                     if let Some(data) = last {
                         if data.num_periods() >= target {
-                            return Ok(Some(data.clone()));
+                            return Ok(Some(data.slice(0, target)));
                         }
                     }
                     if polls >= opts.max_stall_polls {

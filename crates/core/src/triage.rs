@@ -271,8 +271,8 @@ fn rebuild_feed(manifest: &Value, revealed: usize) -> Result<MarketData, String>
         Some(Value::Str(path)) => Some(path.as_str()),
         _ => None,
     };
-    // A generator desk reveals at most the feed_periods it asked for; a
-    // CSV file may hold more than that from the first poll on.
+    // Either feed reveals exactly the periods each round asked for, at
+    // most feed_periods; a CSV file must still hold them all.
     let (data, delivers) = match Feed::open(csv.map(Path::new), feed_periods, seed) {
         Feed::Generator { market } => (market, feed_periods),
         Feed::Csv { mut tail, .. } => {
@@ -281,7 +281,7 @@ fn rebuild_feed(manifest: &Value, revealed: usize) -> Result<MarketData, String>
                 .poll()
                 .map_err(|e| format!("csv feed {path}: {e}"))?
                 .ok_or_else(|| format!("csv feed {path} holds no complete periods"))?;
-            let n = data.num_periods();
+            let n = data.num_periods().min(feed_periods);
             (data, n)
         }
     };
