@@ -62,6 +62,21 @@ use crate::training::Trainer;
 /// [`PipelineFaultKind::SwapIo`]).
 pub const DESK_SWAP_IO_LABEL: &str = "desk/swap";
 
+/// The most periods a desk may ask its feed for (warmup plus every
+/// round's reveal). The generator feed builds them all up front, at about
+/// 8 µs and 450 bytes per period (11 assets, 2-vCPU host): this cap is
+/// about 0.8 s and 45 MB. [`run_desk`] refuses a larger run, and `desk
+/// triage` a manifest claiming one, before anything is generated.
+pub const MAX_FEED_PERIODS: usize = 100_000;
+
+/// Rejects a feed larger than [`MAX_FEED_PERIODS`].
+pub(crate) fn check_feed_periods(periods: usize) -> Result<(), String> {
+    if periods > MAX_FEED_PERIODS {
+        return Err(format!("feed of {periods} periods exceeds the {MAX_FEED_PERIODS}-period cap"));
+    }
+    Ok(())
+}
+
 /// Configuration of one live-desk run.
 #[derive(Debug, Clone)]
 pub struct DeskOptions {
@@ -119,7 +134,7 @@ impl DeskOptions {
     /// Periods the desk asks its feed for over the whole run: the warmup
     /// window plus every round's reveal.
     fn feed_periods(&self) -> usize {
-        self.warmup + self.rounds * self.reveal_per_round
+        self.rounds.saturating_mul(self.reveal_per_round).saturating_add(self.warmup)
     }
 
     /// A fast, deterministic configuration for tests and the CI smoke:
@@ -1140,11 +1155,13 @@ fn finish_round(
 ///
 /// # Errors
 ///
-/// Unrecoverable environment failures as a message: working directory
+/// A run asking for more than [`MAX_FEED_PERIODS`] periods, or an
+/// unrecoverable environment failure, as a message: working directory
 /// not creatable, feed never delivering the warmup window, the initial
 /// serving checkpoint unwritable. Pipeline faults are *not* errors —
 /// they are absorbed or quarantined and show up in the report.
 pub fn run_desk(mut opts: DeskOptions, rec: &mut dyn Recorder) -> Result<DeskReport, String> {
+    check_feed_periods(opts.feed_periods())?;
     let paths = DeskPaths {
         serving: opts.dir.join("serving.ckpt"),
         candidate: opts.dir.join("candidate.ckpt"),

@@ -71,7 +71,9 @@ pub use agent::SdpAgent;
 pub use config::SdpConfig;
 pub use ddpg::DdpgAgent;
 pub use deploy::LoihiDeployment;
-pub use desk::{parse_fault_spec, run_desk, DeskOptions, DeskReport, RoundRecord};
+pub use desk::{
+    parse_fault_spec, run_desk, DeskOptions, DeskReport, RoundRecord, MAX_FEED_PERIODS,
+};
 pub use desk_top::{
     lineage_json, render_ancestry, render_desk_top, render_lineage_ledger, run_desk_top,
     DeskTopOptions,

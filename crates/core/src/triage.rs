@@ -25,7 +25,8 @@ use crate::agent::SdpAgent;
 use crate::checkpoint;
 use crate::config::SdpConfig;
 use crate::desk::{
-    fit_val_split, map, out_of_sample_reward, policy_entropy, Feed, TRIAGE_MANIFEST_SCHEMA,
+    check_feed_periods, fit_val_split, map, out_of_sample_reward, policy_entropy, Feed,
+    TRIAGE_MANIFEST_SCHEMA,
 };
 use crate::training::Trainer;
 
@@ -266,7 +267,9 @@ fn find_manifest(dir: &Path, round: Option<u64>) -> Result<(PathBuf, Value), Str
 /// cut back to the recorded reveal point.
 fn rebuild_feed(manifest: &Value, revealed: usize) -> Result<MarketData, String> {
     let seed = req(manifest, "seed", Value::as_u64)?;
-    let feed_periods = req(manifest, "feed_periods", Value::as_u64)? as usize;
+    let feed_periods = req(manifest, "feed_periods", Value::as_u64)?;
+    let feed_periods = usize::try_from(feed_periods).unwrap_or(usize::MAX);
+    check_feed_periods(feed_periods)?;
     let csv = match manifest.get("csv") {
         Some(Value::Str(path)) => Some(path.as_str()),
         _ => None,
@@ -299,7 +302,8 @@ fn rebuild_feed(manifest: &Value, revealed: usize) -> Result<MarketData, String>
 /// # Errors
 ///
 /// Missing/corrupt manifest, manifest geometry the desk never writes (a
-/// window starting past the reveal point, a validation fraction outside
+/// feed over [`MAX_FEED_PERIODS`](crate::desk::MAX_FEED_PERIODS) periods,
+/// a window starting past the reveal point, a validation fraction outside
 /// (0, 1), an asset count the rebuilt feed does not have, or a
 /// validation slice too short to backtest), a feed that can no longer
 /// be rebuilt, or an incumbent snapshot that fails to load (the

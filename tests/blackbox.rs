@@ -12,7 +12,7 @@
 
 use spikefolio::{
     render_ancestry, render_desk_top, run_desk, run_triage, DeskOptions, TriageOptions,
-    TriageReport,
+    TriageReport, MAX_FEED_PERIODS,
 };
 use spikefolio_blackbox::read_ledger;
 use spikefolio_resilience::FaultPlan;
@@ -180,6 +180,20 @@ fn triage_rejects_a_reveal_past_the_generated_feed() {
     let err = triage_edited_manifest("hostile-feed-periods", "revealed", Value::U64(47))
         .expect_err("revealed past feed_periods");
     assert!(err.contains("delivers 46 periods"), "{err}");
+}
+
+#[test]
+fn desk_and_triage_refuse_a_feed_over_the_period_cap() {
+    let over = MAX_FEED_PERIODS as u64 + 1;
+    let err = triage_edited_manifest("hostile-feed-cap", "feed_periods", Value::U64(over))
+        .expect_err("feed_periods over the cap");
+    assert!(err.contains(&format!("feed of {over} periods exceeds")), "{err}");
+
+    // The desk refuses the same run before generating or writing anything.
+    let mut opts = fast_opts("feed-cap");
+    opts.warmup = MAX_FEED_PERIODS + 1 - opts.rounds * opts.reveal_per_round;
+    let err = run_desk(opts, &mut NoopRecorder).expect_err("desk over the cap");
+    assert!(err.contains(&format!("feed of {over} periods exceeds")), "{err}");
 }
 
 #[test]
