@@ -1,10 +1,15 @@
 //! Equivalence battery for the event-driven sparse spike kernels.
 //!
-//! The network-level battery (forward traces and backward gradients of
-//! hard, probabilistic, soft and ALIF networks at b1/b8/b32, bitwise
-//! against the dense reference drive) lives in `spikefolio-snn`'s unit
-//! tests, beside the test-only dense reference. This file holds:
+//! The whole-network dense reference drive is test-only inside
+//! `spikefolio-snn`, so its bitwise battery (forward traces and backward
+//! gradients against it) lives in that crate's unit tests. This file holds:
 //!
+//! * **Network level** — for hard, probabilistic, soft and adaptive (ALIF)
+//!   networks at b1/b8/b32, each layer's event-driven drive over the
+//!   recorded spike rasters equals the dense GEMM bitwise, every sample's
+//!   slice of a batched trace equals its run alone at `B = 1`, and the
+//!   network's own `Wᵀ`, built once and shared by every batch size and
+//!   reused workspace, reproduces a fresh network's traces.
 //! * **Training level** — thread-count invariance holds on the
 //!   event-driven drive the trainer runs.
 //! * **Kernel level** — a proptest battery over adversarial spike
@@ -24,10 +29,156 @@ use spikefolio::config::SdpConfig;
 use spikefolio::training::Trainer;
 use spikefolio_market::experiments::ExperimentPreset;
 use spikefolio_profile::CostReport;
+use spikefolio_snn::encoder::Encoding;
 use spikefolio_snn::network::{SdpNetwork, SdpNetworkConfig};
+use spikefolio_snn::neuron::{AdaptiveParams, SpikeFn};
 use spikefolio_snn::{stbp, BatchNetworkTrace, BatchWorkspace, SpikeSet};
 use spikefolio_telemetry::NoopRecorder;
 use spikefolio_tensor::{gemm, sparse, Matrix};
+
+const BATCHES: [usize; 3] = [1, 8, 32];
+
+fn states(batch: usize, dim: usize) -> Matrix {
+    Matrix::from_fn(batch, dim, |b, d| 0.7 + 0.04 * ((b * dim + d) % 17) as f64)
+}
+
+fn nets() -> Vec<(&'static str, SdpNetwork)> {
+    let mut rng = StdRng::seed_from_u64(7);
+    let base = SdpNetworkConfig::small(6, 3);
+    let hard = SdpNetworkConfig { hidden: vec![12, 9], ..base.clone() };
+    let mut prob = base.clone();
+    prob.encoder.encoding = Encoding::Probabilistic;
+    let soft = SdpNetworkConfig { spike_fn: SpikeFn::Soft { temperature: 0.4 }, ..base.clone() };
+    let alif = SdpNetworkConfig {
+        adaptation: Some(AdaptiveParams { beta: 0.6, rho: 0.85 }),
+        ..base.clone()
+    };
+    [("hard", hard), ("probabilistic", prob), ("soft", soft), ("alif", alif)]
+        .into_iter()
+        .map(|(kind, cfg)| (kind, SdpNetwork::new(cfg, &mut rng)))
+        .collect()
+}
+
+fn rngs(batch: usize) -> Vec<StdRng> {
+    (0..batch).map(|b| StdRng::seed_from_u64(1000 + b as u64)).collect()
+}
+
+/// Runs `st` forward with fixed seeded RNGs on fresh buffers.
+fn forward(net: &SdpNetwork, st: &Matrix) -> BatchNetworkTrace {
+    let batch = st.rows();
+    let mut ws = BatchWorkspace::new(net, batch);
+    let mut trace = BatchNetworkTrace::new(net, batch);
+    net.forward_batch(st, &mut rngs(batch), &mut ws, &mut trace, &mut NoopRecorder);
+    trace
+}
+
+/// Sample `b`'s rows of a timestep-major stack (row `t·B + b`), t ascending.
+fn sample_rows(m: &Matrix, batch: usize, b: usize) -> Vec<f64> {
+    (0..m.rows() / batch).flat_map(|t| m.row(t * batch + b).to_vec()).collect()
+}
+
+#[test]
+fn forward_traces_are_bitwise_equal_at_all_batch_sizes() {
+    for (kind, net) in nets() {
+        let t_max = net.config().timesteps;
+        for batch in BATCHES {
+            let st = states(batch, net.config().state_dim);
+            let trace = forward(&net, &st);
+            assert!(trace.kernel_events > 0, "{kind} net produced no events");
+
+            // Dense reference drive over the rasters the pass recorded: the
+            // event-driven kernel must match the GEMM bitwise at every layer
+            // and timestep, and the events it tallies must sum to the trace's.
+            let mut events = 0u64;
+            for (k, layer) in net.layers().iter().enumerate() {
+                let (in_dim, out_dim) = (layer.in_dim(), layer.out_dim());
+                let (stack, set) = if k == 0 {
+                    (&trace.encoder, &trace.encoder_set)
+                } else {
+                    (&trace.layers[k - 1].outputs, &trace.layers[k - 1].output_set)
+                };
+                let wt = layer.weights.transposed();
+                for t in 0..t_max {
+                    let block = &stack.as_slice()[t * batch * in_dim..(t + 1) * batch * in_dim];
+                    let mut dense = vec![0.0; batch * out_dim];
+                    let w = layer.weights.as_slice();
+                    gemm::gemm_nt(block, w, &mut dense, batch, in_dim, out_dim);
+                    let mut drive = vec![f64::NAN; batch * out_dim];
+                    events += sparse::spike_drive(
+                        block,
+                        set,
+                        t * batch,
+                        wt.as_slice(),
+                        &mut drive,
+                        batch,
+                        in_dim,
+                        out_dim,
+                    );
+                    assert_eq!(drive, dense, "{kind} net, batch {batch}: layer {k}, t {t}");
+                }
+            }
+            assert_eq!(events, trace.kernel_events, "{kind} net, batch {batch}: events");
+
+            // Batch composition: each sample's slice of every trace block
+            // equals that sample run alone at B = 1 with the same seed.
+            let mut kernel_events = 0u64;
+            let mut layer_spikes = vec![0u64; net.depth()];
+            for b in 0..batch {
+                let mut ws = BatchWorkspace::new(&net, 1);
+                let mut one = BatchNetworkTrace::new(&net, 1);
+                let st1 = Matrix::from_rows(&[st.row(b)]);
+                let mut rng = [StdRng::seed_from_u64(1000 + b as u64)];
+                net.forward_batch(&st1, &mut rng, &mut ws, &mut one, &mut NoopRecorder);
+                let at = format!("{kind} net, batch {batch}, sample {b}");
+                assert_eq!(sample_rows(&trace.encoder, batch, b), one.encoder.as_slice(), "{at}");
+                for (k, (lt, l1)) in trace.layers.iter().zip(&one.layers).enumerate() {
+                    for (name, m, m1) in [
+                        ("voltages", &lt.voltages, &l1.voltages),
+                        ("outputs", &lt.outputs, &l1.outputs),
+                        ("thresholds", &lt.thresholds, &l1.thresholds),
+                    ] {
+                        assert_eq!(sample_rows(m, batch, b), m1.as_slice(), "{at}: {name} {k}");
+                    }
+                }
+                assert_eq!(trace.firing_rates.row(b), one.firing_rates.row(0), "{at}: rates");
+                assert_eq!(trace.action(b), one.action(0), "{at}: action");
+                kernel_events += one.kernel_events;
+                for (s, &s1) in layer_spikes.iter_mut().zip(&one.layer_spikes) {
+                    *s += s1;
+                }
+            }
+            assert_eq!(trace.kernel_events, kernel_events, "{kind} net, batch {batch}");
+            assert_eq!(trace.layer_spikes, layer_spikes, "{kind} net, batch {batch}");
+        }
+    }
+}
+
+#[test]
+fn transposed_entry_traces_are_bitwise_equal_at_all_batch_sizes() {
+    // The serving pattern: the network's `Wᵀ`, built by its first forward
+    // pass at the largest batch, is shared by every batch size, and each
+    // workspace is driven twice (other states first). Every trace must
+    // equal a fresh-buffer run on a network rebuilt from the same
+    // parameters, whose `Wᵀ` that run builds.
+    for (kind, net) in nets() {
+        for batch in BATCHES.into_iter().rev() {
+            let mut fresh = SdpNetwork::new(net.config().clone(), &mut StdRng::seed_from_u64(0));
+            stbp::set_flat_params(&mut fresh, &stbp::flat_params(&net));
+            let st = states(batch, net.config().state_dim);
+            let expected = forward(&fresh, &st);
+            let other = st.map(|v| v + 0.13);
+            let mut ws = BatchWorkspace::new(&net, batch);
+            let mut trace = BatchNetworkTrace::new(&net, batch);
+            let rec = &mut NoopRecorder;
+            net.forward_batch(&other, &mut rngs(batch), &mut ws, &mut trace, rec);
+            net.forward_batch(&st, &mut rngs(batch), &mut ws, &mut trace, rec);
+            assert_eq!(trace.actions, expected.actions, "{kind} net, batch {batch}: actions");
+            assert_eq!(trace.kernel_events, expected.kernel_events, "{kind} net, batch {batch}");
+            assert_eq!(trace.stats, expected.stats, "{kind} net, batch {batch}: stats");
+            assert_eq!(trace, expected, "{kind} net, batch {batch}: whole trace");
+        }
+    }
+}
 
 #[test]
 fn training_is_thread_count_invariant_on_the_sparse_path() {
