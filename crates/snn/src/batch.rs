@@ -28,11 +28,12 @@
 //!
 //! # Workspace reuse
 //!
-//! [`BatchWorkspace`] preallocates every per-step buffer (layer states,
-//! drive scratch, backward deltas, the stacked `Δc` and upstream-gradient
-//! matrices); it never holds `Wᵀ`. After construction,
-//! [`SdpNetwork::forward_batch`] allocates only in the encoder (per
-//! sample) and decodes straight into the trace's rows, and
+//! [`BatchWorkspace`] preallocates every per-step buffer (the encoder's
+//! stimulation and accumulator rows, layer states, drive scratch,
+//! backward deltas, the stacked `Δc` and upstream-gradient matrices); it
+//! never holds `Wᵀ`. After construction, [`SdpNetwork::forward_batch`]
+//! allocates nothing once the trace's spike sets have grown to their
+//! largest event count, and decodes straight into the trace's rows;
 //! [`crate::stbp::backward_batch`] allocates only O(B) decoder-sized
 //! gradient vectors outside the per-step hot loop.
 //!
@@ -45,12 +46,14 @@
 //!   products with no cross-sample terms. Row `b` of a `B`-sample batch is
 //!   therefore **bit-identical** to the `B = 1` run of that sample with
 //!   the same RNG, and the summed event counters equal the sum of the
-//!   `B = 1` counters.
+//!   `B = 1` counters. The counters are the sizes of the spike sets the
+//!   drives consume, so they count exactly the events the kernels see.
 //! * The backward pass evaluates the per-row recurrences identically and
 //!   only reorders the final `(t, b)` gradient reductions, so a batch's
 //!   parameter gradients match the sum of its rows' `B = 1` gradients to
 //!   ~1e-14 (well inside the 1e-12 equivalence budget).
 
+use crate::encoder::EncodeScratch;
 use crate::network::{SdpNetwork, SpikeStats};
 use rand::Rng;
 use spikefolio_telemetry::labels::{SPAN_PROFILE_SNN_ENCODE, SPAN_PROFILE_SNN_LIF};
@@ -199,6 +202,8 @@ pub(crate) struct BatchLayerBufs {
 #[derive(Debug, Clone)]
 pub struct BatchWorkspace {
     pub(crate) batch: usize,
+    /// The encoder's `A_E` and accumulator rows, `B × encoder_dim`.
+    pub(crate) encode: EncodeScratch,
     pub(crate) layers: Vec<BatchLayerBufs>,
     /// Per-sample spike sums over the last layer, `B × out_last`.
     pub(crate) spike_sums: Matrix,
@@ -235,7 +240,12 @@ impl BatchWorkspace {
             })
             .collect();
         let out_last = net.layers().last().map_or(0, |l| l.out_dim());
-        Self { batch, layers, spike_sums: Matrix::zeros(batch, out_last) }
+        Self {
+            batch,
+            encode: EncodeScratch::new(&net.encoder, batch),
+            layers,
+            spike_sums: Matrix::zeros(batch, out_last),
+        }
     }
 
     /// Minibatch size `B` the workspace was allocated for.
@@ -281,10 +291,6 @@ impl SingleSample {
         net.forward_batch(&self.state, rngs, &mut self.ws, &mut self.trace, &mut NoopRecorder);
         self.trace.action(0)
     }
-}
-
-fn count_spikes(data: &[f64]) -> u64 {
-    data.iter().filter(|&&s| s > 0.0).count() as u64
 }
 
 impl SdpNetwork {
@@ -359,15 +365,13 @@ impl SdpNetwork {
         trace.kernel_events = 0;
 
         // Encode each sample with its own RNG straight into its rows of the
-        // timestep-major stack (row t·B + b). The event view of the stack
-        // is built here, once, and threaded through the event-driven
+        // timestep-major stack (row t·B + b), with the stack's event view
+        // built in the same pass and threaded through the event-driven
         // kernels of both passes.
         let encode_watch = Stopwatch::start(rec);
-        for (b, rng) in rngs.iter_mut().enumerate() {
-            self.encoder.encode_into(states.row(b), t_max, rng, &mut trace.encoder, b);
-        }
-        trace.encoder_set.rebuild_from(&trace.encoder);
-        trace.stats.encoder_spikes = count_spikes(trace.encoder.as_slice());
+        let (raster, set) = (&mut trace.encoder, &mut trace.encoder_set);
+        self.encoder.encode_batch(states, rngs, &mut ws.encode, raster, set);
+        trace.stats.encoder_spikes = trace.encoder_set.nnz();
         encode_watch.stop(rec, SPAN_PROFILE_SNN_ENCODE);
 
         for lb in &mut ws.layers {
@@ -424,16 +428,13 @@ impl SdpNetwork {
         trace.kernel_events = kernel_events;
         lif_watch.stop(rec, SPAN_PROFILE_SNN_LIF);
 
-        // Event counters (summed over the batch, matching B single-sample runs).
+        // Event counters (summed over the batch, matching B single-sample
+        // runs), read off the complete spike sets.
         for (k, layer) in layers.iter().enumerate() {
-            let inputs = if k == 0 {
-                trace.encoder.as_slice()
-            } else {
-                trace.layers[k - 1].outputs.as_slice()
-            };
-            trace.stats.synops += count_spikes(inputs) * layer.out_dim() as u64;
+            let inputs = if k == 0 { &trace.encoder_set } else { &trace.layers[k - 1].output_set };
+            trace.stats.synops += inputs.nnz() * layer.out_dim() as u64;
             trace.stats.neuron_updates += (layer.out_dim() * t_max * bsz) as u64;
-            let out_spikes = count_spikes(trace.layers[k].outputs.as_slice());
+            let out_spikes = trace.layers[k].output_set.nnz();
             trace.stats.neuron_spikes += out_spikes;
             trace.layer_spikes[k] = out_spikes;
         }

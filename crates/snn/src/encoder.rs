@@ -12,9 +12,16 @@
 //! and spikes over the `T` simulation steps are produced either
 //! probabilistically (Bernoulli(`A_E`) per step) or deterministically via a
 //! one-step soft-reset LIF accumulator (eqs. 3–4).
+//!
+//! Eqs. 3–4 live in one routine, the batched one the forward pass runs:
+//! it writes a whole batch's timestep-major spike stack and its
+//! [`SpikeSet`] in one pass over buffers the
+//! [`crate::batch::BatchWorkspace`] owns. [`PopulationEncoder::encode`] is
+//! its one-sample case (the Loihi deployment's off-chip encoder).
 
 use rand::Rng;
 use serde::{Deserialize, Serialize};
+use spikefolio_tensor::sparse::SpikeSet;
 use spikefolio_tensor::Matrix;
 
 /// Spike-generation mode of the encoder (§II.B).
@@ -135,88 +142,135 @@ impl PopulationEncoder {
     ///
     /// Panics if `state.len() != state_dim`.
     pub fn stimulation(&self, state: &[f64]) -> Vec<f64> {
+        let mut a = vec![0.0; self.output_dim()];
+        self.fill_stimulation(state, &mut a);
+        a
+    }
+
+    /// Writes `A_E` (eq. 2) for `state` into `a`, neuron `dim·P + k` at
+    /// index `dim·P + k`.
+    fn fill_stimulation(&self, state: &[f64], a: &mut [f64]) {
         assert_eq!(state.len(), self.state_dim, "state length mismatch");
-        let mut a = Vec::with_capacity(self.output_dim());
-        for (dim, &s) in state.iter().enumerate() {
-            for k in 0..self.config.pop_size {
-                let mu = self.means[(dim, k)];
+        let pop = self.config.pop_size;
+        for (dim, (&s, a_dim)) in state.iter().zip(a.chunks_exact_mut(pop)).enumerate() {
+            for (ak, &mu) in a_dim.iter_mut().zip(self.means.row(dim)) {
                 let z = (s - mu) / self.sigma;
-                a.push((-0.5 * z * z).exp());
+                *ak = (-0.5 * z * z).exp();
             }
         }
-        a
     }
 
     /// Generates the spike train: a `T × output_dim` matrix of 0/1 values.
     ///
     /// Probabilistic mode draws Bernoulli(`A_E`) per step from `rng`;
     /// deterministic mode integrates `A_E` in a soft-reset accumulator
-    /// (eqs. 3–4) and ignores `rng`.
+    /// (eqs. 3–4) and ignores `rng`. This is the `B = 1` case of the
+    /// batched encoder the forward pass runs, on fresh buffers.
     ///
     /// # Panics
     ///
     /// Panics if `state.len() != state_dim` or `timesteps == 0`.
     pub fn encode<R: Rng + ?Sized>(&self, state: &[f64], timesteps: usize, rng: &mut R) -> Matrix {
+        assert!(timesteps > 0, "timesteps must be positive");
         let mut spikes = Matrix::zeros(timesteps, self.output_dim());
-        self.encode_into(state, timesteps, rng, &mut spikes, 0);
+        let mut set = SpikeSet::new(self.output_dim());
+        let mut scratch = EncodeScratch::new(self, 1);
+        let states = Matrix::from_rows(&[state]);
+        self.encode_batch(&states, &mut [rng], &mut scratch, &mut spikes, &mut set);
         spikes
     }
 
-    /// Like [`PopulationEncoder::encode`], but writes sample `b`'s spike
-    /// train into rows `t·B + b` of a caller-owned stacked
-    /// `(timesteps·B) × output_dim` matrix, clearing those rows first —
-    /// the timestep-major layout of the batched engine, which encodes each
-    /// sample straight into its trace. Consumes `rng` identically to
-    /// [`PopulationEncoder::encode`].
+    /// Encodes a batch of states (`B × state_dim`, sample `b` drawing from
+    /// `rngs[b]`) into the timestep-major spike stack `raster`
+    /// (`(T·B) × output_dim`, row `t·B + b`) and its event view `set`,
+    /// both fully overwritten.
+    ///
+    /// One pass: every sample's `A_E` goes into `scratch` first, then, `t`
+    /// outer and `b` inner, each raster row is written and pushed into
+    /// `set` while it is still in L1. Each RNG is drawn in (timestep,
+    /// neuron) order, the order of a sample encoded alone, so a row of a
+    /// batch is bit-identical to its `B = 1` encoding.
     ///
     /// # Panics
     ///
-    /// Panics if `state.len() != state_dim`, `timesteps == 0`, `out` is not
-    /// `(timesteps·B) × output_dim` for some `B`, or `b >= B`.
-    pub fn encode_into<R: Rng + ?Sized>(
+    /// Panics if a state has the wrong width, `rngs` is not one per state,
+    /// `raster` is not `(T·B) × output_dim` for some `T > 0`, or `scratch`
+    /// or `set` was built for another width or batch size.
+    pub(crate) fn encode_batch<R: Rng>(
         &self,
-        state: &[f64],
-        timesteps: usize,
-        rng: &mut R,
-        out: &mut Matrix,
-        b: usize,
+        states: &Matrix,
+        rngs: &mut [R],
+        scratch: &mut EncodeScratch,
+        raster: &mut Matrix,
+        set: &mut SpikeSet,
     ) {
-        assert!(timesteps > 0, "timesteps must be positive");
-        let n = self.output_dim();
-        let batch = out.rows() / timesteps;
+        let (bsz, n) = (states.rows(), self.output_dim());
+        assert_eq!(rngs.len(), bsz, "encode: need one RNG per state");
         assert!(
-            out.cols() == n && out.rows() == timesteps * batch && b < batch,
-            "encode_into: out shape {:?} is not ({timesteps}·B, {n}) with sample {b} < B",
-            out.shape()
+            bsz > 0 && raster.cols() == n && raster.rows() > 0 && raster.rows().is_multiple_of(bsz),
+            "encode: raster shape {:?} is not (T·{bsz}, {n})",
+            raster.shape()
         );
-        let a = self.stimulation(state);
-        for t in 0..timesteps {
-            out.row_mut(t * batch + b).fill(0.0);
+        assert_eq!(scratch.stim.shape(), (bsz, n), "encode: scratch shape mismatch");
+        assert_eq!(set.cols(), n, "encode: set width mismatch");
+        let t_max = raster.rows() / bsz;
+        for b in 0..bsz {
+            self.fill_stimulation(states.row(b), scratch.stim.row_mut(b));
         }
+        set.clear();
+        let stim = &scratch.stim;
         match self.config.encoding {
             Encoding::Probabilistic => {
-                for t in 0..timesteps {
-                    let row = out.row_mut(t * batch + b);
-                    for (o, &p) in row.iter_mut().zip(&a) {
-                        *o = if rng.gen::<f64>() < p { 1.0 } else { 0.0 };
+                for t in 0..t_max {
+                    for (b, rng) in rngs.iter_mut().enumerate() {
+                        let row = raster.row_mut(t * bsz + b);
+                        for (o, &p) in row.iter_mut().zip(stim.row(b)) {
+                            *o = f64::from(u8::from(rng.gen::<f64>() < p));
+                        }
+                        set.push_row(row);
                     }
                 }
             }
             Encoding::Deterministic => {
-                let eps = self.config.epsilon;
-                let mut v = vec![0.0_f64; n];
-                for t in 0..timesteps {
-                    let row = out.row_mut(t * batch + b);
-                    for ((o, vk), &ak) in row.iter_mut().zip(v.iter_mut()).zip(&a) {
-                        *vk += ak; // eq. (3)
-                        if *vk > 1.0 - eps {
-                            *o = 1.0;
-                            *vk -= 1.0 - eps; // soft reset, eq. (4)
+                let thr = 1.0 - self.config.epsilon;
+                let volt = &mut scratch.volt;
+                volt.fill_zero();
+                for t in 0..t_max {
+                    for b in 0..bsz {
+                        let row = raster.row_mut(t * bsz + b);
+                        let cells = row.iter_mut().zip(volt.row_mut(b)).zip(stim.row(b));
+                        for ((o, v), &a) in cells {
+                            let x = *v + a; // eq. (3)
+                            let fire = x > thr;
+                            *v = if fire { x - thr } else { x }; // soft reset, eq. (4)
+                            *o = f64::from(u8::from(fire));
                         }
+                        set.push_row(row);
                     }
                 }
             }
         }
+    }
+}
+
+/// Per-batch buffers of [`PopulationEncoder::encode_batch`]: the `A_E`
+/// rows and, for deterministic encoding, the accumulator voltages, both
+/// `B × output_dim`. Their contents never outlive one call.
+#[derive(Debug, Clone)]
+pub(crate) struct EncodeScratch {
+    stim: Matrix,
+    volt: Matrix,
+}
+
+impl EncodeScratch {
+    /// Buffers for `encoder` at batch size `batch`.
+    pub(crate) fn new(encoder: &PopulationEncoder, batch: usize) -> Self {
+        let n = encoder.output_dim();
+        let volt_rows = match encoder.config.encoding {
+            Encoding::Deterministic => batch,
+            Encoding::Probabilistic => 0,
+        };
+        Self { stim: Matrix::zeros(batch, n), volt: Matrix::zeros(volt_rows, n) }
     }
 }
 
@@ -343,38 +397,93 @@ mod tests {
         assert!((rate - a).abs() < 0.05, "rate {rate} vs A_E {a}");
     }
 
+    /// The per-sample encoder written out loop by loop (eqs. 3–4 as
+    /// first stated, with a branch for the soft reset): the reference the
+    /// one-pass batched encoder must reproduce bitwise.
+    fn reference_encode<R: Rng>(
+        e: &PopulationEncoder,
+        state: &[f64],
+        timesteps: usize,
+        rng: &mut R,
+    ) -> Matrix {
+        let a = e.stimulation(state);
+        let mut out = Matrix::zeros(timesteps, e.output_dim());
+        let mut v = vec![0.0_f64; e.output_dim()];
+        for t in 0..timesteps {
+            for (k, o) in out.row_mut(t).iter_mut().enumerate() {
+                match e.config().encoding {
+                    Encoding::Probabilistic => {
+                        if rng.gen::<f64>() < a[k] {
+                            *o = 1.0;
+                        }
+                    }
+                    Encoding::Deterministic => {
+                        v[k] += a[k];
+                        if v[k] > 1.0 - e.config().epsilon {
+                            *o = 1.0;
+                            v[k] -= 1.0 - e.config().epsilon;
+                        }
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    fn bits(m: &Matrix) -> Vec<u64> {
+        m.as_slice().iter().map(|x| x.to_bits()).collect()
+    }
+
     #[test]
-    fn encode_into_reuses_buffer_and_matches_encode() {
+    fn batched_encode_matches_per_sample_reference_on_dirty_buffers() {
+        // In range, on a mean, out of range, NaN and ±inf entries.
+        let pool = [1.0, 0.93, 1.27, 0.5, 1.5, -3.0, 9.0, f64::NAN, f64::INFINITY, -f64::INFINITY];
         for mode in [Encoding::Deterministic, Encoding::Probabilistic] {
             let e = encoder(mode);
-            let state = [1.0, 0.9, 1.1];
-            let fresh = e.encode(&state, 5, &mut rng());
-            // Same seed, dirty reused buffer: identical spikes and RNG use.
-            let mut buf = Matrix::filled(5, e.output_dim(), 7.0);
-            let mut r = rng();
-            e.encode_into(&state, 5, &mut r, &mut buf, 0);
-            assert_eq!(buf, fresh, "{mode:?}");
-            // Sample 1 of a stacked batch of 3 lands in rows t·3 + 1 and
-            // leaves the other samples' rows alone.
-            let mut stack = Matrix::filled(5 * 3, e.output_dim(), 7.0);
-            e.encode_into(&state, 5, &mut rng(), &mut stack, 1);
-            for t in 0..5 {
-                assert_eq!(stack.row(t * 3 + 1), fresh.row(t), "{mode:?} t={t}");
-                assert!(stack.row(t * 3).iter().all(|&x| x == 7.0), "{mode:?} t={t}");
+            for bsz in [1, 3, 8] {
+                for t_max in [1, 5, 9] {
+                    let states = Matrix::from_fn(bsz, 3, |b, d| pool[(b * 7 + d * 3) % pool.len()]);
+                    let seed = |b: usize| rand::rngs::StdRng::seed_from_u64(40 + b as u64);
+                    let mut rngs: Vec<_> = (0..bsz).map(seed).collect();
+                    // Buffers left dirty by another batch (and NaN scratch).
+                    let mut scratch = EncodeScratch::new(&e, bsz);
+                    scratch.stim.as_mut_slice().fill(f64::NAN);
+                    scratch.volt.as_mut_slice().fill(f64::NAN);
+                    let mut raster = Matrix::filled(t_max * bsz, e.output_dim(), 7.0);
+                    let mut set = SpikeSet::from_matrix(&Matrix::filled(2, e.output_dim(), 1.0));
+                    e.encode_batch(&states, &mut rngs, &mut scratch, &mut raster, &mut set);
+                    let tag = format!("{mode:?} B={bsz} T={t_max}");
+                    assert_eq!(set, SpikeSet::from_matrix(&raster), "{tag}: event view");
+                    for (b, rng) in rngs.iter_mut().enumerate() {
+                        let mut alone = seed(b);
+                        let want = reference_encode(&e, states.row(b), t_max, &mut alone);
+                        let mut again = seed(b);
+                        let wrapped = e.encode(states.row(b), t_max, &mut again);
+                        assert_eq!(bits(&wrapped), bits(&want), "{tag} sample {b}: encode");
+                        for t in 0..t_max {
+                            let got = raster.row(t * bsz + b).iter().map(|x| x.to_bits());
+                            let want_row = want.row(t).iter().map(|x| x.to_bits());
+                            assert!(got.eq(want_row), "{tag} sample {b} t={t}");
+                        }
+                        // Every stream sits where a lone encoding leaves it.
+                        let pos = rng.next_u64();
+                        assert_eq!(pos, alone.next_u64(), "{tag} sample {b}: RNG position");
+                        assert_eq!(pos, again.next_u64(), "{tag} sample {b}: encode RNG");
+                    }
+                }
             }
-            // The RNG must have advanced exactly as in `encode`.
-            let mut r2 = rng();
-            let _ = e.encode(&state, 5, &mut r2);
-            assert_eq!(r.next_u64(), r2.next_u64(), "{mode:?} RNG stream diverged");
         }
     }
 
     #[test]
-    #[should_panic(expected = "encode_into: out shape")]
-    fn encode_into_rejects_wrong_shape() {
+    #[should_panic(expected = "encode: raster shape")]
+    fn encode_batch_rejects_a_raster_of_another_batch() {
         let e = encoder(Encoding::Deterministic);
-        let mut buf = Matrix::zeros(4, e.output_dim());
-        e.encode_into(&[1.0, 0.9, 1.1], 5, &mut rng(), &mut buf, 0);
+        let states = Matrix::filled(2, 3, 1.0);
+        let mut scratch = EncodeScratch::new(&e, 2);
+        let mut raster = Matrix::zeros(5, e.output_dim()); // not T·2 rows
+        let mut set = SpikeSet::new(e.output_dim());
+        e.encode_batch(&states, &mut [rng(), rng()], &mut scratch, &mut raster, &mut set);
     }
 
     #[test]

@@ -81,17 +81,6 @@ impl SpikeSet {
         self.indices.clear();
     }
 
-    /// Clears and rebuilds the set from `m` in one pass, reusing the
-    /// existing allocations. Afterwards `self == SpikeSet::from_matrix(m)`.
-    pub fn rebuild_from(&mut self, m: &Matrix) {
-        assert!(m.cols() <= u32::MAX as usize, "SpikeSet supports at most 2^32-1 columns");
-        self.cols = m.cols();
-        self.clear();
-        for r in 0..m.rows() {
-            self.push_row(m.row(r));
-        }
-    }
-
     /// Appends one row: records the ascending indices of every non-zero
     /// entry of `row`.
     ///
@@ -445,9 +434,12 @@ mod tests {
             let row = set.row(r);
             assert!(row.windows(2).all(|w| w[0] < w[1]), "row {r} not strictly ascending");
         }
-        // Rebuilding from the same matrix is bit-for-bit identical.
-        let mut again = SpikeSet::new(1);
-        again.rebuild_from(&m);
+        // Clearing and pushing the same rows again is bit-for-bit identical.
+        let mut again = set.clone();
+        again.clear();
+        for r in 0..m.rows() {
+            again.push_row(m.row(r));
+        }
         assert_eq!(again, set);
     }
 
