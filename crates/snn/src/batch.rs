@@ -692,6 +692,64 @@ mod tests {
         assert_eq!(trace.kernel_events, trace.stats.synops);
     }
 
+    /// The event counters recounted from the trace's dense rasters, as
+    /// the forward pass counted them before it read them off set sizes.
+    fn dense_recount(net: &SdpNetwork, trace: &BatchNetworkTrace) -> (SpikeStats, Vec<u64>) {
+        let count = |m: &Matrix| m.as_slice().iter().filter(|&&s| s != 0.0).count() as u64;
+        let mut stats = SpikeStats { encoder_spikes: count(&trace.encoder), ..Default::default() };
+        let mut layer_spikes = Vec::new();
+        for (k, layer) in net.layers().iter().enumerate() {
+            let inputs = if k == 0 { &trace.encoder } else { &trace.layers[k - 1].outputs };
+            stats.synops += count(inputs) * layer.out_dim() as u64;
+            stats.neuron_updates += (layer.out_dim() * trace.encoder.rows()) as u64;
+            let spikes = count(&trace.layers[k].outputs);
+            stats.neuron_spikes += spikes;
+            layer_spikes.push(spikes);
+        }
+        (stats, layer_spikes)
+    }
+
+    #[test]
+    fn encoder_stack_and_counters_match_per_sample_encode_and_dense_recounts() {
+        let pool = [1.0, 0.93, 1.27, 0.5, 1.5, -3.0, 9.0, f64::NAN, f64::INFINITY, -f64::INFINITY];
+        for encoding in [Encoding::Deterministic, Encoding::Probabilistic] {
+            for t_max in [1, 5, 9] {
+                let mut cfg = SdpNetworkConfig::small(4, 3);
+                cfg.encoder.encoding = encoding;
+                cfg.timesteps = t_max;
+                let net = SdpNetwork::new(cfg, &mut rng(5));
+                for bsz in [1, 3, 8] {
+                    let tag = format!("{encoding:?} T={t_max} B={bsz}");
+                    let st = Matrix::from_fn(bsz, 4, |b, d| pool[(b * 3 + d * 7) % pool.len()]);
+                    // Buffers left dirty by another batch.
+                    let mut ws = BatchWorkspace::new(&net, bsz);
+                    let mut trace = BatchNetworkTrace::new(&net, bsz);
+                    let rec = &mut NoopRecorder;
+                    let other = states(&net, bsz);
+                    net.forward_batch(&other, &mut rngs(bsz, 9), &mut ws, &mut trace, rec);
+                    let mut seeded = rngs(bsz, 60);
+                    net.forward_batch(&st, &mut seeded, &mut ws, &mut trace, rec);
+
+                    assert_eq!(trace.encoder_set, SpikeSet::from_matrix(&trace.encoder), "{tag}");
+                    for (b, r) in seeded.iter_mut().enumerate() {
+                        let mut alone = rng(60 + b as u64);
+                        let want = net.encoder.encode(st.row(b), t_max, &mut alone);
+                        for t in 0..t_max {
+                            let got = trace.encoder.row(t * bsz + b).iter().map(|x| x.to_bits());
+                            let want_row = want.row(t).iter().map(|x| x.to_bits());
+                            assert!(got.eq(want_row), "{tag} sample {b} t={t}");
+                        }
+                        assert_eq!(r.next_u64(), alone.next_u64(), "{tag} sample {b}: RNG");
+                    }
+                    let (stats, layer_spikes) = dense_recount(&net, &trace);
+                    assert_eq!(trace.stats, stats, "{tag}");
+                    assert_eq!(trace.layer_spikes, layer_spikes, "{tag}");
+                    assert_eq!(trace.kernel_events, stats.synops, "{tag}");
+                }
+            }
+        }
+    }
+
     #[test]
     #[should_panic(expected = "workspace batch mismatch")]
     fn wrong_workspace_batch_panics() {

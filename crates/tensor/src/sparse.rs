@@ -495,6 +495,26 @@ mod tests {
     }
 
     #[test]
+    fn spike_drive_matches_gemm_nt_bitwise_at_every_tile_width() {
+        // Widths around every register-tile boundary, the threshold and
+        // the streaming form; graded soft spikes, stale NaN output.
+        let (bsz, k) = (3, 41);
+        let a = mat(bsz, k, 31).map(|v| if v > -0.1 { v + 0.1 } else { 0.0 });
+        let set = SpikeSet::from_matrix(&a);
+        for n in [1, 7, 8, 9, 23, 24, 25, 31, 32, 33, 48, 63, 64, 65, 128] {
+            let w = mat(n, k, 32 + n as u64);
+            let mut dense = vec![0.0; bsz * n];
+            gemm::gemm_nt(a.as_slice(), w.as_slice(), &mut dense, bsz, k, n);
+            let mut sparse = vec![f64::NAN; bsz * n];
+            let wt = w.transposed();
+            let synops = spike_drive(a.as_slice(), &set, 0, wt.as_slice(), &mut sparse, bsz, k, n);
+            let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&sparse), bits(&dense), "n = {n}");
+            assert_eq!(synops, set.nnz() * n as u64, "n = {n}");
+        }
+    }
+
+    #[test]
     fn spike_drive_overwrites_stale_output_rows() {
         let (bsz, k, n) = (2, 6, 4);
         let a = Matrix::zeros(bsz, k); // silent input: drive must be all zero

@@ -213,9 +213,20 @@ fn kernel_event_tally_matches_cost_model_synops() {
     let mut ws = BatchWorkspace::new(&net, batch);
     let mut trace = BatchNetworkTrace::new(&net, batch);
     net.forward_batch(&st, &mut rngs, &mut ws, &mut trace, &mut NoopRecorder);
-    // Three independent tallies of the same quantity: the kernels' own
-    // running count, the stats recomputation from the dense rasters, and
-    // the cost model fed by per-layer spike counts.
+    // The forward pass reads its counters off the spike sets' sizes;
+    // recount them from the dense rasters.
+    let count = |m: &Matrix| m.as_slice().iter().filter(|&&s| s != 0.0).count() as u64;
+    assert_eq!(trace.stats.encoder_spikes, count(&trace.encoder));
+    let mut dense_synops = 0;
+    for (k, layer) in net.layers().iter().enumerate() {
+        let inputs = if k == 0 { &trace.encoder } else { &trace.layers[k - 1].outputs };
+        dense_synops += count(inputs) * layer.out_dim() as u64;
+        assert_eq!(trace.layer_spikes[k], count(&trace.layers[k].outputs), "layer {k}");
+    }
+    // Three tallies of the same quantity: the kernels' own running count,
+    // the recount from the dense rasters, and the cost model fed by
+    // per-layer spike counts.
+    assert_eq!(trace.kernel_events, dense_synops);
     assert_eq!(trace.kernel_events, trace.stats.synops);
     let shapes: Vec<(usize, usize)> =
         net.layers().iter().map(|l| (l.in_dim(), l.out_dim())).collect();
@@ -282,24 +293,46 @@ fn weights(out_dim: usize, in_dim: usize, seed: u64) -> Matrix {
     Matrix::from_fn(out_dim, in_dim, |_, _| rng.gen_range(-0.5..0.5))
 }
 
+/// [`weights`] with one entry in four replaced by `+0.0`, `-0.0` or a
+/// subnormal of either sign: the addends whose sign and rounding a
+/// reordered or re-seeded accumulator would get wrong.
+fn adversarial_weights(out_dim: usize, in_dim: usize, seed: u64) -> Matrix {
+    let mut rng = StdRng::seed_from_u64(seed ^ 0x5eed);
+    let tiny = f64::MIN_POSITIVE / 8.0;
+    weights(out_dim, in_dim, seed).map(|w| match rng.gen_range(0..16) {
+        0 => 0.0,
+        1 => -0.0,
+        2 => tiny * (1.0 + w),
+        3 => -tiny * (1.0 - w),
+        _ => w,
+    })
+}
+
+fn bits(xs: &[f64]) -> Vec<u64> {
+    xs.iter().map(|x| x.to_bits()).collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// `spike_drive` equals `gemm_nt` bitwise over every adversarial
-    /// pattern family.
+    /// pattern family, at widths on both sides of
+    /// `sparse::REG_TILE_MAX_OUT` (every register-tile width and tail, and
+    /// the streaming form), with signed-zero and subnormal weights. Bits
+    /// are compared, since `==` equates `-0.0` with `+0.0`.
     #[test]
     fn drive_matches_dense_over_adversarial_patterns(
         pattern in 0usize..4,
         bsz in 1usize..7,
         t_max in 1usize..5,
-        in_dim in 1usize..40,
-        out_dim in 1usize..24,
+        in_dim in 1usize..=600,
+        out_dim in 1usize..=140,
         seed in 0u64..1000,
     ) {
         let rows = t_max * bsz;
         let stack = adversarial_raster(pattern, rows, in_dim, seed);
         let set = SpikeSet::from_matrix(&stack);
-        let w = weights(out_dim, in_dim, seed);
+        let w = adversarial_weights(out_dim, in_dim, seed);
         let wt = w.transposed();
         for t in 0..t_max {
             let block = &stack.as_slice()[t * bsz * in_dim..(t + 1) * bsz * in_dim];
@@ -310,7 +343,7 @@ proptest! {
             let synops = sparse::spike_drive(
                 block, &set, t * bsz, wt.as_slice(), &mut sparse_out, bsz, in_dim, out_dim,
             );
-            prop_assert_eq!(&sparse_out, &dense);
+            prop_assert_eq!(bits(&sparse_out), bits(&dense));
             let events: u64 =
                 (0..bsz).map(|b| set.row(t * bsz + b).len() as u64).sum();
             prop_assert_eq!(synops, events * out_dim as u64);
