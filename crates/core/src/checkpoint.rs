@@ -316,7 +316,9 @@ pub fn save_sdp_faulted(
 ///
 /// Returns [`LoadCheckpointError`] on I/O failure, a file longer than
 /// [`read_limit`] allows, syntax errors, checksum mismatch, or a
-/// parameter-count mismatch.
+/// parameter-count mismatch. The file is decoded and checked in full
+/// before any parameter is written, so a failed load leaves `agent`
+/// untouched (the desk gate probes every candidate into one agent).
 pub fn load_sdp(agent: &mut SdpAgent, path: impl AsRef<Path>) -> Result<(), LoadCheckpointError> {
     load_sdp_faulted(agent, path, None)
 }
@@ -691,6 +693,28 @@ mod tests {
         let mut restored = SdpAgent::new(&cfg, 5, 999); // different init
         load_sdp(&mut restored, &path).unwrap();
         assert_eq!(flat_params(&restored.network), flat_params(&agent.network));
+        std::fs::remove_file(path).ok();
+    }
+
+    #[test]
+    fn failed_loads_leave_the_agent_untouched() {
+        let cfg = SdpConfig::smoke();
+        let path = tmp("untouched.ckpt");
+        save_sdp(&SdpAgent::new(&cfg, 5, 7), &path).unwrap();
+        let good = std::fs::read(&path).unwrap();
+        let mut flipped = good.clone();
+        let mid = flipped.len() / 2;
+        flipped[mid] = if flipped[mid] == b'1' { b'2' } else { b'1' };
+        save_sdp(&SdpAgent::new(&cfg, 11, 7), &path).unwrap(); // another shape
+        let other_shape = std::fs::read(&path).unwrap();
+        let mut agent = SdpAgent::new(&cfg, 5, 999);
+        let before = flat_params(&agent.network);
+        let damaged = [flipped, good[..good.len() / 2].to_vec(), other_shape];
+        for (i, bytes) in damaged.iter().enumerate() {
+            std::fs::write(&path, bytes).unwrap();
+            assert!(load_sdp(&mut agent, &path).is_err(), "damage {i} must not load");
+            assert_eq!(flat_params(&agent.network), before, "damage {i} wrote parameters");
+        }
         std::fs::remove_file(path).ok();
     }
 

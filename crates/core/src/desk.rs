@@ -719,7 +719,7 @@ struct DeskCtx<'a> {
     paths: &'a DeskPaths,
     opts: &'a DeskOptions,
     trainer: &'a Trainer,
-    /// Asset count of the feed (for probes and the triage manifest).
+    /// Asset count of the feed (for the triage manifest).
     num_assets: usize,
 }
 
@@ -860,6 +860,7 @@ fn run_gate(
     ctx: &DeskCtx,
     trial: Trial,
     incumbent: &SdpAgent,
+    skeleton: &mut SdpAgent,
     faults: &mut FaultPlan,
     obs: &Observatory,
     rec: &mut dyn Recorder,
@@ -867,12 +868,10 @@ fn run_gate(
     let Trial { round, scheduled, window, mut val, val_from, candidate, aborted, recoveries } =
         trial;
     let (opts, paths) = (ctx.opts, ctx.paths);
-    // Loads the candidate file into a fresh skeleton: the same full
-    // validation (CRC, syntax, shape) the serving loader applies.
-    let probe = || {
-        let mut skeleton = SdpAgent::new(&opts.config, ctx.num_assets, 0);
-        checkpoint::load_sdp(&mut skeleton, &paths.candidate).is_ok()
-    };
+    // Loads the candidate file into the desk's skeleton agent: the same
+    // full validation (CRC, syntax, shape) the serving loader applies.
+    // Only the verdict is read; a failed load writes no parameter.
+    let mut probe = || checkpoint::load_sdp(skeleton, &paths.candidate).is_ok();
     let reject = |kind: &'static str, reason: String, g: GateNumbers| {
         Ok(RoundDecision::Quarantined { kind, reason, g })
     };
@@ -1221,6 +1220,9 @@ pub fn run_desk(mut opts: DeskOptions, rec: &mut dyn Recorder) -> Result<DeskRep
         ],
     );
     let ctx = DeskCtx { store: &store, paths: &paths, opts: &opts, trainer: &trainer, num_assets };
+    // The gate's integrity probe loads every candidate file into this one
+    // agent, whose initial weights are never read.
+    let mut skeleton = SdpAgent::new(&opts.config, num_assets, 0);
 
     for round in 0..opts.rounds {
         let round_started = Instant::now();
@@ -1320,7 +1322,7 @@ pub fn run_desk(mut opts: DeskOptions, rec: &mut dyn Recorder) -> Result<DeskRep
             aborted,
             recoveries,
         };
-        let decision = run_gate(&ctx, trial, &incumbent, &mut faults, &obs, rec)?;
+        let decision = run_gate(&ctx, trial, &incumbent, &mut skeleton, &mut faults, &obs, rec)?;
         if matches!(decision, RoundDecision::Promoted(_)) {
             incumbent = candidate;
         }
