@@ -30,7 +30,8 @@ cargo test -q -p spikefolio --test sparse_kernels
 # would only fail here. The spikefolio-snn unit tests hold the
 # network-level dense-vs-event battery (forward traces and backward
 # gradients at b1/b8/b32), whose dense reference exists only in test
-# builds. batched_snn pins each batch row against its own B = 1 run, the
+# builds. The spikefolio-tensor unit tests pin the drive's register tiles
+# at every tile width against the dense GEMM. batched_snn pins each batch row against its own B = 1 run, the
 # path every single decision takes. The serving reply pins
 # are the only ones that drive paper-scale micro-batches of 4 and 8
 # through the event-driven drive. strategy_invariants pins every weight
@@ -43,7 +44,7 @@ cargo test -q -p spikefolio --test sparse_kernels
 echo "==> bitwise pins in the release build (trained weights, sparse kernels, batch composition, classical weights, served replies, checkpoint bytes, desk artifacts)"
 cargo test -q --release -p spikefolio --test end_to_end_training --test sparse_kernels \
   --test batched_snn --test strategy_invariants
-cargo test -q --release -p spikefolio-snn --lib
+cargo test -q --release -p spikefolio-snn -p spikefolio-tensor --lib
 cargo test -q --release -p spikefolio --lib -- --exact \
   serving::tests::float_backend_replies_are_pinned serving::tests::loihi_backend_replies_are_pinned \
   checkpoint::tests::checkpoint_files_are_pinned_bitwise \

@@ -1,6 +1,8 @@
 //! Batched forward engine vs looped single-sample calls: the throughput
 //! case for `SdpNetwork::forward_batch` at paper scale (one B-row drive
-//! per layer per timestep instead of B one-row drives).
+//! per layer per timestep instead of B one-row drives), plus the smoke
+//! desk's narrow shape at the batch sizes the desk runs (B = 1 for gate
+//! and backtest decisions, B = 4 for fine-tuning micro-batches).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
@@ -34,6 +36,21 @@ fn bench_forward_batch(c: &mut Criterion) {
                 let mut rngs = bench_support::sample_rngs(batch);
                 let rec = &mut NoopRecorder;
                 net.forward_batch(&st, &mut rngs, &mut ws, &mut trace, rec);
+                std::hint::black_box(trace.action(0)[0])
+            })
+        });
+    }
+    let smoke = bench_support::smoke_desk_network(9);
+    let dim = smoke.config().state_dim;
+    for &batch in &[1usize, 4] {
+        let st = bench_support::pinned_states(batch, dim);
+        let mut ws = BatchWorkspace::new(&smoke, batch);
+        let mut trace = BatchNetworkTrace::new(&smoke, batch);
+        group.bench_function(format!("smoke_desk_b{batch}"), |b| {
+            b.iter(|| {
+                let mut rngs = bench_support::sample_rngs(batch);
+                let rec = &mut NoopRecorder;
+                smoke.forward_batch(&st, &mut rngs, &mut ws, &mut trace, rec);
                 std::hint::black_box(trace.action(0)[0])
             })
         });

@@ -33,6 +33,14 @@ pub mod bench_support {
         SdpNetwork::new(SdpNetworkConfig::paper(PAPER_STATE_DIM, PAPER_ACTION_DIM), &mut rng)
     }
 
+    /// The seeded network of the smoke live desk: `SdpConfig::smoke` over
+    /// 11 assets (144-dim state, 576 encoder neurons, hidden 24, 48
+    /// output neurons, T = 5), the narrow layers the desk trains.
+    pub fn smoke_desk_network(seed: u64) -> SdpNetwork {
+        let cfg = spikefolio::config::SdpConfig::smoke().network_config(11);
+        SdpNetwork::new(cfg, &mut StdRng::seed_from_u64(seed))
+    }
+
     /// A small seeded network for smoke-scale comparison rows.
     pub fn small_network(seed: u64) -> SdpNetwork {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -85,6 +93,13 @@ pub mod bench_support {
             for b in 0..batch {
                 assert_eq!(m.row(b), &flat[b * PAPER_STATE_DIM..(b + 1) * PAPER_STATE_DIM]);
             }
+        }
+
+        #[test]
+        fn smoke_desk_network_has_the_desk_shape() {
+            let net = smoke_desk_network(9);
+            let shapes: Vec<_> = net.layers().iter().map(|l| (l.in_dim(), l.out_dim())).collect();
+            assert_eq!(shapes, [(576, 24), (24, 48)]);
         }
 
         #[test]
