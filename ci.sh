@@ -31,10 +31,11 @@ cargo test -q -p spikefolio --test sparse_kernels
 # network-level dense-vs-event battery (forward traces and backward
 # gradients at b1/b8/b32), whose dense reference exists only in test
 # builds. The spikefolio-tensor unit tests pin the drive's register tiles
-# at every tile width against the dense GEMM. batched_snn pins each batch row against its own B = 1 run, the
-# path every single decision takes. The serving reply pins
-# are the only ones that drive paper-scale micro-batches of 4 and 8
-# through the event-driven drive. strategy_invariants pins every weight
+# at every tile width against the dense GEMM. batched_snn pins each batch
+# row against its own B = 1 run, the path every single decision takes.
+# The serving reply pins are the only ones that drive paper-scale
+# micro-batches of 4 and 8 through the event-driven drive, whose 128-wide
+# layers keep the streaming form. strategy_invariants pins every weight
 # ANTICOR and ONS choose on the scenario matrix's smoke windows. The desk
 # artifact pin covers every round outcome the desk books, in the release
 # code perfbench's desk-rounds workload runs. The checkpoint pin and the

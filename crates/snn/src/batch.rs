@@ -692,8 +692,8 @@ mod tests {
         assert_eq!(trace.kernel_events, trace.stats.synops);
     }
 
-    /// The event counters recounted from the trace's dense rasters, as
-    /// the forward pass counted them before it read them off set sizes.
+    /// The event counters recounted from the trace's dense rasters, where
+    /// every non-zero entry is an event.
     fn dense_recount(net: &SdpNetwork, trace: &BatchNetworkTrace) -> (SpikeStats, Vec<u64>) {
         let count = |m: &Matrix| m.as_slice().iter().filter(|&&s| s != 0.0).count() as u64;
         let mut stats = SpikeStats { encoder_spikes: count(&trace.encoder), ..Default::default() };

@@ -186,10 +186,10 @@ fn axpy_lanes(x: f64, w: &[f64], out: &mut [f64]) {
 /// Measured in release (`target-cpu=native`, 2-vCPU AVX-512 VM), one
 /// timestep at B = 4 with half the inputs spiking, best of 9 runs: at
 /// 576→24 (the smoke desk's input layer) the tiles take 5.0–6.7 µs
-/// against 12.0–15.0 µs streamed, since the streaming form reloads and
+/// against 11.3–16.2 µs streamed, since the streaming form reloads and
 /// restores the whole output row per event and store-to-load forwarding
 /// sets its pace; at 3640→64 they run 1.2–1.5× faster. At 3640→96 and
-/// 3640→128 they run at 0.80–1.06× the streaming form: those layers are
+/// 3640→128 they run at 0.80–1.18× the streaming form: those layers are
 /// bound by streaming `Wᵀ` rows (2.8–3.7 MB) from memory, not by the
 /// output row, so the paper-shape hidden layers keep the streaming form.
 pub const REG_TILE_MAX_OUT: usize = 64;
